@@ -9,6 +9,7 @@ opaque strings for tables.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
@@ -163,7 +164,12 @@ def _tables_from_fns(elements: tuple, meet: Callable, join: Callable,
 
 
 def powerset_algebra(atom_names: Iterable[str]) -> FinBooleanAlgebra:
-    atoms = tuple(dict.fromkeys(atom_names))
+    return _powerset_algebra(tuple(dict.fromkeys(atom_names)))
+
+
+@functools.lru_cache(maxsize=16)
+def _powerset_algebra(atoms: tuple[str, ...]) -> FinBooleanAlgebra:
+    """One shared instance per atom tuple: nothing mutates an algebra."""
     if not atoms:
         raise TrivialAlgebra("powerset algebra needs at least one atom")
     universe = frozenset(atoms)

@@ -196,13 +196,21 @@ def check_subst_inequality(model: BValuedModel, f: Formula,
 # ---------------------------------------------------------------------------
 # mixing and fullness
 
+def _canonical_key(x) -> str | tuple:
+    """Sort key for algebra elements that does not depend on the string-hash
+    seed: a frozenset becomes the sorted keys of its members."""
+    if isinstance(x, frozenset):
+        return tuple(sorted(_canonical_key(m) for m in x))
+    return repr(x)
+
+
 def check_mixing(model: BValuedModel) -> dict:
     """Decide the mixing property through atom refinement: the model mixes
     iff for every function g from atoms to the domain some element tau has
     atom <= [tau = g(atom)] for every atom. On failure the atoms form the
     reported antichain with targets g."""
     alg = model.algebra
-    atoms = sorted(alg.atoms(), key=repr)
+    atoms = sorted(alg.atoms(), key=_canonical_key)
     for targets in itertools.product(model.domain, repeat=len(atoms)):
         hit = None
         for tau in model.domain:
@@ -230,7 +238,7 @@ def check_mixing_by_antichains(model: BValuedModel) -> dict:
     """Cross-check: enumerate every antichain of nonzero elements and every
     target map; exponential, for small algebras only."""
     alg = model.algebra
-    nz = sorted(alg.nonzero(), key=repr)
+    nz = sorted(alg.nonzero(), key=_canonical_key)
 
     antichains: list[tuple] = [()]
     def extend(prefix: tuple, rest: list) -> None:
@@ -320,17 +328,28 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
     sentence gets value one. A valid model over a powerset algebra with k
     atoms decomposes into k per-atom quotient structures (an equivalence on
     the domain plus equivalence-invariant relation tables) sharing constant
-    interpretations, so the search enumerates exactly those, in lexicographic
+    interpretations, so the candidates are exactly those, in lexicographic
     order: domain size ascending, atom count ascending, then per-atom
     structures as nondecreasing tuples (atom relabeling pruned exactly),
-    then constants. Reports {"found": True, "model": ...} for the first hit
-    or {"exhausted": True} - never unsatisfiability.
+    then constants.
+
+    Every connective and quantifier acts atom by atom, so a sentence's value
+    at an atom is its truth in that atom's structure. Each (structure,
+    constants) pair is therefore evaluated once, on a one-atom model, into a
+    mask with one bit per true sentence. A candidate is a weak witness iff
+    the OR of its structures' masks sets every bit, and a strong witness iff
+    the AND does; then each of its structures is a one-atom strong witness
+    with the same constants, which the order reaches first, so strong mode
+    tries one atom per domain size and moves on. Only the first witness is
+    assembled. Reports {"found": True, "model": ...} for it or
+    {"exhausted": True} - never unsatisfiability.
     """
     if mode not in ("weak", "strong"):
         raise ValueError("mode must be 'weak' or 'strong'")
     if max_atoms < 1 or max_domain < 1:
         raise ValueError("bounds must be at least 1")
     rel_decl = tuple(signature.relations)
+    every = (1 << len(sentences)) - 1
 
     for n_dom in range(1, max_domain + 1):
         domain = tuple(f"m{i}" for i in range(n_dom))
@@ -343,16 +362,32 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
                 spaces.append(_subsets_lex(tuples))
             for rel_choice in itertools.product(*spaces) if spaces else [()]:
                 structures.append((rgs, tuple(rel_choice)))
-        for n_atoms in range(1, max_atoms + 1):
-            atom_names = tuple(f"a{i}" for i in range(n_atoms))
+        constants = [dict(zip(signature.constants, cvals))
+                     for cvals in itertools.product(
+                         domain, repeat=len(signature.constants))]
+        masks: dict[tuple[int, int], int] = {}
+
+        def mask(s: int, c: int) -> int:
+            if (s, c) not in masks:
+                model = assemble_model(signature, ("a0",), domain,
+                                       (structures[s],), constants[c])
+                masks[(s, c)] = sum(
+                    1 << i for i, f in enumerate(sentences)
+                    if eval_formula(model, f) == model.algebra.one)
+            return masks[(s, c)]
+
+        for n_atoms in range(1, (max_atoms if mode == "weak" else 1) + 1):
             for combo in itertools.combinations_with_replacement(
-                    structures, n_atoms):
-                for cvals in itertools.product(
-                        domain, repeat=len(signature.constants)):
-                    consts = dict(zip(signature.constants, cvals))
-                    model = _assemble(signature, atom_names, domain,
-                                      combo, consts)
-                    if _witnesses(model, sentences, mode):
+                    range(len(structures)), n_atoms):
+                for c in range(len(constants)):
+                    got = 0
+                    for s in combo:
+                        got |= mask(s, c)
+                    if got == every:
+                        model = assemble_model(
+                            signature, tuple(f"a{i}" for i in range(n_atoms)),
+                            domain, tuple(structures[s] for s in combo),
+                            constants[c])
                         return {"found": True, "model": model,
                                 "atoms": n_atoms, "domain_size": n_dom}
     return {"exhausted": True, "max_atoms": max_atoms,
@@ -367,11 +402,13 @@ def _subsets_lex(items: list) -> list[frozenset]:
     return out
 
 
-def _assemble(signature: Signature, atom_names: tuple[str, ...],
-              domain: tuple[str, ...], per_atom: tuple,
-              constants: dict) -> BValuedModel:
+def assemble_model(signature: Signature, atom_names: tuple[str, ...],
+                   domain: tuple[str, ...], per_atom: tuple,
+                   constants: dict) -> BValuedModel:
     """Model over powerset(atom_names) whose per-atom quotients are the given
-    structures; axioms (A)/(B) hold by construction."""
+    structures: each is a restricted-growth string over the domain and one
+    table of class tuples per relation of the signature, in order. Axioms
+    (A)/(B) hold by construction."""
     alg = powerset_algebra(atom_names)
     idx = {m: i for i, m in enumerate(domain)}
     eq = {}
@@ -389,14 +426,3 @@ def _assemble(signature: Signature, atom_names: tuple[str, ...],
                 if tuple(rgs[idx[x]] for x in args) in choice[r_i])
         relations[rel] = table
     return BValuedModel(signature, alg, domain, eq, relations, dict(constants))
-
-
-def _witnesses(model: BValuedModel, sentences: list[Formula], mode: str) -> bool:
-    alg = model.algebra
-    for s in sentences:
-        v = eval_formula(model, s)
-        if mode == "strong" and v != alg.one:
-            return False
-        if mode == "weak" and v == alg.zero:
-            return False
-    return True

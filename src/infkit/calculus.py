@@ -306,6 +306,8 @@ def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
     """Evaluate the sequent inequality (meet of the antecedent below the join
     of the succedent) under every assignment in seeded random valid models.
     Any violation is a countermodel for the goal."""
+    if max_atoms < 1 or max_domain < 1:
+        raise ValueError("bounds must be at least 1")
     formulas = list(goal.ante) + list(goal.succ)
     sig = infer_signature(formulas)
     free = sorted(set().union(*(f.free_vars() for f in formulas))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -101,6 +100,8 @@ def cmd_check_model(args) -> int:
 
 
 def cmd_sat(args) -> int:
+    if args.max_atoms < 1 or args.max_domain < 1:
+        return _input_error("--max-atoms and --max-domain must be at least 1")
     sig, sentences = parse_theory(load_json(args.theory))
     result = bounded_boolean_sat(sig, list(sentences),
                                  max_atoms=args.max_atoms,
@@ -262,6 +263,8 @@ def cmd_ro(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
+    if args.max_atoms < 1 or args.max_domain < 1:
+        return _input_error("--max-atoms and --max-domain must be at least 1")
     proof = parse_proof(load_json(args.proof))
     report = check_proof(proof)
     if report["accepted"] and args.soundness_samples > 0:
@@ -428,13 +431,7 @@ def run_corpus(manifest_path: Path) -> dict:
     if not entries:
         warnings.append("empty manifest: zero checks executed")
     base = manifest_path.parent
-    if entries:
-        with ThreadPoolExecutor(max_workers=min(8, len(entries))) as pot:
-            results = list(pot.map(
-                lambda pair: _check_entry(base, pair[1], pair[0]),
-                enumerate(entries)))
-    else:
-        results = []
+    results = [_check_entry(base, entry, i) for i, entry in enumerate(entries)]
     failed = [r["file"] for r in results if not r["ok"]]
     return {"ok": not failed, "entries": results, "failed": failed,
             "total": len(results), "warnings": warnings}

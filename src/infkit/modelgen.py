@@ -8,7 +8,7 @@ import itertools
 import random
 
 from .boolalg import FinPoset, powerset_algebra
-from .bvmodel import BValuedModel, _partitions
+from .bvmodel import BValuedModel, _partitions, assemble_model
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
 )
@@ -91,25 +91,8 @@ def _assemble_pool_model(sig: Signature, n_atoms: int, n_dom: int,
         bi = frozenset(t for t in itertools.product(range(n_classes), repeat=2)
                        if (t[0] + 2 * t[1] + variant + i) % 3 == 0)
         per_atom.append((rgs, (un, bi)))
-    idx = {m: i for i, m in enumerate(dom)}
-    eq = {}
-    for m in dom:
-        for n in dom:
-            eq[(m, n)] = frozenset(
-                a for a, (rgs, _) in zip(atoms, per_atom)
-                if rgs[idx[m]] == rgs[idx[n]])
-    relations = {"R": {}, "Q": {}}
-    for args in itertools.product(dom, repeat=1):
-        relations["R"][args] = frozenset(
-            a for a, (rgs, (un, _)) in zip(atoms, per_atom)
-            if (rgs[idx[args[0]]],) in un)
-    for args in itertools.product(dom, repeat=2):
-        relations["Q"][args] = frozenset(
-            a for a, (rgs, (_, bi)) in zip(atoms, per_atom)
-            if (rgs[idx[args[0]]], rgs[idx[args[1]]]) in bi)
     consts = {"e0": dom[0], "e1": dom[min(1, n_dom - 1) if variant % 2 else 0]}
-    return BValuedModel(sig, powerset_algebra(atoms), dom, eq, relations,
-                        consts)
+    return assemble_model(sig, atoms, dom, tuple(per_atom), consts)
 
 
 def model_pool() -> list[BValuedModel]:
@@ -181,24 +164,8 @@ def random_valid_model(rng: random.Random, sig: Signature,
             space = list(itertools.product(range(n_classes), repeat=arity))
             tables.append(frozenset(t for t in space if rng.random() < 0.5))
         per_atom.append((rgs, tuple(tables)))
-    idx = {m: i for i, m in enumerate(dom)}
-    eq = {}
-    for m in dom:
-        for n in dom:
-            eq[(m, n)] = frozenset(
-                a for a, (rgs, _) in zip(atoms, per_atom)
-                if rgs[idx[m]] == rgs[idx[n]])
-    relations = {}
-    for r_i, (rel, arity) in enumerate(sig.relations):
-        table = {}
-        for args in itertools.product(dom, repeat=arity):
-            table[args] = frozenset(
-                a for a, (rgs, tabs) in zip(atoms, per_atom)
-                if tuple(rgs[idx[x]] for x in args) in tabs[r_i])
-        relations[rel] = table
     consts = {c: rng.choice(dom) for c in sig.constants}
-    return BValuedModel(sig, powerset_algebra(atoms), dom, eq, relations,
-                        consts)
+    return assemble_model(sig, atoms, dom, tuple(per_atom), consts)
 
 
 def random_formula(rng: random.Random, sig: Signature, depth: int,

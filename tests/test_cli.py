@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import infkit
 from infkit.cli import main
 from infkit.iojson import dumps
 
@@ -187,3 +191,37 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     p.write_text("{not json")
     code, out, err = run(capsys, "check-model", str(p))
     assert code == 2 and err
+
+
+def run_subprocess(*argv, hash_seed="0"):
+    """The infkit command in a fresh interpreter, so that a traceback or a
+    string-hash dependence shows as it would to a user."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(Path(infkit.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "infkit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sat", "--theory", "split_constant_theory.json", "--mode", "weak",
+     "--max-atoms", "0"),
+    ("check-proof", "proof_axiom.json", "--soundness-samples", "5",
+     "--max-domain", "0"),
+])
+def test_search_bounds_below_one_are_input_errors(corpus_dir, argv):
+    argv = tuple(corpus(a, corpus_dir) if a.endswith(".json") else a
+                 for a in argv)
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_mansfield_report_ignores_the_hash_seed(corpus_dir):
+    argv = ("mansfield", "--cp", corpus("eq4_family.json", corpus_dir),
+            "--root", "80")
+    outs = {run_subprocess(*argv, hash_seed=seed).stdout
+            for seed in ("0", "8", "31")}
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["mixing"]["mixing"] is False

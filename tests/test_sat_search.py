@@ -1,0 +1,214 @@
+"""The mask-based bounded search against the candidate-by-candidate search it
+replaced, kept here as the oracle."""
+import hashlib
+import itertools
+import math
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from infkit import bvmodel
+from infkit.bvmodel import (
+    _partitions, _subsets_lex, assemble_model, bounded_boolean_sat,
+    eval_formula,
+)
+from infkit.iojson import dumps, emit_model
+from infkit.modelgen import (
+    model_pool, random_formula, random_valid_model, split_constant_theory,
+    split_signature,
+)
+from infkit.syntax import (
+    Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
+)
+
+
+# --- the oracle ---------------------------------------------------------------
+
+def _structures(signature, n_dom):
+    out = []
+    for rgs in _partitions(n_dom):
+        n_classes = max(rgs) + 1
+        spaces = [_subsets_lex(list(itertools.product(range(n_classes),
+                                                      repeat=arity)))
+                  for _, arity in signature.relations]
+        for rel_choice in itertools.product(*spaces) if spaces else [()]:
+            out.append((rgs, tuple(rel_choice)))
+    return out
+
+
+def _witnesses(model, sentences, mode):
+    alg = model.algebra
+    for s in sentences:
+        v = eval_formula(model, s)
+        if mode == "strong" and v != alg.one:
+            return False
+        if mode == "weak" and v == alg.zero:
+            return False
+    return True
+
+
+def _candidates(signature, n_dom, n_atoms):
+    """Every candidate model of the search at one domain size and atom
+    count, in search order."""
+    domain = tuple(f"m{i}" for i in range(n_dom))
+    atom_names = tuple(f"a{i}" for i in range(n_atoms))
+    for combo in itertools.combinations_with_replacement(
+            _structures(signature, n_dom), n_atoms):
+        for cvals in itertools.product(domain,
+                                       repeat=len(signature.constants)):
+            consts = dict(zip(signature.constants, cvals))
+            yield combo, consts, assemble_model(signature, atom_names,
+                                                domain, combo, consts)
+
+
+def oracle_sat(signature, sentences, max_atoms, max_domain, mode):
+    """Assemble and evaluate every candidate in search order."""
+    for n_dom in range(1, max_domain + 1):
+        for n_atoms in range(1, max_atoms + 1):
+            for _, _, model in _candidates(signature, n_dom, n_atoms):
+                if _witnesses(model, sentences, mode):
+                    return {"found": True, "model": model,
+                            "atoms": n_atoms, "domain_size": n_dom}
+    return {"exhausted": True, "max_atoms": max_atoms,
+            "max_domain": max_domain, "mode": mode}
+
+
+def report_bytes(result):
+    if result.get("found"):
+        result = dict(result, model=emit_model(result["model"]))
+    return dumps(result)
+
+
+def candidate_count(signature, max_atoms, max_domain):
+    total = 0
+    for n_dom in range(1, max_domain + 1):
+        s = sum(math.prod(2 ** (max(rgs) + 1) ** arity
+                          for _, arity in signature.relations)
+                for rgs in _partitions(n_dom))
+        for k in range(1, max_atoms + 1):
+            total += (math.comb(s + k - 1, k)
+                      * n_dom ** len(signature.constants))
+    return total
+
+
+# --- the mask search gives the oracle's report --------------------------------
+
+TWO_ELEMENTS = Exists(("v0", "v1"), Not(Eq(Var("v0"), Var("v1"))))
+
+
+@st.composite
+def theories(draw):
+    arities = draw(st.lists(st.integers(1, 2), max_size=2))
+    n_consts = draw(st.integers(0, 2))
+    sig = Signature(
+        relations=tuple((f"R{i}", a) for i, a in enumerate(arities)),
+        constants=tuple(f"c{i}" for i in range(n_consts)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sentences = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("random", "negation", "two elements")))
+        if kind == "negation" and sentences:
+            # with the sentence before it, a weak witness needs two atoms
+            sentences.append(Not(sentences[-1]))
+        elif kind == "two elements":
+            sentences.append(TWO_ELEMENTS)
+        else:
+            f = random_formula(rng, sig, rng.randrange(3))
+            free = tuple(sorted(f.free_vars()))
+            if free:
+                f = Forall(free, f) if rng.random() < 0.5 else Exists(free, f)
+            sentences.append(f)
+    max_atoms = draw(st.integers(1, 2))
+    max_domain = draw(st.integers(1, 3))
+    # keep the oracle's exhaustive runs short
+    while max_domain > 1 and candidate_count(sig, max_atoms, max_domain) > 1000:
+        max_domain -= 1
+    return sig, sentences, max_atoms, max_domain
+
+
+@settings(max_examples=60, deadline=None)
+@given(theories())
+def test_mask_search_matches_oracle(theory):
+    sig, sentences, max_atoms, max_domain = theory
+    for mode in ("weak", "strong"):
+        got = bounded_boolean_sat(sig, sentences, max_atoms=max_atoms,
+                                  max_domain=max_domain, mode=mode)
+        want = oracle_sat(sig, sentences, max_atoms, max_domain, mode)
+        assert report_bytes(got) == report_bytes(want)
+
+
+def test_mask_search_matches_oracle_on_reference_theory():
+    sig, theory = split_signature(), split_constant_theory()
+    for mode in ("weak", "strong"):
+        got = bounded_boolean_sat(sig, theory, max_atoms=2, max_domain=3,
+                                  mode=mode)
+        want = oracle_sat(sig, theory, 2, 3, mode)
+        assert report_bytes(got) == report_bytes(want)
+
+
+# --- strong mode needs one atom -----------------------------------------------
+
+def test_strong_witness_structures_are_one_atom_witnesses():
+    """Every two-atom strong witness is made of structures that are each a
+    one-atom strong witness with the same constants, so the search finds a
+    one-atom witness first at the same domain size."""
+    c = Const("c")
+    sig = Signature(relations=(("R", 1),), constants=("c", "d"))
+    theory = [Or((Atom("R", (c,)), Not(Atom("R", (Const("d"),))))),
+              Exists(("v0",), Atom("R", (c,)))]
+    one_atom = {(combo[0], tuple(consts.items()))
+                for combo, consts, model in _candidates(sig, 2, 1)
+                if _witnesses(model, theory, "strong")}
+    pairs = [(combo, consts)
+             for combo, consts, model in _candidates(sig, 2, 2)
+             if _witnesses(model, theory, "strong")]
+    assert one_atom and pairs
+    for combo, consts in pairs:
+        for s in combo:
+            assert (s, tuple(consts.items())) in one_atom
+    res = bounded_boolean_sat(sig, theory, max_atoms=3, max_domain=2,
+                              mode="strong")
+    assert res["atoms"] == 1
+    assert report_bytes(res) == report_bytes(
+        oracle_sat(sig, theory, 3, 2, "strong"))
+
+
+def test_strong_exhaustion_builds_one_model_per_structure_and_constants(
+        monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return assemble_model(*args)
+
+    monkeypatch.setattr(bvmodel, "assemble_model", counting)
+    res = bvmodel.bounded_boolean_sat(split_signature(),
+                                      split_constant_theory(), max_atoms=3,
+                                      max_domain=3, mode="strong")
+    assert res["exhausted"]
+    # 1, 2 and 5 partitions of 1, 2 and 3 elements; 3 constants
+    assert len(built) == 1 * 1 + 2 * 2 ** 3 + 5 * 3 ** 3
+    assert {atom_names for _, atom_names, *_ in built} == {("a0",)}
+
+
+# --- one model builder --------------------------------------------------------
+
+# sha256 of the models below, emitted by the builders that assembled their
+# tables by hand before they shared `assemble_model`.
+SEEDED_MODELS_SHA256 = \
+    "7038c6cf47d3bbb228aca2fa0ef218b156e5763e319037dee45cf7bebb81d553"
+
+
+def test_generated_models_keep_their_bytes():
+    sigs = (Signature(relations=(), constants=("c",)),
+            Signature(relations=(("R", 1),), constants=("c", "d")),
+            Signature(relations=(("P", 2), ("R", 1)), constants=()))
+    h = hashlib.sha256()
+    rng = random.Random(2024)
+    for _ in range(500):
+        for sig in sigs:
+            model = random_valid_model(rng, sig, 3, 3)
+            h.update(dumps(emit_model(model)).encode())
+    for model in model_pool():
+        h.update(dumps(emit_model(model)).encode())
+    assert h.hexdigest() == SEEDED_MODELS_SHA256
