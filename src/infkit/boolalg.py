@@ -66,18 +66,21 @@ class FinPoset:
                         f"{self.elements[i]!r} and {self.elements[j]!r}")
         self._idx = idx
         self._below = below
+        els = self.elements
+        self._down = {e: frozenset(els[j] for j in below[i])
+                      for i, e in enumerate(els)}
+        self._up = {e: frozenset(els[j] for j in range(n) if i in below[j])
+                    for i, e in enumerate(els)}
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
         return self._idx[a] in self._below[self._idx[b]]
 
     def down(self, p: Hashable) -> frozenset:
         """Basic open N_p: everything <= p."""
-        return frozenset(self.elements[j] for j in self._below[self._idx[p]])
+        return self._down[p]
 
     def up_closure(self, s: Iterable[Hashable]) -> frozenset:
-        ss = set(s)
-        return frozenset(e for e in self.elements
-                         if any(self.leq(x, e) for x in ss))
+        return frozenset().union(*(self._up[x] for x in s))
 
     def minimals(self) -> tuple:
         return tuple(e for e in self.elements
@@ -144,9 +147,6 @@ class FinBooleanAlgebra:
         nz = [x for x in self.elements if x != self.zero]
         return tuple(a for a in nz
                      if all(not (self.leq(b, a) and b != a) for b in nz))
-
-    def atoms_below(self, b: Hashable) -> tuple:
-        return tuple(a for a in self.atoms() if self.leq(a, b))
 
     def nonzero(self) -> tuple:
         return tuple(x for x in self.elements if x != self.zero)
@@ -358,6 +358,14 @@ def check_algebra(alg: FinBooleanAlgebra) -> dict:
 
     if zero == one:
         violations.append({"law": "nontrivial", "args": []})
+    # rows as bytes, so that row.translate(tab[i]) maps each entry x to
+    # op(i, x): the ternary laws compare whole rows, and the per-k loop
+    # only runs to name the violations
+    rows = n <= 256
+    if rows:
+        mrow, jrow = [bytes(r) for r in meet], [bytes(r) for r in join]
+        mtab = [r.ljust(256, b"\0") for r in mrow]
+        jtab = [r.ljust(256, b"\0") for r in jrow]
     rng = range(n)
     for i in rng:
         if meet[i][i] != i:
@@ -382,6 +390,13 @@ def check_algebra(alg: FinBooleanAlgebra) -> dict:
             if join[i][meet[i][j]] != i:
                 bad("absorption_join", i, j)
             mij, jij = meet[i][j], join[i][j]
+            if rows and mrow[mij] == mrow[j].translate(mtab[i]) \
+                    and jrow[jij] == jrow[j].translate(jtab[i]) \
+                    and jrow[j].translate(mtab[i]) \
+                    == mrow[i].translate(jtab[mij]) \
+                    and mrow[j].translate(jtab[i]) \
+                    == jrow[i].translate(mtab[jij]):
+                continue
             for k in rng:
                 if meet[mij][k] != meet[i][meet[j][k]]:
                     bad("meet_associative", i, j, k)

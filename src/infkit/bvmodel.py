@@ -28,6 +28,13 @@ class ShapeError(Exception):
     """An operation was applied to a formula of the wrong shape."""
 
 
+class StructureCapExceeded(Exception):
+    """A domain size has more per-atom structures than STRUCTURE_CAP."""
+
+
+STRUCTURE_CAP = 100_000
+
+
 @dataclass(frozen=True, eq=False)
 class BValuedModel:
     signature: Signature
@@ -351,7 +358,16 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
     rel_decl = tuple(signature.relations)
     every = (1 << len(sentences)) - 1
 
+    arities = [arity for _, arity in rel_decl]
     for n_dom in range(1, max_domain + 1):
+        # count before listing: 2^bits tables on n_dom classes alone
+        bits = sum(n_dom ** a for a in arities)
+        count = structure_count(n_dom, arities) if bits <= 64 else 0
+        if not 0 < count <= STRUCTURE_CAP:
+            raise StructureCapExceeded(
+                f"domain size {n_dom} has {count or f'over 2^{bits}'} "
+                f"per-atom structures, over the cap of {STRUCTURE_CAP}; "
+                f"lower --max-domain")
         domain = tuple(f"m{i}" for i in range(n_dom))
         structures = []
         for rgs in _partitions(n_dom):
@@ -392,6 +408,18 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
                                 "atoms": n_atoms, "domain_size": n_dom}
     return {"exhausted": True, "max_atoms": max_atoms,
             "max_domain": max_domain, "mode": mode}
+
+
+def structure_count(n_dom: int, arities: list[int]) -> int:
+    """Per-atom structures on n_dom elements, counted without listing them:
+    the sum over k of S(n_dom, k) * prod_r 2^(k^arity_r), with S(n, k) the
+    partitions of n elements into k classes (Stirling numbers)."""
+    row = [1]                               # S(m, k) for k = 0..m
+    for m in range(1, n_dom + 1):
+        row.append(0)
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m + 1)]
+    return sum(row[k] << sum(k ** a for a in arities)
+               for k in range(1, n_dom + 1))
 
 
 def _subsets_lex(items: list) -> list[frozenset]:

@@ -12,6 +12,7 @@ the oracle otherwise.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -56,6 +57,9 @@ class ConsistencyProperty:
             object.__setattr__(
                 self, "family",
                 tuple(frozenset(m) for m in self.family))
+        # membership sets, built once rather than on every lookup
+        object.__setattr__(self, "_pool_set", frozenset(self.pool))
+        object.__setattr__(self, "_family_set", frozenset(self.family or ()))
 
     @property
     def explicit(self) -> bool:
@@ -69,11 +73,11 @@ class ConsistencyProperty:
 
     def is_member(self, s: frozenset) -> bool:
         if self.family is not None:
-            return s in set(self.family)
+            return s in self._family_set
         return bool(self.oracle(s))
 
     def in_pool(self, f: Formula) -> bool:
-        return f in set(self.pool)
+        return f in self._pool_set
 
 
 def _pkey(f: Formula) -> str:
@@ -259,12 +263,28 @@ def _miss(cp: ConsistencyProperty, s: frozenset, clause: str,
 def check_cp(cp: ConsistencyProperty, cap: int = MEMBER_CAP) -> dict:
     """Check every consistency-property clause on every family member.
     Returns {"ok", "family_size", "violations": [...]}; violation entries
-    carry the clause tag, the offending member, and what was required."""
+    carry the clause tag, the offending member, and what was required.
+    The sentences a clause asks for depend on the sentence, not on the
+    member, so each is built once per family."""
     violations: list[dict] = []
     members = enumerate_members(cp, cap)
     consts = cp.all_constants()
     fresh = cp.fresh_constants
     pool_set = set(cp.pool)
+    move = functools.cache(move_neg_inside)
+    variants = functools.cache(occurrence_variants)
+
+    @functools.cache
+    def instances(f: Formula) -> list[Formula]:
+        names = consts if isinstance(f, Forall) else fresh
+        return [substitute(f.body, {v: Const(c) for v, c in zip(f.vars, tup)})
+                for tup in itertools.product(names, repeat=len(f.vars))]
+
+    # (Str.3) candidates per constant; the diagonal witness is
+    # overwhelmingly the cheap hit, so it comes first
+    namings = [(d, [Eq(Const(c), Const(d)) for c in
+                    ([d] if d in fresh else []) + [c for c in fresh if c != d]])
+               for d in consts]
 
     if cp.explicit:
         for m in members:
@@ -284,8 +304,8 @@ def check_cp(cp: ConsistencyProperty, cap: int = MEMBER_CAP) -> dict:
         for f in s:
             if isinstance(f, Not):
                 # (Ind.1): the negation move stays in the family
-                _try_extension(cp, s, move_neg_inside(f.body), "Ind.1",
-                               violations, require=True)
+                _try_extension(cp, s, move(f.body), "Ind.1", violations,
+                               require=True)
             elif isinstance(f, And):
                 # (Ind.2): every conjunct
                 for child in f.children:
@@ -293,9 +313,7 @@ def check_cp(cp: ConsistencyProperty, cap: int = MEMBER_CAP) -> dict:
                                    require=True)
             elif isinstance(f, Forall):
                 # (Ind.3): every constant instance
-                for tup in itertools.product(consts, repeat=len(f.vars)):
-                    inst = substitute(
-                        f.body, {v: Const(c) for v, c in zip(f.vars, tup)})
+                for inst in instances(f):
                     _try_extension(cp, s, inst, "Ind.3", violations,
                                    require=True)
             elif isinstance(f, Or):
@@ -307,10 +325,7 @@ def check_cp(cp: ConsistencyProperty, cap: int = MEMBER_CAP) -> dict:
                           sentence=f.key())
             elif isinstance(f, Exists):
                 # (Ind.5): some witness tuple from the fresh constants
-                insts = [
-                    substitute(f.body,
-                               {v: Const(c) for v, c in zip(f.vars, tup)})
-                    for tup in itertools.product(fresh, repeat=len(f.vars))]
+                insts = instances(f)
                 if not any(_try_extension(cp, s, inst, "Ind.5", violations,
                                           require=False) for inst in insts):
                     _miss(cp, s, "Ind.5", insts, violations,
@@ -324,24 +339,14 @@ def check_cp(cp: ConsistencyProperty, cap: int = MEMBER_CAP) -> dict:
                 # (Str.2): substitution into any co-member, any occurrences
                 if c != d:
                     for psi in s:
-                        for variant in occurrence_variants(psi, d, c):
+                        for variant in variants(psi, d, c):
                             _try_extension(cp, s, variant, "Str.2",
                                            violations, require=True)
-        # (Str.3): every constant is named by some fresh constant; the
-        # diagonal witness is overwhelmingly the cheap hit, try it first
-        for d in consts:
-            order = ([d] if d in fresh else []) + \
-                [c for c in fresh if c != d]
-            hit = False
-            for c in order:
-                if _try_extension(cp, s, Eq(Const(c), Const(d)), "Str.3",
-                                  violations, require=False):
-                    hit = True
-                    break
-            if not hit:
-                _miss(cp, s, "Str.3",
-                      [Eq(Const(c), Const(d)) for c in order], violations,
-                      constant=d)
+        # (Str.3): every constant is named by some fresh constant
+        for d, eqs in namings:
+            if not any(_try_extension(cp, s, e, "Str.3", violations,
+                                      require=False) for e in eqs):
+                _miss(cp, s, "Str.3", eqs, violations, constant=d)
 
     return {"ok": not violations, "family_size": len(members),
             "violations": violations}
@@ -397,7 +402,7 @@ def cp_from_model(model: BValuedModel, pool: Iterable[Formula] | None = None,
         fresh_constants=tuple(model.domain),
         pool=tuple(pool),
         oracle=oracle,
-        meta={"kind": "model-positivity", "model": named})
+        meta={"kind": "model-positivity", "model": named, "value": value})
 
 
 def convert_to_explicit(cp: ConsistencyProperty,

@@ -8,6 +8,7 @@ diffs stay meaningful.
 """
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Callable, NoReturn
 
@@ -519,12 +520,12 @@ def emit_cp(cp: ConsistencyProperty) -> dict:
     members = sorted(
         (sorted(m, key=lambda f: f.key()) for m in cp.family),
         key=lambda m: (len(m), [f.key() for f in m]))
+    emit = functools.cache(emit_formula)   # one shared dict per formula
     return {
         "signature": emit_signature(cp.signature),
         "fresh_constants": sorted(cp.fresh_constants),
-        "family": [[emit_formula(f) for f in m] for m in members],
-        "pool": [emit_formula(f)
-                 for f in sorted(cp.pool, key=lambda f: f.key())],
+        "family": [[emit(f) for f in m] for m in members],
+        "pool": [emit(f) for f in sorted(cp.pool, key=lambda f: f.key())],
     }
 
 
@@ -641,8 +642,44 @@ def emit_proof(proof: Proof) -> dict:
 # files
 
 def dumps(obj: Any) -> str:
-    """Canonical serialization: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: the bytes of json.dumps(obj, sort_keys=True,
+    indent=2) plus a newline, rendering each container object once per depth
+    (emit_cp shares one dict per formula)."""
+    rendered: dict[tuple[int, int], str] = {}
+
+    def render(x: Any, depth: int) -> str:
+        if isinstance(x, (dict, list, tuple)):
+            key = (id(x), depth)
+            if key not in rendered:
+                inner = "\n" + "  " * (depth + 1)
+                if isinstance(x, dict):
+                    if not all(isinstance(k, str) for k in x):
+                        raise TypeError("object keys must be str")
+                    parts = [f"{_encode_str(k)}: {render(x[k], depth + 1)}"
+                             for k in sorted(x)]
+                else:
+                    parts = [render(v, depth + 1) for v in x]
+                body = inner + ("," + inner).join(parts) + "\n" \
+                    + "  " * depth if parts else ""
+                rendered[key] = ("{%s}" if isinstance(x, dict)
+                                 else "[%s]") % body
+            return rendered[key]
+        if isinstance(x, str):
+            return _encode_str(x)
+        if x is None or x is True or x is False:
+            return _CONSTANTS[x]
+        if isinstance(x, (int, float)):
+            text = (float if isinstance(x, float) else int).__repr__(x)
+            return _CONSTANTS.get(text, text)
+        raise TypeError(f"Object of type {type(x).__name__} "
+                        f"is not JSON serializable")
+
+    return render(obj, 0) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false",
+              "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def load_json(path_on_disk: str) -> Any:

@@ -19,19 +19,11 @@ from .boolalg import (
 from .bvmodel import BValuedModel, check_mixing, check_model, eval_formula
 from .consprop import (
     ConsistencyProperty, cp_from_model, check_cp, enumerate_members,
-    forcing_poset_conditions, maximal_members, MEMBER_CAP,
+    forcing_poset_conditions, maximal_members, MEMBER_CAP, _member_key, _pkey,
 )
 from .syntax import (
-    And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
+    Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
 )
-
-
-def _pkey(f: Formula) -> str:
-    return f.key()
-
-
-def _member_key(m: frozenset) -> tuple:
-    return tuple(sorted(f.key() for f in m))
 
 
 @dataclass(frozen=True)
@@ -222,11 +214,11 @@ def cp_from_algebra(alg: FinBooleanAlgebra, sample_limit: int = 400,
     pool = sb_pool(alg, names)
     cp = cp_from_model(model, pool)
     members = enumerate_members(cp)
-    named = cp.meta["model"]
+    sentence_value = cp.meta["value"]   # each pool sentence evaluated once
     zero = alg.zero
 
     def value(s: frozenset):
-        return alg.inf(eval_formula(named, f) for f in s)
+        return alg.inf(sentence_value(f) for f in s)
 
     pi = {s: value(s) for s in members}
 
@@ -252,10 +244,8 @@ def cp_from_algebra(alg: FinBooleanAlgebra, sample_limit: int = 400,
             incomp_failures.append((_member_key(p), _member_key(q)))
 
     surj_failures = []
-    ing_value = {}
     for e in alg.elements:
         f = Atom("inG", (Const(names[e]),))
-        ing_value[e] = eval_formula(named, f)
         if e != zero:
             s = frozenset({f})
             if not cp.is_member(s) or value(s) != e:
@@ -282,13 +272,12 @@ def roundtrip_check(alg: FinBooleanAlgebra, materialize_limit: int = 200,
     completed explicitly."""
     cp, pi, _ = cp_from_algebra(alg)
     members = enumerate_members(cp, cap)
-    named = cp.meta["model"]
     atoms = sorted(alg.atoms(), key=lambda e: sorted(map(repr, e))
                    if isinstance(e, frozenset) else repr(e))
     by_atom = {}
     for a in atoms:
         by_atom[a] = frozenset(
-            f for f in cp.pool if alg.leq(a, eval_formula(named, f)))
+            f for f in cp.pool if alg.leq(a, cp.meta["value"](f)))
     member_set = set(members)
     maxes = set(maximal_members(cp, frozenset(), cap))
     max_match = (

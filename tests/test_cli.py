@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -225,3 +226,58 @@ def test_mansfield_report_ignores_the_hash_seed(corpus_dir):
             for seed in ("0", "8", "31")}
     assert len(outs) == 1
     assert json.loads(outs.pop())["mixing"]["mixing"] is False
+
+
+def _write_json(path, obj):
+    path.write_text(dumps(obj))
+    return str(path)
+
+
+_CHAIN3 = ["bot", "mid", "top"]
+_TABLES = {
+    "trivial": {"type": "table", "elements": ["z"], "meet": [["z"]],
+                "join": [["z"]], "comp": ["z"]},
+    "chain3": {"type": "table", "elements": _CHAIN3,
+               "meet": [[_CHAIN3[min(i, j)] for j in range(3)]
+                        for i in range(3)],
+               "join": [[_CHAIN3[max(i, j)] for j in range(3)]
+                        for i in range(3)],
+               "comp": ["top", "mid", "bot"]},
+}
+
+
+@pytest.mark.parametrize("command, table, message", [
+    ("cp-from-algebra", "trivial", "nontrivial fails"),
+    ("cp-from-algebra", "chain3", "complement_meet fails at mid"),
+    ("roundtrip", "chain3", "complement_meet fails at mid"),
+])
+def test_non_boolean_algebras_are_input_errors(tmp_path, command, table,
+                                               message):
+    path = _write_json(tmp_path / f"{table}.json", _TABLES[table])
+    proc = run_subprocess(command, path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.rstrip("\n").endswith(message)
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_sat_structure_cap_is_an_input_error(tmp_path):
+    # no model has an element unequal to itself, so the search reaches
+    # domain size 4, where one unary and one binary relation give
+    # 1,073,604 per-atom structures
+    theory = {"signature": {"relations": [{"name": "P", "arity": 1},
+                                          {"name": "R", "arity": 2}],
+                            "constants": []},
+              "sentences": [{"exists": {"vars": ["v0"], "body": {"not": {
+                  "eq": [{"var": "v0"}, {"var": "v0"}]}}}}]}
+    path = _write_json(tmp_path / "theory.json", theory)
+    start = time.perf_counter()
+    proc = run_subprocess("sat", "--theory", path, "--mode", "strong",
+                          "--max-domain", "4")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: domain size 4 has 1073604 per-atom "
+                           "structures, over the cap of 100000; lower "
+                           "--max-domain\n")

@@ -1,0 +1,355 @@
+"""The once-per-family fast paths against the reference paths they replaced,
+kept here as oracles: the per-member clause check (every clause instance
+rebuilt for every member), the per-k law loop of check_algebra, the
+definitions of poset down-sets and up-closures, per-member evaluation in
+cp_from_algebra, and the standard-library JSON encoder."""
+import dataclasses
+import functools
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from infkit.boolalg import (
+    FinPoset, check_algebra, ro_completion, table_algebra,
+)
+from infkit.bvmodel import eval_formula
+from infkit.consprop import (
+    ConsistencyProperty, _member_key, _miss, _try_extension, check_cp,
+    convert_to_explicit, default_pool, enumerate_members, occurrence_variants,
+)
+from infkit.iojson import (
+    dumps, load_json, parse_algebra, parse_cp, parse_model, parse_poset,
+)
+from infkit.mansfield import cp_from_algebra
+from infkit.modelgen import all_labeled_posets
+
+small_posets = functools.cache(all_labeled_posets)   # the n <= 5 sweep
+from infkit.syntax import (
+    And, Atom, Const, Eq, Exists, Forall, Not, Or, Signature,
+    move_neg_inside, substitute,
+)
+
+
+# --- the oracles --------------------------------------------------------------
+
+def reference_check_cp(cp):
+    """check_cp as it was: every clause instance rebuilt per member."""
+    violations = []
+    members = enumerate_members(cp)
+    consts = cp.all_constants()
+    fresh = cp.fresh_constants
+    pool_set = set(cp.pool)
+    if cp.explicit:
+        for m in members:
+            for f in m:
+                if f not in pool_set:
+                    violations.append({
+                        "clause": "pool", "kind": "PoolIncomplete",
+                        "member": _member_key(m), "missing": f.key()})
+    for s in members:
+        for f in s:
+            if isinstance(f, Not) and f.body in s:
+                violations.append({
+                    "clause": "Con", "kind": "violation",
+                    "member": _member_key(s), "needed": f.body.key()})
+        for f in s:
+            if isinstance(f, Not):
+                _try_extension(cp, s, move_neg_inside(f.body), "Ind.1",
+                               violations, require=True)
+            elif isinstance(f, And):
+                for child in f.children:
+                    _try_extension(cp, s, child, "Ind.2", violations,
+                                   require=True)
+            elif isinstance(f, Forall):
+                for tup in itertools.product(consts, repeat=len(f.vars)):
+                    inst = substitute(
+                        f.body, {v: Const(c) for v, c in zip(f.vars, tup)})
+                    _try_extension(cp, s, inst, "Ind.3", violations,
+                                   require=True)
+            elif isinstance(f, Or):
+                if not any(_try_extension(cp, s, child, "Ind.4", violations,
+                                          require=False)
+                           for child in f.children):
+                    _miss(cp, s, "Ind.4", list(f.children), violations,
+                          sentence=f.key())
+            elif isinstance(f, Exists):
+                insts = [
+                    substitute(f.body,
+                               {v: Const(c) for v, c in zip(f.vars, tup)})
+                    for tup in itertools.product(fresh, repeat=len(f.vars))]
+                if not any(_try_extension(cp, s, inst, "Ind.5", violations,
+                                          require=False) for inst in insts):
+                    _miss(cp, s, "Ind.5", insts, violations,
+                          sentence=f.key())
+            if isinstance(f, Eq) and isinstance(f.left, Const) \
+                    and isinstance(f.right, Const):
+                c, d = f.left.name, f.right.name
+                _try_extension(cp, s, Eq(f.right, f.left), "Str.1",
+                               violations, require=True)
+                if c != d:
+                    for psi in s:
+                        for variant in occurrence_variants(psi, d, c):
+                            _try_extension(cp, s, variant, "Str.2",
+                                           violations, require=True)
+        for d in consts:
+            order = ([d] if d in fresh else []) + \
+                [c for c in fresh if c != d]
+            hit = False
+            for c in order:
+                if _try_extension(cp, s, Eq(Const(c), Const(d)), "Str.3",
+                                  violations, require=False):
+                    hit = True
+                    break
+            if not hit:
+                _miss(cp, s, "Str.3",
+                      [Eq(Const(c), Const(d)) for c in order], violations,
+                      constant=d)
+    return {"ok": not violations, "family_size": len(members),
+            "violations": violations}
+
+
+def reference_check_algebra(alg):
+    """check_algebra as it was: every ternary law checked k by k."""
+    els = list(alg.elements)
+    n = len(els)
+    idx = {e: i for i, e in enumerate(els)}
+    meet = [[idx[alg.meet_table[(a, b)]] for b in els] for a in els]
+    join = [[idx[alg.join_table[(a, b)]] for b in els] for a in els]
+    comp = [idx[alg.comp_table[a]] for a in els]
+    zero, one = idx[alg.zero], idx[alg.one]
+    violations = []
+
+    def bad(law, *args):
+        violations.append({"law": law, "args": [els[i] for i in args]})
+
+    if zero == one:
+        violations.append({"law": "nontrivial", "args": []})
+    rng = range(n)
+    for i in rng:
+        if meet[i][i] != i:
+            bad("meet_idempotent", i)
+        if join[i][i] != i:
+            bad("join_idempotent", i)
+        if join[zero][i] != i or meet[zero][i] != zero:
+            bad("zero_identity", i)
+        if meet[one][i] != i or join[one][i] != one:
+            bad("one_identity", i)
+        if meet[i][comp[i]] != zero:
+            bad("complement_meet", i)
+        if join[i][comp[i]] != one:
+            bad("complement_join", i)
+        for j in rng:
+            if meet[i][j] != meet[j][i]:
+                bad("meet_commutative", i, j)
+            if join[i][j] != join[j][i]:
+                bad("join_commutative", i, j)
+            if meet[i][join[i][j]] != i:
+                bad("absorption_meet", i, j)
+            if join[i][meet[i][j]] != i:
+                bad("absorption_join", i, j)
+            mij, jij = meet[i][j], join[i][j]
+            for k in rng:
+                if meet[mij][k] != meet[i][meet[j][k]]:
+                    bad("meet_associative", i, j, k)
+                if join[jij][k] != join[i][join[j][k]]:
+                    bad("join_associative", i, j, k)
+                if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
+                    bad("distributes_meet_over_join", i, j, k)
+                if join[i][meet[j][k]] != meet[join[i][j]][join[i][k]]:
+                    bad("distributes_join_over_meet", i, j, k)
+    return {"ok": not violations, "violations": violations}
+
+
+# --- clause checking ----------------------------------------------------------
+
+def _variants(cp):
+    """The family itself, the family without one member, and the family with
+    one pool sentence dropped (which opens pool gaps)."""
+    out = [cp]
+    if cp.family:
+        out.append(dataclasses.replace(cp, family=cp.family[1:]))
+    if cp.explicit and len(cp.pool) > 1:
+        dropped = cp.pool[len(cp.pool) // 2]
+        out.append(dataclasses.replace(
+            cp, pool=tuple(f for f in cp.pool if f != dropped)))
+    return out
+
+
+_CORPUS_FAMILIES = ("eq4_family", "eq2_family", "conditions_family",
+                    "max_family", "ind4_family", "con_family")
+
+
+@pytest.mark.parametrize("name", _CORPUS_FAMILIES)
+def test_check_cp_matches_reference_on_corpus_families(corpus_dir, name):
+    cp = parse_cp(load_json(str(corpus_dir / f"{name}.json")))
+    for variant in _variants(cp):
+        assert check_cp(variant) == reference_check_cp(variant)
+
+
+def test_check_cp_matches_reference_when_a_constant_has_two_names():
+    # Str.2 substitutes both c0 and c1 for d into P(d)
+    sig = Signature(relations=(("P", 1),), constants=("d",))
+    d, c0, c1 = Const("d"), Const("c0"), Const("c1")
+    member = frozenset({Eq(c0, d), Eq(c1, d), Atom("P", (d,))})
+    cp = ConsistencyProperty(sig, ("c0", "c1"),
+                             default_pool(sig, ("c0", "c1"), member),
+                             family=(member,))
+    got = check_cp(cp)
+    assert got == reference_check_cp(cp)
+    assert {v["needed"] for v in got["violations"]
+            if v["clause"] == "Str.2"} >= {Atom("P", (c0,)).key(),
+                                           Atom("P", (c1,)).key()}
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_check_cp_matches_reference_on_emitted_algebra_families(
+        corpus_dir, size):
+    alg = parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
+    oracle_cp, _, _ = cp_from_algebra(alg)
+    explicit = convert_to_explicit(oracle_cp)
+    families = [explicit] if size == 8 else [oracle_cp, *_variants(explicit)]
+    for cp in families:
+        got = check_cp(cp)
+        assert got == reference_check_cp(cp)
+    # the emitted b8 family has pool gaps, so the comparison is not vacuous
+    assert got["violations"]
+
+
+# --- law checking -------------------------------------------------------------
+
+def _lattice_tables(poset):
+    """The poset as a table algebra when it is a lattice: meet and join are
+    the greatest lower and least upper bounds, comp the first element whose
+    meet with x is the bottom (so most of these tables break some law)."""
+    els = poset.elements
+    if len(poset.minimals()) != 1 \
+            or sum(len(poset.up_closure([e])) == 1 for e in els) != 1:
+        return None                      # no bottom or no top
+
+    def bound(a, b, below):
+        le = poset.leq if below else (lambda x, y: poset.leq(y, x))
+        common = [c for c in els if le(c, a) and le(c, b)]
+        best = [c for c in common if all(le(d, c) for d in common)]
+        return best[0] if best else None
+
+    meet = [[bound(a, b, True) for b in els] for a in els]
+    join = [[bound(a, b, False) for b in els] for a in els]
+    if any(v is None for row in meet + join for v in row):
+        return None
+    bottom = next(e for e in els if all(poset.leq(e, x) for x in els))
+    comp = [next(c for c in els if meet[i][els.index(c)] == bottom)
+            for i in range(len(els))]
+    return table_algebra(els, meet, join, comp)
+
+
+def test_check_algebra_matches_reference_on_corpus_algebras(corpus_dir):
+    algebras = [parse_algebra(load_json(str(corpus_dir / f"b{n}.json")))
+                for n in (2, 4, 8, 16)]
+    algebras += [parse_model(load_json(str(corpus_dir / name))).algebra
+                 for name in ("four_element_model.json",
+                              "two_point_model.json")]
+    for name in ("antichain_3.json", "chain_2.json", "vee_3.json"):
+        poset = parse_poset(load_json(str(corpus_dir / name)))
+        algebras.append(ro_completion(poset)[0])
+    for alg in algebras:
+        assert check_algebra(alg) == reference_check_algebra(alg)
+
+
+def test_check_algebra_matches_reference_on_small_lattices():
+    lattices = 0
+    for n in range(1, 6):
+        for poset in small_posets(n):
+            alg = _lattice_tables(poset)
+            if alg is None:
+                continue
+            lattices += 1
+            assert check_algebra(alg) == reference_check_algebra(alg)
+    assert lattices > 100
+
+
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(1, 4))
+    els = [f"e{i}" for i in range(n)]
+    cell = st.sampled_from(els)
+    rows = st.lists(st.lists(cell, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+    return table_algebra(els, draw(rows), draw(rows),
+                         draw(st.lists(cell, min_size=n, max_size=n)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_tables())
+def test_check_algebra_matches_reference_on_random_tables(alg):
+    assert check_algebra(alg) == reference_check_algebra(alg)
+
+
+# --- posets -------------------------------------------------------------------
+
+def test_poset_down_and_up_closure_match_their_definitions():
+    for n in range(1, 6):
+        for poset in small_posets(n):
+            els = poset.elements
+            for p in els:
+                assert poset.down(p) == frozenset(
+                    q for q in els if poset.leq(q, p))
+            subsets = [()] + [(p,) for p in els] \
+                + list(itertools.combinations(els, 2)) + [els]
+            for s in subsets:
+                assert poset.up_closure(s) == frozenset(
+                    e for e in els if any(poset.leq(x, e) for x in s))
+    vee = FinPoset("abc", [("a", "c"), ("b", "c")])
+    assert vee.up_closure(["a", "b"]) == frozenset("abc")
+
+
+# --- valuations ---------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_cp_from_algebra_valuation_is_per_member_evaluation(corpus_dir,
+                                                            size):
+    alg = parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
+    cp, pi, _ = cp_from_algebra(alg)
+    named = cp.meta["model"]
+    assert set(pi) == set(enumerate_members(cp))
+    for s, value in pi.items():
+        assert value == alg.inf(eval_formula(named, f) for f in s)
+
+
+# --- serialization ------------------------------------------------------------
+
+_scalars = (st.none() | st.booleans()
+            | st.integers(-2 ** 80, 2 ** 80)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(st.characters(), max_size=8))
+_values = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_values, _values)
+def test_dumps_matches_the_stdlib_encoder(value, shared):
+    # the same container object at two different depths, and twice at one
+    obj = {"value": value, "a": shared, "b": [shared, {"c": shared}]}
+    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert dumps(obj) == want
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_covers_special_values():
+    obj = {"é \x00\x1f\"\\": [float("nan"), float("inf"),
+                                    -float("inf"), -0.0, 1e300, 2 ** 100,
+                                    True, False, None, [], {}, ()]}
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, [{"a": {None: 1}}], {"a": {1.5}}])
+def test_dumps_rejects_what_it_cannot_encode(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)

@@ -5,12 +5,13 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from infkit import bvmodel
 from infkit.bvmodel import (
-    _partitions, _subsets_lex, assemble_model, bounded_boolean_sat,
-    eval_formula,
+    StructureCapExceeded, _partitions, _subsets_lex, assemble_model,
+    bounded_boolean_sat, eval_formula, structure_count,
 )
 from infkit.iojson import dumps, emit_model
 from infkit.modelgen import (
@@ -212,3 +213,28 @@ def test_generated_models_keep_their_bytes():
     for model in model_pool():
         h.update(dumps(emit_model(model)).encode())
     assert h.hexdigest() == SEEDED_MODELS_SHA256
+
+
+def test_structure_count_is_the_length_of_the_listing():
+    for arities in ([], [1], [2], [1, 1], [1, 2]):
+        for n_dom in range(1, 4):
+            listed = sum(math.prod(2 ** (max(rgs) + 1) ** a for a in arities)
+                         for rgs in _partitions(n_dom))
+            assert structure_count(n_dom, arities) == listed
+    assert structure_count(4, [2]) == 68_722
+    assert structure_count(4, [1, 2]) == 1_073_604
+    assert structure_count(3, [3]) == 134_218_498
+
+
+def test_structure_cap_applies_only_to_domain_sizes_reached():
+    # 134,218,498 structures at domain size 3, 258 at size 2
+    sig = Signature(relations=(("T", 3),), constants=())
+    x = Var("v0")
+    found = bounded_boolean_sat(sig, [Exists(("v0",), Atom("T", (x, x, x)))],
+                                max_atoms=1, max_domain=3, mode="strong")
+    assert found["found"] and found["domain_size"] == 1
+    never = Exists(("v0",), Not(Eq(x, x)))
+    assert bounded_boolean_sat(sig, [never], max_domain=2)["exhausted"]
+    with pytest.raises(StructureCapExceeded, match="domain size 3 has "
+                                                   "134218498 "):
+        bounded_boolean_sat(sig, [never], max_domain=3)
