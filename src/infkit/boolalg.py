@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
 
-class ZeroRestriction(Exception):
-    """Restriction of an algebra to its zero element was requested."""
-
-
 class TrivialAlgebra(Exception):
     """An operation required a nondegenerate algebra (zero != one)."""
 
@@ -109,7 +105,7 @@ class FinPoset:
 class FinBooleanAlgebra:
     """Finite Boolean algebra given by element list and operation tables."""
 
-    kind: str                       # "powerset" | "ro" | "table" | "restriction"
+    kind: str                       # "powerset" | "ro" | "table"
     elements: tuple
     meet_table: dict
     join_table: dict
@@ -221,21 +217,6 @@ def table_algebra(elements: Iterable[str], meet_rows: list[list[str]],
                              meta=dict(meta or {}))
 
 
-def restrict_algebra(alg: FinBooleanAlgebra, b: Hashable) -> FinBooleanAlgebra:
-    """Relative algebra on {t : t <= b} with complement relative to b."""
-    if b == alg.zero:
-        raise ZeroRestriction("cannot restrict to the zero element")
-    elements = tuple(t for t in alg.elements if alg.leq(t, b))
-    mt, jt, ct = _tables_from_fns(
-        elements,
-        alg.meet,
-        alg.join,
-        lambda x: alg.meet(alg.comp(x), b),
-    )
-    return FinBooleanAlgebra("restriction", elements, mt, jt, ct,
-                             alg.zero, b, meta={"parent": alg, "top": b})
-
-
 # ---------------------------------------------------------------------------
 # regular-open completion
 
@@ -317,15 +298,6 @@ def ro_completion(poset: FinPoset) -> tuple[FinBooleanAlgebra, dict]:
         if not any(alg.leq(e, a) for e in image if e != alg.zero):
             raise RuntimeError("embedding image is not dense")
     return alg, embedding
-
-
-def ro_join_by_reg_union(poset: FinPoset, opens: Iterable[frozenset]) -> frozenset:
-    """Reg of a union of open sets; the definitional join, kept as an
-    independent path for cross-checks."""
-    u: set = set()
-    for a in opens:
-        u |= a
-    return _reg(poset, frozenset(u))
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +421,3 @@ def is_dense_subset(alg: FinBooleanAlgebra, dense: Iterable) -> bool:
     """Every nonzero element bounds some nonzero member of `dense` below it."""
     ds = [d for d in dense if d != alg.zero]
     return all(any(alg.leq(d, b) for d in ds) for b in alg.nonzero())
-
-
-def is_antichain(alg: FinBooleanAlgebra, items: Iterable) -> bool:
-    xs = list(items)
-    if alg.zero in xs:
-        return False
-    return all(alg.meet(a, b) == alg.zero
-               for a, b in itertools.combinations(xs, 2))

@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
-from .boolalg import FinBooleanAlgebra, powerset_algebra
+from .boolalg import FinBooleanAlgebra, powerset_algebra, two_valued_algebra
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Term,
-    Var,
+    Var, subformulas,
 )
 
 
@@ -107,6 +107,34 @@ class BValuedModel:
         consts.update({m: m for m in names})
         return BValuedModel(sig, self.algebra, self.domain, self.eq,
                             self.relations, consts)
+
+
+@dataclass(frozen=True)
+class TwoValuedStructure:
+    """A crisp structure on class representatives: the quotient of a model
+    by an ultrafilter, or the term structure realized by a generic filter."""
+    signature: Signature
+    classes: tuple[frozenset, ...]
+    reps: tuple[str, ...]                   # least member of each class
+    relations: dict                          # rel -> frozenset of rep tuples
+    constants: dict                          # const -> rep
+
+    def rep_of(self, m: str) -> str:
+        for cls, rep in zip(self.classes, self.reps):
+            if m in cls:
+                return rep
+        raise KeyError(m)
+
+    def to_two_valued_model(self) -> BValuedModel:
+        alg = two_valued_algebra()
+        rels = {}
+        for rel, arity in self.signature.relations:
+            table = {}
+            for args in itertools.product(self.reps, repeat=arity):
+                table[args] = alg.one if args in self.relations[rel] else alg.zero
+            rels[rel] = table
+        return BValuedModel(self.signature, alg, self.reps, {},
+                            rels, dict(self.constants))
 
 
 def term_value(model: BValuedModel, t: Term, assignment: dict[str, str]) -> str:
@@ -216,16 +244,9 @@ def check_mixing(model: BValuedModel) -> dict:
     iff for every function g from atoms to the domain some element tau has
     atom <= [tau = g(atom)] for every atom. On failure the atoms form the
     reported antichain with targets g."""
-    alg = model.algebra
-    atoms = sorted(alg.atoms(), key=_canonical_key)
+    atoms = sorted(model.algebra.atoms(), key=_canonical_key)
     for targets in itertools.product(model.domain, repeat=len(atoms)):
-        hit = None
-        for tau in model.domain:
-            if all(alg.leq(a, model.eq_value(tau, t))
-                   for a, t in zip(atoms, targets)):
-                hit = tau
-                break
-        if hit is None:
+        if mixes_over(model, atoms, targets) is None:
             return {"mixing": False, "antichain": list(atoms),
                     "targets": list(targets)}
     return {"mixing": True}
@@ -287,7 +308,6 @@ def check_full(model: BValuedModel, f: Formula,
 
 
 def existential_subformulas(f: Formula) -> list[Exists]:
-    from .syntax import subformulas
     return [g for g in subformulas(f) if isinstance(g, Exists)]
 
 

@@ -16,40 +16,13 @@ from dataclasses import dataclass
 from .bvmodel import eval_formula
 from .modelgen import infer_signature, random_valid_model
 from .syntax import (
-    And, Atom, CaptureError, Eq, Exists, Forall, Formula, Not, Or, Term,
-    Var, substitute,
+    And, CaptureError, Eq, Exists, Forall, Formula, Not, Or, Term, Var,
+    nodes, substitute,
 )
 
 
 def in_calculus_fragment(f: Formula) -> bool:
-    if isinstance(f, (Atom, Eq)):
-        return True
-    if isinstance(f, Not):
-        return in_calculus_fragment(f.body)
-    if isinstance(f, And):
-        return all(in_calculus_fragment(c) for c in f.children)
-    if isinstance(f, Forall):
-        return in_calculus_fragment(f.body)
-    return False
-
-
-def to_calculus_fragment(f: Formula) -> Formula:
-    """Rewrite disjunctions and existentials through negation; the value
-    under any model is unchanged."""
-    if isinstance(f, (Atom, Eq)):
-        return f
-    if isinstance(f, Not):
-        return Not(to_calculus_fragment(f.body))
-    if isinstance(f, And):
-        return And(tuple(to_calculus_fragment(c) for c in f.children))
-    if isinstance(f, Or):
-        return Not(And(tuple(Not(to_calculus_fragment(c))
-                             for c in f.children)))
-    if isinstance(f, Forall):
-        return Forall(f.vars, to_calculus_fragment(f.body))
-    if isinstance(f, Exists):
-        return Not(Forall(f.vars, Not(to_calculus_fragment(f.body))))
-    raise ValueError(f"not a formula node: {f!r}")
+    return not any(isinstance(g, (Or, Exists)) for g in nodes(f))
 
 
 @dataclass(frozen=True)

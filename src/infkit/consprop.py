@@ -17,15 +17,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .bvmodel import BValuedModel, eval_formula
+from .bvmodel import BValuedModel, TwoValuedStructure, eval_formula
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature,
-    is_sentence, move_neg_inside, subformulas, substitute,
+    constants_of, is_sentence, move_neg_inside, replace_const, subformulas,
+    substitute,
 )
-
-
-class PoolIncomplete(Exception):
-    """A clause referenced a sentence outside the declared pool."""
 
 
 class IllDefined(Exception):
@@ -120,13 +117,18 @@ def maximal_members(cp: ConsistencyProperty, root: frozenset = frozenset(),
     conditions of the forcing poset below the root. Oracle families are
     subset-closed, so maximality reduces to single-sentence extensions."""
     sup = [m for m in enumerate_members(cp, cap) if root <= m]
+    return sorted(maximal_among(cp, sup), key=_member_key)
+
+
+def maximal_among(cp: ConsistencyProperty,
+                  members: list[frozenset]) -> list[frozenset]:
+    """The inclusion-maximal sets among `members`, a list of family members
+    that holds every family member above each of its sets."""
     if cp.family is not None:
-        out = [m for m in sup if not any(m < other for other in sup)]
-    else:
-        pool = set(cp.pool)
-        out = [m for m in sup
-               if not any(cp.oracle(m | {f}) for f in pool - m)]
-    return sorted(out, key=_member_key)
+        return [m for m in members if not any(m < other for other in members)]
+    pool = set(cp.pool)
+    return [m for m in members
+            if not any(cp.oracle(m | {f}) for f in pool - m)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +163,10 @@ def default_pool(signature: Signature, fresh_constants: tuple[str, ...],
             for tup in itertools.product(consts, repeat=len(f.vars)):
                 work.append(substitute(
                     f.body, {v: Const(c) for v, c in zip(f.vars, tup)}))
-        for old in sorted(_constants_in(f)):
+        for old in sorted(constants_of(f)):
             for new in consts:
                 if new != old:
-                    g = _replace_all(f, old, new)
+                    g = replace_const(f, old, Const(new))
                     if g not in seen:
                         work.append(g)
     pool = {f for f in seen if is_sentence(f)}
@@ -172,16 +174,6 @@ def default_pool(signature: Signature, fresh_constants: tuple[str, ...],
         for d in consts:
             pool.add(Eq(Const(c), Const(d)))
     return tuple(sorted(pool, key=_pkey))
-
-
-def _constants_in(f: Formula) -> frozenset[str]:
-    from .syntax import constants_of
-    return constants_of(f)
-
-
-def _replace_all(f: Formula, old: str, new: str) -> Formula:
-    from .syntax import replace_const
-    return replace_const(f, old, Const(new))
 
 
 def occurrence_variants(f: Formula, old: str, new: str) -> set[Formula]:
@@ -193,27 +185,12 @@ def occurrence_variants(f: Formula, old: str, new: str) -> set[Formula]:
         return [t]
 
     def walk(g: Formula) -> list[Formula]:
-        if isinstance(g, Atom):
-            return [Atom(g.rel, args) for args in
-                    itertools.product(*(term_alts(t) for t in g.args))]
-        if isinstance(g, Eq):
-            return [Eq(l, r) for l in term_alts(g.left)
-                    for r in term_alts(g.right)]
-        if isinstance(g, Not):
-            return [Not(b) for b in walk(g.body)]
-        if isinstance(g, And):
-            return [And(ch) for ch in
-                    itertools.product(*(walk(c) for c in g.children))] \
-                if g.children else [g]
-        if isinstance(g, Or):
-            return [Or(ch) for ch in
-                    itertools.product(*(walk(c) for c in g.children))] \
-                if g.children else [g]
-        if isinstance(g, Forall):
-            return [Forall(g.vars, b) for b in walk(g.body)]
-        if isinstance(g, Exists):
-            return [Exists(g.vars, b) for b in walk(g.body)]
-        raise ValueError(f"not a formula node: {g!r}")
+        parts = g.parts()
+        if parts:
+            return [g.rebuild(ps)
+                    for ps in itertools.product(*map(walk, parts))]
+        return [g.with_terms(ts)
+                for ts in itertools.product(*map(term_alts, g.terms()))]
 
     return set(walk(f)) - {f}
 
@@ -546,32 +523,8 @@ def generic_filter(cp: ConsistencyProperty, root: frozenset = frozenset(),
 # ---------------------------------------------------------------------------
 # the realized term structure
 
-@dataclass(frozen=True)
-class TermModel:
-    signature: Signature               # extended: base + fresh constants
-    classes: tuple[frozenset, ...]     # classes of constants
-    reps: tuple[str, ...]
-    relations: dict                    # rel -> frozenset of rep tuples
-    constants: dict                    # every constant -> its rep
-
-    def rep_of(self, c: str) -> str:
-        return self.constants[c]
-
-    def to_two_valued_model(self) -> BValuedModel:
-        from .boolalg import two_valued_algebra
-        alg = two_valued_algebra()
-        rels = {}
-        for rel, arity in self.signature.relations:
-            table = {}
-            for args in itertools.product(self.reps, repeat=arity):
-                table[args] = alg.one if args in self.relations.get(
-                    rel, frozenset()) else alg.zero
-            rels[rel] = table
-        return BValuedModel(self.signature, alg, self.reps, {}, rels,
-                            dict(self.constants))
-
-
-def build_af(cp: ConsistencyProperty, sigma: frozenset) -> TermModel:
+def build_af(cp: ConsistencyProperty,
+             sigma: frozenset) -> TwoValuedStructure:
     """Classes of the constants under the equalities found in sigma (with
     reflexive-symmetric-transitive closure), relations holding when some
     representative's positive atomic sentence lies in sigma. Raises
@@ -634,12 +587,13 @@ def build_af(cp: ConsistencyProperty, sigma: frozenset) -> TermModel:
         if reptup in relations[rel]:
             raise IllDefined(
                 f"sigma both asserts and denies {rel} on class tuple {reptup}")
-    return TermModel(cp.extended_signature(), classes, reps,
-                     {r: frozenset(v) for r, v in relations.items()},
-                     constants)
+    return TwoValuedStructure(cp.extended_signature(), classes, reps,
+                              {r: frozenset(v) for r, v in relations.items()},
+                              constants)
 
 
-def verify_realizes(term_model: TermModel, sigma: frozenset) -> dict:
+def verify_realizes(term_model: TwoValuedStructure,
+                    sigma: frozenset) -> dict:
     """Two-valued satisfaction of every sigma sentence in the term structure."""
     model = term_model.to_two_valued_model()
     one = model.algebra.one

@@ -299,7 +299,7 @@ def _skey(x: Any):
 def as_table_algebra(alg: FinBooleanAlgebra) -> tuple[FinBooleanAlgebra, dict]:
     """Isomorphic copy with opaque string elements b0..bN, plus the element
     map. Makes algebras with unprintable carriers (regular opens of formula
-    posets, restrictions) serializable."""
+    posets) serializable."""
     middle = sorted((e for e in alg.elements if e not in (alg.zero, alg.one)),
                     key=_skey)
     ordered = [alg.zero] + middle + ([alg.one] if alg.one != alg.zero else [])

@@ -19,7 +19,7 @@ from .boolalg import (
 from .bvmodel import BValuedModel, check_mixing, check_model, eval_formula
 from .consprop import (
     ConsistencyProperty, cp_from_model, check_cp, enumerate_members,
-    forcing_poset_conditions, maximal_members, MEMBER_CAP, _member_key, _pkey,
+    forcing_poset_conditions, maximal_among, MEMBER_CAP, _member_key, _pkey,
 )
 from .syntax import (
     Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
@@ -140,15 +140,6 @@ def verify_claim2(cp: ConsistencyProperty, root: frozenset = frozenset(),
     return {"ok": not failures, "checked": len(pool), "failures": failures}
 
 
-def meet_identity_holds(ca: ConditionAlgebra, f: Formula, g: Formula) -> bool:
-    """L(f) meet L(g) equals the join of Reg(N_q) over conditions holding
-    both sentences."""
-    lhs = ca.algebra.meet(ca.l_value(f), ca.l_value(g))
-    rhs = ca.algebra.sup(ca.embedding[q] for q in ca.conditions
-                         if f in q and g in q)
-    return lhs == rhs
-
-
 def mixing_report(built: dict) -> dict:
     """Mixing check on a built model; the construction does not promise it."""
     return check_mixing(built["model"])
@@ -203,13 +194,20 @@ def sb_pool(alg: FinBooleanAlgebra, names: dict) -> tuple[Formula, ...]:
     return tuple(out)
 
 
-def cp_from_algebra(alg: FinBooleanAlgebra, sample_limit: int = 400,
-                    seed: int = 0) -> tuple[ConsistencyProperty, dict, dict]:
+# Pair checks of cp_from_algebra are exhaustive up to SAMPLE_LIMIT members
+# and take 4 * SAMPLE_LIMIT seeded-random pairs beyond; roundtrip_check
+# completes the forcing poset explicitly up to MATERIALIZE_LIMIT members.
+SAMPLE_LIMIT = 400
+SAMPLE_SEED = 0
+MATERIALIZE_LIMIT = 200
+
+
+def cp_from_algebra(
+        alg: FinBooleanAlgebra) -> tuple[ConsistencyProperty, dict, dict]:
     """The positivity family of the membership model, the valuation map on
-    its members, and the dense-embedding report: order preservation,
-    incompatibility agreement, and surjectivity onto the nonzero elements
-    through the singleton conditions. Pair checks are exhaustive up to
-    sample_limit members, seeded-random samples beyond."""
+    its members (in enumeration order), and the dense-embedding report:
+    order preservation, incompatibility agreement, and surjectivity onto the
+    nonzero elements through the singleton conditions."""
     model, names = algebra_model(alg)
     pool = sb_pool(alg, names)
     cp = cp_from_model(model, pool)
@@ -224,13 +222,13 @@ def cp_from_algebra(alg: FinBooleanAlgebra, sample_limit: int = 400,
 
     order_failures = []
     incomp_failures = []
-    if len(members) <= sample_limit:
+    if len(members) <= SAMPLE_LIMIT:
         pairs = itertools.combinations(range(len(members)), 2)
         pair_mode = "exhaustive"
     else:
-        rng = random.Random(seed)
+        rng = random.Random(SAMPLE_SEED)
         pairs = [(rng.randrange(len(members)), rng.randrange(len(members)))
-                 for _ in range(4 * sample_limit)]
+                 for _ in range(4 * SAMPLE_LIMIT)]
         pair_mode = "sampled"
     for i, j in pairs:
         p, q = members[i], members[j]
@@ -262,8 +260,7 @@ def cp_from_algebra(alg: FinBooleanAlgebra, sample_limit: int = 400,
     return cp, pi, report
 
 
-def roundtrip_check(alg: FinBooleanAlgebra, materialize_limit: int = 200,
-                    cap: int = MEMBER_CAP) -> dict:
+def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
     """The forcing poset of the algebra's positivity family completes back to
     the algebra itself: the maximal members biject with the atoms, subsets of
     the maximal-member set map isomorphically onto the algebra by joining
@@ -271,7 +268,7 @@ def roundtrip_check(alg: FinBooleanAlgebra, materialize_limit: int = 200,
     the condition's valuation. Small posets are additionally materialized and
     completed explicitly."""
     cp, pi, _ = cp_from_algebra(alg)
-    members = enumerate_members(cp, cap)
+    members = list(pi)             # the members, in enumeration order
     atoms = sorted(alg.atoms(), key=lambda e: sorted(map(repr, e))
                    if isinstance(e, frozenset) else repr(e))
     by_atom = {}
@@ -279,7 +276,7 @@ def roundtrip_check(alg: FinBooleanAlgebra, materialize_limit: int = 200,
         by_atom[a] = frozenset(
             f for f in cp.pool if alg.leq(a, cp.meta["value"](f)))
     member_set = set(members)
-    maxes = set(maximal_members(cp, frozenset(), cap))
+    maxes = set(maximal_among(cp, members))
     max_match = (
         set(by_atom.values()) == maxes
         and len(by_atom) == len(set(by_atom.values()))
@@ -307,7 +304,7 @@ def roundtrip_check(alg: FinBooleanAlgebra, materialize_limit: int = 200,
 
     materialized = False
     ro_size = None
-    if len(members) <= materialize_limit:
+    if len(members) <= MATERIALIZE_LIMIT:
         pairs = [(p, q) for p in members for q in members if q <= p]
         poset = FinPoset(members, pairs)
         ro_alg, emb = ro_completion(poset)

@@ -11,6 +11,7 @@ from .boolalg import FinPoset, powerset_algebra
 from .bvmodel import BValuedModel, _partitions, assemble_model
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
+    nodes,
 )
 
 
@@ -208,26 +209,13 @@ def infer_signature(formulas: list[Formula]) -> Signature:
     and constant occurring in the formulas."""
     rels: dict[str, int] = {}
     consts: set[str] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            if g.rel in rels and rels[g.rel] != len(g.args):
-                raise ValueError(f"relation {g.rel} used at two arities")
-            rels[g.rel] = len(g.args)
-            consts.update(t.name for t in g.args if isinstance(t, Const))
-        elif isinstance(g, Eq):
-            consts.update(t.name for t in (g.left, g.right)
-                          if isinstance(t, Const))
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body)
-
     for f in formulas:
-        walk(f)
+        for g in nodes(f):
+            if isinstance(g, Atom):
+                if g.rel in rels and rels[g.rel] != len(g.args):
+                    raise ValueError(f"relation {g.rel} used at two arities")
+                rels[g.rel] = len(g.args)
+            consts.update(t.name for t in g.terms() if isinstance(t, Const))
     return Signature(tuple(sorted(rels.items())), tuple(sorted(consts)))
 
 

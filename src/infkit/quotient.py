@@ -6,45 +6,16 @@ in U.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .boolalg import ImproperFilter, is_filter, is_ultrafilter, two_valued_algebra
+from .boolalg import ImproperFilter, is_filter, is_ultrafilter
 from .bvmodel import (
-    BValuedModel, check_full, check_full_everywhere, eval_formula,
-    existential_subformulas,
+    BValuedModel, TwoValuedStructure, check_full_everywhere, eval_formula,
 )
-from .syntax import Formula, Signature
+from .syntax import Formula
 
 
-@dataclass(frozen=True)
-class QuotientStructure:
-    """Tarski-style quotient: classes of the domain, crisp relations on class
-    representatives, constants mapped to representatives."""
-    source_signature: Signature
-    classes: tuple[frozenset, ...]
-    reps: tuple[str, ...]                   # least member of each class
-    relations: dict                          # rel -> frozenset of rep tuples
-    constants: dict                          # const -> rep
-
-    def rep_of(self, m: str) -> str:
-        for cls, rep in zip(self.classes, self.reps):
-            if m in cls:
-                return rep
-        raise KeyError(m)
-
-    def to_two_valued_model(self) -> BValuedModel:
-        alg = two_valued_algebra()
-        rels = {}
-        for rel, arity in self.source_signature.relations:
-            table = {}
-            for args in itertools.product(self.reps, repeat=arity):
-                table[args] = alg.one if args in self.relations[rel] else alg.zero
-            rels[rel] = table
-        return BValuedModel(self.source_signature, alg, self.reps, {},
-                            rels, dict(self.constants))
-
-
-def quotient(model: BValuedModel, filter_members: frozenset) -> QuotientStructure:
+def quotient(model: BValuedModel,
+             filter_members: frozenset) -> TwoValuedStructure:
     """Quotient of the model by a proper filter: elements are identified when
     their equality value lies in the filter; a relation holds on classes when
     some representative tuple's value lies in the filter. Verifies that the
@@ -97,16 +68,8 @@ def quotient(model: BValuedModel, filter_members: frozenset) -> QuotientStructur
                     f"the source model violates the substitution axiom")
         relations[rel] = frozenset(holds)
     constants = {c: rep_of[m] for c, m in model.constants.items()}
-    return QuotientStructure(model.signature, tuple(classes), reps,
-                             relations, constants)
-
-
-def tarski_satisfies(q: QuotientStructure, f: Formula,
-                     assignment: dict[str, str] | None = None) -> bool:
-    """Two-valued satisfaction over the quotient; assignment maps variables
-    to class representatives."""
-    model = q.to_two_valued_model()
-    return eval_formula(model, f, assignment) == model.algebra.one
+    return TwoValuedStructure(model.signature, tuple(classes), reps,
+                              relations, constants)
 
 
 def los_check(model: BValuedModel, ultra: frozenset,

@@ -1,27 +1,28 @@
-"""Terms, formulas, signatures, substitution, negation moves, fragments.
+"""Terms, formulas, signatures, substitution and negation moves.
 
 Formulas are immutable trees. Conjunction and disjunction take finite child
 lists of any width, including 0 and 1; quantifiers bind nonempty duplicate-free
 variable tuples. Signatures are purely relational (constants, no function
-symbols). Formula equality and hashing go through `canonical_form`, so sets of
-formulas identify a formula with any reordering of its And/Or children but
-never across a renaming of bound variables.
+symbols). Formula equality and hashing go through the canonical form `key()`,
+so sets of formulas identify a formula with any reordering of its And/Or
+children but never across a renaming of bound variables.
+
+Every node gives its immediate subformulas (`parts`) and rebuilds itself, as
+the same kind and binder, around new ones (`rebuild`); atomic nodes do the
+same for their terms (`terms`, `with_terms`). The structural operations below
+walk formulas through that interface only.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class CaptureError(Exception):
     """Substitution would move a variable into the scope of a binder for it."""
-
-
-class PoolExhausted(Exception):
-    """The variable pool cannot supply a fresh variable required by a fragment."""
 
 
 def valid_ident(name: object) -> bool:
@@ -76,10 +77,32 @@ class Formula:
     _free: frozenset[str]
 
     def key(self) -> str:
+        """The canonical form: And/Or children sorted by their own canonical
+        forms, bound variable names kept verbatim."""
         return self._key
 
     def free_vars(self) -> frozenset[str]:
         return self._free
+
+    def parts(self) -> tuple[Formula, ...]:
+        """Immediate subformulas, in order; none for atomic formulas."""
+        return ()
+
+    def rebuild(self, parts: tuple[Formula, ...]) -> Formula:
+        """The same kind of node (and binder) around new subformulas."""
+        return self
+
+    def terms(self) -> tuple[Term, ...]:
+        """The terms of an atomic formula; none for the other nodes."""
+        return ()
+
+    def with_terms(self, terms: tuple[Term, ...]) -> Formula:
+        """The same atomic formula over new terms."""
+        return self
+
+    def binds(self) -> tuple[str, ...]:
+        """The variables a quantifier binds; none for the other nodes."""
+        return ()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Formula) and self._key == other._key
@@ -114,6 +137,12 @@ class Atom(Formula):
         free = frozenset(a.name for a in self.args if isinstance(a, Var))
         _seal(self, key, free)
 
+    def terms(self) -> tuple[Term, ...]:
+        return self.args
+
+    def with_terms(self, terms: tuple[Term, ...]) -> Atom:
+        return Atom(self.rel, terms)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Eq(Formula):
@@ -129,6 +158,12 @@ class Eq(Formula):
         )
         _seal(self, key, free)
 
+    def terms(self) -> tuple[Term, ...]:
+        return (self.left, self.right)
+
+    def with_terms(self, terms: tuple[Term, ...]) -> Eq:
+        return Eq(*terms)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
@@ -138,6 +173,12 @@ class Not(Formula):
         if not isinstance(self.body, Formula):
             raise ValueError("negation body must be a formula")
         _seal(self, f"(n {self.body.key()})", self.body.free_vars())
+
+    def parts(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
+    def rebuild(self, parts: tuple[Formula, ...]) -> Not:
+        return Not(*parts)
 
 
 def _gate_children(children: object) -> tuple[Formula, ...]:
@@ -149,27 +190,32 @@ def _gate_children(children: object) -> tuple[Formula, ...]:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class And(Formula):
+class _Junction(Formula):
+    """And/Or: the children are the subformulas, in tuple order."""
     children: tuple[Formula, ...]
+
+    _tag = ""                               # of the canonical form
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", _gate_children(self.children))
         keys = sorted(c.key() for c in self.children)
         free = frozenset().union(*(c.free_vars() for c in self.children)) \
             if self.children else frozenset()
-        _seal(self, f"(c {' '.join(keys)})", free)
+        _seal(self, f"({self._tag} {' '.join(keys)})", free)
+
+    def parts(self) -> tuple[Formula, ...]:
+        return self.children
+
+    def rebuild(self, parts: tuple[Formula, ...]) -> Formula:
+        return type(self)(tuple(parts))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(Formula):
-    children: tuple[Formula, ...]
+class And(_Junction):
+    _tag = "c"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", _gate_children(self.children))
-        keys = sorted(c.key() for c in self.children)
-        free = frozenset().union(*(c.free_vars() for c in self.children)) \
-            if self.children else frozenset()
-        _seal(self, f"(d {' '.join(keys)})", free)
+
+class Or(_Junction):
+    _tag = "d"
 
 
 def _gate_binder(vars_: object, body: object) -> tuple[str, ...]:
@@ -186,33 +232,35 @@ def _gate_binder(vars_: object, body: object) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Forall(Formula):
+class _Quantifier(Formula):
+    """Forall/Exists: one body under a binder."""
     vars: tuple[str, ...]
     body: Formula
+
+    _tag = ""                               # of the canonical form
 
     def __post_init__(self) -> None:
         vs = _gate_binder(self.vars, self.body)
         object.__setattr__(self, "vars", vs)
-        _seal(self, f"(a {','.join(vs)} {self.body.key()})",
+        _seal(self, f"({self._tag} {','.join(vs)} {self.body.key()})",
               self.body.free_vars() - set(vs))
 
+    def parts(self) -> tuple[Formula, ...]:
+        return (self.body,)
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Exists(Formula):
-    vars: tuple[str, ...]
-    body: Formula
+    def rebuild(self, parts: tuple[Formula, ...]) -> Formula:
+        return type(self)(self.vars, *parts)
 
-    def __post_init__(self) -> None:
-        vs = _gate_binder(self.vars, self.body)
-        object.__setattr__(self, "vars", vs)
-        _seal(self, f"(e {','.join(vs)} {self.body.key()})",
-              self.body.free_vars() - set(vs))
+    def binds(self) -> tuple[str, ...]:
+        return self.vars
 
 
-def canonical_form(f: Formula) -> bytes:
-    """Deterministic byte serialization; And/Or children sorted by their own
-    canonical forms, bound variable names kept verbatim."""
-    return f.key().encode("utf-8")
+class Forall(_Quantifier):
+    _tag = "a"
+
+
+class Exists(_Quantifier):
+    _tag = "e"
 
 
 def is_sentence(f: Formula) -> bool:
@@ -264,8 +312,7 @@ def validate_formula(f: Formula, sig: Signature,
     """Raise ValueError if f uses undeclared relations/constants or an atom
     argument count differs from the declared arity."""
     consts = set(sig.constants) | extra_constants
-
-    def walk(g: Formula) -> None:
+    for g in nodes(f):
         if isinstance(g, Atom):
             if not sig.has_relation(g.rel):
                 raise ValueError(f"undeclared relation {g.rel!r}")
@@ -273,47 +320,45 @@ def validate_formula(f: Formula, sig: Signature,
                 raise ValueError(
                     f"relation {g.rel} expects {sig.arity(g.rel)} arguments, "
                     f"got {len(g.args)}")
-            for t in g.args:
-                if isinstance(t, Const) and t.name not in consts:
-                    raise ValueError(f"undeclared constant {t.name!r}")
-        elif isinstance(g, Eq):
-            for t in (g.left, g.right):
-                if isinstance(t, Const) and t.name not in consts:
-                    raise ValueError(f"undeclared constant {t.name!r}")
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body)
-        else:
-            raise ValueError(f"not a formula node: {g!r}")
-
-    walk(f)
+        for t in g.terms():
+            if isinstance(t, Const) and t.name not in consts:
+                raise ValueError(f"undeclared constant {t.name!r}")
 
 
 # ---------------------------------------------------------------------------
 # structural operations
 
+def nodes(f: Formula) -> Iterator[Formula]:
+    """Every node of f in pre-order, subformulas in `parts` order."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(g.parts()))
+
+
+def _map_terms(f: Formula, kind: type, scope: dict[str, Term],
+               enter: Callable[[Formula, dict], dict | None]) -> Formula:
+    """Rebuild f with each term of class `kind` replaced by its entry in the
+    scope that holds at its atomic node. `enter(node, scope)` is called
+    outermost first and gives the scope inside the node, or None to keep the
+    node as it is; at a binder it raises CaptureError."""
+    def walk(g: Formula, s: dict[str, Term]) -> Formula:
+        s = enter(g, s)
+        if s is None:
+            return g
+        parts = g.parts()
+        if parts:
+            return g.rebuild(tuple(walk(p, s) for p in parts))
+        return g.with_terms(tuple(s.get(t.name, t) if isinstance(t, kind)
+                                  else t for t in g.terms()))
+
+    return walk(f, scope)
+
+
 def subformulas(f: Formula) -> set[Formula]:
     """f together with all descendants (canonical-form identity)."""
-    out: set[Formula] = set()
-
-    def walk(g: Formula) -> None:
-        if g in out:
-            return
-        out.add(g)
-        if isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body)
-
-    walk(f)
-    return out
+    return set(nodes(f))
 
 
 def substitute(f: Formula, mapping: dict[str, Term]) -> Formula:
@@ -322,103 +367,32 @@ def substitute(f: Formula, mapping: dict[str, Term]) -> Formula:
     Raises CaptureError when a substituted term contains a variable that a
     binder in f would capture.
     """
-    def sub_term(t: Term, m: dict[str, Term]) -> Term:
-        if isinstance(t, Var) and t.name in m:
-            return m[t.name]
-        return t
-
-    def walk(g: Formula, m: dict[str, Term]) -> Formula:
+    def enter(g: Formula, m: dict[str, Term]) -> dict[str, Term] | None:
         m = {v: t for v, t in m.items() if v in g.free_vars()}
-        if not m:
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.rel, tuple(sub_term(t, m) for t in g.args))
-        if isinstance(g, Eq):
-            return Eq(sub_term(g.left, m), sub_term(g.right, m))
-        if isinstance(g, Not):
-            return Not(walk(g.body, m))
-        if isinstance(g, And):
-            return And(tuple(walk(c, m) for c in g.children))
-        if isinstance(g, Or):
-            return Or(tuple(walk(c, m) for c in g.children))
-        if isinstance(g, (Forall, Exists)):
-            inner = {v: t for v, t in m.items() if v not in g.vars}
-            for v, t in inner.items():
-                if isinstance(t, Var) and t.name in g.vars:
-                    raise CaptureError(
-                        f"substituting {t.name} for {v} is captured by "
-                        f"binder over {g.vars}")
-            body = walk(g.body, inner)
-            cls = Forall if isinstance(g, Forall) else Exists
-            return cls(g.vars, body)
-        raise ValueError(f"not a formula node: {g!r}")
+        for v, t in m.items():
+            if isinstance(t, Var) and t.name in g.binds():
+                raise CaptureError(
+                    f"substituting {t.name} for {v} is captured by "
+                    f"binder over {g.binds()}")
+        return m or None
 
-    return walk(f, dict(mapping))
+    return _map_terms(f, Var, dict(mapping), enter)
 
 
 def replace_const(f: Formula, old: str, new: Term) -> Formula:
     """Replace every occurrence of the constant `old` by the term `new`."""
-    def sub_term(t: Term) -> Term:
-        return new if isinstance(t, Const) and t.name == old else t
+    def enter(g: Formula, m: dict[str, Term]) -> dict[str, Term]:
+        if isinstance(new, Var) and new.name in g.binds():
+            raise CaptureError(
+                f"constant {old} generalized into bound {new.name}")
+        return m
 
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(sub_term(t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(sub_term(f.left), sub_term(f.right))
-    if isinstance(f, Not):
-        return Not(replace_const(f.body, old, new))
-    if isinstance(f, And):
-        return And(tuple(replace_const(c, old, new) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(replace_const(c, old, new) for c in f.children))
-    if isinstance(f, Forall):
-        if isinstance(new, Var) and new.name in f.vars:
-            raise CaptureError(f"constant {old} generalized into bound {new.name}")
-        return Forall(f.vars, replace_const(f.body, old, new))
-    if isinstance(f, Exists):
-        if isinstance(new, Var) and new.name in f.vars:
-            raise CaptureError(f"constant {old} generalized into bound {new.name}")
-        return Exists(f.vars, replace_const(f.body, old, new))
-    raise ValueError(f"not a formula node: {f!r}")
+    return _map_terms(f, Const, {old: new}, enter)
 
 
 def constants_of(f: Formula) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            out.update(t.name for t in g.args if isinstance(t, Const))
-        elif isinstance(g, Eq):
-            out.update(t.name for t in (g.left, g.right) if isinstance(t, Const))
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body)
-
-    walk(f)
-    return frozenset(out)
-
-
-def all_vars(f: Formula) -> frozenset[str]:
-    """Free and bound variables occurring anywhere in f."""
-    out: set[str] = set(f.free_vars())
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for c in g.children:
-                walk(c)
-        elif isinstance(g, (Forall, Exists)):
-            out.update(g.vars)
-            out.update(g.body.free_vars())
-            walk(g.body)
-
-    walk(f)
-    return frozenset(out)
+    return frozenset(t.name for g in nodes(f) for t in g.terms()
+                     if isinstance(t, Const))
 
 
 def move_neg_inside(f: Formula) -> Formula:
@@ -437,89 +411,3 @@ def move_neg_inside(f: Formula) -> Formula:
     if isinstance(f, Exists):
         return Forall(f.vars, Not(f.body))
     raise ValueError(f"not a formula node: {f!r}")
-
-
-def nnf(f: Formula) -> Formula:
-    """Negation normal form: negations pushed to atomic formulas."""
-    if isinstance(f, (Atom, Eq)):
-        return f
-    if isinstance(f, Not):
-        if isinstance(f.body, (Atom, Eq)):
-            return f
-        return nnf(move_neg_inside(f.body))
-    if isinstance(f, And):
-        return And(tuple(nnf(c) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(nnf(c) for c in f.children))
-    if isinstance(f, Forall):
-        return Forall(f.vars, nnf(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.vars, nnf(f.body))
-    raise ValueError(f"not a formula node: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# fragments
-
-@dataclass(frozen=True)
-class Fragment:
-    signature: Signature
-    formulas: frozenset[Formula]
-    variables: tuple[str, ...]
-    constants: tuple[str, ...]
-
-
-def build_fragment(signature: Signature, seed: list[Formula] | set[Formula],
-                   variables: list[str], constants: list[str],
-                   bound: int) -> tuple[Fragment, bool]:
-    """Close the seed under the fragment operations for at most `bound`
-    generations. Returns the fragment and whether a fixpoint was reached.
-
-    Closure per generation: single negation; negation move; subformulas;
-    binary and/or of any pair; renaming a free variable to an unused pool
-    variable; substituting a pool constant for a free variable; generalizing a
-    constant to an unused pool variable; single-variable forall/exists over
-    pool variables. Each seed formula must leave some pool variable unused,
-    else PoolExhausted.
-    """
-    var_pool = tuple(dict.fromkeys(variables))
-    const_pool = tuple(dict.fromkeys(constants))
-    if bound < 0:
-        raise ValueError("generation bound must be >= 0")
-
-    seed_set = set(seed)
-    for f in seed_set:
-        if not any(v not in all_vars(f) for v in var_pool):
-            raise PoolExhausted(
-                f"no pool variable avoids {f!r}; pool={list(var_pool)}")
-
-    current: set[Formula] = set(seed_set)
-    reached = not current  # the empty set is vacuously closed
-    for _ in range(bound):
-        fresh: set[Formula] = set()
-        members = sorted(current, key=lambda g: g.key())
-        for f in members:
-            fresh.add(Not(f))
-            fresh.add(move_neg_inside(f))
-            fresh.update(subformulas(f))
-            used = all_vars(f)
-            spare = [w for w in var_pool if w not in used]
-            for v in sorted(f.free_vars()):
-                for w in spare:
-                    fresh.add(substitute(f, {v: Var(w)}))
-                for c in const_pool:
-                    fresh.add(substitute(f, {v: Const(c)}))
-            for c in sorted(constants_of(f)):
-                for w in spare:
-                    fresh.add(replace_const(f, c, Var(w)))
-            for v in var_pool:
-                fresh.add(Forall((v,), f))
-                fresh.add(Exists((v,), f))
-        for f, g in itertools.combinations_with_replacement(members, 2):
-            fresh.add(And((f, g)))
-            fresh.add(Or((f, g)))
-        if fresh <= current:
-            reached = True
-            break
-        current |= fresh
-    return Fragment(signature, frozenset(current), var_pool, const_pool), reached

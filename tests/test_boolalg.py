@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infkit.boolalg import (
-    FinPoset, check_algebra, enumerate_ultrafilters, is_antichain,
-    is_dense_subset, is_filter, is_ultrafilter, powerset_algebra,
-    principal_filter, regular_open_sets_bruteforce, restrict_algebra,
-    ro_completion, ro_join_by_reg_union, table_algebra, two_valued_algebra,
-    ZeroRestriction,
+    FinPoset, check_algebra, enumerate_ultrafilters, is_dense_subset,
+    is_filter, is_ultrafilter, powerset_algebra, principal_filter,
+    regular_open_sets_bruteforce, ro_completion, table_algebra,
+    two_valued_algebra,
 )
 from infkit.modelgen import all_labeled_posets
 
@@ -76,16 +75,6 @@ def test_table_algebra_roundtrip_and_broken_table():
     assert not rep["ok"] and rep["violations"]
 
 
-def test_restrict_algebra():
-    alg = powerset_algebra(["a", "b", "c"])
-    b = frozenset({"a", "b"})
-    sub = restrict_algebra(alg, b)
-    assert len(sub.elements) == 4 and sub.one == b
-    assert check_algebra(sub)["ok"]
-    with pytest.raises(ZeroRestriction):
-        restrict_algebra(alg, alg.zero)
-
-
 # --- filters and ultrafilters -----------------------------------------------
 
 def test_filters():
@@ -110,8 +99,6 @@ def test_dense_and_antichain_predicates():
     alg = powerset_algebra(["a", "b"])
     assert is_dense_subset(alg, alg.atoms())
     assert not is_dense_subset(alg, [frozenset({"a"})])
-    assert is_antichain(alg, alg.atoms())
-    assert not is_antichain(alg, [frozenset({"a"}), alg.one])
 
 
 # --- regular-open completion ----------------------------------------------------
@@ -162,7 +149,9 @@ def test_chain_completes_to_two_elements():
 def test_ro_join_is_regularized_union():
     poset = FinPoset(["l", "r", "top"], [("l", "top"), ("r", "top")])
     alg, emb = ro_completion(poset)
-    j = ro_join_by_reg_union(poset, [emb["l"], emb["r"]])
+    # Reg(A) = int(cl(A)): cl is the up-closure, int(B) = {q : N_q <= B}
+    closure = poset.up_closure(emb["l"] | emb["r"])
+    j = frozenset(q for q in poset.elements if poset.down(q) <= closure)
     assert j == alg.join(emb["l"], emb["r"])
     # the plain union {l, r} is not regular open: top joins its closure
     assert j != emb["l"] | emb["r"]

@@ -1,0 +1,79 @@
+"""Library code that only tests reach does not stay in the library: every
+public top-level name of `src/infkit/*.py` must be used by the program
+(`src/infkit` and `tools`) outside its own definition, unless it is a kept
+test oracle or test input listed below with its reason."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "infkit").glob("*.py"))
+PROGRAM = LIBRARY + sorted((ROOT / "tools").glob("*.py"))
+
+KEPT = {
+    "boolalg.is_dense_subset":
+        "oracle for the density of ro_completion's embedding",
+    "bvmodel.check_mixing_by_antichains":
+        "brute-force oracle for check_mixing",
+    "bvmodel.check_subst_inequality":
+        "substitution inequality, checked by an acceptance test",
+    "consprop.check_kappa_omega_iff":
+        "maximality biconditional, checked by an acceptance test",
+    "modelgen.three_element_nonmixing_model":
+        "reference model without mixing, an acceptance-test input",
+    "modelgen.unattained_sup_formula":
+        "reference sentence whose sup no witness attains",
+    "modelgen.model_pool":
+        "deterministic model pool, an acceptance-test input",
+    "modelgen.formula_pool":
+        "deterministic formula pool, an acceptance-test input",
+    "modelgen.random_formula":
+        "seeded formula generator for the sat search oracle tests",
+    "modelgen.all_labeled_posets":
+        "every small poset, the acceptance sweep of ro_completion",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, statement) for each public name a top-level statement binds."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) \
+                and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            names = []
+        for name in names:
+            if not name.startswith("_"):
+                yield name, stmt
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _unused_by_program() -> set[str]:
+    """Library names no program statement reads, apart from the statement
+    that defines them."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PROGRAM}
+    reads = [(stmt, _names_read(stmt))
+             for tree in trees.values() for stmt in tree.body]
+    return {f"{path.stem}.{name}"
+            for path in LIBRARY
+            for name, defining in _public_definitions(trees[path])
+            if not any(name in names for stmt, names in reads
+                       if stmt is not defining)}
+
+
+def test_library_names_are_used_by_the_program():
+    unused = _unused_by_program()
+    only_tests = sorted(unused - set(KEPT))
+    assert not only_tests, (
+        f"not used by the program: {only_tests}; delete them with the "
+        f"tests that exist only for them, or keep one in KEPT with its reason")
+    stale = sorted(set(KEPT) - unused)
+    assert not stale, f"KEPT entries the program uses or no longer has: {stale}"

@@ -8,7 +8,7 @@ from infkit.modelgen import (
     split_constant_theory, formula_pool, four_element_model, model_pool,
     three_element_nonmixing_model, unattained_sup_formula,
 )
-from infkit.quotient import los_check, quotient, tarski_satisfies
+from infkit.quotient import los_check, quotient
 from infkit.syntax import Const, Eq, Exists, Forall, Not, Or, Var
 
 
@@ -35,9 +35,10 @@ def test_quotient_classes_follow_equality_filter(m4):
 def test_atomic_tarski_matches_filter_membership(m4):
     d, c0 = Const("d"), Const("c0")
     for uf in enumerate_ultrafilters(m4.algebra):
-        q = quotient(m4, uf)
+        two = quotient(m4, uf).to_two_valued_model()
         for f in (Eq(d, c0), Eq(d, d), Not(Eq(d, c0))):
-            assert tarski_satisfies(q, f) == (eval_formula(m4, f) in uf)
+            holds = eval_formula(two, f) == two.algebra.one
+            assert holds == (eval_formula(m4, f) in uf)
 
 
 def test_los_on_reference_model(m4):

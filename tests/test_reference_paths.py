@@ -2,19 +2,22 @@
 kept here as oracles: the per-member clause check (every clause instance
 rebuilt for every member), the per-k law loop of check_algebra, the
 definitions of poset down-sets and up-closures, per-member evaluation in
-cp_from_algebra, and the standard-library JSON encoder."""
+cp_from_algebra, and the standard-library JSON encoder. Also the formula
+walkers as they were, one isinstance chain per operation, against the same
+operations built on the node interface (`parts`/`rebuild`/`terms`)."""
 import dataclasses
 import functools
 import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from infkit.boolalg import (
     FinPoset, check_algebra, ro_completion, table_algebra,
 )
 from infkit.bvmodel import eval_formula
+from infkit.calculus import in_calculus_fragment
 from infkit.consprop import (
     ConsistencyProperty, _member_key, _miss, _try_extension, check_cp,
     convert_to_explicit, default_pool, enumerate_members, occurrence_variants,
@@ -23,13 +26,15 @@ from infkit.iojson import (
     dumps, load_json, parse_algebra, parse_cp, parse_model, parse_poset,
 )
 from infkit.mansfield import cp_from_algebra
-from infkit.modelgen import all_labeled_posets
+from infkit.modelgen import all_labeled_posets, infer_signature
 
 small_posets = functools.cache(all_labeled_posets)   # the n <= 5 sweep
 from infkit.syntax import (
-    And, Atom, Const, Eq, Exists, Forall, Not, Or, Signature,
-    move_neg_inside, substitute,
+    And, Atom, CaptureError, Const, Eq, Exists, Forall, Not, Or, Signature,
+    Var, constants_of, move_neg_inside, replace_const, subformulas,
+    substitute, validate_formula,
 )
+from test_syntax import formulas
 
 
 # --- the oracles --------------------------------------------------------------
@@ -353,3 +358,260 @@ def test_dumps_covers_special_values():
 def test_dumps_rejects_what_it_cannot_encode(obj):
     with pytest.raises(TypeError):
         dumps(obj)
+
+
+# --- formula walkers ------------------------------------------------------------
+
+def reference_validate_formula(f, sig, extra_constants=frozenset()):
+    consts = set(sig.constants) | extra_constants
+
+    def walk(g):
+        if isinstance(g, Atom):
+            if not sig.has_relation(g.rel):
+                raise ValueError(f"undeclared relation {g.rel!r}")
+            if len(g.args) != sig.arity(g.rel):
+                raise ValueError(
+                    f"relation {g.rel} expects {sig.arity(g.rel)} arguments, "
+                    f"got {len(g.args)}")
+            for t in g.args:
+                if isinstance(t, Const) and t.name not in consts:
+                    raise ValueError(f"undeclared constant {t.name!r}")
+        elif isinstance(g, Eq):
+            for t in (g.left, g.right):
+                if isinstance(t, Const) and t.name not in consts:
+                    raise ValueError(f"undeclared constant {t.name!r}")
+        elif isinstance(g, Not):
+            walk(g.body)
+        elif isinstance(g, (And, Or)):
+            for c in g.children:
+                walk(c)
+        elif isinstance(g, (Forall, Exists)):
+            walk(g.body)
+        else:
+            raise ValueError(f"not a formula node: {g!r}")
+
+    walk(f)
+
+
+def reference_subformulas(f):
+    out = set()
+
+    def walk(g):
+        if g in out:
+            return
+        out.add(g)
+        if isinstance(g, Not):
+            walk(g.body)
+        elif isinstance(g, (And, Or)):
+            for c in g.children:
+                walk(c)
+        elif isinstance(g, (Forall, Exists)):
+            walk(g.body)
+
+    walk(f)
+    return out
+
+
+def reference_substitute(f, mapping):
+    def sub_term(t, m):
+        if isinstance(t, Var) and t.name in m:
+            return m[t.name]
+        return t
+
+    def walk(g, m):
+        m = {v: t for v, t in m.items() if v in g.free_vars()}
+        if not m:
+            return g
+        if isinstance(g, Atom):
+            return Atom(g.rel, tuple(sub_term(t, m) for t in g.args))
+        if isinstance(g, Eq):
+            return Eq(sub_term(g.left, m), sub_term(g.right, m))
+        if isinstance(g, Not):
+            return Not(walk(g.body, m))
+        if isinstance(g, And):
+            return And(tuple(walk(c, m) for c in g.children))
+        if isinstance(g, Or):
+            return Or(tuple(walk(c, m) for c in g.children))
+        if isinstance(g, (Forall, Exists)):
+            inner = {v: t for v, t in m.items() if v not in g.vars}
+            for v, t in inner.items():
+                if isinstance(t, Var) and t.name in g.vars:
+                    raise CaptureError(
+                        f"substituting {t.name} for {v} is captured by "
+                        f"binder over {g.vars}")
+            body = walk(g.body, inner)
+            cls = Forall if isinstance(g, Forall) else Exists
+            return cls(g.vars, body)
+        raise ValueError(f"not a formula node: {g!r}")
+
+    return walk(f, dict(mapping))
+
+
+def reference_replace_const(f, old, new):
+    def sub_term(t):
+        return new if isinstance(t, Const) and t.name == old else t
+
+    if isinstance(f, Atom):
+        return Atom(f.rel, tuple(sub_term(t) for t in f.args))
+    if isinstance(f, Eq):
+        return Eq(sub_term(f.left), sub_term(f.right))
+    if isinstance(f, Not):
+        return Not(reference_replace_const(f.body, old, new))
+    if isinstance(f, And):
+        return And(tuple(reference_replace_const(c, old, new)
+                         for c in f.children))
+    if isinstance(f, Or):
+        return Or(tuple(reference_replace_const(c, old, new)
+                        for c in f.children))
+    if isinstance(f, (Forall, Exists)):
+        if isinstance(new, Var) and new.name in f.vars:
+            raise CaptureError(
+                f"constant {old} generalized into bound {new.name}")
+        return type(f)(f.vars, reference_replace_const(f.body, old, new))
+    raise ValueError(f"not a formula node: {f!r}")
+
+
+def reference_constants_of(f):
+    out = set()
+
+    def walk(g):
+        if isinstance(g, Atom):
+            out.update(t.name for t in g.args if isinstance(t, Const))
+        elif isinstance(g, Eq):
+            out.update(t.name for t in (g.left, g.right)
+                       if isinstance(t, Const))
+        elif isinstance(g, Not):
+            walk(g.body)
+        elif isinstance(g, (And, Or)):
+            for c in g.children:
+                walk(c)
+        elif isinstance(g, (Forall, Exists)):
+            walk(g.body)
+
+    walk(f)
+    return frozenset(out)
+
+
+def reference_occurrence_variants(f, old, new):
+    def term_alts(t):
+        if isinstance(t, Const) and t.name == old:
+            return [t, Const(new)]
+        return [t]
+
+    def walk(g):
+        if isinstance(g, Atom):
+            return [Atom(g.rel, args) for args in
+                    itertools.product(*(term_alts(t) for t in g.args))]
+        if isinstance(g, Eq):
+            return [Eq(l, r) for l in term_alts(g.left)
+                    for r in term_alts(g.right)]
+        if isinstance(g, Not):
+            return [Not(b) for b in walk(g.body)]
+        if isinstance(g, (And, Or)):
+            return [type(g)(ch) for ch in
+                    itertools.product(*(walk(c) for c in g.children))] \
+                if g.children else [g]
+        if isinstance(g, (Forall, Exists)):
+            return [type(g)(g.vars, b) for b in walk(g.body)]
+        raise ValueError(f"not a formula node: {g!r}")
+
+    return set(walk(f)) - {f}
+
+
+def reference_infer_signature(formulas):
+    rels = {}
+    consts = set()
+
+    def walk(g):
+        if isinstance(g, Atom):
+            if g.rel in rels and rels[g.rel] != len(g.args):
+                raise ValueError(f"relation {g.rel} used at two arities")
+            rels[g.rel] = len(g.args)
+            consts.update(t.name for t in g.args if isinstance(t, Const))
+        elif isinstance(g, Eq):
+            consts.update(t.name for t in (g.left, g.right)
+                          if isinstance(t, Const))
+        elif isinstance(g, Not):
+            walk(g.body)
+        elif isinstance(g, (And, Or)):
+            for c in g.children:
+                walk(c)
+        elif isinstance(g, (Forall, Exists)):
+            walk(g.body)
+
+    for f in formulas:
+        walk(f)
+    return Signature(tuple(sorted(rels.items())), tuple(sorted(consts)))
+
+
+def reference_in_calculus_fragment(f):
+    if isinstance(f, (Atom, Eq)):
+        return True
+    if isinstance(f, Not):
+        return reference_in_calculus_fragment(f.body)
+    if isinstance(f, And):
+        return all(reference_in_calculus_fragment(c) for c in f.children)
+    if isinstance(f, Forall):
+        return reference_in_calculus_fragment(f.body)
+    return False
+
+
+def _exact(x):
+    """x spelled out node by node, children and terms in their own order
+    (formula equality ignores the order of And/Or children)."""
+    if isinstance(x, (list, tuple)):
+        return tuple(_exact(y) for y in x)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            _exact(getattr(x, fld.name)) for fld in dataclasses.fields(x))
+    return x
+
+
+def _outcome(fn, *args):
+    """What fn returns, spelled out, or the type and text of what it raises."""
+    try:
+        return "returned", _exact(fn(*args))
+    except (ValueError, CaptureError) as exc:
+        return type(exc), str(exc)
+
+
+# Every drawn formula fits the first signature; the others lack a relation
+# or a constant, or give a relation another arity.
+_SIGNATURES = (
+    Signature((("R", 1), ("Q", 2)), ("c", "d")),
+    Signature((("R", 1),), ("c",)),
+    Signature((("R", 2), ("Q", 2)), ("d",)),
+)
+_TERMS = (Const("c"), Const("d"), Var("v0"), Var("v1"), Var("w"))
+_mappings = st.dictionaries(st.sampled_from(["v0", "v1", "w"]),
+                            st.sampled_from(_TERMS), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(), _mappings)
+# two entries captured by one binder: the first in mapping order is named
+@example(Forall(("w",), Atom("Q", (Var("v0"), Var("v1")))),
+         {"v1": Var("w"), "v0": Var("w")})
+def test_formula_walkers_match_their_reference_paths(f, mapping):
+    assert list(subformulas(f)) == list(reference_subformulas(f))
+    assert constants_of(f) == reference_constants_of(f)
+    assert in_calculus_fragment(f) == reference_in_calculus_fragment(f)
+    assert _outcome(substitute, f, mapping) == \
+        _outcome(reference_substitute, f, mapping)
+    for old in ("c", "d"):
+        for new in _TERMS:
+            assert _outcome(replace_const, f, old, new) == \
+                _outcome(reference_replace_const, f, old, new)
+    for old, new in (("c", "d"), ("d", "c")):
+        got = list(occurrence_variants(f, old, new))
+        assert _exact(got) == \
+            _exact(list(reference_occurrence_variants(f, old, new)))
+    for sig in _SIGNATURES:
+        for extra in (frozenset(), frozenset({"d"})):
+            assert _outcome(validate_formula, f, sig, extra) == \
+                _outcome(reference_validate_formula, f, sig, extra)
+    # Q at a second arity, after f's own atoms in the order
+    clash = [f, And((Atom("Q", (Const("e"),)), f))]
+    for formulas_ in ([f], clash):
+        assert _outcome(infer_signature, formulas_) == \
+            _outcome(reference_infer_signature, formulas_)

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infkit.syntax import (
-    And, Atom, CaptureError, Const, Eq, Exists, Forall, Not, Or, PoolExhausted,
-    Signature, Var, all_vars, build_fragment, canonical_form, constants_of,
-    is_sentence, move_neg_inside, nnf, replace_const, subformulas, substitute,
-    valid_ident, validate_formula,
+    And, Atom, CaptureError, Const, Eq, Exists, Forall, Not, Or, Signature,
+    Var, constants_of, is_sentence, move_neg_inside, replace_const,
+    subformulas, substitute, valid_ident, validate_formula,
 )
 
 v0, v1, w = Var("v0"), Var("v1"), Var("w")
@@ -50,9 +49,9 @@ def test_equality_is_structural_with_sorted_juncts():
 
 def test_canonical_form_deterministic():
     f = Or((Not(R(c)), Exists(("v0",), And((R(v0), Eq(v0, c))))))
-    assert canonical_form(f) == canonical_form(f)
-    assert isinstance(canonical_form(f), bytes)
-    assert canonical_form(f) == f.key().encode("utf-8")
+    g = Or((Exists(("v0",), And((Eq(v0, c), R(v0)))), Not(R(c))))
+    assert f.key() == g.key() and isinstance(f.key(), str)
+    assert hash(f) == hash(g) == hash(f.key())
 
 
 def test_free_vars_and_sentences():
@@ -116,10 +115,9 @@ def test_replace_const_and_constants_of():
 def test_subformulas_counts():
     f = Not(And((R(c), Or(()))))
     assert subformulas(f) == {f, And((R(c), Or(()))), R(c), Or(())}
-    assert all_vars(Forall(("v0",), Eq(v0, v1))) == {"v0", "v1"}
 
 
-# --- negation normal form ---------------------------------------------------
+# --- negation moves -----------------------------------------------------------
 
 def test_move_neg_inside_one_step():
     # the move sends f to the pushed-in form of its negation
@@ -131,42 +129,24 @@ def test_move_neg_inside_one_step():
     assert move_neg_inside(R(c)) == Not(R(c))
 
 
-def test_nnf_negations_only_on_atoms():
-    f = Not(Forall(("v0",), Or((R(v0), Not(And((R(c), Eq(v0, c))))))))
-    for h in subformulas(nnf(f)):
-        if isinstance(h, Not):
-            assert isinstance(h.body, (Atom, Eq))
-
-
-# --- fragments ---------------------------------------------------------------
-
-def test_build_fragment_generates_generalization_and_quantifier():
-    frag, fixed = build_fragment(SIG, [R(c)], ["v0"], ["c"], bound=2)
-    assert R(Var("v0")) in frag.formulas
-    assert Forall(("v0",), R(Var("v0"))) in frag.formulas
-    assert R(c) in frag.formulas
-
-
-def test_build_fragment_pool_exhaustion():
-    with pytest.raises(PoolExhausted):
-        build_fragment(SIG, [R(v0)], ["v0"], [], bound=1)
-    frag, fixed = build_fragment(SIG, [], ["v0"], [], bound=3)
-    assert fixed and not frag.formulas
-
-
 # --- property checks ---------------------------------------------------------
 
 names = st.sampled_from(["v0", "v1", "w"])
 consts = st.sampled_from(["c", "d"])
 
 
+terms = st.one_of(names.map(Var), consts.map(Const))
+
+
 @st.composite
 def formulas(draw, depth=3):
     if depth == 0:
-        term = draw(st.one_of(names.map(Var), consts.map(Const)))
-        if draw(st.booleans()):
-            return Atom("R", (term,))
-        return Eq(term, draw(st.one_of(names.map(Var), consts.map(Const))))
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return Atom("R", (draw(terms),))
+        if kind == 1:
+            return Atom("Q", (draw(terms), draw(terms)))
+        return Eq(draw(terms), draw(terms))
     sub = formulas(depth=depth - 1)
     kind = draw(st.integers(0, 4))
     if kind == 0:
@@ -184,14 +164,3 @@ def formulas(draw, depth=3):
 def test_identity_substitution_is_identity(f):
     assert substitute(f, {}) == f
     assert substitute(f, {v: Var(v) for v in f.free_vars()}) == f
-
-
-@given(formulas())
-def test_nnf_is_idempotent(f):
-    g = nnf(f)
-    assert nnf(g) == g
-
-
-@given(formulas())
-def test_double_negation_normalizes_away(f):
-    assert nnf(Not(Not(f))) == nnf(f)
