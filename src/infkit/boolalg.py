@@ -1,18 +1,21 @@
 """Finite posets, finite Boolean algebras, filters, regular-open completions.
 
-Algebras carry an explicit element tuple plus meet/join/complement tables, so
-every operation is exact table lookup. Three constructions are provided:
-powerset-of-atoms, regular-open completion of a finite poset, and raw
-operation tables (accepted for adversarial law checking). Element values are
-frozensets (of atom names, or of poset elements) for the first two kinds and
-opaque strings for tables.
+A finite Boolean algebra is the powerset of its atoms (the finite case of
+Stone representation), so every element is an int mask over the atoms: meet
+is &, join is |, complement is ^ one. Three constructions are provided:
+powerset-of-atoms, regular-open completion of a finite poset (masks over its
+minimal elements), and raw operation tables, which must pass the Boolean law
+check first. Each algebra keeps one label per element for the wire format
+and reports: the frozenset of atom names, the regular-open set, or the
+table's name for it.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 
 class TrivialAlgebra(Exception):
@@ -103,60 +106,58 @@ class FinPoset:
 
 @dataclass(frozen=True, eq=False)
 class FinBooleanAlgebra:
-    """Finite Boolean algebra given by element list and operation tables."""
+    """Finite Boolean algebra on int masks over its atoms: element x is the
+    join of the atoms whose bits it sets, and `labels[x]` is its label.
+    `elements` holds every mask once, in the order of the source: by size
+    and then lexicographically over the atoms, or in table order."""
 
     kind: str                       # "powerset" | "ro" | "table"
-    elements: tuple
-    meet_table: dict
-    join_table: dict
-    comp_table: dict
-    zero: Hashable
-    one: Hashable
+    elements: tuple[int, ...]
+    labels: tuple
     meta: dict = field(default_factory=dict)
+    one: int = field(init=False)
+    masks: dict = field(init=False, repr=False)     # label -> element
+    zero = 0
 
-    def meet(self, a: Hashable, b: Hashable):
-        return self.meet_table[(a, b)]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "one", len(self.labels) - 1)
+        object.__setattr__(self, "masks",
+                           {lab: x for x, lab in enumerate(self.labels)})
 
-    def join(self, a: Hashable, b: Hashable):
-        return self.join_table[(a, b)]
+    def meet(self, a: int, b: int) -> int:
+        return a & b
 
-    def comp(self, a: Hashable):
-        return self.comp_table[a]
+    def join(self, a: int, b: int) -> int:
+        return a | b
 
-    def leq(self, a: Hashable, b: Hashable) -> bool:
-        return self.meet_table[(a, b)] == a
+    def comp(self, a: int) -> int:
+        return a ^ self.one
 
-    def sup(self, items: Iterable) -> Hashable:
-        out = self.zero
-        for x in items:
-            out = self.join_table[(out, x)]
-        return out
+    def leq(self, a: int, b: int) -> bool:
+        return not a & ~b
 
-    def inf(self, items: Iterable) -> Hashable:
-        out = self.one
-        for x in items:
-            out = self.meet_table[(out, x)]
-        return out
+    def sup(self, items: Iterable[int]) -> int:
+        return functools.reduce(operator.or_, items, 0)
+
+    def inf(self, items: Iterable[int]) -> int:
+        return functools.reduce(operator.and_, items, self.one)
 
     def atoms(self) -> tuple:
-        """Minimal nonzero elements."""
-        nz = [x for x in self.elements if x != self.zero]
-        return tuple(a for a in nz
-                     if all(not (self.leq(b, a) and b != a) for b in nz))
+        """Minimal nonzero elements: the masks with one bit."""
+        return tuple(x for x in self.elements if x and not x & (x - 1))
 
     def nonzero(self) -> tuple:
-        return tuple(x for x in self.elements if x != self.zero)
+        return tuple(x for x in self.elements if x)
+
+    def is_element(self, x) -> bool:
+        return type(x) is int and 0 <= x <= self.one
 
 
-def _tables_from_fns(elements: tuple, meet: Callable, join: Callable,
-                     comp: Callable) -> tuple[dict, dict, dict]:
-    mt, jt, ct = {}, {}, {}
-    for a in elements:
-        ct[a] = comp(a)
-        for b in elements:
-            mt[(a, b)] = meet(a, b)
-            jt[(a, b)] = join(a, b)
-    return mt, jt, ct
+def _by_size(n: int) -> tuple[int, ...]:
+    """Every mask over n bits, by size and then in the order of
+    itertools.combinations."""
+    return tuple(sum(1 << i for i in c) for k in range(n + 1)
+                 for c in itertools.combinations(range(n), k))
 
 
 def powerset_algebra(atom_names: Iterable[str]) -> FinBooleanAlgebra:
@@ -165,23 +166,13 @@ def powerset_algebra(atom_names: Iterable[str]) -> FinBooleanAlgebra:
 
 @functools.lru_cache(maxsize=16)
 def _powerset_algebra(atoms: tuple[str, ...]) -> FinBooleanAlgebra:
-    """One shared instance per atom tuple: nothing mutates an algebra."""
+    """One shared instance per atom tuple: nothing mutates an algebra. Bit i
+    is atoms[i]; an element's label is the frozenset of its atoms."""
     if not atoms:
         raise TrivialAlgebra("powerset algebra needs at least one atom")
-    universe = frozenset(atoms)
-    elements = tuple(
-        frozenset(c)
-        for k in range(len(atoms) + 1)
-        for c in itertools.combinations(atoms, k)
-    )
-    mt, jt, ct = _tables_from_fns(
-        elements,
-        lambda a, b: a & b,
-        lambda a, b: a | b,
-        lambda a: universe - a,
-    )
-    return FinBooleanAlgebra("powerset", elements, mt, jt, ct,
-                             frozenset(), universe,
+    labels = tuple(frozenset(a for i, a in enumerate(atoms) if x >> i & 1)
+                   for x in range(1 << len(atoms)))
+    return FinBooleanAlgebra("powerset", _by_size(len(atoms)), labels,
                              meta={"atoms": atoms})
 
 
@@ -191,30 +182,28 @@ def two_valued_algebra() -> FinBooleanAlgebra:
 
 
 def table_algebra(elements: Iterable[str], meet_rows: list[list[str]],
-                  join_rows: list[list[str]], comp_row: list[str],
-                  meta: dict | None = None) -> FinBooleanAlgebra:
-    """Algebra from explicit tables; zero/one recovered if present, else the
-    law checker will report their absence. Intended for adversarial inputs."""
+                  join_rows: list[list[str]],
+                  comp_row: list[str]) -> FinBooleanAlgebra:
+    """Algebra from explicit tables over named elements. Raises ValueError
+    naming the first violated law unless the tables satisfy every Boolean
+    law; then each element becomes the mask of the atoms below it (atoms in
+    table order) and keeps its name as its label."""
     els = tuple(elements)
-    n = len(els)
-    if len(meet_rows) != n or len(join_rows) != n or len(comp_row) != n:
-        raise ValueError("table dimensions do not match the element count")
-    mt, jt, ct = {}, {}, {}
-    for i, a in enumerate(els):
-        if len(meet_rows[i]) != n or len(join_rows[i]) != n:
-            raise ValueError("ragged operation table")
-        ct[a] = comp_row[i]
-        for j, b in enumerate(els):
-            mt[(a, b)] = meet_rows[i][j]
-            jt[(a, b)] = join_rows[i][j]
-    known = set(els)
-    for v in itertools.chain(mt.values(), jt.values(), ct.values()):
-        if v not in known:
-            raise ValueError(f"table produces unknown element {v!r}")
-    zero = next((z for z in els if all(jt[(z, x)] == x for x in els)), els[0])
-    one = next((o for o in els if all(mt[(o, x)] == x for x in els)), els[-1])
-    return FinBooleanAlgebra("table", els, mt, jt, ct, zero, one,
-                             meta=dict(meta or {}))
+    violations = check_tables(els, meet_rows, join_rows,
+                              comp_row)["violations"]
+    if violations:
+        law, args = violations[0]["law"], violations[0]["args"]
+        where = f" at {', '.join(map(str, args))}" if args else ""
+        raise ValueError(f"not a Boolean algebra: {law} fails{where}")
+    zero = meet_rows[0][els.index(comp_row[0])]
+    atoms = [i for i, row in enumerate(meet_rows)
+             if els[i] != zero and all(m in (zero, els[i]) for m in row)]
+    masks = [sum(1 << k for k, a in enumerate(atoms)
+                 if meet_rows[a][i] == els[a]) for i in range(len(els))]
+    labels = [None] * len(els)
+    for name, x in zip(els, masks):
+        labels[x] = name
+    return FinBooleanAlgebra("table", tuple(masks), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -247,41 +236,23 @@ def ro_completion(poset: FinPoset) -> tuple[FinBooleanAlgebra, dict]:
 
     Elements are the regular-open subsets; for a finite poset these are
     exactly the sets {q : every minimal element below q lies in S} for
-    S ranging over subsets of the minimal elements, which keeps the carrier
-    at 2^#minimals. Joins are Reg(union), never plain unions. Returns the
-    algebra and the embedding p -> Reg(N_p), which is verified on output to
-    be order- and incompatibility-preserving (both directions) with dense
-    image.
+    S ranging over subsets of the minimal elements, so the completion is the
+    powerset of the minimal elements: an element is the mask of S (minimal
+    elements in repr order) and its label is the regular-open set. Joins are
+    Reg(union), never plain unions. Returns the algebra and the embedding
+    p -> Reg(N_p), which is verified on output to be order- and
+    incompatibility-preserving (both directions) with dense image.
     """
     if not poset.elements:
         raise TrivialAlgebra("regular-open completion of the empty poset")
-    mins = tuple(sorted(poset.minimals(), key=repr))
-    minset = frozenset(mins)
-    min_below = {q: poset.min_below(q) for q in poset.elements}
-
-    def of_minset(s: frozenset) -> frozenset:
-        return frozenset(q for q in poset.elements if min_below[q] <= s)
-
-    carrier = {}
-    for k in range(len(mins) + 1):
-        for combo in itertools.combinations(mins, k):
-            s = frozenset(combo)
-            carrier[s] = of_minset(s)
-    def _skey(s: frozenset) -> tuple:
-        return (len(s), tuple(sorted(repr(x) for x in s)))
-
-    elements = tuple(carrier[s] for s in sorted(carrier, key=_skey))
-    to_min = {a: a & minset for a in elements}
-    mt, jt, ct = _tables_from_fns(
-        elements,
-        lambda a, b: carrier[to_min[a] & to_min[b]],
-        lambda a, b: carrier[to_min[a] | to_min[b]],
-        lambda a: carrier[minset - to_min[a]],
-    )
-    alg = FinBooleanAlgebra("ro", elements, mt, jt, ct,
-                            carrier[frozenset()], carrier[minset],
+    mins = sorted(poset.minimals(), key=repr)
+    bit = {m: 1 << i for i, m in enumerate(mins)}
+    embedding = {q: sum(bit[m] for m in poset.min_below(q))
+                 for q in poset.elements}
+    labels = tuple(frozenset(q for q, s in embedding.items() if not s & ~x)
+                   for x in range(1 << len(mins)))
+    alg = FinBooleanAlgebra("ro", _by_size(len(mins)), labels,
                             meta={"poset": poset})
-    embedding = {p: carrier[min_below[p]] for p in poset.elements}
 
     for p in poset.elements:
         for q in poset.elements:
@@ -291,11 +262,9 @@ def ro_completion(poset: FinPoset) -> tuple[FinBooleanAlgebra, dict]:
             disjoint = alg.meet(embedding[p], embedding[q]) == alg.zero
             if incompat != disjoint:
                 raise RuntimeError("embedding failed incompatibility preservation")
-    image = set(embedding.values())
-    for a in elements:
-        if a == alg.zero:
-            continue
-        if not any(alg.leq(e, a) for e in image if e != alg.zero):
+    image = [e for e in embedding.values() if e != alg.zero]
+    for a in alg.nonzero():
+        if not any(alg.leq(e, a) for e in image):
             raise RuntimeError("embedding image is not dense")
     return alg, embedding
 
@@ -303,26 +272,44 @@ def ro_completion(poset: FinPoset) -> tuple[FinBooleanAlgebra, dict]:
 # ---------------------------------------------------------------------------
 # law checking
 
-_LAW_NAMES = (
-    "meet_commutative", "join_commutative", "meet_associative",
-    "join_associative", "absorption_meet", "absorption_join",
-    "meet_idempotent", "join_idempotent", "zero_identity", "one_identity",
-    "distributes_meet_over_join", "distributes_join_over_meet",
-    "complement_meet", "complement_join", "nontrivial",
-)
-
-
 def check_algebra(alg: FinBooleanAlgebra) -> dict:
-    """Exhaustively check the Boolean algebra laws. Returns
-    {"ok": bool, "violations": [{"law", "args"}...]} listing every violated
-    instance."""
-    els = list(alg.elements)
+    """The Boolean laws on the table view of an algebra: each operation
+    tabulated over its elements, which are named by their labels."""
+    lab, els = alg.labels, alg.elements
+    return check_tables([lab[x] for x in els],
+                        [[lab[a & b] for b in els] for a in els],
+                        [[lab[a | b] for b in els] for a in els],
+                        [lab[a ^ alg.one] for a in els])
+
+
+def check_tables(elements: Iterable[str], meet_rows: list[list[str]],
+                 join_rows: list[list[str]], comp_row: list[str]) -> dict:
+    """Exhaustively check the Boolean algebra laws on operation tables over
+    named elements, with zero and one the join and meet identities (the
+    first and last element when there is none). Raises ValueError on tables
+    of the wrong shape. Returns {"ok": bool, "violations": [{"law",
+    "args"}...]} listing every violated instance."""
+    els = tuple(elements)
     n = len(els)
+    if not n:
+        raise ValueError("a table algebra needs at least one element")
+    if len(meet_rows) != n or len(join_rows) != n or len(comp_row) != n:
+        raise ValueError("table dimensions do not match the element count")
+    if any(len(meet_rows[i]) != n or len(join_rows[i]) != n
+           for i in range(n)):
+        raise ValueError("ragged operation table")
     idx = {e: i for i, e in enumerate(els)}
-    meet = [[idx[alg.meet_table[(a, b)]] for b in els] for a in els]
-    join = [[idx[alg.join_table[(a, b)]] for b in els] for a in els]
-    comp = [idx[alg.comp_table[a]] for a in els]
-    zero, one = idx[alg.zero], idx[alg.one]
+    if len(idx) != n:
+        raise ValueError("duplicate table elements")
+    for v in itertools.chain(*meet_rows, *join_rows, comp_row):
+        if v not in idx:
+            raise ValueError(f"table produces unknown element {v!r}")
+    meet = [[idx[v] for v in row] for row in meet_rows]
+    join = [[idx[v] for v in row] for row in join_rows]
+    comp = [idx[v] for v in comp_row]
+    rng = range(n)
+    zero = next((z for z in rng if all(join[z][x] == x for x in rng)), 0)
+    one = next((o for o in rng if all(meet[o][x] == x for x in rng)), n - 1)
     violations: list[dict] = []
 
     def bad(law: str, *args: int) -> None:
@@ -338,7 +325,6 @@ def check_algebra(alg: FinBooleanAlgebra) -> dict:
         mrow, jrow = [bytes(r) for r in meet], [bytes(r) for r in join]
         mtab = [r.ljust(256, b"\0") for r in mrow]
         jtab = [r.ljust(256, b"\0") for r in jrow]
-    rng = range(n)
     for i in rng:
         if meet[i][i] != i:
             bad("meet_idempotent", i)
@@ -385,7 +371,7 @@ def check_algebra(alg: FinBooleanAlgebra) -> dict:
 # filters
 
 def is_filter(alg: FinBooleanAlgebra, members: frozenset) -> bool:
-    if not members or not members <= set(alg.elements):
+    if not members or not all(alg.is_element(x) for x in members):
         return False
     if alg.zero in members:
         return False
@@ -405,7 +391,7 @@ def is_ultrafilter(alg: FinBooleanAlgebra, members: frozenset) -> bool:
     return all(b in members or alg.comp(b) in members for b in alg.elements)
 
 
-def principal_filter(alg: FinBooleanAlgebra, generator: Hashable) -> frozenset:
+def principal_filter(alg: FinBooleanAlgebra, generator: int) -> frozenset:
     if generator == alg.zero:
         raise ImproperFilter("the zero element generates no proper filter")
     return frozenset(b for b in alg.elements if alg.leq(generator, b))
@@ -414,7 +400,7 @@ def principal_filter(alg: FinBooleanAlgebra, generator: Hashable) -> frozenset:
 def enumerate_ultrafilters(alg: FinBooleanAlgebra) -> list[frozenset]:
     """On a finite algebra every ultrafilter is principal at an atom."""
     return [principal_filter(alg, a)
-            for a in sorted(alg.atoms(), key=repr)]
+            for a in sorted(alg.atoms(), key=lambda a: repr(alg.labels[a]))]
 
 
 def is_dense_subset(alg: FinBooleanAlgebra, dense: Iterable) -> bool:

@@ -9,9 +9,10 @@ disjunction to sup, and quantifiers to inf/sup over domain tuples.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from .boolalg import FinBooleanAlgebra, powerset_algebra, two_valued_algebra
 from .syntax import (
@@ -28,8 +29,8 @@ class ShapeError(Exception):
     """An operation was applied to a formula of the wrong shape."""
 
 
-class StructureCapExceeded(Exception):
-    """A domain size has more per-atom structures than STRUCTURE_CAP."""
+class CapExceeded(Exception):
+    """A search or enumeration outgrew one of its caps: an input error."""
 
 
 STRUCTURE_CAP = 100_000
@@ -40,8 +41,8 @@ class BValuedModel:
     signature: Signature
     algebra: FinBooleanAlgebra
     domain: tuple[str, ...]
-    eq: dict = field(default_factory=dict)          # (m, n) -> element
-    relations: dict = field(default_factory=dict)   # rel -> {args tuple -> element}
+    eq: dict = field(default_factory=dict)          # (m, n) -> mask
+    relations: dict = field(default_factory=dict)   # rel -> {args tuple -> mask}
     constants: dict = field(default_factory=dict)   # const name -> domain member
 
     def __post_init__(self) -> None:
@@ -50,13 +51,12 @@ class BValuedModel:
         if not self.domain:
             raise ValueError("domain must be nonempty")
         alg = self.algebra
-        els = set(alg.elements)
         eq = dict(self.eq)
         for m in self.domain:
             for n in self.domain:
                 if (m, n) not in eq:
                     eq[(m, n)] = alg.one if m == n else alg.zero
-                if eq[(m, n)] not in els:
+                if not alg.is_element(eq[(m, n)]):
                     raise ValueError(f"eq value for {(m, n)} not in the algebra")
         for (m, n) in eq:
             if m not in self.domain or n not in self.domain:
@@ -72,7 +72,7 @@ class BValuedModel:
                     raise ValueError(f"bad tuple length for {rel}: {args}")
                 if any(a not in self.domain for a in args):
                     raise ValueError(f"tuple {args} outside the domain")
-                if v not in els:
+                if not alg.is_element(v):
                     raise ValueError(f"value for {rel}{args} not in the algebra")
             rels[rel] = dict(table)
         for rel, arity in declared.items():
@@ -232,22 +232,28 @@ def check_subst_inequality(model: BValuedModel, f: Formula,
 # mixing and fullness
 
 def _canonical_key(x) -> str | tuple:
-    """Sort key for algebra elements that does not depend on the string-hash
+    """Sort key for element labels that does not depend on the string-hash
     seed: a frozenset becomes the sorted keys of its members."""
     if isinstance(x, frozenset):
         return tuple(sorted(_canonical_key(m) for m in x))
     return repr(x)
 
 
+def _by_label(alg: FinBooleanAlgebra, elements) -> list:
+    return sorted(elements, key=lambda x: _canonical_key(alg.labels[x]))
+
+
 def check_mixing(model: BValuedModel) -> dict:
     """Decide the mixing property through atom refinement: the model mixes
     iff for every function g from atoms to the domain some element tau has
     atom <= [tau = g(atom)] for every atom. On failure the atoms form the
-    reported antichain with targets g."""
-    atoms = sorted(model.algebra.atoms(), key=_canonical_key)
+    reported antichain (as labels) with targets g."""
+    alg = model.algebra
+    atoms = _by_label(alg, alg.atoms())
     for targets in itertools.product(model.domain, repeat=len(atoms)):
         if mixes_over(model, atoms, targets) is None:
-            return {"mixing": False, "antichain": list(atoms),
+            return {"mixing": False,
+                    "antichain": [alg.labels[a] for a in atoms],
                     "targets": list(targets)}
     return {"mixing": True}
 
@@ -266,7 +272,7 @@ def check_mixing_by_antichains(model: BValuedModel) -> dict:
     """Cross-check: enumerate every antichain of nonzero elements and every
     target map; exponential, for small algebras only."""
     alg = model.algebra
-    nz = sorted(alg.nonzero(), key=_canonical_key)
+    nz = _by_label(alg, alg.nonzero())
 
     antichains: list[tuple] = [()]
     def extend(prefix: tuple, rest: list) -> None:
@@ -282,7 +288,8 @@ def check_mixing_by_antichains(model: BValuedModel) -> dict:
             continue
         for targets in itertools.product(model.domain, repeat=len(chain)):
             if mixes_over(model, list(chain), list(targets)) is None:
-                return {"mixing": False, "antichain": list(chain),
+                return {"mixing": False,
+                        "antichain": [alg.labels[a] for a in chain],
                         "targets": list(targets)}
     return {"mixing": True}
 
@@ -328,7 +335,8 @@ def check_full_everywhere(model: BValuedModel, f: Formula) -> dict:
 # ---------------------------------------------------------------------------
 # bounded satisfiability search
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """Restricted-growth strings: canonical encodings of set partitions of n
     items, lexicographic order."""
     out: list[tuple[int, ...]] = []
@@ -343,7 +351,7 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
             prefix.pop()
 
     grow([], 0)
-    return out
+    return tuple(out)
 
 
 def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
@@ -384,7 +392,7 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
         bits = sum(n_dom ** a for a in arities)
         count = structure_count(n_dom, arities) if bits <= 64 else 0
         if not 0 < count <= STRUCTURE_CAP:
-            raise StructureCapExceeded(
+            raise CapExceeded(
                 f"domain size {n_dom} has {count or f'over 2^{bits}'} "
                 f"per-atom structures, over the cap of {STRUCTURE_CAP}; "
                 f"lower --max-domain")
@@ -462,15 +470,14 @@ def assemble_model(signature: Signature, atom_names: tuple[str, ...],
     eq = {}
     for m in domain:
         for n in domain:
-            eq[(m, n)] = frozenset(
-                a for a, (rgs, _) in zip(atom_names, per_atom)
-                if rgs[idx[m]] == rgs[idx[n]])
+            eq[(m, n)] = sum(1 << i for i, (rgs, _) in enumerate(per_atom)
+                             if rgs[idx[m]] == rgs[idx[n]])
     relations = {}
     for r_i, (rel, arity) in enumerate(signature.relations):
         table = {}
         for args in itertools.product(domain, repeat=arity):
-            table[args] = frozenset(
-                a for a, (rgs, choice) in zip(atom_names, per_atom)
+            table[args] = sum(
+                1 << i for i, (rgs, choice) in enumerate(per_atom)
                 if tuple(rgs[idx[x]] for x in args) in choice[r_i])
         relations[rel] = table
     return BValuedModel(signature, alg, domain, eq, relations, dict(constants))

@@ -1,6 +1,7 @@
 """Command-line surface: thirteen subcommands over the JSON file formats.
 
-Exit codes: 0 success, 1 a checked expectation failed, 2 malformed input.
+Exit codes: 0 success, 1 a checked expectation failed, 2 malformed input
+(including a table algebra that breaks a Boolean law, and a cap overrun).
 Every randomized check takes --seed and defaults to seed 0, so identical
 invocations print identical reports.
 """
@@ -13,13 +14,14 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .boolalg import FinBooleanAlgebra, check_algebra, \
-    regular_open_sets_bruteforce, ro_completion
-from .bvmodel import StructureCapExceeded, UnboundVariable, \
-    bounded_boolean_sat, check_model, eval_formula
+from .boolalg import check_algebra, regular_open_sets_bruteforce, \
+    ro_completion
+from .bvmodel import CapExceeded, UnboundVariable, bounded_boolean_sat, \
+    check_model, eval_formula
 from .calculus import Sequent, check_proof, soundness_sample
-from .consprop import ConsistencyProperty, build_af, check_cp, check_smax, \
-    convert_to_explicit, cp_from_model, generic_filter, verify_realizes
+from .consprop import ConsistencyProperty, IllDefined, build_af, check_cp, \
+    check_smax, convert_to_explicit, cp_from_model, generic_filter, \
+    verify_realizes
 from .iojson import ParseError, dumps, emit_algebra, emit_cp, \
     emit_element, emit_formula, emit_model, emit_pool, emit_poset, \
     emit_proof, emit_signature, emit_theory, emit_ultrafilter, load_json, \
@@ -36,7 +38,8 @@ DEFAULT_SEED = 0
 
 def _plain(x: Any) -> Any:
     """Reduce report values to JSON-friendly data; formulas print as their
-    canonical form, sets as sorted lists."""
+    canonical form, sets as sorted lists. Only the reports that hold a
+    sequent (check-proof) or element labels (the mixing report) need it."""
     if isinstance(x, Formula):
         return x.key()
     if isinstance(x, Sequent):
@@ -52,7 +55,7 @@ def _plain(x: Any) -> Any:
 
 
 def _print(report: dict) -> None:
-    sys.stdout.write(dumps(_plain(report)))
+    sys.stdout.write(dumps(report))
 
 
 def _input_error(msg: str) -> int:
@@ -103,11 +106,8 @@ def cmd_sat(args) -> int:
     if args.max_atoms < 1 or args.max_domain < 1:
         return _input_error("--max-atoms and --max-domain must be at least 1")
     sig, sentences = parse_theory(load_json(args.theory))
-    try:
-        result = bounded_boolean_sat(sig, list(sentences), args.max_atoms,
-                                     args.max_domain, args.mode)
-    except StructureCapExceeded as exc:
-        return _input_error(str(exc))
+    result = bounded_boolean_sat(sig, list(sentences), args.max_atoms,
+                                 args.max_domain, args.mode)
     if result.get("found"):
         _print({"found": True, "atoms": result["atoms"],
                 "domain_size": result["domain_size"],
@@ -159,10 +159,10 @@ def cmd_generic(args) -> int:
     root = _family_root(cp, args.root)
     try:
         gf = generic_filter(cp, root)
-    except (AssertionError, ValueError) as exc:
+        term_model = build_af(cp, gf.sigma)
+    except (AssertionError, ValueError, IllDefined) as exc:
         _print({"ok": False, "reason": str(exc)})
         return 1
-    term_model = build_af(cp, gf.sigma)
     realizes = verify_realizes(term_model, gf.sigma)
     report = {
         "ok": realizes["ok"],
@@ -208,7 +208,7 @@ def cmd_mansfield(args) -> int:
         "model_report": built["model_report"],
         "claim1": claim1,
         "claim2": claim2,
-        "mixing": mixing_report(built),
+        "mixing": _plain(mixing_report(built)),
     }
     if args.emit_model:
         save_json(args.emit_model, emit_model(built["model"]))
@@ -217,31 +217,19 @@ def cmd_mansfield(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _boolean_algebra(path: str) -> FinBooleanAlgebra:
-    """The algebra in the file, which must satisfy every Boolean law."""
-    alg = parse_algebra(load_json(path))
-    violations = check_algebra(alg)["violations"]
-    if violations:
-        law, args = violations[0]["law"], violations[0]["args"]
-        where = f" at {', '.join(map(str, args))}" if args else ""
-        raise ParseError(f"$: not a Boolean algebra: {law} fails{where}")
-    return alg
-
-
 def cmd_cp_from_algebra(args) -> int:
-    alg = _boolean_algebra(args.algebra)
-    cp, _, report = cp_from_algebra(alg)
+    alg = parse_algebra(load_json(args.algebra))
+    cp, pi, report = cp_from_algebra(alg)
     if args.emit:
-        sys.stderr.write(dumps(_plain(report)))
-        sys.stdout.write(dumps(emit_cp(convert_to_explicit(cp))))
+        sys.stderr.write(dumps(report))
+        sys.stdout.write(dumps(emit_cp(convert_to_explicit(cp, pi))))
     else:
         _print(report)
     return 0 if report["ok"] else 1
 
 
 def cmd_roundtrip(args) -> int:
-    alg = _boolean_algebra(args.algebra)
-    report = roundtrip_check(alg)
+    report = roundtrip_check(parse_algebra(load_json(args.algebra)))
     _print(report)
     return 0 if report["ok"] else 1
 
@@ -262,7 +250,7 @@ def cmd_ro(args) -> int:
     }
     if len(poset.elements) <= args.brute_max:
         brute = regular_open_sets_bruteforce(poset)
-        report["brute_match"] = brute == set(alg.elements)
+        report["brute_match"] = brute == set(alg.labels)
         report["ok"] = report["ok"] and report["brute_match"]
     _print(report)
     return 0 if report["ok"] else 1
@@ -280,9 +268,9 @@ def cmd_check_proof(args) -> int:
         report = dict(report)
         report["soundness"] = sampled
         if not sampled["ok"]:
-            _print(report)
+            _print(_plain(report))
             return 1
-    _print(report)
+    _print(_plain(report))
     return 0 if report["accepted"] else 1
 
 
@@ -551,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, CapExceeded) as exc:
         return _input_error(str(exc))
 
 

@@ -2,11 +2,12 @@
 finite sentence pool, maximality, forcing posets over the family, dense sets,
 generic filters, and the term structure realized by a generic filter.
 
-A family is either an explicit finite list of finite sentence sets or a
-membership oracle with a declared pool. Oracle families must be closed under
-subsets (the eval-positivity oracles produced here are); they are enumerated
-as the accepted pool-subsets, depth-first with antitone pruning and a hard
-cap. Sentences that a clause adds are looked up in explicit families (a miss
+A family is either an explicit finite list of finite sentence sets or the
+positivity family of a model: a membership oracle with a declared pool,
+accepting a set exactly when the meet of its sentences' values is nonzero.
+Positivity families are closed under subsets; they are enumerated as the
+accepted pool-subsets, depth-first with antitone pruning and a hard cap.
+Sentences that a clause adds are looked up in explicit families (a miss
 outside the pool is a PoolIncomplete finding) and simply evaluated through
 the oracle otherwise.
 """
@@ -17,7 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .bvmodel import BValuedModel, TwoValuedStructure, eval_formula
+from .bvmodel import BValuedModel, CapExceeded, TwoValuedStructure, \
+    eval_formula
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature,
     constants_of, is_sentence, move_neg_inside, replace_const, subformulas,
@@ -85,50 +87,61 @@ def _member_key(m: frozenset) -> tuple:
     return tuple(sorted(f.key() for f in m))
 
 
-def enumerate_members(cp: ConsistencyProperty,
-                      cap: int = MEMBER_CAP) -> list[frozenset]:
-    """Family members. Oracle families are enumerated depth-first over the
-    pool; the pruning is exact because the oracles built here are antitone
-    (membership closed under subsets)."""
+def enumerate_members(cp: ConsistencyProperty) -> list[frozenset]:
+    """Family members: the explicit list, or a positivity family's members
+    in the order of member_meets."""
     if cp.family is not None:
         return list(cp.family)
-    pool = sorted(cp.pool, key=_pkey)
-    out: list[frozenset] = []
+    return list(member_meets(cp))
 
-    def dfs(current: frozenset, start: int) -> None:
-        out.append(current)
-        if len(out) > cap:
-            raise RuntimeError(
-                f"oracle family exceeds the member cap ({cap}); "
+
+def member_meets(cp: ConsistencyProperty) -> dict[frozenset, int]:
+    """The members of a positivity family, each mapped to the meet of its
+    sentences' values. The walk is depth-first over the pool in canonical
+    order and carries the running meet, so a candidate costs one AND with
+    the next sentence's value mask; the pruning is exact because the family
+    is closed under subsets."""
+    pool = sorted(cp.pool, key=_pkey)
+    value = cp.meta["value"]
+    masks = [value(f) for f in pool]
+    out: dict[frozenset, int] = {}
+
+    def dfs(current: frozenset, meet: int, start: int) -> None:
+        out[current] = meet
+        if len(out) > MEMBER_CAP:
+            raise CapExceeded(
+                f"oracle family exceeds the member cap ({MEMBER_CAP}); "
                 f"shrink the pool")
         for i in range(start, len(pool)):
-            nxt = current | {pool[i]}
-            if cp.oracle(nxt):
-                dfs(nxt, i + 1)
+            nxt = meet & masks[i]
+            if nxt:
+                dfs(current | {pool[i]}, nxt, i + 1)
 
-    if cp.oracle(frozenset()):
-        dfs(frozenset(), 0)
+    dfs(frozenset(), cp.meta["model"].algebra.one, 0)
     return out
 
 
-def maximal_members(cp: ConsistencyProperty, root: frozenset = frozenset(),
-                    cap: int = MEMBER_CAP) -> list[frozenset]:
+def maximal_members(cp: ConsistencyProperty,
+                    root: frozenset = frozenset()) -> list[frozenset]:
     """Inclusion-maximal members extending the root; these are the minimal
-    conditions of the forcing poset below the root. Oracle families are
-    subset-closed, so maximality reduces to single-sentence extensions."""
-    sup = [m for m in enumerate_members(cp, cap) if root <= m]
-    return sorted(maximal_among(cp, sup), key=_member_key)
+    conditions of the forcing poset below the root."""
+    if cp.explicit:
+        above = [m for m in cp.family if root <= m]
+    else:
+        above = {m: v for m, v in member_meets(cp).items() if root <= m}
+    return sorted(maximal_among(cp, above), key=_member_key)
 
 
-def maximal_among(cp: ConsistencyProperty,
-                  members: list[frozenset]) -> list[frozenset]:
-    """The inclusion-maximal sets among `members`, a list of family members
-    that holds every family member above each of its sets."""
+def maximal_among(cp: ConsistencyProperty, members) -> list[frozenset]:
+    """The inclusion-maximal sets among `members` (every family member above
+    each of them included): a list, or for a positivity family a dict from
+    member to meet, and then a member is maximal when its meet is disjoint
+    from the value of each pool sentence it lacks."""
     if cp.family is not None:
         return [m for m in members if not any(m < other for other in members)]
-    pool = set(cp.pool)
-    return [m for m in members
-            if not any(cp.oracle(m | {f}) for f in pool - m)]
+    masks = [(f, cp.meta["value"](f)) for f in cp.pool]
+    return [m for m, meet in members.items()
+            if not any(meet & v for f, v in masks if f not in m)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +166,8 @@ def default_pool(signature: Signature, fresh_constants: tuple[str, ...],
             continue
         seen.add(f)
         if len(seen) > POOL_CAP:
-            raise RuntimeError(f"pool closure exceeds {POOL_CAP} formulas")
+            raise CapExceeded(f"pool closure exceeds the pool cap "
+                              f"({POOL_CAP} formulas)")
         for g in subformulas(f):
             if g not in seen:
                 work.append(g)
@@ -237,14 +251,14 @@ def _miss(cp: ConsistencyProperty, s: frozenset, clause: str,
     violations.append(entry)
 
 
-def check_cp(cp: ConsistencyProperty, cap: int = MEMBER_CAP) -> dict:
+def check_cp(cp: ConsistencyProperty) -> dict:
     """Check every consistency-property clause on every family member.
     Returns {"ok", "family_size", "violations": [...]}; violation entries
     carry the clause tag, the offending member, and what was required.
     The sentences a clause asks for depend on the sentence, not on the
     member, so each is built once per family."""
     violations: list[dict] = []
-    members = enumerate_members(cp, cap)
+    members = enumerate_members(cp)
     consts = cp.all_constants()
     fresh = cp.fresh_constants
     pool_set = set(cp.pool)
@@ -329,11 +343,11 @@ def check_cp(cp: ConsistencyProperty, cap: int = MEMBER_CAP) -> dict:
             "violations": violations}
 
 
-def check_smax(cp: ConsistencyProperty, cap: int = MEMBER_CAP) -> dict:
+def check_smax(cp: ConsistencyProperty) -> dict:
     """Maximality: every member extends by each pool sentence or by its
     literal negation."""
     violations = []
-    members = enumerate_members(cp, cap)
+    members = enumerate_members(cp)
     for s in members:
         for f in cp.pool:
             pos = _try_extension(cp, s, f, "S-Max", [], require=False)
@@ -352,25 +366,19 @@ def cp_from_model(model: BValuedModel, pool: Iterable[Formula] | None = None,
                   seeds: Iterable[Formula] = ()) -> ConsistencyProperty:
     """The positivity family of a valid model: the fresh constants are the
     domain elements naming themselves, and a finite sentence set is a member
-    exactly when its conjunction has nonzero value."""
+    exactly when its conjunction has nonzero value. Each sentence is
+    evaluated once; its value mask is kept in `meta["value"]`."""
     named = model.with_self_named_constants(model.domain)
-    zero = named.algebra.zero
-    memo: dict[Formula, object] = {}
-    set_memo: dict[frozenset, bool] = {}
+    memo: dict[Formula, int] = {}
 
-    def value(f: Formula):
+    def value(f: Formula) -> int:
         v = memo.get(f)
         if v is None:
-            v = eval_formula(named, f)
-            memo[f] = v
+            v = memo[f] = eval_formula(named, f)
         return v
 
     def oracle(s: frozenset) -> bool:
-        r = set_memo.get(s)
-        if r is None:
-            r = named.algebra.inf(value(f) for f in s) != zero
-            set_memo[s] = r
-        return r
+        return named.algebra.inf(map(value, s)) != named.algebra.zero
 
     if pool is None:
         pool = default_pool(model.signature, tuple(model.domain), list(seeds))
@@ -383,49 +391,53 @@ def cp_from_model(model: BValuedModel, pool: Iterable[Formula] | None = None,
 
 
 def convert_to_explicit(cp: ConsistencyProperty,
-                        cap: int = MEMBER_CAP) -> ConsistencyProperty:
+                        members: Iterable[frozenset] | None = None
+                        ) -> ConsistencyProperty:
+    """The family as an explicit list of `members`, by default all."""
     return ConsistencyProperty(
         signature=cp.signature, fresh_constants=cp.fresh_constants,
-        pool=cp.pool, family=tuple(enumerate_members(cp, cap)),
-        meta=dict(cp.meta))
+        pool=cp.pool, meta=dict(cp.meta),
+        family=tuple(enumerate_members(cp) if members is None else members))
 
 
 # ---------------------------------------------------------------------------
 # forcing poset, dense sets, generic filters
 
 def forcing_poset_conditions(cp: ConsistencyProperty,
-                             root: frozenset = frozenset(),
-                             cap: int = MEMBER_CAP) -> list[frozenset]:
+                             root: frozenset = frozenset()
+                             ) -> list[frozenset]:
     """All conditions extending the root: subsets of family members that
-    contain the root (the forcing order is reverse inclusion)."""
+    contain the root (the forcing order is reverse inclusion). At most
+    MEMBER_CAP of them."""
     out: set[frozenset] = set()
-    for m in maximal_members(cp, root, cap):
+    for m in maximal_members(cp, root):
         rest = sorted(m - root, key=_pkey)
         for k in range(len(rest) + 1):
             for combo in itertools.combinations(rest, k):
                 out.add(root | frozenset(combo))
-                if len(out) > cap:
-                    raise RuntimeError("condition count exceeds the cap")
+                if len(out) > MEMBER_CAP:
+                    raise CapExceeded(
+                        f"the forcing poset exceeds the condition cap "
+                        f"({MEMBER_CAP} conditions)")
     return sorted(out, key=_member_key)
 
 
-def forcing_poset(cp: ConsistencyProperty, root: frozenset = frozenset(),
-                  cap: int = MEMBER_CAP):
+def forcing_poset(cp: ConsistencyProperty, root: frozenset = frozenset()):
     """The forcing poset of conditions extending the root, ordered by reverse
     inclusion (p below q exactly when p is the larger set)."""
     from .boolalg import FinPoset
-    conds = forcing_poset_conditions(cp, root, cap)
+    conds = forcing_poset_conditions(cp, root)
     pairs = [(p, q) for p in conds for q in conds if q <= p]
     return FinPoset(conds, pairs)
 
 
-def dense_sets(cp: ConsistencyProperty, cap: int = MEMBER_CAP) -> list[dict]:
+def dense_sets(cp: ConsistencyProperty) -> list[dict]:
     """The dense-set roster: one set per disjunctive pool sentence (a
     condition extends by some disjunct), one per existential pool sentence
     (extends by some fresh-constant instance), one per base constant d (some
     fresh c with c=d). Density below a condition containing the trigger is
     decided on the maximal members, which is equivalent at finite scale."""
-    maxes = maximal_members(cp, frozenset(), cap)
+    maxes = maximal_members(cp)
     out = []
     for f in cp.pool:
         if isinstance(f, Or):
@@ -484,13 +496,13 @@ def _dense_triggers(cp: ConsistencyProperty, entry: dict):
     return None, tuple(Eq(Const(c), Const(d)) for c in cp.fresh_constants)
 
 
-def generic_filter(cp: ConsistencyProperty, root: frozenset = frozenset(),
-                   cap: int = MEMBER_CAP) -> GenericFilter:
+def generic_filter(cp: ConsistencyProperty,
+                   root: frozenset = frozenset()) -> GenericFilter:
     """The up-set of the lexicographically least minimal condition below the
     root (any condition of the forcing poset). Verified to meet every emitted
     dense set that is dense below the root; satisfies members == finite
     subsets of sigma by construction."""
-    maxes = maximal_members(cp, root, cap)
+    maxes = maximal_members(cp, root)
     if not maxes:
         raise ValueError("the root is not a condition of the forcing poset")
     minimum = maxes[0]  # maximal_members sorts canonically
@@ -500,7 +512,7 @@ def generic_filter(cp: ConsistencyProperty, root: frozenset = frozenset(),
         for combo in itertools.combinations(rest, k):
             members.append(frozenset(combo))
     report = []
-    for entry in dense_sets(cp, cap):
+    for entry in dense_sets(cp):
         guard, triggers = _dense_triggers(cp, entry)
         dense_below_root = all(
             (guard is not None and guard not in m)
@@ -607,12 +619,11 @@ def verify_realizes(term_model: TwoValuedStructure,
 
 def check_kappa_omega_iff(cp: ConsistencyProperty,
                           gf: GenericFilter | None = None,
-                          root: frozenset = frozenset(),
-                          cap: int = MEMBER_CAP) -> dict:
+                          root: frozenset = frozenset()) -> dict:
     """On a maximal family: for every pool sentence, the term structure
     satisfies it exactly when it lies in sigma."""
     if gf is None:
-        gf = generic_filter(cp, root, cap)
+        gf = generic_filter(cp, root)
     tm = build_af(cp, gf.sigma)
     model = tm.to_two_valued_model()
     one = model.algebra.one

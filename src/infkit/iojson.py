@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Any, Callable, NoReturn
+from typing import Any, NoReturn
 
 from .boolalg import FinBooleanAlgebra, FinPoset, powerset_algebra, \
     ro_completion, table_algebra
@@ -275,20 +275,20 @@ def emit_algebra(alg: FinBooleanAlgebra) -> dict:
         raise ValueError("regular-open algebra over non-identifier poset "
                          "elements; convert with as_table_algebra first")
     if alg.kind == "table":
-        els = list(alg.elements)
+        els, name = alg.elements, alg.labels
         return {
             "type": "table",
-            "elements": els,
-            "meet": [[alg.meet(a, b) for b in els] for a in els],
-            "join": [[alg.join(a, b) for b in els] for a in els],
-            "comp": [alg.comp(a) for a in els],
+            "elements": [name[a] for a in els],
+            "meet": [[name[alg.meet(a, b)] for b in els] for a in els],
+            "join": [[name[alg.join(a, b)] for b in els] for a in els],
+            "comp": [name[alg.comp(a)] for a in els],
         }
     raise ValueError(f"algebra kind {alg.kind!r} has no file form; "
                      "convert with as_table_algebra first")
 
 
 def _skey(x: Any):
-    """Deterministic sort key for algebra elements of any internal shape."""
+    """Deterministic sort key for element labels of any shape."""
     if isinstance(x, Formula):
         return ("f", x.key())
     if isinstance(x, frozenset):
@@ -296,48 +296,50 @@ def _skey(x: Any):
     return ("a", str(x))
 
 
-def as_table_algebra(alg: FinBooleanAlgebra) -> tuple[FinBooleanAlgebra, dict]:
-    """Isomorphic copy with opaque string elements b0..bN, plus the element
-    map. Makes algebras with unprintable carriers (regular opens of formula
-    posets) serializable."""
+def as_table_algebra(alg: FinBooleanAlgebra) -> FinBooleanAlgebra:
+    """The same algebra, masks included, as a table over the opaque labels
+    b0..bN: zero first, one last, the rest in the order of their old labels.
+    Makes algebras with unprintable labels (regular opens of formula posets)
+    serializable."""
     middle = sorted((e for e in alg.elements if e not in (alg.zero, alg.one)),
-                    key=_skey)
-    ordered = [alg.zero] + middle + ([alg.one] if alg.one != alg.zero else [])
+                    key=lambda e: _skey(alg.labels[e]))
+    ordered = (alg.zero, *middle, alg.one)
     names = {e: f"b{i}" for i, e in enumerate(ordered)}
-    els = [names[e] for e in ordered]
-    meet = [[names[alg.meet(a, b)] for b in ordered] for a in ordered]
-    join = [[names[alg.join(a, b)] for b in ordered] for a in ordered]
-    comp = [names[alg.comp(a)] for a in ordered]
-    return table_algebra(els, meet, join, comp), names
+    return FinBooleanAlgebra("table", ordered,
+                             tuple(names[e] for e in range(alg.one + 1)))
 
 
 # ---------------------------------------------------------------------------
 # algebra elements
 
-def parse_element(alg: FinBooleanAlgebra, x: Any, path: str = "$"):
-    if x == "0" and "0" not in alg.elements:
+def parse_element(alg: FinBooleanAlgebra, x: Any, path: str = "$") -> int:
+    """The element whose label is x: an element name, a sorted name list
+    for a set label, or the alias '0'/'1'."""
+    if x == "0" and "0" not in alg.masks:
         return alg.zero
-    if x == "1" and "1" not in alg.elements:
+    if x == "1" and "1" not in alg.masks:
         return alg.one
     if isinstance(x, str):
-        if x in alg.elements:
-            return x
+        if x in alg.masks:
+            return alg.masks[x]
         _fail(path, f"{x!r} is not an element of the algebra")
     if isinstance(x, list):
         val = frozenset(_str(n, f"{path}[{i}]") for i, n in enumerate(x))
-        if val in set(alg.elements):
-            return val
+        if val in alg.masks:
+            return alg.masks[val]
         _fail(path, f"{sorted(x)} is not an element of the algebra")
     _fail(path, "an element is a sorted name list, an element name, "
                 "or the alias '0'/'1'")
 
 
 def emit_element(alg: FinBooleanAlgebra, val: Any):
-    if val not in set(alg.elements):
+    """The label of an element, a set label as a sorted name list."""
+    if not alg.is_element(val):
         raise ValueError(f"value {val!r} is not in the algebra")
-    if isinstance(val, frozenset):
-        return sorted(str(v) for v in val)
-    return val
+    label = alg.labels[val]
+    if isinstance(label, frozenset):
+        return sorted(str(v) for v in label)
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +391,22 @@ def parse_model(x: Any, path: str = "$") -> BValuedModel:
 
 def emit_model(model: BValuedModel) -> dict:
     alg = model.algebra
-    rename: Callable[[Any], Any] = lambda v: v
     try:
         alg_obj = emit_algebra(alg)
     except ValueError:
-        table, names = as_table_algebra(alg)
-        alg_obj = emit_algebra(table)
-        alg, rename = table, names.__getitem__
+        alg = as_table_algebra(alg)
+        alg_obj = emit_algebra(alg)
     eq_rows = []
     for m in sorted(model.domain):
         for n in sorted(model.domain):
             val = model.eq[(m, n)]
-            default = model.algebra.one if m == n else model.algebra.zero
-            if val != default:
+            if val != (alg.one if m == n else alg.zero):
                 eq_rows.append({"pair": [m, n],
-                                "value": emit_element(alg, rename(val))})
+                                "value": emit_element(alg, val)})
     rel_obj = {}
     for rel, table in sorted(model.relations.items()):
-        rows = [{"args": list(args), "value": emit_element(alg, rename(v))}
-                for args, v in sorted(table.items()) if v != model.algebra.zero]
+        rows = [{"args": list(args), "value": emit_element(alg, v)}
+                for args, v in sorted(table.items()) if v != alg.zero]
         if rows:
             rel_obj[rel] = rows
     out = {

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from .boolalg import (
     FinBooleanAlgebra, FinPoset, TrivialAlgebra, ro_completion,
 )
-from .bvmodel import BValuedModel, check_mixing, check_model, eval_formula
+from .bvmodel import BValuedModel, _by_label, check_mixing, check_model, \
+    eval_formula
 from .consprop import (
-    ConsistencyProperty, cp_from_model, check_cp, enumerate_members,
-    forcing_poset_conditions, maximal_among, MEMBER_CAP, _member_key, _pkey,
+    ConsistencyProperty, cp_from_model, check_cp, forcing_poset_conditions,
+    maximal_among, member_meets, _member_key, _pkey,
 )
 from .syntax import (
     Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
@@ -42,9 +43,8 @@ class ConditionAlgebra:
 
 
 def condition_algebra(cp: ConsistencyProperty,
-                      root: frozenset = frozenset(),
-                      cap: int = MEMBER_CAP) -> ConditionAlgebra:
-    conds = forcing_poset_conditions(cp, root, cap)
+                      root: frozenset = frozenset()) -> ConditionAlgebra:
+    conds = forcing_poset_conditions(cp, root)
     if not conds:
         raise ValueError("the root is not a condition of the forcing poset")
     pairs = [(p, q) for p in conds for q in conds if q <= p]
@@ -55,18 +55,18 @@ def condition_algebra(cp: ConsistencyProperty,
 
 
 def mansfield_build(cp: ConsistencyProperty, root: frozenset = frozenset(),
-                    cap: int = MEMBER_CAP, verify: bool = True) -> dict:
+                    verify: bool = True) -> dict:
     """Model over the restricted regular-open algebra in which every root
     sentence holds with value one. Verifies the family first (the clauses are
     exactly what the equality-axiom and root-validity checks consume) and
     fails loudly on a family that is not a consistency property."""
     if verify:
-        rep = check_cp(cp, cap)
+        rep = check_cp(cp)
         if not rep["ok"]:
             raise ValueError(
                 f"the family is not a consistency property; first violation: "
                 f"{rep['violations'][0]}")
-    ca = condition_algebra(cp, root, cap)
+    ca = condition_algebra(cp, root)
     consts = cp.all_constants()
     sig = cp.extended_signature()
     eq = {}
@@ -96,11 +96,10 @@ def mansfield_build(cp: ConsistencyProperty, root: frozenset = frozenset(),
 
 
 def verify_claim1(cp: ConsistencyProperty, root: frozenset = frozenset(),
-                  cap: int = MEMBER_CAP,
                   ca: ConditionAlgebra | None = None) -> dict:
     """Whenever every condition extending s accepts the sentence, the
     regular-open neighborhood of s sits below the sentence's join."""
-    ca = ca if ca is not None else condition_algebra(cp, root, cap)
+    ca = ca if ca is not None else condition_algebra(cp, root)
     cond_set = set(ca.conditions)
     checked = skipped = 0
     failures = []
@@ -121,22 +120,23 @@ def verify_claim1(cp: ConsistencyProperty, root: frozenset = frozenset(),
 
 def verify_claim2(cp: ConsistencyProperty, root: frozenset = frozenset(),
                   pool: tuple[Formula, ...] | None = None,
-                  cap: int = MEMBER_CAP, built: dict | None = None) -> dict:
+                  built: dict | None = None) -> dict:
     """The join over conditions never exceeds the model value, sentence by
     sentence."""
     built = built if built is not None else mansfield_build(
-        cp, root, cap, verify=False)
+        cp, root, verify=False)
     ca = built["conditions"]
     model = built["model"]
     pool = pool if pool is not None else cp.pool
+    labels = ca.algebra.labels
     failures = []
     for f in pool:
         lv = ca.l_value(f)
         mv = eval_formula(model, f)
         if not ca.algebra.leq(lv, mv):
             failures.append({"sentence": f.key(),
-                             "l_value": sorted(map(repr, lv)),
-                             "model_value": sorted(map(repr, mv))})
+                             "l_value": sorted(map(repr, labels[lv])),
+                             "model_value": sorted(map(repr, labels[mv]))})
     return {"ok": not failures, "checked": len(pool), "failures": failures}
 
 
@@ -150,9 +150,10 @@ def mixing_report(built: dict) -> dict:
 
 def _element_names(alg: FinBooleanAlgebra) -> dict:
     def skey(e):
-        if isinstance(e, frozenset):
-            return (0, len(e), tuple(sorted(map(repr, e))))
-        return (1, 0, (repr(e),))
+        lab = alg.labels[e]
+        if isinstance(lab, frozenset):
+            return (0, len(lab), tuple(sorted(map(repr, lab))))
+        return (1, 0, (repr(lab),))
     ordered = sorted(alg.elements, key=skey)
     return {e: f"e{i}" for i, e in enumerate(ordered)}
 
@@ -211,14 +212,9 @@ def cp_from_algebra(
     model, names = algebra_model(alg)
     pool = sb_pool(alg, names)
     cp = cp_from_model(model, pool)
-    members = enumerate_members(cp)
-    sentence_value = cp.meta["value"]   # each pool sentence evaluated once
+    pi = member_meets(cp)
+    members = list(pi)
     zero = alg.zero
-
-    def value(s: frozenset):
-        return alg.inf(sentence_value(f) for f in s)
-
-    pi = {s: value(s) for s in members}
 
     order_failures = []
     incomp_failures = []
@@ -246,7 +242,7 @@ def cp_from_algebra(
         f = Atom("inG", (Const(names[e]),))
         if e != zero:
             s = frozenset({f})
-            if not cp.is_member(s) or value(s) != e:
+            if not cp.is_member(s) or cp.meta["value"](f) != e:
                 surj_failures.append(names[e])
 
     report = {
@@ -269,14 +265,13 @@ def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
     completed explicitly."""
     cp, pi, _ = cp_from_algebra(alg)
     members = list(pi)             # the members, in enumeration order
-    atoms = sorted(alg.atoms(), key=lambda e: sorted(map(repr, e))
-                   if isinstance(e, frozenset) else repr(e))
+    atoms = _by_label(alg, alg.atoms())
     by_atom = {}
     for a in atoms:
         by_atom[a] = frozenset(
             f for f in cp.pool if alg.leq(a, cp.meta["value"](f)))
     member_set = set(members)
-    maxes = set(maximal_among(cp, members))
+    maxes = set(maximal_among(cp, pi))
     max_match = (
         set(by_atom.values()) == maxes
         and len(by_atom) == len(set(by_atom.values()))
@@ -313,7 +308,8 @@ def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
         max_match = max_match and set(poset.minimals()) == maxes
         # minimal conditions inside Reg(N_s) are exactly those containing s
         reg_matches = reg_matches and ro_size == len(alg.elements) and all(
-            h(frozenset(m for m in by_atom.values() if m in emb[s]))
+            h(frozenset(m for m in by_atom.values()
+                        if m in ro_alg.labels[emb[s]]))
             == pi[s]
             for s in members)
 

@@ -36,8 +36,8 @@ def four_element_model() -> BValuedModel:
     eq = {}
     for m in dom:
         for n in dom:
-            eq[(m, n)] = frozenset(
-                a for a, x, y in zip(("a0", "a1"), bits(m), bits(n)) if x == y)
+            eq[(m, n)] = sum(1 << i for i, (x, y)
+                             in enumerate(zip(bits(m), bits(n))) if x == y)
     return BValuedModel(split_signature(), alg, dom, eq, {},
                         {"d": "m01", "c0": "m00", "c1": "m11"})
 

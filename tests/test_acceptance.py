@@ -73,7 +73,7 @@ def test_ro_completion_matches_bruteforce_on_all_small_posets(corpus_dir):
         for poset in posets:
             alg, emb = ro_completion(poset)
             assert check_algebra(alg)["ok"]
-            assert set(alg.elements) == regular_open_sets_bruteforce(poset)
+            assert set(alg.labels) == regular_open_sets_bruteforce(poset)
             for p, q in itertools.product(poset.elements, repeat=2):
                 if poset.leq(p, q):
                     assert alg.leq(emb[p], emb[q])

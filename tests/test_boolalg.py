@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infkit.boolalg import (
-    FinPoset, check_algebra, enumerate_ultrafilters, is_dense_subset,
-    is_filter, is_ultrafilter, powerset_algebra, principal_filter,
-    regular_open_sets_bruteforce, ro_completion, table_algebra,
-    two_valued_algebra,
+    FinPoset, check_algebra, check_tables, enumerate_ultrafilters,
+    is_dense_subset, is_filter, is_ultrafilter, powerset_algebra,
+    principal_filter, regular_open_sets_bruteforce, ro_completion,
+    table_algebra, two_valued_algebra,
 )
 from infkit.modelgen import all_labeled_posets
 
@@ -36,8 +36,11 @@ def test_powerset_algebra_laws(n):
     assert len(alg.elements) == 2 ** n
     assert check_algebra(alg)["ok"]
     assert len(alg.atoms()) == n
-    assert alg.zero == frozenset() and alg.one == frozenset(
-        f"a{i}" for i in range(n))
+    assert alg.zero == 0 and alg.one == 2 ** n - 1
+    assert alg.labels[alg.zero] == frozenset()
+    assert alg.labels[alg.one] == frozenset(f"a{i}" for i in range(n))
+    assert [alg.labels[a] for a in alg.atoms()] == [
+        frozenset({f"a{i}"}) for i in range(n)]
 
 
 def test_two_valued_algebra():
@@ -48,18 +51,21 @@ def test_two_valued_algebra():
 
 def test_algebra_operations_match_sets():
     alg = powerset_algebra(["a", "b", "c"])
-    x, y = frozenset({"a", "b"}), frozenset({"b", "c"})
-    assert alg.meet(x, y) == x & y
-    assert alg.join(x, y) == x | y
-    assert alg.comp(x) == alg.one - x
-    assert alg.leq(frozenset({"a"}), x)
-    assert alg.inf([x, y]) == x & y
+    lab, mask = alg.labels, alg.masks
+    for x, y in itertools.product(alg.elements, repeat=2):
+        assert lab[alg.meet(x, y)] == lab[x] & lab[y]
+        assert lab[alg.join(x, y)] == lab[x] | lab[y]
+        assert lab[alg.comp(x)] == lab[alg.one] - lab[x]
+        assert alg.leq(x, y) == (lab[x] <= lab[y])
+        assert alg.inf([x, y]) == alg.meet(x, y)
+    assert alg.leq(mask[frozenset({"a"})], mask[frozenset({"a", "b"})])
     assert alg.sup([]) == alg.zero and alg.inf([]) == alg.one
+    assert not alg.is_element(alg.one + 1) and not alg.is_element(True)
 
 
 def test_table_algebra_roundtrip_and_broken_table():
     src = powerset_algebra(["a", "b"])
-    els = sorted(src.elements, key=sorted)
+    els = sorted(src.elements, key=lambda x: sorted(src.labels[x]))
     name = {e: f"e{i}" for i, e in enumerate(els)}
     meet = [[name[src.meet(x, y)] for y in els] for x in els]
     join = [[name[src.join(x, y)] for y in els] for x in els]
@@ -67,21 +73,30 @@ def test_table_algebra_roundtrip_and_broken_table():
     alg = table_algebra([name[e] for e in els], meet, join, comp)
     assert check_algebra(alg)["ok"]
     assert len(alg.atoms()) == 2
+    # the same operations, through the labels
+    for x, y in itertools.product(els, repeat=2):
+        a, b = alg.masks[name[x]], alg.masks[name[y]]
+        assert alg.labels[alg.meet(a, b)] == name[src.meet(x, y)]
+        assert alg.labels[alg.comp(a)] == name[src.comp(x)]
 
     comp_bad = list(comp)
     comp_bad[0], comp_bad[-1] = comp_bad[-1], comp_bad[0]
-    bad = table_algebra([name[e] for e in els], meet, join, comp_bad)
-    rep = check_algebra(bad)
+    rep = check_tables([name[e] for e in els], meet, join, comp_bad)
     assert not rep["ok"] and rep["violations"]
+    law = rep["violations"][0]
+    with pytest.raises(ValueError, match=f"not a Boolean algebra: "
+                                         f"{law['law']} fails"):
+        table_algebra([name[e] for e in els], meet, join, comp_bad)
 
 
 # --- filters and ultrafilters -----------------------------------------------
 
 def test_filters():
     alg = powerset_algebra(["a", "b"])
-    up_a = principal_filter(alg, frozenset({"a"}))
+    a = alg.masks[frozenset({"a"})]
+    up_a = principal_filter(alg, a)
     assert is_filter(alg, up_a) and is_ultrafilter(alg, up_a)
-    assert up_a == frozenset({frozenset({"a"}), alg.one})
+    assert up_a == frozenset({a, alg.one})
     up_one = principal_filter(alg, alg.one)
     assert is_filter(alg, up_one) and not is_ultrafilter(alg, up_one)
     assert not is_filter(alg, frozenset({alg.zero, alg.one}))
@@ -98,7 +113,7 @@ def test_ultrafilters_are_principal_at_atoms(n):
 def test_dense_and_antichain_predicates():
     alg = powerset_algebra(["a", "b"])
     assert is_dense_subset(alg, alg.atoms())
-    assert not is_dense_subset(alg, [frozenset({"a"})])
+    assert not is_dense_subset(alg, [alg.masks[frozenset({"a"})]])
 
 
 # --- regular-open completion ----------------------------------------------------
@@ -110,7 +125,7 @@ def brute_match(poset: FinPoset) -> dict:
     brute = regular_open_sets_bruteforce(poset)
     out = {
         "sizes": len(alg.elements) == len(brute),
-        "sets": set(alg.elements) == brute,
+        "sets": set(alg.labels) == brute,
         "laws": check_algebra(alg)["ok"],
     }
     order = incompat = True
@@ -150,11 +165,12 @@ def test_ro_join_is_regularized_union():
     poset = FinPoset(["l", "r", "top"], [("l", "top"), ("r", "top")])
     alg, emb = ro_completion(poset)
     # Reg(A) = int(cl(A)): cl is the up-closure, int(B) = {q : N_q <= B}
-    closure = poset.up_closure(emb["l"] | emb["r"])
+    lab = alg.labels
+    closure = poset.up_closure(lab[emb["l"]] | lab[emb["r"]])
     j = frozenset(q for q in poset.elements if poset.down(q) <= closure)
-    assert j == alg.join(emb["l"], emb["r"])
+    assert j == lab[alg.join(emb["l"], emb["r"])]
     # the plain union {l, r} is not regular open: top joins its closure
-    assert j != emb["l"] | emb["r"]
+    assert j != lab[emb["l"]] | lab[emb["r"]]
 
 
 # --- law checker under hypothesis mutations --------------------------------------

@@ -95,7 +95,8 @@ def test_three_element_model_does_not_mix():
     m3 = three_element_nonmixing_model()
     rep = check_mixing(m3)
     assert not rep["mixing"]
-    assert mixes_over(m3, rep["antichain"], rep["targets"]) is None
+    antichain = [m3.algebra.masks[label] for label in rep["antichain"]]
+    assert mixes_over(m3, antichain, rep["targets"]) is None
     assert not check_mixing_by_antichains(m3)["mixing"]
 
 

@@ -281,3 +281,62 @@ def test_sat_structure_cap_is_an_input_error(tmp_path):
     assert proc.stderr == ("error: domain size 4 has 1073604 per-atom "
                            "structures, over the cap of 100000; lower "
                            "--max-domain\n")
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "--model", "{model}", "--formula", "{formula}"),
+    ("check-model", "{model}"),
+    ("quotient", "--model", "{model}", "--ultrafilter", "{uf}"),
+], ids=lambda argv: argv[0])
+def test_models_over_non_boolean_tables_are_input_errors(tmp_path,
+                                                         corpus_dir,
+                                                         command):
+    model = _write_json(tmp_path / "model.json", {
+        "signature": {"relations": [], "constants": []},
+        "algebra": _TABLES["chain3"], "domain": ["m0"]})
+    formula = _write_json(tmp_path / "f.json",
+                          {"eq": [{"var": "v0"}, {"var": "v0"}]})
+    uf = _write_json(tmp_path / "uf.json", {"generator": "mid"})
+    argv = [a.format(model=model, formula=formula, uf=uf) for a in command]
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: $.algebra: not a Boolean algebra: "
+                           "complement_meet fails at mid\n")
+
+
+@pytest.mark.parametrize("root", ["0", "1"])
+def test_generic_reports_an_ill_defined_term_structure(corpus_dir, root):
+    proc = run_subprocess("generic", "--cp",
+                          corpus("con_family.json", corpus_dir),
+                          "--root", root)
+    assert "Traceback" not in proc.stderr and proc.stderr == ""
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["ok"] is False
+    assert "both asserts and denies" in report["reason"]
+
+
+def _without_pool(corpus_dir, tmp_path):
+    cp = json.loads((corpus_dir / "eq4_family.json").read_text())
+    del cp["pool"]
+    return _write_json(tmp_path / "no_pool.json", cp)
+
+
+@pytest.mark.parametrize("cap, value, argv, message", [
+    ("MEMBER_CAP", 100, ("cp-from-algebra", "{corpus}/b8.json"),
+     "oracle family exceeds the member cap (100); shrink the pool"),
+    ("POOL_CAP", 5, ("check-cp", "{no_pool}"),
+     "pool closure exceeds the pool cap (5 formulas)"),
+    ("MEMBER_CAP", 10, ("mansfield", "--cp", "{corpus}/eq4_family.json",
+                        "--root", "0"),
+     "the forcing poset exceeds the condition cap (10 conditions)"),
+])
+def test_cap_overruns_are_input_errors(capsys, monkeypatch, corpus_dir,
+                                       tmp_path, cap, value, argv, message):
+    from infkit import consprop
+    monkeypatch.setattr(consprop, cap, value)
+    no_pool = _without_pool(corpus_dir, tmp_path)
+    code, out, err = run(capsys, *(a.format(corpus=corpus_dir,
+                                            no_pool=no_pool) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,0 +1,134 @@
+"""Byte-identity of a fixed set of commands: the sha256 of each command's
+exit code, stdout and stderr (and of the model file it writes, if any), at
+string-hash seed 0, pinned to the values these commands printed before
+algebra elements became int masks over atoms."""
+import hashlib
+import os
+import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import infkit
+from infkit.iojson import dumps
+
+CORPUS = Path(infkit.__file__).parent / "corpus"
+
+
+def _table_powerset(n_atoms: int, seed: int) -> dict:
+    """The powerset of n atoms in table form, its elements named by a
+    seeded permutation."""
+    size = 2 ** n_atoms
+    names = [f"x{i:02d}" for i in range(size)]
+    random.Random(seed).shuffle(names)          # names[mask] names the mask
+    order = sorted(range(size), key=lambda m: names[m])
+    return {"type": "table", "elements": [names[a] for a in order],
+            "meet": [[names[a & b] for b in order] for a in order],
+            "join": [[names[a | b] for b in order] for a in order],
+            "comp": [names[(size - 1) ^ a] for a in order]}
+
+
+def _two_level_poset(n_min: int, n_up: int, seed: int) -> dict:
+    """n_min minimal elements and n_up elements above two of them each."""
+    rng = random.Random(seed)
+    mins = [f"p{i:02d}" for i in range(n_min)]
+    ups = [f"q{i:02d}" for i in range(n_up)]
+    leq = sorted([m, u] for u in ups for m in rng.sample(mins, 2))
+    return {"elements": sorted(mins + ups), "leq": leq}
+
+
+GOLDEN = {
+    "roundtrip_b4": ("roundtrip", "b4.json"),
+    "emit_b4": ("cp-from-algebra", "b4.json", "--emit"),
+    "roundtrip_b8": ("roundtrip", "b8.json"),
+    "emit_b8": ("cp-from-algebra", "b8.json", "--emit"),
+    "roundtrip_b16_table": ("roundtrip", "b16_table.json"),
+    "emit_b16_table": ("cp-from-algebra", "b16_table.json", "--emit"),
+    "ro_vee_3": ("ro", "vee_3.json"),
+    "ro_poset14": ("ro", "poset14.json", "--brute-max", "14"),
+    "eval": ("eval", "--model", "four_element_model.json", "--formula",
+             "disjunction.json"),
+    "check_model": ("check-model", "four_element_model.json"),
+    "quotient_los": ("quotient", "--model", "four_element_model.json",
+                     "--ultrafilter", "uf_a0.json", "--los-pool",
+                     "los_pool.json"),
+    "mansfield_eq4_0": ("mansfield", "--cp", "eq4_family.json", "--root",
+                        "0"),
+    "mansfield_eq4_2": ("mansfield", "--cp", "eq4_family.json", "--root",
+                        "2"),
+    "mansfield_eq4_80": ("mansfield", "--cp", "eq4_family.json", "--root",
+                         "80", "--emit-model", "emitted.json"),
+    "generic_eq4_5": ("generic", "--cp", "eq4_family.json", "--root", "5",
+                      "--emit-model", "emitted.json"),
+    "corpus": ("corpus",),
+}
+
+EXPECTED = {
+    "check_model":
+        "bc7fc38b8c4283f2ecfbf90b99af5ba5b087fe5fe3d20142ec700d616333118a",
+    "corpus":
+        "b07379a6301e8a6393ac157cdb1994d390563fbd2e47cf2ce24186cc96b3ad9d",
+    "emit_b16_table":
+        "edeb5868ea6b2e88836f339810b71c2d39b508a15edef2c40c63e7ab63fb9603",
+    "emit_b4":
+        "c436d518916de69234005fa6972f3e214871904f9bf7f779b31b734f7d3f8772",
+    "emit_b8":
+        "d3f3d2b999c76598a568103b40a8fe6b6bbf29e4665f8e5d315293c263f66a36",
+    "eval":
+        "3836ea48812abd081c8e53ce7459bf0d7249219ead46372af3c9ca9c8b4a9f18",
+    "generic_eq4_5":
+        "a86b072b23b538c14699397024ebb09bfbd232b2c09268d775399ed7ce9fb538",
+    "mansfield_eq4_0":
+        "421e66ad51709d30254d51c1d34772f3b834863e22d870759271e3735099333f",
+    "mansfield_eq4_2":
+        "8049efb449a24cb0ca51882e7d1b7d128a322ba62a36b99133939a6ed1429fbe",
+    "mansfield_eq4_80":
+        "5c6cc03495f800f2aac75622e82bb0e349d856238e32a4d5ade128e4e29a541f",
+    "quotient_los":
+        "20dfbdb0492ee3837c7039deb0ae70829536e27c9eb578c7735ac89d4bebe61a",
+    "ro_poset14":
+        "44396a810c222b820caeb45c2bfcf10f45ab641448a387a5e191c3bdf0a87ccb",
+    "ro_vee_3":
+        "8ffbf10adce244556dc10ba7738229c830b8586fc4242430c360eaab54df818a",
+    "roundtrip_b16_table":
+        "6ecad63e080a302967c47d8b145354be27dc7c357cebab6f31833b3809de6acb",
+    "roundtrip_b4":
+        "c0ba090c1387f720a0ad03d8dafa739983cdfbf088af7c8521c66ee782e4ae80",
+    "roundtrip_b8":
+        "db02b4ae7aa3f58dcd05eabc7c09eeda8f92756ce8aeaa9599fca48ab7c5640a",
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    for f in CORPUS.glob("*.json"):
+        shutil.copyfile(f, d / f.name)
+    (d / "b16_table.json").write_text(dumps(_table_powerset(4, 0)))
+    (d / "poset14.json").write_text(dumps(_two_level_poset(7, 7, 0)))
+    (d / "disjunction.json").write_text(dumps({"or": [
+        {"eq": [{"const": "d"}, {"const": "c0"}]},
+        {"eq": [{"const": "d"}, {"const": "c1"}]}]}))
+    return d
+
+
+def digest(argv, cwd: Path) -> str:
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=str(Path(infkit.__file__).parents[1]))
+    emitted = cwd / "emitted.json"
+    emitted.unlink(missing_ok=True)
+    proc = subprocess.run([sys.executable, "-m", "infkit.cli", *argv],
+                          cwd=cwd, capture_output=True, env=env)
+    h = hashlib.sha256(f"exit {proc.returncode}\n".encode())
+    for part in (proc.stdout, proc.stderr,
+                 emitted.read_bytes() if emitted.exists() else b""):
+        h.update(b"\0%d\0" % len(part) + part)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_command_prints_its_pinned_bytes(workdir, name):
+    assert digest(GOLDEN[name], workdir) == EXPECTED[name]

@@ -4,7 +4,11 @@ rebuilt for every member), the per-k law loop of check_algebra, the
 definitions of poset down-sets and up-closures, per-member evaluation in
 cp_from_algebra, and the standard-library JSON encoder. Also the formula
 walkers as they were, one isinstance chain per operation, against the same
-operations built on the node interface (`parts`/`rebuild`/`terms`)."""
+operations built on the node interface (`parts`/`rebuild`/`terms`). Also
+the finite algebras as they were, frozenset or named elements with O(n^2)
+operation tables, against the int-mask algebras, and the positivity walk
+that asked the oracle about every candidate set against the walk that
+carries the running meet."""
 import dataclasses
 import functools
 import itertools
@@ -14,25 +18,31 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from infkit.boolalg import (
-    FinPoset, check_algebra, ro_completion, table_algebra,
+    FinPoset, TrivialAlgebra, check_algebra, check_tables, powerset_algebra,
+    ro_completion, table_algebra,
 )
 from infkit.bvmodel import eval_formula
 from infkit.calculus import in_calculus_fragment
 from infkit.consprop import (
-    ConsistencyProperty, _member_key, _miss, _try_extension, check_cp,
-    convert_to_explicit, default_pool, enumerate_members, occurrence_variants,
+    ConsistencyProperty, _member_key, _miss, _pkey, _try_extension, check_cp,
+    convert_to_explicit, cp_from_model, default_pool, enumerate_members,
+    maximal_among, maximal_members, member_meets, occurrence_variants,
 )
 from infkit.iojson import (
-    dumps, load_json, parse_algebra, parse_cp, parse_model, parse_poset,
+    dumps, load_json, parse_algebra, parse_cp, parse_model, parse_pool,
+    parse_poset,
 )
 from infkit.mansfield import cp_from_algebra
-from infkit.modelgen import all_labeled_posets, infer_signature
+from infkit.modelgen import (
+    all_labeled_posets, four_element_model, infer_signature,
+    split_constant_theory,
+)
 
 small_posets = functools.cache(all_labeled_posets)   # the n <= 5 sweep
 from infkit.syntax import (
     And, Atom, CaptureError, Const, Eq, Exists, Forall, Not, Or, Signature,
-    Var, constants_of, move_neg_inside, replace_const, subformulas,
-    substitute, validate_formula,
+    Var, constants_of, is_sentence, move_neg_inside, replace_const,
+    subformulas, substitute, validate_formula,
 )
 from test_syntax import formulas
 
@@ -113,6 +123,116 @@ def reference_check_cp(cp):
                       constant=d)
     return {"ok": not violations, "family_size": len(members),
             "violations": violations}
+
+
+class TableAlgebra:
+    """A finite algebra as it was before int masks: an element tuple with
+    meet/join/complement tables, elements frozensets of atom names, regular
+    opens or table names."""
+
+    def __init__(self, elements, meet, join, comp, zero, one):
+        self.elements, self.zero, self.one = tuple(elements), zero, one
+        self.meet_table, self.join_table, self.comp_table = meet, join, comp
+
+    def meet(self, a, b):
+        return self.meet_table[(a, b)]
+
+    def join(self, a, b):
+        return self.join_table[(a, b)]
+
+    def comp(self, a):
+        return self.comp_table[a]
+
+    def leq(self, a, b):
+        return self.meet_table[(a, b)] == a
+
+    def atoms(self):
+        nz = [x for x in self.elements if x != self.zero]
+        return tuple(a for a in nz
+                     if all(not (self.leq(b, a) and b != a) for b in nz))
+
+
+def _tables_from_fns(elements, meet, join, comp):
+    mt, jt, ct = {}, {}, {}
+    for a in elements:
+        ct[a] = comp(a)
+        for b in elements:
+            mt[(a, b)] = meet(a, b)
+            jt[(a, b)] = join(a, b)
+    return mt, jt, ct
+
+
+def reference_powerset(atoms):
+    universe = frozenset(atoms)
+    elements = tuple(frozenset(c) for k in range(len(atoms) + 1)
+                     for c in itertools.combinations(atoms, k))
+    tables = _tables_from_fns(elements, lambda a, b: a & b,
+                              lambda a, b: a | b, lambda a: universe - a)
+    return TableAlgebra(elements, *tables, frozenset(), universe)
+
+
+def reference_ro_completion(poset):
+    mins = tuple(sorted(poset.minimals(), key=repr))
+    minset = frozenset(mins)
+    min_below = {q: poset.min_below(q) for q in poset.elements}
+    carrier = {}
+    for k in range(len(mins) + 1):
+        for combo in itertools.combinations(mins, k):
+            s = frozenset(combo)
+            carrier[s] = frozenset(q for q in poset.elements
+                                   if min_below[q] <= s)
+
+    def skey(s):
+        return (len(s), tuple(sorted(repr(x) for x in s)))
+
+    elements = tuple(carrier[s] for s in sorted(carrier, key=skey))
+    to_min = {a: a & minset for a in elements}
+    tables = _tables_from_fns(
+        elements, lambda a, b: carrier[to_min[a] & to_min[b]],
+        lambda a, b: carrier[to_min[a] | to_min[b]],
+        lambda a: carrier[minset - to_min[a]])
+    alg = TableAlgebra(elements, *tables, carrier[frozenset()],
+                       carrier[minset])
+    return alg, {p: carrier[min_below[p]] for p in poset.elements}
+
+
+def reference_table(elements, meet_rows, join_rows, comp_row):
+    els = tuple(elements)
+    mt, jt, ct = {}, {}, {}
+    for i, a in enumerate(els):
+        ct[a] = comp_row[i]
+        for j, b in enumerate(els):
+            mt[(a, b)] = meet_rows[i][j]
+            jt[(a, b)] = join_rows[i][j]
+    zero = next((z for z in els if all(jt[(z, x)] == x for x in els)), els[0])
+    one = next((o for o in els if all(mt[(o, x)] == x for x in els)), els[-1])
+    return TableAlgebra(els, mt, jt, ct, zero, one)
+
+
+def raw_tables(alg):
+    """The table view of a mask algebra: every operation tabulated over the
+    labels, in element order."""
+    lab, els = alg.labels, alg.elements
+    return ([lab[x] for x in els],
+            [[lab[alg.meet(a, b)] for b in els] for a in els],
+            [[lab[alg.join(a, b)] for b in els] for a in els],
+            [lab[alg.comp(a)] for a in els])
+
+
+def assert_same_algebra(alg, ref):
+    """The mask algebra and the table algebra agree through the labels."""
+    lab = alg.labels
+    assert [lab[x] for x in alg.elements] == list(ref.elements)
+    assert (lab[alg.zero], lab[alg.one]) == (ref.zero, ref.one)
+    assert [lab[a] for a in alg.atoms()] == list(ref.atoms())
+    for x in alg.elements:
+        assert lab[alg.comp(x)] == ref.comp(lab[x])
+        for y in alg.elements:
+            assert lab[alg.meet(x, y)] == ref.meet(lab[x], lab[y])
+            assert lab[alg.join(x, y)] == ref.join(lab[x], lab[y])
+            assert alg.leq(x, y) == ref.leq(lab[x], lab[y])
+    assert alg.inf(alg.elements) == alg.zero
+    assert alg.sup(alg.atoms()) == alg.one
 
 
 def reference_check_algebra(alg):
@@ -246,7 +366,23 @@ def _lattice_tables(poset):
     bottom = next(e for e in els if all(poset.leq(e, x) for x in els))
     comp = [next(c for c in els if meet[i][els.index(c)] == bottom)
             for i in range(len(els))]
-    return table_algebra(els, meet, join, comp)
+    return els, meet, join, comp
+
+
+def assert_table_paths_agree(tables):
+    """The law check on raw tables against the per-k oracle; a lawful table
+    becomes a mask algebra that agrees with the table algebra, any other
+    one is refused naming its first violated law."""
+    ref = reference_table(*tables)
+    report = check_tables(*tables)
+    assert report == reference_check_algebra(ref)
+    if report["ok"]:
+        assert_same_algebra(table_algebra(*tables), ref)
+    else:
+        first = report["violations"][0]["law"]
+        with pytest.raises(ValueError, match=f"Boolean algebra: {first} "):
+            table_algebra(*tables)
+    return report["ok"]
 
 
 def test_check_algebra_matches_reference_on_corpus_algebras(corpus_dir):
@@ -259,19 +395,23 @@ def test_check_algebra_matches_reference_on_corpus_algebras(corpus_dir):
         poset = parse_poset(load_json(str(corpus_dir / name)))
         algebras.append(ro_completion(poset)[0])
     for alg in algebras:
-        assert check_algebra(alg) == reference_check_algebra(alg)
+        tables = raw_tables(alg)
+        report = check_algebra(alg)
+        assert report == reference_check_algebra(reference_table(*tables))
+        assert report == check_tables(*tables) and report["ok"]
+        assert_table_paths_agree(tables)
 
 
 def test_check_algebra_matches_reference_on_small_lattices():
-    lattices = 0
+    lattices = boolean = 0
     for n in range(1, 6):
         for poset in small_posets(n):
-            alg = _lattice_tables(poset)
-            if alg is None:
+            tables = _lattice_tables(poset)
+            if tables is None:
                 continue
             lattices += 1
-            assert check_algebra(alg) == reference_check_algebra(alg)
-    assert lattices > 100
+            boolean += assert_table_paths_agree(tables)
+    assert lattices > 100 and boolean >= 2
 
 
 @st.composite
@@ -281,14 +421,33 @@ def random_tables(draw):
     cell = st.sampled_from(els)
     rows = st.lists(st.lists(cell, min_size=n, max_size=n),
                     min_size=n, max_size=n)
-    return table_algebra(els, draw(rows), draw(rows),
-                         draw(st.lists(cell, min_size=n, max_size=n)))
+    return els, draw(rows), draw(rows), draw(st.lists(cell, min_size=n,
+                                                      max_size=n))
 
 
 @settings(max_examples=50, deadline=None)
 @given(random_tables())
-def test_check_algebra_matches_reference_on_random_tables(alg):
-    assert check_algebra(alg) == reference_check_algebra(alg)
+@example(raw_tables(powerset_algebra(["a", "b"])))
+@example((["z"], [["z"]], [["z"]], ["z"]))
+def test_check_algebra_matches_reference_on_random_tables(tables):
+    assert_table_paths_agree(tables)
+
+
+# --- int-mask algebras --------------------------------------------------------
+
+def test_mask_algebras_match_the_table_algebras():
+    for n in range(1, 5):
+        atoms = [f"a{i}" for i in range(n)]
+        assert_same_algebra(powerset_algebra(atoms), reference_powerset(atoms))
+    with pytest.raises(TrivialAlgebra):
+        powerset_algebra([])
+    for n in range(1, 6):
+        for poset in small_posets(n):
+            alg, emb = ro_completion(poset)
+            ref, ref_emb = reference_ro_completion(poset)
+            assert_same_algebra(alg, ref)
+            assert {p: alg.labels[e] for p, e in emb.items()} == ref_emb
+            assert check_tables(*raw_tables(alg))["ok"]
 
 
 # --- posets -------------------------------------------------------------------
@@ -320,6 +479,84 @@ def test_cp_from_algebra_valuation_is_per_member_evaluation(corpus_dir,
     assert set(pi) == set(enumerate_members(cp))
     for s, value in pi.items():
         assert value == alg.inf(eval_formula(named, f) for f in s)
+
+
+# --- positivity walks ---------------------------------------------------------
+
+def reference_members(cp):
+    """enumerate_members as it was: the oracle decides every candidate."""
+    pool = sorted(cp.pool, key=_pkey)
+    out = []
+
+    def dfs(current, start):
+        out.append(current)
+        for i in range(start, len(pool)):
+            nxt = current | {pool[i]}
+            if cp.oracle(nxt):
+                dfs(nxt, i + 1)
+
+    if cp.oracle(frozenset()):
+        dfs(frozenset(), 0)
+    return out
+
+
+def reference_maximal_among(cp, members):
+    pool = set(cp.pool)
+    return [m for m in members
+            if not any(cp.oracle(m | {f}) for f in pool - m)]
+
+
+def assert_walks_agree(cp):
+    """The walk carrying the running meet gives the oracle walk's members in
+    its order, each with the per-set meet, and the same maximal members."""
+    members = reference_members(cp)
+    named = cp.meta["model"]
+    value = {f: eval_formula(named, f) for f in cp.pool}
+    meets = member_meets(cp)
+    assert list(meets) == members and enumerate_members(cp) == members
+    assert meets == {s: named.algebra.inf(value[f] for f in s)
+                     for s in members}
+    maxes = reference_maximal_among(cp, members)
+    assert maximal_among(cp, meets) == maxes
+    assert maximal_members(cp) == sorted(maxes, key=_member_key)
+    root = members[len(members) // 2]
+    above = [m for m in members if root <= m]
+    assert maximal_members(cp, root) == sorted(
+        reference_maximal_among(cp, above), key=_member_key)
+    return meets
+
+
+@pytest.mark.parametrize("size", [4, 8, 16])
+def test_positivity_walk_matches_the_oracle_walk_on_algebras(corpus_dir,
+                                                              size):
+    alg = parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
+    cp, pi, _ = cp_from_algebra(alg)
+    assert assert_walks_agree(cp) == pi
+    assert convert_to_explicit(cp, pi).family \
+        == convert_to_explicit(cp).family
+
+
+def test_positivity_walk_matches_the_oracle_walk_on_corpus_families(
+        corpus_dir):
+    def load(name, parse):
+        return parse(load_json(str(corpus_dir / name)))
+
+    m4 = load("four_element_model.json", parse_model)
+    two = load("two_point_model.json", parse_model)
+    los = [f for f in load("los_pool.json", parse_pool) if is_sentence(f)]
+    d, c0, c1 = Const("d"), Const("c0"), Const("c1")
+    theory = split_constant_theory() + [Eq(d, c0), Eq(d, c1), Eq(c0, c1)]
+    r = Atom("R", (Var("v0"),))
+    families = [cp_from_model(m4, los), cp_from_model(m4, theory),
+                cp_from_model(two, seeds=[Exists(("v0",), r),
+                                          Forall(("v0",), Or((r, Not(r))))])]
+    sizes = [len(assert_walks_agree(cp)) for cp in families]
+    assert min(sizes) > 4
+    # the explicit corpus families keep the plain inclusion test
+    for name in _CORPUS_FAMILIES:
+        cp = load(f"{name}.json", parse_cp)
+        assert maximal_among(cp, list(cp.family)) == [
+            m for m in cp.family if not any(m < o for o in cp.family)]
 
 
 # --- serialization ------------------------------------------------------------

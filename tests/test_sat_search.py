@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from infkit import bvmodel
 from infkit.bvmodel import (
-    StructureCapExceeded, _partitions, _subsets_lex, assemble_model,
+    CapExceeded, _partitions, _subsets_lex, assemble_model,
     bounded_boolean_sat, eval_formula, structure_count,
 )
 from infkit.iojson import dumps, emit_model
@@ -235,6 +235,6 @@ def test_structure_cap_applies_only_to_domain_sizes_reached():
     assert found["found"] and found["domain_size"] == 1
     never = Exists(("v0",), Not(Eq(x, x)))
     assert bounded_boolean_sat(sig, [never], max_domain=2)["exhausted"]
-    with pytest.raises(StructureCapExceeded, match="domain size 3 has "
+    with pytest.raises(CapExceeded, match="domain size 3 has "
                                                    "134218498 "):
         bounded_boolean_sat(sig, [never], max_domain=3)

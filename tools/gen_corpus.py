@@ -103,8 +103,7 @@ def main() -> None:
     # --- ultrafilters of the four-element algebra --------------------------
     b4 = powerset_algebra(("a0", "a1"))
     for uf in enumerate_ultrafilters(b4):
-        gen = b4.inf(uf)
-        (name,) = sorted(gen)
+        (name,) = b4.labels[b4.inf(uf)]
         ship(f"uf_{name}.json", "ultrafilter", emit_ultrafilter(b4, uf),
              algebra="b4.json")
 
