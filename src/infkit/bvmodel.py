@@ -212,22 +212,6 @@ def check_model(model: BValuedModel) -> dict:
     return {"ok": not violations, "violations": violations}
 
 
-def check_subst_inequality(model: BValuedModel, f: Formula,
-                           taus: tuple[str, ...], sigmas: tuple[str, ...],
-                           variables: tuple[str, ...] | None = None) -> dict:
-    """inf_i [tau_i = sigma_i] meet [f(tau)] <= [f(sigma)], the formula-level
-    substitution inequality. Free variables are taken in sorted order unless
-    `variables` pins the order."""
-    alg = model.algebra
-    vs = variables if variables is not None else tuple(sorted(f.free_vars()))
-    if len(vs) != len(taus) or len(vs) != len(sigmas):
-        raise ShapeError("tuple lengths do not match the variable list")
-    agree = alg.inf(model.eq_value(a, b) for a, b in zip(taus, sigmas))
-    lhs = alg.meet(agree, eval_formula(model, f, dict(zip(vs, taus))))
-    rhs = eval_formula(model, f, dict(zip(vs, sigmas)))
-    return {"ok": alg.leq(lhs, rhs), "lhs": lhs, "rhs": rhs}
-
-
 # ---------------------------------------------------------------------------
 # mixing and fullness
 

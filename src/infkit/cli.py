@@ -14,10 +14,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .boolalg import check_algebra, regular_open_sets_bruteforce, \
-    ro_completion
+from .boolalg import TrivialAlgebra, check_algebra, \
+    regular_open_sets_bruteforce, ro_completion
 from .bvmodel import CapExceeded, UnboundVariable, bounded_boolean_sat, \
-    check_model, eval_formula
+    check_mixing, check_model, eval_formula
 from .calculus import Sequent, check_proof, soundness_sample
 from .consprop import ConsistencyProperty, IllDefined, build_af, check_cp, \
     check_smax, convert_to_explicit, cp_from_model, generic_filter, \
@@ -28,8 +28,8 @@ from .iojson import ParseError, dumps, emit_algebra, emit_cp, \
     parse_algebra, parse_cp, parse_formula, parse_model, parse_pool, \
     parse_poset, parse_proof, parse_signature, parse_theory, \
     parse_ultrafilter, save_json
-from .mansfield import cp_from_algebra, mansfield_build, mixing_report, \
-    roundtrip_check, verify_claim1, verify_claim2
+from .mansfield import cp_from_algebra, mansfield_build, roundtrip_check, \
+    verify_claim1, verify_claim2
 from .quotient import los_check, quotient
 from .syntax import Formula, validate_formula
 
@@ -130,7 +130,7 @@ def cmd_quotient(args) -> int:
         "ok": True,
     }
     if args.los_pool:
-        pool = parse_pool(load_json(args.los_pool))
+        pool = parse_pool(load_json(args.los_pool), sig=model.signature)
         los = los_check(model, ultra, list(pool))
         report["los"] = los
         report["ok"] = los["ok"]
@@ -183,7 +183,12 @@ def cmd_generic(args) -> int:
 
 def cmd_cp_from_model(args) -> int:
     model = parse_model(load_json(args.model))
-    pool = parse_pool(load_json(args.pool))
+    try:
+        named = model.signature.with_constants(model.domain)
+    except ValueError as exc:
+        return _input_error(f"the model's constants clash with the domain "
+                            f"element names the family adds: {exc}")
+    pool = parse_pool(load_json(args.pool), sig=named, need_sentence=True)
     cp = cp_from_model(model, pool=pool)
     sys.stdout.write(dumps(emit_cp(convert_to_explicit(cp))))
     return 0
@@ -196,9 +201,10 @@ def cmd_mansfield(args) -> int:
         built = mansfield_build(cp, root)
     except ValueError as exc:
         return _input_error(f"not a consistency property: {exc}")
-    claim1 = verify_claim1(cp, root)
-    pool = parse_pool(load_json(args.pool)) if args.pool else None
-    claim2 = verify_claim2(cp, root, pool=pool, built=built)
+    claim1 = verify_claim1(cp, built)
+    pool = parse_pool(load_json(args.pool), sig=cp.extended_signature(),
+                      need_sentence=True) if args.pool else None
+    claim2 = verify_claim2(cp, built, pool)
     report = {
         "ok": (built["root_ok"] and built["model_report"]["ok"]
                and claim1["ok"] and claim2["ok"]),
@@ -208,7 +214,7 @@ def cmd_mansfield(args) -> int:
         "model_report": built["model_report"],
         "claim1": claim1,
         "claim2": claim2,
-        "mixing": _plain(mixing_report(built)),
+        "mixing": _plain(check_mixing(built["model"])),
     }
     if args.emit_model:
         save_json(args.emit_model, emit_model(built["model"]))
@@ -238,7 +244,10 @@ def cmd_ro(args) -> int:
     poset = parse_poset(load_json(args.poset))
     # ro_completion raises unless its embedding preserves order and
     # incompatibility and has a dense image
-    alg, _ = ro_completion(poset)
+    try:
+        alg, _ = ro_completion(poset)
+    except TrivialAlgebra as exc:
+        return _input_error(str(exc))
     laws = check_algebra(alg)
     report = {
         "size": len(alg.elements),

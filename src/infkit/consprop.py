@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from .boolalg import FinPoset
 from .bvmodel import BValuedModel, CapExceeded, TwoValuedStructure, \
     eval_formula
 from .syntax import (
@@ -144,6 +145,18 @@ def maximal_among(cp: ConsistencyProperty, members) -> list[frozenset]:
             if not any(meet & v for f, v in masks if f not in m)]
 
 
+def instances(f: Formula, names: Iterable[str]) -> list[Formula]:
+    """The body of a quantified sentence with its variables replaced by
+    every tuple of the named constants, in product order."""
+    return [substitute(f.body, {v: Const(c) for v, c in zip(f.vars, tup)})
+            for tup in itertools.product(names, repeat=len(f.vars))]
+
+
+def _const_eq(f: Formula) -> bool:
+    return isinstance(f, Eq) and isinstance(f.left, Const) \
+        and isinstance(f.right, Const)
+
+
 # ---------------------------------------------------------------------------
 # default pool closure
 
@@ -174,9 +187,7 @@ def default_pool(signature: Signature, fresh_constants: tuple[str, ...],
         if isinstance(f, Not):
             work.append(move_neg_inside(f.body))
         if isinstance(f, (Forall, Exists)) and not (f.free_vars()):
-            for tup in itertools.product(consts, repeat=len(f.vars)):
-                work.append(substitute(
-                    f.body, {v: Const(c) for v, c in zip(f.vars, tup)}))
+            work.extend(instances(f, consts))
         for old in sorted(constants_of(f)):
             for new in consts:
                 if new != old:
@@ -211,39 +222,81 @@ def occurrence_variants(f: Formula, old: str, new: str) -> set[Formula]:
 
 # ---------------------------------------------------------------------------
 # clause checking
+#
+# A clause row is (clause, mode, candidates, extra): an EVERY row requires
+# every candidate sentence to extend the member, a SOME row at least one,
+# and `extra` names the row's sentence or constant in its findings. Con, the
+# explicit pool check and Str.2 depend on the member and are checked inline.
 
-def _try_extension(cp: ConsistencyProperty, s: frozenset, add: Formula,
-                   clause: str, violations: list, require: bool) -> bool:
-    """Check s union {add} for membership. For explicit families a sentence
-    outside the pool cannot be a member; when `require` is set that is
-    recorded as a PoolIncomplete finding, otherwise the candidate just fails.
-    Returns membership."""
-    if cp.explicit and not cp.in_pool(add) and add not in s:
-        if require:
-            violations.append({
-                "clause": clause, "kind": "PoolIncomplete",
-                "member": _member_key(s), "missing": add.key()})
-        return False
-    ok = cp.is_member(s | {add})
-    if require and not ok:
-        violations.append({
-            "clause": clause, "kind": "violation",
-            "member": _member_key(s), "needed": add.key()})
-    return ok
+EVERY, SOME = "every", "some"
+
+
+def _clauses(cp: ConsistencyProperty):
+    """The clause table of a family, built once: `rows(f)` are the rows a
+    sentence f of a member carries, in check order (Ind.1 negation move,
+    Ind.2 conjuncts, Ind.3 instances over all constants, Ind.4 disjuncts,
+    Ind.5 fresh instances, Str.1 swap; at most one applies), and `namings`
+    holds the Str.3 row of each constant, whose diagonal witness, the cheap
+    hit, comes first."""
+    consts, fresh = cp.all_constants(), cp.fresh_constants
+
+    @functools.cache
+    def rows(f: Formula) -> tuple:
+        if isinstance(f, Not):
+            return ("Ind.1", EVERY, [move_neg_inside(f.body)], {}),
+        if isinstance(f, And):
+            return ("Ind.2", EVERY, list(f.children), {}),
+        if isinstance(f, Forall):
+            return ("Ind.3", EVERY, instances(f, consts), {}),
+        if isinstance(f, Or):
+            return ("Ind.4", SOME, list(f.children), {"sentence": f.key()}),
+        if isinstance(f, Exists):
+            return ("Ind.5", SOME, instances(f, fresh),
+                    {"sentence": f.key()}),
+        if _const_eq(f):
+            return ("Str.1", EVERY, [Eq(f.right, f.left)], {}),
+        return ()
+
+    namings = [("Str.3", SOME,
+                [Eq(Const(c), Const(d)) for c in
+                 ([d] if d in fresh else []) + [c for c in fresh if c != d]],
+                {"constant": d})
+               for d in consts]
+    return rows, namings
 
 
 def _undecidable(cp: ConsistencyProperty, s: frozenset, add: Formula) -> bool:
     """An explicit family cannot decide membership of a sentence outside its
-    pool; existential clauses report such candidates as pool gaps."""
+    pool; the clauses report such candidates as pool gaps."""
     return cp.explicit and not cp.in_pool(add) and add not in s
 
 
+def _try_extension(cp: ConsistencyProperty, s: frozenset, add: Formula,
+                   clause: str, violations: list, require: bool,
+                   member_key: tuple | None = None) -> bool:
+    """Check s union {add} for membership. For explicit families a sentence
+    outside the pool cannot be a member; when `require` is set that is
+    recorded as a PoolIncomplete finding, otherwise the candidate just fails.
+    Returns membership."""
+    gap = _undecidable(cp, s, add)
+    ok = not gap and cp.is_member(s | {add})
+    if require and not ok:
+        violations.append({
+            "clause": clause, "kind": "PoolIncomplete" if gap else "violation",
+            "member": _member_key(s) if member_key is None else member_key,
+            "missing" if gap else "needed": add.key()})
+    return ok
+
+
 def _miss(cp: ConsistencyProperty, s: frozenset, clause: str,
-          candidates: list[Formula], violations: list, **extra) -> None:
+          candidates: list[Formula], violations: list,
+          member_key: tuple | None = None, **extra) -> None:
     """Record a failed some-candidate clause: a hard violation when every
     candidate was decidable, a PoolIncomplete finding otherwise."""
     gaps = [c.key() for c in candidates if _undecidable(cp, s, c)]
-    entry = {"clause": clause, "member": _member_key(s), **extra}
+    entry = {"clause": clause,
+             "member": _member_key(s) if member_key is None else member_key,
+             **extra}
     if gaps:
         entry.update(kind="PoolIncomplete", missing=sorted(gaps))
     else:
@@ -251,93 +304,55 @@ def _miss(cp: ConsistencyProperty, s: frozenset, clause: str,
     violations.append(entry)
 
 
+def _check_row(cp: ConsistencyProperty, s: frozenset, row: tuple,
+               violations: list, member_key: tuple) -> None:
+    clause, mode, candidates, extra = row
+    if mode == EVERY:
+        for add in candidates:
+            _try_extension(cp, s, add, clause, violations, True, member_key)
+    elif not any(_try_extension(cp, s, add, clause, violations, False)
+                 for add in candidates):
+        _miss(cp, s, clause, candidates, violations, member_key, **extra)
+
+
 def check_cp(cp: ConsistencyProperty) -> dict:
     """Check every consistency-property clause on every family member.
     Returns {"ok", "family_size", "violations": [...]}; violation entries
     carry the clause tag, the offending member, and what was required.
-    The sentences a clause asks for depend on the sentence, not on the
-    member, so each is built once per family."""
+    The clause table is built once per family, and each member's key once
+    and shared by its findings."""
     violations: list[dict] = []
     members = enumerate_members(cp)
-    consts = cp.all_constants()
-    fresh = cp.fresh_constants
-    pool_set = set(cp.pool)
-    move = functools.cache(move_neg_inside)
+    keys = [_member_key(s) for s in members]
+    rows, namings = _clauses(cp)
     variants = functools.cache(occurrence_variants)
 
-    @functools.cache
-    def instances(f: Formula) -> list[Formula]:
-        names = consts if isinstance(f, Forall) else fresh
-        return [substitute(f.body, {v: Const(c) for v, c in zip(f.vars, tup)})
-                for tup in itertools.product(names, repeat=len(f.vars))]
-
-    # (Str.3) candidates per constant; the diagonal witness is
-    # overwhelmingly the cheap hit, so it comes first
-    namings = [(d, [Eq(Const(c), Const(d)) for c in
-                    ([d] if d in fresh else []) + [c for c in fresh if c != d]])
-               for d in consts]
-
     if cp.explicit:
-        for m in members:
+        for m, key in zip(members, keys):
             for f in m:
-                if f not in pool_set:
+                if f not in cp._pool_set:
                     violations.append({
                         "clause": "pool", "kind": "PoolIncomplete",
-                        "member": _member_key(m), "missing": f.key()})
+                        "member": key, "missing": f.key()})
 
-    for s in members:
+    for s, key in zip(members, keys):
         # (Con): no sentence together with its negation
         for f in s:
             if isinstance(f, Not) and f.body in s:
                 violations.append({
                     "clause": "Con", "kind": "violation",
-                    "member": _member_key(s), "needed": f.body.key()})
+                    "member": key, "needed": f.body.key()})
         for f in s:
-            if isinstance(f, Not):
-                # (Ind.1): the negation move stays in the family
-                _try_extension(cp, s, move(f.body), "Ind.1", violations,
-                               require=True)
-            elif isinstance(f, And):
-                # (Ind.2): every conjunct
-                for child in f.children:
-                    _try_extension(cp, s, child, "Ind.2", violations,
-                                   require=True)
-            elif isinstance(f, Forall):
-                # (Ind.3): every constant instance
-                for inst in instances(f):
-                    _try_extension(cp, s, inst, "Ind.3", violations,
-                                   require=True)
-            elif isinstance(f, Or):
-                # (Ind.4): some disjunct
-                if not any(_try_extension(cp, s, child, "Ind.4", violations,
-                                          require=False)
-                           for child in f.children):
-                    _miss(cp, s, "Ind.4", list(f.children), violations,
-                          sentence=f.key())
-            elif isinstance(f, Exists):
-                # (Ind.5): some witness tuple from the fresh constants
-                insts = instances(f)
-                if not any(_try_extension(cp, s, inst, "Ind.5", violations,
-                                          require=False) for inst in insts):
-                    _miss(cp, s, "Ind.5", insts, violations,
-                          sentence=f.key())
-            if isinstance(f, Eq) and isinstance(f.left, Const) \
-                    and isinstance(f.right, Const):
-                c, d = f.left.name, f.right.name
-                # (Str.1): symmetry
-                _try_extension(cp, s, Eq(f.right, f.left), "Str.1",
-                               violations, require=True)
-                # (Str.2): substitution into any co-member, any occurrences
-                if c != d:
-                    for psi in s:
-                        for variant in variants(psi, d, c):
-                            _try_extension(cp, s, variant, "Str.2",
-                                           violations, require=True)
-        # (Str.3): every constant is named by some fresh constant
-        for d, eqs in namings:
-            if not any(_try_extension(cp, s, e, "Str.3", violations,
-                                      require=False) for e in eqs):
-                _miss(cp, s, "Str.3", eqs, violations, constant=d)
+            for r in rows(f):
+                _check_row(cp, s, r, violations, key)
+            # (Str.2): substitution into any co-member, any occurrences
+            if _const_eq(f) and f.left != f.right:
+                for psi in s:
+                    for variant in variants(psi, f.right.name, f.left.name):
+                        _try_extension(cp, s, variant, "Str.2", violations,
+                                       True, key)
+        for r in namings:
+            _check_row(cp, s, r, violations, key)
 
     return {"ok": not violations, "family_size": len(members),
             "violations": violations}
@@ -345,16 +360,15 @@ def check_cp(cp: ConsistencyProperty) -> dict:
 
 def check_smax(cp: ConsistencyProperty) -> dict:
     """Maximality: every member extends by each pool sentence or by its
-    literal negation."""
-    violations = []
+    literal negation, a SOME row per pool sentence."""
+    violations: list[dict] = []
     members = enumerate_members(cp)
+    rows = [("S-Max", SOME, [f, Not(f)], {"sentence": f.key()})
+            for f in cp.pool]
     for s in members:
-        for f in cp.pool:
-            pos = _try_extension(cp, s, f, "S-Max", [], require=False)
-            neg = _try_extension(cp, s, Not(f), "S-Max", [], require=False)
-            if not (pos or neg):
-                _miss(cp, s, "S-Max", [f, Not(f)], violations,
-                      sentence=f.key())
+        key = _member_key(s)
+        for r in rows:
+            _check_row(cp, s, r, violations, key)
     return {"ok": not violations, "family_size": len(members),
             "violations": violations}
 
@@ -422,45 +436,35 @@ def forcing_poset_conditions(cp: ConsistencyProperty,
     return sorted(out, key=_member_key)
 
 
-def forcing_poset(cp: ConsistencyProperty, root: frozenset = frozenset()):
-    """The forcing poset of conditions extending the root, ordered by reverse
-    inclusion (p below q exactly when p is the larger set)."""
-    from .boolalg import FinPoset
-    conds = forcing_poset_conditions(cp, root)
-    pairs = [(p, q) for p in conds for q in conds if q <= p]
-    return FinPoset(conds, pairs)
+def forcing_poset(conditions: list[frozenset]) -> FinPoset:
+    """The forcing order on conditions: reverse inclusion, so p is below q
+    exactly when p is the larger set."""
+    return FinPoset(conditions, [(p, q) for p in conditions
+                                 for q in conditions if q <= p])
+
+
+_DENSE_KIND = {"Ind.4": "disjunction", "Ind.5": "existential",
+               "Str.3": "constant"}
 
 
 def dense_sets(cp: ConsistencyProperty) -> list[dict]:
-    """The dense-set roster: one set per disjunctive pool sentence (a
-    condition extends by some disjunct), one per existential pool sentence
-    (extends by some fresh-constant instance), one per base constant d (some
-    fresh c with c=d). Density below a condition containing the trigger is
-    decided on the maximal members, which is equivalent at finite scale."""
-    maxes = maximal_members(cp)
+    """The dense-set roster, read off the SOME rows of the clause table: one
+    set per disjunctive pool sentence (a condition extends by some
+    disjunct), one per existential pool sentence (by some fresh-constant
+    instance), one per base constant d (by some c=d with c fresh). A set is
+    dense below a condition when every maximal member above it that holds
+    the guard holds a trigger (no guard: every such member)."""
+    rows, namings = _clauses(cp)
+    guarded = [(f, r) for f in cp.pool for r in rows(f)] + \
+        [(None, r) for r in namings
+         if r[3]["constant"] in cp.signature.constants]
     out = []
-    for f in cp.pool:
-        if isinstance(f, Or):
-            holders = [m for m in maxes if f in m]
-            dense = all(any(ch in m for ch in f.children) for m in holders)
-            out.append({"kind": "disjunction", "sentence": f,
-                        "dense_below_holders": dense,
-                        "holders": len(holders)})
-        elif isinstance(f, Exists):
-            holders = [m for m in maxes if f in m]
-            insts = [substitute(f.body,
-                                {v: Const(c) for v, c in zip(f.vars, tup)})
-                     for tup in itertools.product(cp.fresh_constants,
-                                                  repeat=len(f.vars))]
-            dense = all(any(i in m for i in insts) for m in holders)
-            out.append({"kind": "existential", "sentence": f,
-                        "dense_below_holders": dense,
-                        "holders": len(holders)})
-    for d in cp.signature.constants:
-        eqs = [Eq(Const(c), Const(d)) for c in cp.fresh_constants]
-        dense = all(any(e in m for e in eqs) for m in maxes)
-        out.append({"kind": "constant", "constant": d,
-                    "dense_globally": dense})
+    for guard, r in guarded:
+        if r[1] == SOME:
+            clause, _, candidates, extra = r
+            (name,) = extra.values()
+            out.append({"kind": _DENSE_KIND[clause], "name": name,
+                        "guard": guard, "triggers": tuple(candidates)})
     return out
 
 
@@ -476,24 +480,6 @@ class GenericFilter:
         n = len(self.sigma)
         return len(self.members) == 2 ** n and \
             all(m <= self.sigma for m in self.members)
-
-
-def _dense_triggers(cp: ConsistencyProperty, entry: dict):
-    """(guard, triggers): the dense set is dense below a condition when every
-    maximal member above it containing the guard contains a trigger; a filter
-    meets it when its union contains a trigger."""
-    if entry["kind"] == "disjunction":
-        f = entry["sentence"]
-        return f, tuple(f.children)
-    if entry["kind"] == "existential":
-        f = entry["sentence"]
-        insts = tuple(
-            substitute(f.body, {v: Const(c) for v, c in zip(f.vars, tup)})
-            for tup in itertools.product(cp.fresh_constants,
-                                         repeat=len(f.vars)))
-        return f, insts
-    d = entry["constant"]
-    return None, tuple(Eq(Const(c), Const(d)) for c in cp.fresh_constants)
 
 
 def generic_filter(cp: ConsistencyProperty,
@@ -513,14 +499,13 @@ def generic_filter(cp: ConsistencyProperty,
             members.append(frozenset(combo))
     report = []
     for entry in dense_sets(cp):
-        guard, triggers = _dense_triggers(cp, entry)
+        guard, triggers, name = (entry["guard"], entry["triggers"],
+                                 entry["name"])
         dense_below_root = all(
             (guard is not None and guard not in m)
             or any(t in m for t in triggers)
             for m in maxes)
         met = any(t in minimum for t in triggers)
-        name = entry["constant"] if entry["kind"] == "constant" \
-            else entry["sentence"].key()
         report.append({"kind": entry["kind"], "name": name,
                        "dense_below_root": dense_below_root, "met": met})
         if dense_below_root and not met:
@@ -562,12 +547,9 @@ def build_af(cp: ConsistencyProperty,
     rel_pos = []
     rel_neg = []
     for f in sigma:
-        if isinstance(f, Eq) and isinstance(f.left, Const) \
-                and isinstance(f.right, Const):
+        if _const_eq(f):
             eq_pos.append((f.left.name, f.right.name))
-        elif isinstance(f, Not) and isinstance(f.body, Eq) \
-                and isinstance(f.body.left, Const) \
-                and isinstance(f.body.right, Const):
+        elif isinstance(f, Not) and _const_eq(f.body):
             eq_neg.append((f.body.left.name, f.body.right.name))
         elif isinstance(f, Atom) and all(isinstance(t, Const)
                                          for t in f.args):
@@ -615,24 +597,3 @@ def verify_realizes(term_model: TwoValuedStructure,
             failures.append(f.key())
     return {"ok": not failures, "failures": failures,
             "checked": len(sigma)}
-
-
-def check_kappa_omega_iff(cp: ConsistencyProperty,
-                          gf: GenericFilter | None = None,
-                          root: frozenset = frozenset()) -> dict:
-    """On a maximal family: for every pool sentence, the term structure
-    satisfies it exactly when it lies in sigma."""
-    if gf is None:
-        gf = generic_filter(cp, root)
-    tm = build_af(cp, gf.sigma)
-    model = tm.to_two_valued_model()
-    one = model.algebra.one
-    failures = []
-    for f in cp.pool:
-        sat = eval_formula(model, f) == one
-        member = f in gf.sigma
-        if sat != member:
-            failures.append({"sentence": f.key(), "satisfied": sat,
-                             "in_sigma": member})
-    return {"ok": not failures, "checked": len(cp.pool),
-            "failures": failures}

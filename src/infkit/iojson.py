@@ -107,6 +107,8 @@ def parse_formula(x: Any, path: str = "$") -> Formula:
             _reject_extras(a, {"rel", "args"}, here)
             rel = _str(_get(a, "rel", here), f"{here}.rel")
             args = _arr(_get(a, "args", here), f"{here}.args")
+            if not args:
+                _fail(f"{here}.args", "an atom takes at least one argument")
             return Atom(rel, tuple(
                 parse_term(t, f"{here}.args[{i}]") for i, t in enumerate(args)))
         if kind == "eq":
@@ -463,12 +465,19 @@ def emit_theory(theory: tuple[Signature, tuple[Formula, ...]]) -> dict:
                           for f in sorted(sentences, key=lambda f: f.key())]}
 
 
-def parse_pool(x: Any, path: str = "$") -> tuple[Formula, ...]:
+def parse_pool(x: Any, path: str = "$", sig: Signature | None = None,
+               need_sentence: bool = False) -> tuple[Formula, ...]:
+    """A formula pool; with `sig`, each formula is checked against the
+    signature it will be evaluated in."""
     d = _obj(x, path)
     _reject_extras(d, {"formulas"}, path)
-    return tuple(parse_formula(f, f"{path}.formulas[{i}]")
-                 for i, f in enumerate(_arr(_get(d, "formulas", path),
-                                            f"{path}.formulas")))
+    pool = []
+    for i, f in enumerate(_arr(_get(d, "formulas", path), f"{path}.formulas")):
+        here = f"{path}.formulas[{i}]"
+        g = parse_formula(f, here)
+        pool.append(g if sig is None else
+                    _validated(g, sig, here, need_sentence))
+    return tuple(pool)
 
 
 def emit_pool(pool: tuple[Formula, ...]) -> dict:

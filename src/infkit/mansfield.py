@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from .boolalg import (
     FinBooleanAlgebra, FinPoset, TrivialAlgebra, ro_completion,
 )
-from .bvmodel import BValuedModel, _by_label, check_mixing, check_model, \
-    eval_formula
+from .bvmodel import BValuedModel, _by_label, check_model, eval_formula
 from .consprop import (
-    ConsistencyProperty, cp_from_model, check_cp, forcing_poset_conditions,
-    maximal_among, member_meets, _member_key, _pkey,
+    ConsistencyProperty, cp_from_model, check_cp, forcing_poset,
+    forcing_poset_conditions, maximal_among, member_meets, _member_key, _pkey,
 )
 from .syntax import (
     Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
@@ -47,8 +46,7 @@ def condition_algebra(cp: ConsistencyProperty,
     conds = forcing_poset_conditions(cp, root)
     if not conds:
         raise ValueError("the root is not a condition of the forcing poset")
-    pairs = [(p, q) for p in conds for q in conds if q <= p]
-    poset = FinPoset(conds, pairs)
+    poset = forcing_poset(conds)
     algebra, emb = ro_completion(poset)
     return ConditionAlgebra(root=root, conditions=tuple(conds), poset=poset,
                             algebra=algebra, embedding=emb)
@@ -95,11 +93,11 @@ def mansfield_build(cp: ConsistencyProperty, root: frozenset = frozenset(),
     return out
 
 
-def verify_claim1(cp: ConsistencyProperty, root: frozenset = frozenset(),
-                  ca: ConditionAlgebra | None = None) -> dict:
+def verify_claim1(cp: ConsistencyProperty, built: dict) -> dict:
     """Whenever every condition extending s accepts the sentence, the
-    regular-open neighborhood of s sits below the sentence's join."""
-    ca = ca if ca is not None else condition_algebra(cp, root)
+    regular-open neighborhood of s sits below the sentence's join, in the
+    condition algebra of a mansfield_build result."""
+    ca = built["conditions"]
     cond_set = set(ca.conditions)
     checked = skipped = 0
     failures = []
@@ -118,13 +116,11 @@ def verify_claim1(cp: ConsistencyProperty, root: frozenset = frozenset(),
             "failures": failures}
 
 
-def verify_claim2(cp: ConsistencyProperty, root: frozenset = frozenset(),
-                  pool: tuple[Formula, ...] | None = None,
-                  built: dict | None = None) -> dict:
+def verify_claim2(cp: ConsistencyProperty, built: dict,
+                  pool: tuple[Formula, ...] | None = None) -> dict:
     """The join over conditions never exceeds the model value, sentence by
-    sentence."""
-    built = built if built is not None else mansfield_build(
-        cp, root, verify=False)
+    sentence, in a mansfield_build result (over the family's pool unless
+    `pool` is given)."""
     ca = built["conditions"]
     model = built["model"]
     pool = pool if pool is not None else cp.pool
@@ -138,11 +134,6 @@ def verify_claim2(cp: ConsistencyProperty, root: frozenset = frozenset(),
                              "l_value": sorted(map(repr, labels[lv])),
                              "model_value": sorted(map(repr, labels[mv]))})
     return {"ok": not failures, "checked": len(pool), "failures": failures}
-
-
-def mixing_report(built: dict) -> dict:
-    """Mixing check on a built model; the construction does not promise it."""
-    return check_mixing(built["model"])
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +291,7 @@ def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
     materialized = False
     ro_size = None
     if len(members) <= MATERIALIZE_LIMIT:
-        pairs = [(p, q) for p in members for q in members if q <= p]
-        poset = FinPoset(members, pairs)
+        poset = forcing_poset(members)
         ro_alg, emb = ro_completion(poset)
         ro_size = len(ro_alg.elements)
         materialized = True

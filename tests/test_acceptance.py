@@ -17,12 +17,13 @@ import pytest
 from infkit.boolalg import (check_algebra, enumerate_ultrafilters,
                             is_dense_subset, regular_open_sets_bruteforce,
                             ro_completion)
-from infkit.bvmodel import (bounded_boolean_sat, check_full_everywhere,
-                            check_mixing, check_mixing_by_antichains,
-                            check_model, check_subst_inequality, eval_formula)
+from infkit.bvmodel import (ShapeError, bounded_boolean_sat,
+                            check_full_everywhere, check_mixing,
+                            check_mixing_by_antichains, check_model,
+                            eval_formula)
 from infkit.calculus import RULES, Proof, check_proof, soundness_sample
-from infkit.consprop import (build_af, check_cp, check_kappa_omega_iff,
-                             generic_filter, verify_realizes)
+from infkit.consprop import (build_af, check_cp, generic_filter,
+                             verify_realizes)
 from infkit.iojson import (dumps, emit_algebra, emit_cp, emit_formula,
                            emit_model, emit_pool, emit_poset, emit_proof,
                            emit_signature, emit_theory, emit_ultrafilter,
@@ -102,6 +103,19 @@ def test_quotient_biconditional_holds_everywhere():
     assert total == 1967
 
 
+def check_subst_inequality(model, f, taus, sigmas) -> dict:
+    """inf_i [tau_i = sigma_i] meet [f(tau)] <= [f(sigma)], the formula-level
+    substitution inequality, with the free variables in sorted order."""
+    alg = model.algebra
+    vs = tuple(sorted(f.free_vars()))
+    if len(vs) != len(taus) or len(vs) != len(sigmas):
+        raise ShapeError("tuple lengths do not match the variable list")
+    agree = alg.inf(model.eq_value(a, b) for a, b in zip(taus, sigmas))
+    lhs = alg.meet(agree, eval_formula(model, f, dict(zip(vs, taus))))
+    rhs = eval_formula(model, f, dict(zip(vs, sigmas)))
+    return {"ok": alg.leq(lhs, rhs), "lhs": lhs, "rhs": rhs}
+
+
 def test_substitution_inequality_on_sampled_cases():
     rng = random.Random(0)
     models = model_pool()
@@ -134,6 +148,25 @@ def test_mixing_implies_fullness_and_methods_agree(m4, corpus_dir):
     assert not check_mixing(three_element_nonmixing_model())["mixing"]
 
 
+def check_kappa_omega_iff(cp, gf=None) -> dict:
+    """On a maximal family: for every pool sentence, the term structure of
+    the generic filter (by default at the empty root) satisfies it exactly
+    when it lies in sigma."""
+    if gf is None:
+        gf = generic_filter(cp)
+    model = build_af(cp, gf.sigma).to_two_valued_model()
+    one = model.algebra.one
+    failures = []
+    for f in cp.pool:
+        sat = eval_formula(model, f) == one
+        member = f in gf.sigma
+        if sat != member:
+            failures.append({"sentence": f.key(), "satisfied": sat,
+                             "in_sigma": member})
+    return {"ok": not failures, "checked": len(cp.pool),
+            "failures": failures}
+
+
 def test_generic_filter_pipeline_realizes_every_root(good_families,
                                                      max_family):
     roots = 0
@@ -156,8 +189,8 @@ def test_condition_model_and_claims_at_every_root(good_families, corpus_dir):
             built = mansfield_build(cp, root, verify=False)
             assert built["root_ok"], (name, sorted(map(repr, root)))
             assert check_model(built["model"])["ok"]
-            assert verify_claim1(cp, root, ca=built["conditions"])["ok"]
-            assert verify_claim2(cp, root, built=built)["ok"]
+            assert verify_claim1(cp, built)["ok"]
+            assert verify_claim2(cp, built)["ok"]
     for bad in ("ind4_family.json", "con_family.json"):
         with pytest.raises(ValueError):
             mansfield_build(_load(corpus_dir, bad, parse_cp))

@@ -340,3 +340,85 @@ def test_cap_overruns_are_input_errors(capsys, monkeypatch, corpus_dir,
     code, out, err = run(capsys, *(a.format(corpus=corpus_dir,
                                             no_pool=no_pool) for a in argv))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_X_POOL = {"formulas": [{"eq": [{"const": "d"}, {"const": "d"}]},
+                        {"eq": [{"const": "x"}, {"const": "d"}]}]}
+_Z_POOL = {"formulas": [{"atom": {"rel": "Z", "args": [{"const": "d"}]}}]}
+_FREE_POOL = {"formulas": [{"eq": [{"var": "v0"}, {"const": "c0"}]}]}
+_EQ_POOL = {"formulas": [{"eq": [{"const": "d"}, {"const": "d"}]}]}
+
+
+@pytest.mark.parametrize("command, pool, message", [
+    (("cp-from-model", "--model", "{m4}", "--pool", "{pool}"), _X_POOL,
+     "$.formulas[1]: undeclared constant 'x'"),
+    (("cp-from-model", "--model", "{m4}", "--pool", "{pool}"), _Z_POOL,
+     "$.formulas[0]: undeclared relation 'Z'"),
+    (("cp-from-model", "--model", "{m4}", "--pool", "{pool}"), _FREE_POOL,
+     "$.formulas[0]: expected a sentence, found free variables ['v0']"),
+    (("cp-from-model", "--model", "{m4_m10}", "--pool", "{pool}"), _EQ_POOL,
+     "constants already declared: ['m10']"),
+    (("mansfield", "--cp", "{eq4}", "--root", "0", "--pool", "{pool}"),
+     {"formulas": [{"eq": [{"const": "c0"}, {"const": "x"}]}]},
+     "$.formulas[0]: undeclared constant 'x'"),
+    (("mansfield", "--cp", "{eq4}", "--root", "0", "--pool", "{pool}"),
+     _FREE_POOL, "$.formulas[0]: expected a sentence, found free variables"),
+    (("quotient", "--model", "{m4}", "--ultrafilter", "{uf}", "--los-pool",
+      "{pool}"), _X_POOL, "$.formulas[1]: undeclared constant 'x'"),
+], ids=["cp-from-model-constant", "cp-from-model-relation",
+        "cp-from-model-free-variable", "cp-from-model-constant-clash",
+        "mansfield-constant", "mansfield-free-variable", "quotient-constant"])
+def test_pools_are_checked_against_their_signature(tmp_path, corpus_dir,
+                                                   command, pool, message):
+    m4 = json.loads((corpus_dir / "four_element_model.json").read_text())
+    m4["signature"]["constants"].append("m10")
+    m4["constants"]["m10"] = "m10"
+    paths = {"m4": corpus("four_element_model.json", corpus_dir),
+             "m4_m10": _write_json(tmp_path / "m4_m10.json", m4),
+             "eq4": corpus("eq4_family.json", corpus_dir),
+             "uf": corpus("uf_a0.json", corpus_dir),
+             "pool": _write_json(tmp_path / "pool.json", pool)}
+    proc = run_subprocess(*(a.format(**paths) for a in command))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_ro_of_the_empty_poset_is_an_input_error(tmp_path):
+    path = _write_json(tmp_path / "empty.json", {"elements": [], "leq": []})
+    proc = run_subprocess("ro", path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: regular-open completion of the empty "
+                           "poset\n")
+
+
+def test_zero_ary_atoms_are_refused_at_parse(tmp_path, corpus_dir):
+    proof = json.loads((corpus_dir / "proof_axiom.json").read_text())
+    step = proof["steps"][0]["sequent"]
+    step["ante"][0]["atom"]["args"] = []
+    path = _write_json(tmp_path / "proof.json", proof)
+    proc = run_subprocess("check-proof", path, "--soundness-samples", "3")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: $.steps[0].sequent.ante[0].atom."
+                                  "args: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_mansfield_completes_the_forcing_poset_once(capsys, monkeypatch,
+                                                   corpus_dir):
+    from infkit import mansfield
+    calls = []
+
+    def counting(poset):
+        calls.append(poset)
+        return real(poset)
+
+    real = mansfield.ro_completion
+    monkeypatch.setattr(mansfield, "ro_completion", counting)
+    code, out, err = run(capsys, "mansfield", "--cp",
+                         corpus("eq4_family.json", corpus_dir), "--root", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"]
+    assert len(calls) == 1

@@ -5,15 +5,16 @@ import pytest
 from infkit.boolalg import two_valued_algebra
 from infkit.bvmodel import BValuedModel, eval_formula
 from infkit.consprop import (
-    ConsistencyProperty, build_af, check_cp, check_kappa_omega_iff,
-    check_smax, convert_to_explicit, cp_from_model, default_pool, dense_sets,
-    enumerate_members, forcing_poset, generic_filter, maximal_members,
+    ConsistencyProperty, build_af, check_cp, check_smax, convert_to_explicit,
+    cp_from_model, default_pool, dense_sets, enumerate_members, forcing_poset,
+    forcing_poset_conditions, generic_filter, maximal_members,
     occurrence_variants, verify_realizes,
 )
 from infkit.modelgen import split_constant_theory, four_element_model
 from infkit.syntax import (
     Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
 )
+from test_acceptance import check_kappa_omega_iff
 
 SIG0 = Signature(relations=(), constants=())
 
@@ -64,7 +65,7 @@ def test_eq4_maximal_members_are_the_two_blocks(eq4):
 
 
 def test_forcing_poset_conditions_are_family_members(eq4):
-    poset = forcing_poset(eq4)
+    poset = forcing_poset(forcing_poset_conditions(eq4))
     assert set(poset.elements) <= set(eq4.family)
     # stronger condition = superset
     got = {(p, q) for p in poset.elements for q in poset.elements

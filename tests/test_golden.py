@@ -1,7 +1,8 @@
 """Byte-identity of a fixed set of commands: the sha256 of each command's
 exit code, stdout and stderr (and of the model file it writes, if any), at
 string-hash seed 0, pinned to the values these commands printed before
-algebra elements became int masks over atoms."""
+algebra elements became int masks over atoms (the `check-cp` and `generic`
+pins: before the clause table was shared by every forcing-side check)."""
 import hashlib
 import os
 import random
@@ -64,9 +65,23 @@ GOLDEN = {
     "generic_eq4_5": ("generic", "--cp", "eq4_family.json", "--root", "5",
                       "--emit-model", "emitted.json"),
     "corpus": ("corpus",),
+    "check_cp_b8_emitted": ("check-cp", "b8_family.json"),
+    "check_cp_max_smax": ("check-cp", "max_family.json", "--smax"),
+    "check_cp_ind4": ("check-cp", "ind4_family.json"),
+    "check_cp_con": ("check-cp", "con_family.json"),
+    "generic_max_3": ("generic", "--cp", "max_family.json", "--root", "3"),
+    "generic_ind4_1": ("generic", "--cp", "ind4_family.json", "--root", "1"),
 }
 
 EXPECTED = {
+    "check_cp_b8_emitted":
+        "72e9d838f7b19e8cca7d317a85176d14da4c885677d7d2f80f3da0ac2143735e",
+    "check_cp_con":
+        "de1a18cd8a4f09a719e6c682fe8fff0c35d0b84c47fd7cbc05bf646a46789e9a",
+    "check_cp_ind4":
+        "979dead502ec3c56d4355d22b231ff1dfbc788f545b58c69f9751c76870f3df0",
+    "check_cp_max_smax":
+        "17ab8c427e86e17945b70a43d4d9349c0a5615db52e1d616545991694a465d01",
     "check_model":
         "bc7fc38b8c4283f2ecfbf90b99af5ba5b087fe5fe3d20142ec700d616333118a",
     "corpus":
@@ -81,6 +96,10 @@ EXPECTED = {
         "3836ea48812abd081c8e53ce7459bf0d7249219ead46372af3c9ca9c8b4a9f18",
     "generic_eq4_5":
         "a86b072b23b538c14699397024ebb09bfbd232b2c09268d775399ed7ce9fb538",
+    "generic_ind4_1":
+        "e8683959777ba51a22431c4ec74493def413940e79ab88cdcd920ce8cf692220",
+    "generic_max_3":
+        "9272c0c09e2396c297b5c8ee9fe79813294f1488ea37012ed77335a1b879f960",
     "mansfield_eq4_0":
         "421e66ad51709d30254d51c1d34772f3b834863e22d870759271e3735099333f",
     "mansfield_eq4_2":
@@ -112,16 +131,22 @@ def workdir(tmp_path_factory):
     (d / "disjunction.json").write_text(dumps({"or": [
         {"eq": [{"const": "d"}, {"const": "c0"}]},
         {"eq": [{"const": "d"}, {"const": "c1"}]}]}))
+    (d / "b8_family.json").write_bytes(
+        run(("cp-from-algebra", "b8.json", "--emit"), d).stdout)
     return d
 
 
-def digest(argv, cwd: Path) -> str:
+def run(argv, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=str(Path(infkit.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "infkit.cli", *argv],
+                          cwd=cwd, capture_output=True, env=env)
+
+
+def digest(argv, cwd: Path) -> str:
     emitted = cwd / "emitted.json"
     emitted.unlink(missing_ok=True)
-    proc = subprocess.run([sys.executable, "-m", "infkit.cli", *argv],
-                          cwd=cwd, capture_output=True, env=env)
+    proc = run(argv, cwd)
     h = hashlib.sha256(f"exit {proc.returncode}\n".encode())
     for part in (proc.stdout, proc.stderr,
                  emitted.read_bytes() if emitted.exists() else b""):

@@ -58,11 +58,17 @@ def test_parse_errors_carry_paths():
 
 def test_validation_errors_cite_the_signature(corpus_dir):
     theory = load_json(str(corpus_dir / "split_constant_theory.json"))
-    theory["sentences"].append({"atom": {"rel": "S", "args": []}})
+    theory["sentences"].append({"atom": {"rel": "S",
+                                         "args": [{"const": "d"}]}})
     with pytest.raises(ParseError) as e:
         parse_theory(theory)
     msg = str(e.value)
     assert "$.sentences[4]" in msg and "signature" in msg
+    # no signature declares a relation of arity 0, so the parser refuses it
+    theory["sentences"][4] = {"atom": {"rel": "S", "args": []}}
+    with pytest.raises(ParseError) as e:
+        parse_theory(theory)
+    assert str(e.value).startswith("$.sentences[4].atom.args: ")
 
     model = load_json(str(corpus_dir / "four_element_model.json"))
     model["relations"] = {"S": [{"args": ["m00"], "value": ["a0"]}]}
@@ -246,7 +252,8 @@ terms = st.one_of(names.map(Var), consts.map(Const))
 def wire_formulas(draw, depth=3):
     if depth == 0:
         if draw(st.booleans()):
-            return Atom("R", tuple(draw(st.lists(terms, max_size=2))))
+            return Atom("R", tuple(draw(st.lists(terms, min_size=1,
+                                                 max_size=2))))
         return Eq(draw(terms), draw(terms))
     sub = wire_formulas(depth=depth - 1)
     kind = draw(st.integers(0, 4))

@@ -14,10 +14,6 @@ KEPT = {
         "oracle for the density of ro_completion's embedding",
     "bvmodel.check_mixing_by_antichains":
         "brute-force oracle for check_mixing",
-    "bvmodel.check_subst_inequality":
-        "substitution inequality, checked by an acceptance test",
-    "consprop.check_kappa_omega_iff":
-        "maximality biconditional, checked by an acceptance test",
     "modelgen.three_element_nonmixing_model":
         "reference model without mixing, an acceptance-test input",
     "modelgen.unattained_sup_formula":

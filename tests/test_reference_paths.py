@@ -1,6 +1,7 @@
 """The once-per-family fast paths against the reference paths they replaced,
 kept here as oracles: the per-member clause check (every clause instance
-rebuilt for every member), the per-k law loop of check_algebra, the
+rebuilt for every member) and maximality check (both extensions tried for
+every sentence), the per-k law loop of check_algebra, the
 definitions of poset down-sets and up-closures, per-member evaluation in
 cp_from_algebra, and the standard-library JSON encoder. Also the formula
 walkers as they were, one isinstance chain per operation, against the same
@@ -25,8 +26,9 @@ from infkit.bvmodel import eval_formula
 from infkit.calculus import in_calculus_fragment
 from infkit.consprop import (
     ConsistencyProperty, _member_key, _miss, _pkey, _try_extension, check_cp,
-    convert_to_explicit, cp_from_model, default_pool, enumerate_members,
-    maximal_among, maximal_members, member_meets, occurrence_variants,
+    check_smax, convert_to_explicit, cp_from_model, default_pool,
+    enumerate_members, maximal_among, maximal_members, member_meets,
+    occurrence_variants,
 )
 from infkit.iojson import (
     dumps, load_json, parse_algebra, parse_cp, parse_model, parse_pool,
@@ -121,6 +123,22 @@ def reference_check_cp(cp):
                 _miss(cp, s, "Str.3",
                       [Eq(Const(c), Const(d)) for c in order], violations,
                       constant=d)
+    return {"ok": not violations, "family_size": len(members),
+            "violations": violations}
+
+
+def reference_check_smax(cp):
+    """check_smax as it was: both extensions tried for every pool sentence,
+    and the negation built again for every member."""
+    violations = []
+    members = enumerate_members(cp)
+    for s in members:
+        for f in cp.pool:
+            pos = _try_extension(cp, s, f, "S-Max", [], require=False)
+            neg = _try_extension(cp, s, Not(f), "S-Max", [], require=False)
+            if not (pos or neg):
+                _miss(cp, s, "S-Max", [f, Not(f)], violations,
+                      sentence=f.key())
     return {"ok": not violations, "family_size": len(members),
             "violations": violations}
 
@@ -311,6 +329,7 @@ def test_check_cp_matches_reference_on_corpus_families(corpus_dir, name):
     cp = parse_cp(load_json(str(corpus_dir / f"{name}.json")))
     for variant in _variants(cp):
         assert check_cp(variant) == reference_check_cp(variant)
+        assert check_smax(variant) == reference_check_smax(variant)
 
 
 def test_check_cp_matches_reference_when_a_constant_has_two_names():
@@ -338,6 +357,7 @@ def test_check_cp_matches_reference_on_emitted_algebra_families(
     for cp in families:
         got = check_cp(cp)
         assert got == reference_check_cp(cp)
+        assert check_smax(cp) == reference_check_smax(cp)
     # the emitted b8 family has pool gaps, so the comparison is not vacuous
     assert got["violations"]
 

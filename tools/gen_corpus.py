@@ -18,7 +18,7 @@ from infkit.bvmodel import BValuedModel, bounded_boolean_sat, check_model
 from infkit.calculus import Proof, Sequent, Step, check_proof, soundness_sample
 from infkit.consprop import (
     ConsistencyProperty, check_cp, check_smax, convert_to_explicit,
-    cp_from_model, forcing_poset,
+    cp_from_model, forcing_poset_conditions,
 )
 from infkit.iojson import (
     dumps, emit_algebra, emit_cp, emit_formula, emit_model, emit_poset,
@@ -156,13 +156,13 @@ def main() -> None:
          {"check_cp": True, "members": 16, "smax": True})
 
     # conditions of the forcing order over EQ4, recast as a family
-    P = forcing_poset(EQ4)
+    conds = forcing_poset_conditions(EQ4)
     COND = ConsistencyProperty(signature=sig0,
                                fresh_constants=("c0", "c1", "c2", "c3"),
-                               pool=pool8, family=tuple(P.elements))
+                               pool=pool8, family=tuple(conds))
     assert check_cp(COND)["ok"]
     ship("conditions_family.json", "cp", emit_cp(COND),
-         {"check_cp": True, "members": len(P.elements)})
+         {"check_cp": True, "members": len(conds)})
 
     # value-positivity family of the two-point crisp model, made explicit.
     # The pool lacks double negations, so the single-extension check cannot
