@@ -402,8 +402,3 @@ def enumerate_ultrafilters(alg: FinBooleanAlgebra) -> list[frozenset]:
     return [principal_filter(alg, a)
             for a in sorted(alg.atoms(), key=lambda a: repr(alg.labels[a]))]
 
-
-def is_dense_subset(alg: FinBooleanAlgebra, dense: Iterable) -> bool:
-    """Every nonzero element bounds some nonzero member of `dense` below it."""
-    ds = [d for d in dense if d != alg.zero]
-    return all(any(alg.leq(d, b) for d in ds) for b in alg.nonzero())

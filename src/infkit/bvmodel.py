@@ -16,8 +16,8 @@ from typing import Iterable
 
 from .boolalg import FinBooleanAlgebra, powerset_algebra, two_valued_algebra
 from .syntax import (
-    And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Term,
-    Var, subformulas,
+    And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature, Term, Var,
+    subformulas,
 )
 
 
@@ -252,32 +252,6 @@ def mixes_over(model: BValuedModel, antichain: list, targets: list) -> str | Non
     return None
 
 
-def check_mixing_by_antichains(model: BValuedModel) -> dict:
-    """Cross-check: enumerate every antichain of nonzero elements and every
-    target map; exponential, for small algebras only."""
-    alg = model.algebra
-    nz = _by_label(alg, alg.nonzero())
-
-    antichains: list[tuple] = [()]
-    def extend(prefix: tuple, rest: list) -> None:
-        for i, b in enumerate(rest):
-            if all(alg.meet(b, a) == alg.zero for a in prefix):
-                cand = prefix + (b,)
-                antichains.append(cand)
-                extend(cand, rest[i + 1:])
-    extend((), nz)
-
-    for chain in antichains:
-        if not chain:
-            continue
-        for targets in itertools.product(model.domain, repeat=len(chain)):
-            if mixes_over(model, list(chain), list(targets)) is None:
-                return {"mixing": False,
-                        "antichain": [alg.labels[a] for a in chain],
-                        "targets": list(targets)}
-    return {"mixing": True}
-
-
 def check_full(model: BValuedModel, f: Formula,
                assignment: dict[str, str] | None = None) -> dict:
     """Whether the sup defining an existential value is attained by a single
@@ -359,9 +333,15 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
     the OR of its structures' masks sets every bit, and a strong witness iff
     the AND does; then each of its structures is a one-atom strong witness
     with the same constants, which the order reaches first, so strong mode
-    tries one atom per domain size and moves on. Only the first witness is
-    assembled. Reports {"found": True, "model": ...} for it or
-    {"exhausted": True} - never unsatisfiability.
+    tries one atom per domain size and moves on.
+
+    Weak mode goes on to k atoms only when no constant choice has a cover
+    by fewer, so a k-atom cover has k distinct masks, and putting the first
+    structure with the same mask in place of each keeps the cover and moves
+    the candidate no later. So weak mode searches only those first
+    structures, and the structure cap bounds its time as in strong mode.
+    Only the first witness is assembled. Reports {"found": True, "model":
+    ...} for it or {"exhausted": True} - never unsatisfiability.
     """
     if mode not in ("weak", "strong"):
         raise ValueError("mode must be 'weak' or 'strong'")
@@ -393,33 +373,64 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
         constants = [dict(zip(signature.constants, cvals))
                      for cvals in itertools.product(
                          domain, repeat=len(signature.constants))]
-        masks: dict[tuple[int, int], int] = {}
 
+        @functools.cache
         def mask(s: int, c: int) -> int:
-            if (s, c) not in masks:
-                model = assemble_model(signature, ("a0",), domain,
-                                       (structures[s],), constants[c])
-                masks[(s, c)] = sum(
-                    1 << i for i, f in enumerate(sentences)
-                    if eval_formula(model, f) == model.algebra.one)
-            return masks[(s, c)]
+            model = assemble_model(signature, ("a0",), domain,
+                                   (structures[s],), constants[c])
+            return sum(1 << i for i, f in enumerate(sentences)
+                       if eval_formula(model, f) == model.algebra.one)
 
-        for n_atoms in range(1, (max_atoms if mode == "weak" else 1) + 1):
-            for combo in itertools.combinations_with_replacement(
-                    range(len(structures)), n_atoms):
-                for c in range(len(constants)):
-                    got = 0
-                    for s in combo:
-                        got |= mask(s, c)
-                    if got == every:
-                        model = assemble_model(
-                            signature, tuple(f"a{i}" for i in range(n_atoms)),
-                            domain, tuple(structures[s] for s in combo),
-                            constants[c])
-                        return {"found": True, "model": model,
-                                "atoms": n_atoms, "domain_size": n_dom}
+        hit = next((((s,), c) for s in range(len(structures))
+                    for c in range(len(constants)) if mask(s, c) == every),
+                   None)
+        if hit is None and mode == "weak":
+            hit = _first_cover([[mask(s, c) for s in range(len(structures))]
+                                for c in range(len(constants))],
+                               every, max_atoms)
+        if hit:
+            combo, c = hit
+            model = assemble_model(
+                signature, tuple(f"a{i}" for i in range(len(combo))), domain,
+                tuple(structures[s] for s in combo), constants[c])
+            return {"found": True, "model": model, "atoms": len(combo),
+                    "domain_size": n_dom}
     return {"exhausted": True, "max_atoms": max_atoms,
             "max_domain": max_domain, "mode": mode}
+
+
+def _first_cover(masks: list[list[int]], every: int,
+                 max_atoms: int) -> tuple | None:
+    """First `(combo, constant choice)` of 2 to max_atoms atoms, in search
+    order, whose masks OR to `every`; masks[c][s] is the mask of structure
+    s under constant choice c. Per choice, only the first structure with
+    each mask is tried, depth-first, pruned where the OR of the masks left
+    cannot finish the cover."""
+    firsts = []
+    for row in masks:
+        seen: dict[int, int] = {}
+        for s, m in enumerate(row):
+            seen.setdefault(m, s)
+        left = itertools.accumulate(reversed(seen), int.__or__, initial=0)
+        firsts.append((list(seen.items()), list(left)[::-1]))
+
+    def dfs(reps: list, left: list, i: int, need: int, got: int):
+        if need == 0:
+            return () if got == every else None
+        for j in range(i, len(reps) - need + 1):
+            if got | left[j] != every:
+                return None
+            rest = dfs(reps, left, j + 1, need - 1, got | reps[j][0])
+            if rest is not None:
+                return (reps[j][1],) + rest
+        return None
+
+    for k in range(2, max_atoms + 1):
+        covers = [(combo, c) for c, (reps, left) in enumerate(firsts)
+                  if (combo := dfs(reps, left, 0, k, 0))]
+        if covers:
+            return min(covers)
+    return None
 
 
 def structure_count(n_dom: int, arities: list[int]) -> int:

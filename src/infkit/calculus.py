@@ -9,12 +9,13 @@ the rule equation as sets, with no silent weakening.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
-from .bvmodel import eval_formula
-from .modelgen import infer_signature, random_valid_model
+from .bvmodel import assemble_model, eval_formula
+from .modelgen import infer_signature, random_structures
 from .syntax import (
     And, CaptureError, Eq, Exists, Forall, Formula, Not, Or, Term, Var,
     nodes, substitute,
@@ -274,31 +275,54 @@ def check_proof(proof: Proof) -> dict:
     return {"accepted": True, "goal": proof.goal}
 
 
+def _failing_assignments(goal: Sequent, model, free: list[str]):
+    """Assignments of the free variables under which the meet of the
+    antecedent is not below the join of the succedent."""
+    alg = model.algebra
+    for tup in itertools.product(model.domain, repeat=len(free)):
+        assign = dict(zip(free, tup))
+        lhs = alg.inf(eval_formula(model, f, assign) for f in goal.ante)
+        rhs = alg.sup(eval_formula(model, f, assign) for f in goal.succ)
+        if not alg.leq(lhs, rhs):
+            yield assign
+
+
 def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
                      max_atoms: int = 2, max_domain: int = 3) -> dict:
     """Evaluate the sequent inequality (meet of the antecedent below the join
     of the succedent) under every assignment in seeded random valid models.
-    Any violation is a countermodel for the goal."""
+    Any violation is a countermodel for the goal.
+
+    A model is drawn as one quotient structure per atom, and every
+    connective acts atom by atom, so the inequality holds in it iff it
+    holds in each atom's quotient (classes, tables, constant classes) under
+    every assignment to classes. Each quotient is decided once per call;
+    only a sample with a failing atom is assembled."""
     if max_atoms < 1 or max_domain < 1:
         raise ValueError("bounds must be at least 1")
     formulas = list(goal.ante) + list(goal.succ)
     sig = infer_signature(formulas)
     free = sorted(set().union(*(f.free_vars() for f in formulas))
                   if formulas else set())
+
+    @functools.cache
+    def holds(n: int, tables: tuple, named: tuple) -> bool:
+        classes = tuple(f"m{k}" for k in range(n))
+        quotient = assemble_model(
+            sig, ("a0",), classes, ((tuple(range(n)), tables),),
+            {c: classes[k] for c, k in zip(sig.constants, named)})
+        return next(_failing_assignments(goal, quotient, free), None) is None
+
     rng = random.Random(seed)
-    violations = []
     for i in range(samples):
-        model = random_valid_model(rng, sig, max_atoms=max_atoms,
-                                   max_domain=max_domain)
-        alg = model.algebra
-        for tup in itertools.product(model.domain, repeat=len(free)):
-            assign = dict(zip(free, tup))
-            lhs = alg.inf(eval_formula(model, f, assign) for f in goal.ante)
-            rhs = alg.sup(eval_formula(model, f, assign) for f in goal.succ)
-            if not alg.leq(lhs, rhs):
-                violations.append({"sample": i, "assignment": assign,
-                                   "model": model})
-        if violations:
-            break
-    return {"ok": not violations, "samples": samples,
-            "violations": violations}
+        atoms, domain, per_atom, consts = random_structures(
+            rng, sig, max_atoms=max_atoms, max_domain=max_domain)
+        if all(holds(max(rgs) + 1, tables,
+                     tuple(rgs[domain.index(consts[c])] for c in sig.constants))
+               for rgs, tables in per_atom):
+            continue
+        model = assemble_model(sig, atoms, domain, per_atom, consts)
+        violations = [{"sample": i, "assignment": assign, "model": model}
+                      for assign in _failing_assignments(goal, model, free)]
+        return {"ok": False, "samples": samples, "violations": violations}
+    return {"ok": True, "samples": samples, "violations": []}

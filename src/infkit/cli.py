@@ -270,17 +270,15 @@ def cmd_check_proof(args) -> int:
         return _input_error("--max-atoms and --max-domain must be at least 1")
     proof = parse_proof(load_json(args.proof))
     report = check_proof(proof)
-    if report["accepted"] and args.soundness_samples > 0:
+    ok = report["accepted"]
+    if ok and args.soundness_samples > 0:
         sampled = soundness_sample(proof.goal, samples=args.soundness_samples,
                                    seed=args.seed, max_atoms=args.max_atoms,
                                    max_domain=args.max_domain)
-        report = dict(report)
-        report["soundness"] = sampled
-        if not sampled["ok"]:
-            _print(_plain(report))
-            return 1
+        report = dict(report, soundness=sampled)
+        ok = sampled["ok"]
     _print(_plain(report))
-    return 0 if report["accepted"] else 1
+    return 0 if ok else 1
 
 
 def cmd_corpus(args) -> int:

@@ -288,12 +288,11 @@ def _try_extension(cp: ConsistencyProperty, s: frozenset, add: Formula,
     return ok
 
 
-def _miss(cp: ConsistencyProperty, s: frozenset, clause: str,
-          candidates: list[Formula], violations: list,
+def _miss(s: frozenset, clause: str, gaps: list[tuple], violations: list,
           member_key: tuple | None = None, **extra) -> None:
     """Record a failed some-candidate clause: a hard violation when every
-    candidate was decidable, a PoolIncomplete finding otherwise."""
-    gaps = [c.key() for c in candidates if _undecidable(cp, s, c)]
+    candidate was decidable, a PoolIncomplete finding naming the keys of
+    the undecidable ones otherwise."""
     entry = {"clause": clause,
              "member": _member_key(s) if member_key is None else member_key,
              **extra}
@@ -310,9 +309,14 @@ def _check_row(cp: ConsistencyProperty, s: frozenset, row: tuple,
     if mode == EVERY:
         for add in candidates:
             _try_extension(cp, s, add, clause, violations, True, member_key)
-    elif not any(_try_extension(cp, s, add, clause, violations, False)
-                 for add in candidates):
-        _miss(cp, s, clause, candidates, violations, member_key, **extra)
+        return
+    gaps = []
+    for add in candidates:
+        if _undecidable(cp, s, add):
+            gaps.append(add.key())
+        elif cp.is_member(s | {add}):
+            return
+    _miss(s, clause, gaps, violations, member_key, **extra)
 
 
 def check_cp(cp: ConsistencyProperty) -> dict:

@@ -1,6 +1,6 @@
-"""Deterministic corpus builders and seeded random generators for models,
-formulas, and posets. Random models are assembled from per-atom quotient
-structures, so they satisfy the validity axioms by construction.
+"""Deterministic corpus builders, a seeded generator of random models as
+per-atom quotient structures (valid by construction once assembled), and
+poset enumeration.
 """
 from __future__ import annotations
 
@@ -149,8 +149,11 @@ def formula_pool(max_depth: int = 3) -> list[Formula]:
 # ---------------------------------------------------------------------------
 # seeded random generation
 
-def random_valid_model(rng: random.Random, sig: Signature,
-                       max_atoms: int = 3, max_domain: int = 3) -> BValuedModel:
+def random_structures(rng: random.Random, sig: Signature,
+                      max_atoms: int = 3, max_domain: int = 3) -> tuple:
+    """Seeded `(atom names, domain, per-atom structures, constants)`, the
+    arguments of `assemble_model` after the signature: a random valid model
+    drawn as its per-atom quotients."""
     n_atoms = rng.randint(1, max_atoms)
     n_dom = rng.randint(1, max_domain)
     atoms = tuple(f"a{i}" for i in range(n_atoms))
@@ -166,42 +169,7 @@ def random_valid_model(rng: random.Random, sig: Signature,
             tables.append(frozenset(t for t in space if rng.random() < 0.5))
         per_atom.append((rgs, tuple(tables)))
     consts = {c: rng.choice(dom) for c in sig.constants}
-    return assemble_model(sig, atoms, dom, tuple(per_atom), consts)
-
-
-def random_formula(rng: random.Random, sig: Signature, depth: int,
-                   variables: tuple[str, ...] = ("v0", "v1")) -> Formula:
-    terms: list = [Var(v) for v in variables]
-    terms += [Const(c) for c in sig.constants]
-
-    def atom() -> Formula:
-        choices = []
-        for rel, arity in sig.relations:
-            choices.append((rel, arity))
-        if not choices or rng.random() < 0.3:
-            return Eq(rng.choice(terms), rng.choice(terms))
-        rel, arity = rng.choice(choices)
-        return Atom(rel, tuple(rng.choice(terms) for _ in range(arity)))
-
-    def build(d: int) -> Formula:
-        if d <= 0:
-            return atom()
-        pick = rng.randrange(6)
-        if pick == 0:
-            return atom()
-        if pick == 1:
-            return Not(build(d - 1))
-        if pick == 2:
-            width = rng.randrange(3)
-            return And(tuple(build(d - 1) for _ in range(width)))
-        if pick == 3:
-            width = rng.randrange(3)
-            return Or(tuple(build(d - 1) for _ in range(width)))
-        v = rng.choice(variables)
-        body = build(d - 1)
-        return Forall((v,), body) if pick == 4 else Exists((v,), body)
-
-    return build(depth)
+    return atoms, dom, tuple(per_atom), consts
 
 
 def infer_signature(formulas: list[Formula]) -> Signature:

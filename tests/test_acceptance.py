@@ -15,11 +15,9 @@ import random
 import pytest
 
 from infkit.boolalg import (check_algebra, enumerate_ultrafilters,
-                            is_dense_subset, regular_open_sets_bruteforce,
-                            ro_completion)
+                            regular_open_sets_bruteforce, ro_completion)
 from infkit.bvmodel import (ShapeError, bounded_boolean_sat,
-                            check_full_everywhere, check_mixing,
-                            check_mixing_by_antichains, check_model,
+                            check_full_everywhere, check_mixing, check_model,
                             eval_formula)
 from infkit.calculus import RULES, Proof, check_proof, soundness_sample
 from infkit.consprop import (build_af, check_cp, generic_filter,
@@ -37,6 +35,7 @@ from infkit.modelgen import (all_labeled_posets, formula_pool, model_pool,
                              three_element_nonmixing_model)
 from infkit.quotient import los_check
 from infkit.syntax import Const, Eq, Formula, Not, Or
+from test_reference_paths import check_mixing_by_antichains, is_dense_subset
 
 
 def _load(corpus_dir, name, parser):

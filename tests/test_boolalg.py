@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infkit.boolalg import (
-    FinPoset, check_algebra, check_tables, enumerate_ultrafilters,
-    is_dense_subset, is_filter, is_ultrafilter, powerset_algebra,
-    principal_filter, regular_open_sets_bruteforce, ro_completion,
-    table_algebra, two_valued_algebra,
+    FinPoset, check_algebra, check_tables, enumerate_ultrafilters, is_filter,
+    is_ultrafilter, powerset_algebra, principal_filter,
+    regular_open_sets_bruteforce, ro_completion, table_algebra,
+    two_valued_algebra,
 )
 from infkit.modelgen import all_labeled_posets
+from test_reference_paths import is_dense_subset
 
 
 # --- posets -------------------------------------------------------------------

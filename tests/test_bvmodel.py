@@ -5,9 +5,8 @@ import pytest
 from infkit.boolalg import powerset_algebra
 from infkit.bvmodel import (
     BValuedModel, ShapeError, UnboundVariable, bounded_boolean_sat,
-    check_full, check_full_everywhere, check_mixing,
-    check_mixing_by_antichains, check_model, eval_formula, mixes_over,
-    term_value,
+    check_full, check_full_everywhere, check_mixing, check_model,
+    eval_formula, mixes_over, term_value,
 )
 from infkit.modelgen import (
     split_signature, split_constant_theory, four_element_model, model_pool,
@@ -17,6 +16,7 @@ from infkit.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
 )
 from test_acceptance import check_subst_inequality
+from test_reference_paths import check_mixing_by_antichains
 
 d, c0, c1 = Const("d"), Const("c0"), Const("c1")
 

@@ -2,8 +2,10 @@
 exit code, stdout and stderr (and of the model file it writes, if any), at
 string-hash seed 0, pinned to the values these commands printed before
 algebra elements became int masks over atoms (the `check-cp` and `generic`
-pins: before the clause table was shared by every forcing-side check)."""
+pins: before the clause table was shared by every forcing-side check).
+Also that `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
+import importlib.util
 import os
 import random
 import shutil
@@ -157,3 +159,18 @@ def digest(argv, cwd: Path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_command_prints_its_pinned_bytes(workdir, name):
     assert digest(GOLDEN[name], workdir) == EXPECTED[name]
+
+
+def test_gen_corpus_writes_the_shipped_corpus(tmp_path, capsys):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "gen_corpus.py"
+    spec = importlib.util.spec_from_file_location("gen_corpus", tool)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.CORPUS = tmp_path
+    gen.main()
+    shipped = sorted(p.name for p in CORPUS.glob("*.json"))
+    assert len(shipped) == 39
+    assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == \
+            (CORPUS / name).read_bytes(), name

@@ -10,10 +10,6 @@ LIBRARY = sorted((ROOT / "src" / "infkit").glob("*.py"))
 PROGRAM = LIBRARY + sorted((ROOT / "tools").glob("*.py"))
 
 KEPT = {
-    "boolalg.is_dense_subset":
-        "oracle for the density of ro_completion's embedding",
-    "bvmodel.check_mixing_by_antichains":
-        "brute-force oracle for check_mixing",
     "modelgen.three_element_nonmixing_model":
         "reference model without mixing, an acceptance-test input",
     "modelgen.unattained_sup_formula":
@@ -22,8 +18,6 @@ KEPT = {
         "deterministic model pool, an acceptance-test input",
     "modelgen.formula_pool":
         "deterministic formula pool, an acceptance-test input",
-    "modelgen.random_formula":
-        "seeded formula generator for the sat search oracle tests",
     "modelgen.all_labeled_posets":
         "every small poset, the acceptance sweep of ro_completion",
 }

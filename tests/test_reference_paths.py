@@ -9,11 +9,14 @@ operations built on the node interface (`parts`/`rebuild`/`terms`). Also
 the finite algebras as they were, frozenset or named elements with O(n^2)
 operation tables, against the int-mask algebras, and the positivity walk
 that asked the oracle about every candidate set against the walk that
-carries the running meet."""
+carries the running meet. Also the soundness sampler that assembled every
+sample against the one that decides each atom's quotient, and the density
+and mixing checks by their definitions."""
 import dataclasses
 import functools
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,22 +25,22 @@ from infkit.boolalg import (
     FinPoset, TrivialAlgebra, check_algebra, check_tables, powerset_algebra,
     ro_completion, table_algebra,
 )
-from infkit.bvmodel import eval_formula
-from infkit.calculus import in_calculus_fragment
+from infkit.bvmodel import _by_label, assemble_model, eval_formula, mixes_over
+from infkit.calculus import Sequent, in_calculus_fragment, soundness_sample
 from infkit.consprop import (
-    ConsistencyProperty, _member_key, _miss, _pkey, _try_extension, check_cp,
-    check_smax, convert_to_explicit, cp_from_model, default_pool,
-    enumerate_members, maximal_among, maximal_members, member_meets,
-    occurrence_variants,
+    ConsistencyProperty, _member_key, _miss as _record_miss, _pkey,
+    _try_extension, check_cp, check_smax, convert_to_explicit, cp_from_model,
+    default_pool, enumerate_members, maximal_among, maximal_members,
+    member_meets, occurrence_variants,
 )
 from infkit.iojson import (
-    dumps, load_json, parse_algebra, parse_cp, parse_model, parse_pool,
-    parse_poset,
+    dumps, emit_model, load_json, parse_algebra, parse_cp, parse_model,
+    parse_pool, parse_poset, parse_proof,
 )
 from infkit.mansfield import cp_from_algebra
 from infkit.modelgen import (
     all_labeled_posets, four_element_model, infer_signature,
-    split_constant_theory,
+    random_structures, split_constant_theory,
 )
 
 small_posets = functools.cache(all_labeled_posets)   # the n <= 5 sweep
@@ -50,6 +53,14 @@ from test_syntax import formulas
 
 
 # --- the oracles --------------------------------------------------------------
+
+def _miss(cp, s, clause, candidates, violations, **extra):
+    """A failed some-candidate clause as it was recorded: the undecidable
+    candidates found again after every extension was tried."""
+    gaps = [c.key() for c in candidates
+            if cp.explicit and not cp.in_pool(c) and c not in s]
+    _record_miss(s, clause, gaps, violations, **extra)
+
 
 def reference_check_cp(cp):
     """check_cp as it was: every clause instance rebuilt per member."""
@@ -303,6 +314,66 @@ def reference_check_algebra(alg):
                 if join[i][meet[j][k]] != meet[join[i][j]][join[i][k]]:
                     bad("distributes_join_over_meet", i, j, k)
     return {"ok": not violations, "violations": violations}
+
+
+def is_dense_subset(alg, dense):
+    """Every nonzero element bounds some nonzero member of `dense` below it:
+    the density of ro_completion's embedding, by definition."""
+    ds = [d for d in dense if d != alg.zero]
+    return all(any(alg.leq(d, b) for d in ds) for b in alg.nonzero())
+
+
+def check_mixing_by_antichains(model):
+    """check_mixing by definition: every antichain of nonzero elements and
+    every target map; exponential, for small algebras only."""
+    alg = model.algebra
+    nz = _by_label(alg, alg.nonzero())
+
+    antichains = [()]
+    def extend(prefix, rest):
+        for i, b in enumerate(rest):
+            if all(alg.meet(b, a) == alg.zero for a in prefix):
+                cand = prefix + (b,)
+                antichains.append(cand)
+                extend(cand, rest[i + 1:])
+    extend((), nz)
+
+    for chain in antichains:
+        if not chain:
+            continue
+        for targets in itertools.product(model.domain, repeat=len(chain)):
+            if mixes_over(model, list(chain), list(targets)) is None:
+                return {"mixing": False,
+                        "antichain": [alg.labels[a] for a in chain],
+                        "targets": list(targets)}
+    return {"mixing": True}
+
+
+def reference_soundness_sample(goal, samples=200, seed=0, max_atoms=2,
+                               max_domain=3):
+    """soundness_sample as it was: every sample assembled into a whole model
+    and evaluated under every assignment of the free variables."""
+    formulas = list(goal.ante) + list(goal.succ)
+    sig = infer_signature(formulas)
+    free = sorted(set().union(*(f.free_vars() for f in formulas))
+                  if formulas else set())
+    rng = random.Random(seed)
+    violations = []
+    for i in range(samples):
+        model = assemble_model(
+            sig, *random_structures(rng, sig, max_atoms, max_domain))
+        alg = model.algebra
+        for tup in itertools.product(model.domain, repeat=len(free)):
+            assign = dict(zip(free, tup))
+            lhs = alg.inf(eval_formula(model, f, assign) for f in goal.ante)
+            rhs = alg.sup(eval_formula(model, f, assign) for f in goal.succ)
+            if not alg.leq(lhs, rhs):
+                violations.append({"sample": i, "assignment": assign,
+                                   "model": model})
+        if violations:
+            break
+    return {"ok": not violations, "samples": samples,
+            "violations": violations}
 
 
 # --- clause checking ----------------------------------------------------------
@@ -577,6 +648,68 @@ def test_positivity_walk_matches_the_oracle_walk_on_corpus_families(
         cp = load(f"{name}.json", parse_cp)
         assert maximal_among(cp, list(cp.family)) == [
             m for m in cp.family if not any(m < o for o in cp.family)]
+
+
+# --- soundness sampling -------------------------------------------------------
+
+def assert_samplers_agree(goal, **bounds):
+    def report(rep):
+        return (rep["ok"], rep["samples"],
+                [(v["sample"], v["assignment"], dumps(emit_model(v["model"])))
+                 for v in rep["violations"]])
+
+    assert report(soundness_sample(goal, **bounds)) == \
+        report(reference_soundness_sample(goal, **bounds))
+
+
+@pytest.mark.parametrize("bounds", [{}, {"max_atoms": 3, "max_domain": 4}],
+                         ids=["default", "3x4"])
+def test_soundness_sample_matches_reference_on_corpus_proofs(corpus_dir,
+                                                             bounds):
+    goals = [parse_proof(load_json(str(path))).goal
+             for path in sorted(corpus_dir.glob("proof_*.json"))]
+    assert len(goals) == 13
+    for goal in goals:
+        for seed in (0, 1):
+            assert_samplers_agree(goal, samples=200, seed=seed, **bounds)
+
+
+_fragment_terms = st.one_of(st.sampled_from(["v0", "v1"]).map(Var),
+                            st.just(Const("c")))
+
+
+@st.composite
+def fragment_formulas(draw, depth=2):
+    """Formulas of the calculus fragment over R/1 and Q/2, with free
+    variables among v0 and v1."""
+    kind = draw(st.integers(0, 5 if depth else 2))
+    if kind == 0:
+        return Atom("R", (draw(_fragment_terms),))
+    if kind == 1:
+        return Atom("Q", (draw(_fragment_terms), draw(_fragment_terms)))
+    if kind == 2:
+        return Eq(draw(_fragment_terms), draw(_fragment_terms))
+    sub = fragment_formulas(depth=depth - 1)
+    if kind == 3:
+        return Not(draw(sub))
+    if kind == 4:
+        return And(tuple(draw(st.lists(sub, max_size=2))))
+    return Forall((draw(st.sampled_from(["v0", "v1"])),), draw(sub))
+
+
+_sides = st.lists(fragment_formulas(), max_size=2).map(frozenset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sides, _sides)
+# unsound, with a countermodel under some assignments only
+@example(frozenset({Atom("R", (Var("v0"),))}),
+         frozenset({Atom("Q", (Var("v0"), Const("c")))}))
+def test_soundness_sample_matches_reference_on_drawn_sequents(ante, succ):
+    goal = Sequent(ante, succ)
+    for seed in (0, 1, 2):
+        assert_samplers_agree(goal, samples=60, seed=seed, max_atoms=3,
+                              max_domain=3)
 
 
 # --- serialization ------------------------------------------------------------

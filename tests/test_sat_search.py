@@ -2,8 +2,10 @@
 replaced, kept here as the oracle."""
 import hashlib
 import itertools
+import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +15,13 @@ from infkit.bvmodel import (
     CapExceeded, _partitions, _subsets_lex, assemble_model,
     bounded_boolean_sat, eval_formula, structure_count,
 )
+from infkit.cli import main
 from infkit.iojson import dumps, emit_model
 from infkit.modelgen import (
-    model_pool, random_formula, random_valid_model, split_constant_theory,
-    split_signature,
+    model_pool, random_structures, split_constant_theory, split_signature,
 )
 from infkit.syntax import (
-    Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
+    And, Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
 )
 
 
@@ -94,6 +96,41 @@ def candidate_count(signature, max_atoms, max_domain):
 
 # --- the mask search gives the oracle's report --------------------------------
 
+def random_formula(rng, sig, depth, variables=("v0", "v1")):
+    """A seeded random formula over the signature, at most `depth` deep."""
+    terms = [Var(v) for v in variables]
+    terms += [Const(c) for c in sig.constants]
+
+    def atom():
+        choices = []
+        for rel, arity in sig.relations:
+            choices.append((rel, arity))
+        if not choices or rng.random() < 0.3:
+            return Eq(rng.choice(terms), rng.choice(terms))
+        rel, arity = rng.choice(choices)
+        return Atom(rel, tuple(rng.choice(terms) for _ in range(arity)))
+
+    def build(d):
+        if d <= 0:
+            return atom()
+        pick = rng.randrange(6)
+        if pick == 0:
+            return atom()
+        if pick == 1:
+            return Not(build(d - 1))
+        if pick == 2:
+            width = rng.randrange(3)
+            return And(tuple(build(d - 1) for _ in range(width)))
+        if pick == 3:
+            width = rng.randrange(3)
+            return Or(tuple(build(d - 1) for _ in range(width)))
+        v = rng.choice(variables)
+        body = build(d - 1)
+        return Forall((v,), body) if pick == 4 else Exists((v,), body)
+
+    return build(depth)
+
+
 TWO_ELEMENTS = Exists(("v0", "v1"), Not(Eq(Var("v0"), Var("v1"))))
 
 
@@ -119,7 +156,7 @@ def theories(draw):
             if free:
                 f = Forall(free, f) if rng.random() < 0.5 else Exists(free, f)
             sentences.append(f)
-    max_atoms = draw(st.integers(1, 2))
+    max_atoms = draw(st.integers(1, 3))
     max_domain = draw(st.integers(1, 3))
     # keep the oracle's exhaustive runs short
     while max_domain > 1 and candidate_count(sig, max_atoms, max_domain) > 1000:
@@ -145,6 +182,31 @@ def test_mask_search_matches_oracle_on_reference_theory():
                                   mode=mode)
         want = oracle_sat(sig, theory, 2, 3, mode)
         assert report_bytes(got) == report_bytes(want)
+
+
+# --- weak mode searches covers ------------------------------------------------
+
+def test_weak_mode_is_bounded_by_the_structure_cap(capsys, tmp_path):
+    """No model makes R(c) and not R(c) true at one atom, so no cover
+    exists; weak mode lists the structures of each domain size once, like
+    strong mode, instead of trying every pair of them."""
+    c = {"const": "c"}
+    rc = {"atom": {"rel": "R", "args": [c]}}
+    theory = {"signature": {"relations": [{"name": "R", "arity": 1},
+                                          {"name": "Q", "arity": 2}],
+                            "constants": ["c"]},
+              "sentences": [{"and": [rc, {"not": rc}]},
+                            {"atom": {"rel": "Q", "args": [c, c]}}]}
+    path = tmp_path / "theory.json"
+    path.write_text(dumps(theory))
+    argv = ["sat", "--theory", str(path), "--mode", "weak"]
+    start = time.perf_counter()
+    assert main(argv + ["--max-domain", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["exhausted"]
+    assert main(argv + ["--max-domain", "4"]) == 2
+    assert "domain size 4 has 1073604" in capsys.readouterr().err
+    # about 2 s here; trying every pair of structures took over a minute
+    assert time.perf_counter() - start < 20
 
 
 # --- strong mode needs one atom -----------------------------------------------
@@ -208,7 +270,7 @@ def test_generated_models_keep_their_bytes():
     rng = random.Random(2024)
     for _ in range(500):
         for sig in sigs:
-            model = random_valid_model(rng, sig, 3, 3)
+            model = assemble_model(sig, *random_structures(rng, sig, 3, 3))
             h.update(dumps(emit_model(model)).encode())
     for model in model_pool():
         h.update(dumps(emit_model(model)).encode())
