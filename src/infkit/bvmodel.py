@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .boolalg import FinBooleanAlgebra, powerset_algebra, two_valued_algebra
+from .boolalg import FinBooleanAlgebra, powerset_algebra
 from .syntax import (
     And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature, Term, Var,
     subformulas,
@@ -126,15 +126,14 @@ class TwoValuedStructure:
         raise KeyError(m)
 
     def to_two_valued_model(self) -> BValuedModel:
-        alg = two_valued_algebra()
-        rels = {}
-        for rel, arity in self.signature.relations:
-            table = {}
-            for args in itertools.product(self.reps, repeat=arity):
-                table[args] = alg.one if args in self.relations[rel] else alg.zero
-            rels[rel] = table
-        return BValuedModel(self.signature, alg, self.reps, {},
-                            rels, dict(self.constants))
+        """The one-atom model (atom `t`) whose domain is the reps."""
+        index = {rep: k for k, rep in enumerate(self.reps)}
+        tables = tuple(frozenset(tuple(index[a] for a in args)
+                                 for args in self.relations[rel])
+                       for rel, _ in self.signature.relations)
+        return assemble_model(self.signature, ("t",), self.reps,
+                              ((tuple(range(len(self.reps))), tables),),
+                              self.constants)
 
 
 def term_value(model: BValuedModel, t: Term, assignment: dict[str, str]) -> str:
@@ -327,13 +326,13 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
     then constants.
 
     Every connective and quantifier acts atom by atom, so a sentence's value
-    at an atom is its truth in that atom's structure. Each (structure,
-    constants) pair is therefore evaluated once, on a one-atom model, into a
-    mask with one bit per true sentence. A candidate is a weak witness iff
-    the OR of its structures' masks sets every bit, and a strong witness iff
-    the AND does; then each of its structures is a one-atom strong witness
-    with the same constants, which the order reaches first, so strong mode
-    tries one atom per domain size and moves on.
+    at an atom is its truth in that atom's quotient (`quotient_model`), and
+    each distinct quotient is evaluated once into a mask with one bit per
+    true sentence. A candidate is a weak witness iff the OR of its
+    structures' masks sets every bit, and a strong witness iff the AND
+    does; then each of its structures is a one-atom strong witness with the
+    same constants, which the order reaches first, so strong mode tries one
+    atom per domain size and moves on.
 
     Weak mode goes on to k atoms only when no constant choice has a cover
     by fewer, so a k-atom cover has k distinct masks, and putting the first
@@ -347,10 +346,15 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
         raise ValueError("mode must be 'weak' or 'strong'")
     if max_atoms < 1 or max_domain < 1:
         raise ValueError("bounds must be at least 1")
-    rel_decl = tuple(signature.relations)
     every = (1 << len(sentences)) - 1
 
-    arities = [arity for _, arity in rel_decl]
+    @functools.cache
+    def truth(n: int, tables: tuple, named: tuple) -> int:
+        model = quotient_model(signature, n, tables, named)
+        return sum(1 << i for i, f in enumerate(sentences)
+                   if eval_formula(model, f) == model.algebra.one)
+
+    arities = [arity for _, arity in signature.relations]
     for n_dom in range(1, max_domain + 1):
         # count before listing: 2^bits tables on n_dom classes alone
         bits = sum(n_dom ** a for a in arities)
@@ -360,39 +364,34 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
                 f"domain size {n_dom} has {count or f'over 2^{bits}'} "
                 f"per-atom structures, over the cap of {STRUCTURE_CAP}; "
                 f"lower --max-domain")
-        domain = tuple(f"m{i}" for i in range(n_dom))
-        structures = []
-        for rgs in _partitions(n_dom):
-            n_classes = max(rgs) + 1
-            spaces = []
-            for _, arity in rel_decl:
-                tuples = list(itertools.product(range(n_classes), repeat=arity))
-                spaces.append(_subsets_lex(tuples))
-            for rel_choice in itertools.product(*spaces) if spaces else [()]:
-                structures.append((rgs, tuple(rel_choice)))
-        constants = [dict(zip(signature.constants, cvals))
-                     for cvals in itertools.product(
-                         domain, repeat=len(signature.constants))]
+        structures = [
+            (rgs, tables) for rgs in _partitions(n_dom)
+            for tables in itertools.product(*(
+                _subsets_lex(_class_tuples(max(rgs) + 1, arity))
+                for arity in arities))]
+        choices = list(itertools.product(range(n_dom),
+                                         repeat=len(signature.constants)))
 
-        @functools.cache
         def mask(s: int, c: int) -> int:
-            model = assemble_model(signature, ("a0",), domain,
-                                   (structures[s],), constants[c])
-            return sum(1 << i for i, f in enumerate(sentences)
-                       if eval_formula(model, f) == model.algebra.one)
+            rgs, tables = structures[s]
+            return truth(max(rgs) + 1, tables,
+                         tuple(rgs[i] for i in choices[c]))
 
         hit = next((((s,), c) for s in range(len(structures))
-                    for c in range(len(constants)) if mask(s, c) == every),
+                    for c in range(len(choices)) if mask(s, c) == every),
                    None)
         if hit is None and mode == "weak":
             hit = _first_cover([[mask(s, c) for s in range(len(structures))]
-                                for c in range(len(constants))],
+                                for c in range(len(choices))],
                                every, max_atoms)
         if hit:
             combo, c = hit
+            domain = tuple(f"m{i}" for i in range(n_dom))
             model = assemble_model(
                 signature, tuple(f"a{i}" for i in range(len(combo))), domain,
-                tuple(structures[s] for s in combo), constants[c])
+                tuple(structures[s] for s in combo),
+                {k: domain[i] for k, i in zip(signature.constants,
+                                              choices[c])})
             return {"found": True, "model": model, "atoms": len(combo),
                     "domain_size": n_dom}
     return {"exhausted": True, "max_atoms": max_atoms,
@@ -445,6 +444,12 @@ def structure_count(n_dom: int, arities: list[int]) -> int:
                for k in range(1, n_dom + 1))
 
 
+@functools.cache
+def _class_tuples(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """Every tuple of `arity` class indices below n, lexicographic order."""
+    return tuple(itertools.product(range(n), repeat=arity))
+
+
 def _subsets_lex(items: list) -> list[frozenset]:
     out = []
     for k in range(len(items) + 1):
@@ -476,3 +481,15 @@ def assemble_model(signature: Signature, atom_names: tuple[str, ...],
                 if tuple(rgs[idx[x]] for x in args) in choice[r_i])
         relations[rel] = table
     return BValuedModel(signature, alg, domain, eq, relations, dict(constants))
+
+
+def quotient_model(signature: Signature, n: int, tables: tuple,
+                   named: tuple) -> BValuedModel:
+    """The one-atom model of a per-atom quotient: classes m0..m(n-1), one
+    table of class tuples per relation, and the i-th constant of the
+    signature in class named[i]."""
+    classes = tuple(f"m{k}" for k in range(n))
+    return assemble_model(signature, ("a0",), classes,
+                          ((tuple(range(n)), tables),),
+                          {c: classes[k]
+                           for c, k in zip(signature.constants, named)})

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .bvmodel import assemble_model, eval_formula
+from .bvmodel import assemble_model, eval_formula, quotient_model
 from .modelgen import infer_signature, random_structures
 from .syntax import (
     And, CaptureError, Eq, Exists, Forall, Formula, Not, Or, Term, Var,
@@ -38,9 +38,6 @@ class Sequent:
             if not in_calculus_fragment(f):
                 raise ValueError(
                     f"formula outside the calculus fragment: {f.key()}")
-
-    def formulas(self):
-        return itertools.chain(self.ante, self.succ)
 
     def key(self) -> tuple:
         return (tuple(sorted(f.key() for f in self.ante)),
@@ -295,9 +292,9 @@ def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
 
     A model is drawn as one quotient structure per atom, and every
     connective acts atom by atom, so the inequality holds in it iff it
-    holds in each atom's quotient (classes, tables, constant classes) under
-    every assignment to classes. Each quotient is decided once per call;
-    only a sample with a failing atom is assembled."""
+    holds in each atom's quotient (`quotient_model`) under every assignment
+    to classes. Each quotient is decided once per call; only a sample with a
+    failing atom is assembled."""
     if max_atoms < 1 or max_domain < 1:
         raise ValueError("bounds must be at least 1")
     formulas = list(goal.ante) + list(goal.succ)
@@ -307,10 +304,7 @@ def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
 
     @functools.cache
     def holds(n: int, tables: tuple, named: tuple) -> bool:
-        classes = tuple(f"m{k}" for k in range(n))
-        quotient = assemble_model(
-            sig, ("a0",), classes, ((tuple(range(n)), tables),),
-            {c: classes[k] for c, k in zip(sig.constants, named)})
+        quotient = quotient_model(sig, n, tables, named)
         return next(_failing_assignments(goal, quotient, free), None) is None
 
     rng = random.Random(seed)

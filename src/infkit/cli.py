@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .boolalg import TrivialAlgebra, check_algebra, \
+from .boolalg import ImproperFilter, TrivialAlgebra, check_algebra, \
     regular_open_sets_bruteforce, ro_completion
 from .bvmodel import CapExceeded, UnboundVariable, bounded_boolean_sat, \
     check_mixing, check_model, eval_formula
@@ -120,7 +120,10 @@ def cmd_sat(args) -> int:
 def cmd_quotient(args) -> int:
     model = parse_model(load_json(args.model))
     ultra = parse_ultrafilter(load_json(args.ultrafilter), model.algebra)
-    q = quotient(model, ultra)
+    try:
+        q = quotient(model, ultra)
+    except (ImproperFilter, ValueError) as exc:
+        return _input_error(f"no quotient of an invalid model: {exc}")
     report: dict = {
         "classes": [sorted(c) for c in q.classes],
         "reps": list(q.reps),
@@ -428,6 +431,16 @@ def run_corpus(manifest_path: Path) -> dict:
             or not isinstance(obj["entries"], list):
         raise ParseError("$: manifest must be an object with an entries list")
     entries = obj["entries"]
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("expect", {}), dict)
+                and all(isinstance(entry.get(k, ""), str)
+                        for k in ("file", "kind", "algebra"))
+                and ("algebra" in entry
+                     or entry.get("kind") != "ultrafilter")):
+            raise ParseError(f"$.entries[{i}]: expected an object with string "
+                             "file and kind, an expect object, and a string "
+                             "algebra for an ultrafilter")
     warnings = []
     if not entries:
         warnings.append("empty manifest: zero checks executed")

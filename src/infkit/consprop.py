@@ -476,31 +476,20 @@ def dense_sets(cp: ConsistencyProperty) -> list[dict]:
 class GenericFilter:
     root: frozenset
     minimum: frozenset                 # the chosen minimal condition
-    members: tuple[frozenset, ...]     # the up-set: all subsets of minimum
     sigma: frozenset                   # union of the filter
     dense_report: tuple = ()
-
-    def finite_subsets_equal_members(self) -> bool:
-        n = len(self.sigma)
-        return len(self.members) == 2 ** n and \
-            all(m <= self.sigma for m in self.members)
 
 
 def generic_filter(cp: ConsistencyProperty,
                    root: frozenset = frozenset()) -> GenericFilter:
     """The up-set of the lexicographically least minimal condition below the
-    root (any condition of the forcing poset). Verified to meet every emitted
-    dense set that is dense below the root; satisfies members == finite
-    subsets of sigma by construction."""
+    root (any condition of the forcing poset), whose members are the subsets
+    of that condition. Verified to meet every emitted dense set that is
+    dense below the root."""
     maxes = maximal_members(cp, root)
     if not maxes:
         raise ValueError("the root is not a condition of the forcing poset")
     minimum = maxes[0]  # maximal_members sorts canonically
-    rest = sorted(minimum, key=_pkey)
-    members = []
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            members.append(frozenset(combo))
     report = []
     for entry in dense_sets(cp):
         guard, triggers, name = (entry["guard"], entry["triggers"],
@@ -515,10 +504,8 @@ def generic_filter(cp: ConsistencyProperty,
         if dense_below_root and not met:
             raise AssertionError(
                 f"minimal condition misses a dense set: {name}")
-    gf = GenericFilter(root=root, minimum=minimum, members=tuple(members),
-                       sigma=minimum, dense_report=tuple(report))
-    assert gf.finite_subsets_equal_members()
-    return gf
+    return GenericFilter(root=root, minimum=minimum, sigma=minimum,
+                         dense_report=tuple(report))
 
 
 # ---------------------------------------------------------------------------

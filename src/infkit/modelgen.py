@@ -7,8 +7,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .boolalg import FinPoset, powerset_algebra
-from .bvmodel import BValuedModel, _partitions, assemble_model
+from .boolalg import FinPoset
+from .bvmodel import BValuedModel, _class_tuples, _partitions, assemble_model
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
     nodes,
@@ -25,31 +25,22 @@ def split_signature() -> Signature:
 def four_element_model() -> BValuedModel:
     """Four-element algebra {0, a, comp(a), 1}; the domain is the four
     functions from the two atoms to {0,1}, named mxy for (a0 -> x, a1 -> y);
-    equality of two functions is the join of the atoms where they agree.
-    d is m01, c0 the constantly-0 and c1 the constantly-1 function."""
-    alg = powerset_algebra(("a0", "a1"))
-    dom = ("m00", "m01", "m10", "m11")
-
-    def bits(m: str) -> tuple[str, str]:
-        return m[1], m[2]
-
-    eq = {}
-    for m in dom:
-        for n in dom:
-            eq[(m, n)] = sum(1 << i for i, (x, y)
-                             in enumerate(zip(bits(m), bits(n))) if x == y)
-    return BValuedModel(split_signature(), alg, dom, eq, {},
-                        {"d": "m01", "c0": "m00", "c1": "m11"})
+    each atom identifies the functions that agree at it, so equality of two
+    functions is the join of the atoms where they agree. d is m01, c0 the
+    constantly-0 and c1 the constantly-1 function."""
+    return assemble_model(split_signature(), ("a0", "a1"),
+                          ("m00", "m01", "m10", "m11"),
+                          (((0, 0, 1, 1), ()), ((0, 1, 0, 1), ())),
+                          {"d": "m01", "c0": "m00", "c1": "m11"})
 
 
 def three_element_nonmixing_model() -> BValuedModel:
     """The four-element model with the domain cut to {m00, m11, m01}; the
     atom-indexed targets (m11 at a0, m00 at a1) have no mixing element."""
-    full = four_element_model()
-    dom = ("m00", "m11", "m01")
-    eq = {(m, n): full.eq_value(m, n) for m in dom for n in dom}
-    return BValuedModel(split_signature(), full.algebra, dom, eq, {},
-                        {"d": "m01", "c0": "m00", "c1": "m11"})
+    return assemble_model(split_signature(), ("a0", "a1"),
+                          ("m00", "m11", "m01"),
+                          (((0, 1, 0), ()), ((0, 1, 1), ())),
+                          {"d": "m01", "c0": "m00", "c1": "m11"})
 
 
 def split_constant_theory() -> list[Formula]:
@@ -89,7 +80,7 @@ def _assemble_pool_model(sig: Signature, n_atoms: int, n_dom: int,
         n_classes = max(rgs) + 1
         un = frozenset((c,) for c in range(n_classes)
                        if (c + variant + i) % 2 == 0)
-        bi = frozenset(t for t in itertools.product(range(n_classes), repeat=2)
+        bi = frozenset(t for t in _class_tuples(n_classes, 2)
                        if (t[0] + 2 * t[1] + variant + i) % 3 == 0)
         per_atom.append((rgs, (un, bi)))
     consts = {"e0": dom[0], "e1": dom[min(1, n_dom - 1) if variant % 2 else 0]}
@@ -108,7 +99,7 @@ def model_pool() -> list[BValuedModel]:
     return out
 
 
-def formula_pool(max_depth: int = 3) -> list[Formula]:
+def formula_pool() -> list[Formula]:
     """Deterministic formulas over pool_signature(), depth at most 3,
     at most two free variables (v0, v1)."""
     v0, v1 = Var("v0"), Var("v1")
@@ -140,10 +131,7 @@ def formula_pool(max_depth: int = 3) -> list[Formula]:
         And((Forall(("v0",), r_v0), Or((q_ee, Not(q_ee))))),
         Or((Exists(("v0",), Not(r_v0)), r_e0)),
     ]
-    pool = depth1 + depth2 + depth3
-    if max_depth < 3:
-        pool = depth1 + (depth2 if max_depth >= 2 else [])
-    return pool
+    return depth1 + depth2 + depth3
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +153,8 @@ def random_structures(rng: random.Random, sig: Signature,
         n_classes = max(rgs) + 1
         tables = []
         for _, arity in sig.relations:
-            space = list(itertools.product(range(n_classes), repeat=arity))
-            tables.append(frozenset(t for t in space if rng.random() < 0.5))
+            tables.append(frozenset(t for t in _class_tuples(n_classes, arity)
+                                    if rng.random() < 0.5))
         per_atom.append((rgs, tuple(tables)))
     consts = {c: rng.choice(dom) for c in sig.constants}
     return atoms, dom, tuple(per_atom), consts

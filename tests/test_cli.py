@@ -9,7 +9,9 @@ import pytest
 
 import infkit
 from infkit.cli import main
-from infkit.iojson import dumps
+from infkit.consprop import ConsistencyProperty
+from infkit.iojson import dumps, emit_cp
+from infkit.syntax import Atom, Const, Signature
 
 
 def run(capsys, *argv):
@@ -384,6 +386,52 @@ def test_pools_are_checked_against_their_signature(tmp_path, corpus_dir,
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def _m4_without_eq_row(corpus_dir):
+    model = json.loads((corpus_dir / "four_element_model.json").read_text())
+    model["eq"] = [row for row in model["eq"]
+                   if row["pair"] != ["m11", "m10"]]
+    return model
+
+
+def _two_point_identified(corpus_dir):
+    model = json.loads((corpus_dir / "two_point_model.json").read_text())
+    model["eq"] = [{"pair": ["x", "y"], "value": ["t"]},
+                   {"pair": ["y", "x"], "value": ["t"]}]
+    return model
+
+
+@pytest.mark.parametrize("model, uf, message", [
+    (_m4_without_eq_row, {"generator": ["a0"]},
+     "symmetry fails at (m10, m11)"),
+    (_two_point_identified, {"generator": ["t"]},
+     "relation R not class-independent at ('y',)"),
+], ids=["asymmetric-eq", "class-dependent-relation"])
+def test_quotient_of_an_invalid_model_is_an_input_error(
+        tmp_path, corpus_dir, model, uf, message):
+    proc = run_subprocess(
+        "quotient", "--model",
+        _write_json(tmp_path / "model.json", model(corpus_dir)),
+        "--ultrafilter", _write_json(tmp_path / "uf.json", uf))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_generic_does_not_list_the_subsets_of_its_condition(capsys,
+                                                            tmp_path):
+    """One condition of 30 atomic sentences, so 2^30 filter members."""
+    sig = Signature(relations=(("P", 1),),
+                    constants=tuple(f"c{i}" for i in range(30)))
+    pool = tuple(Atom("P", (Const(c),)) for c in sig.constants)
+    cp = ConsistencyProperty(sig, (), pool, family=(frozenset(pool),))
+    path = _write_json(tmp_path / "cp.json", emit_cp(cp))
+    code, out, err = run(capsys, "generic", "--cp", path, "--root", "0")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["ok"] and len(report["sigma"]) == 30
 
 
 def test_ro_of_the_empty_poset_is_an_input_error(tmp_path):

@@ -2,8 +2,10 @@
 exit code, stdout and stderr (and of the model file it writes, if any), at
 string-hash seed 0, pinned to the values these commands printed before
 algebra elements became int masks over atoms (the `check-cp` and `generic`
-pins: before the clause table was shared by every forcing-side check).
-Also that `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
+pins: before the clause table was shared by every forcing-side check; the
+`sat` and soundness-sampling pins: before `sat` and the sampler shared one
+quotient model per distinct per-atom structure). Also that
+`tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import importlib.util
 import os
@@ -73,6 +75,18 @@ GOLDEN = {
     "check_cp_con": ("check-cp", "con_family.json"),
     "generic_max_3": ("generic", "--cp", "max_family.json", "--root", "3"),
     "generic_ind4_1": ("generic", "--cp", "ind4_family.json", "--root", "1"),
+    **{f"sat_split_{mode}_{a}_{d}": (
+        "sat", "--theory", "split_constant_theory.json", "--mode", mode,
+        "--max-atoms", a, "--max-domain", d)
+       for mode in ("weak", "strong") for a, d in (("2", "3"), ("3", "4"))},
+    # no cover exists: exit 1 at domain size 3, the structure cap at 4
+    **{f"sat_uncoverable_weak_{d}": (
+        "sat", "--theory", "uncoverable.json", "--mode", "weak",
+        "--max-domain", d) for d in ("3", "4")},
+    **{f"soundness_{name}": (
+        "check-proof", f"proof_{name}.json", "--soundness-samples", "2000",
+        "--max-atoms", "3", "--max-domain", "4")
+       for name in ("quant_left", "eq_subst")},
 }
 
 EXPECTED = {
@@ -120,6 +134,22 @@ EXPECTED = {
         "c0ba090c1387f720a0ad03d8dafa739983cdfbf088af7c8521c66ee782e4ae80",
     "roundtrip_b8":
         "db02b4ae7aa3f58dcd05eabc7c09eeda8f92756ce8aeaa9599fca48ab7c5640a",
+    "sat_split_strong_2_3":
+        "081c92fe094e1aff457a22c2a31e5e0343e3a5774716db8a941634ca813624c8",
+    "sat_split_strong_3_4":
+        "49008ced3fb7a013fa86b36aa75abccc6ab4097e83e99b53870e0fecd4b4f25c",
+    "sat_split_weak_2_3":
+        "24c8cb5663d9397ac95f588767c1bf7de54889ea2f50297ec68f30443fc8776b",
+    "sat_split_weak_3_4":
+        "24c8cb5663d9397ac95f588767c1bf7de54889ea2f50297ec68f30443fc8776b",
+    "sat_uncoverable_weak_3":
+        "9e097888e5b63d666e9b458fde9820f7bd41f325f74a014a09ba32921ee4a6e0",
+    "sat_uncoverable_weak_4":
+        "9b295cf50fdab4ab5a972f4deb30549f4c6db6270eeaca5629db6dd5cb2dff25",
+    "soundness_eq_subst":
+        "d2971a65a6dd39c827952ca3efe0fc1bd2fe494ae341b49745aa7dfe815a957a",
+    "soundness_quant_left":
+        "5337a9fe0109499125271fbbccdd01903ad623044f4f077d4898d6419b3137fc",
 }
 
 
@@ -133,6 +163,14 @@ def workdir(tmp_path_factory):
     (d / "disjunction.json").write_text(dumps({"or": [
         {"eq": [{"const": "d"}, {"const": "c0"}]},
         {"eq": [{"const": "d"}, {"const": "c1"}]}]}))
+    c = {"const": "c"}
+    rc = {"atom": {"rel": "R", "args": [c]}}
+    (d / "uncoverable.json").write_text(dumps({
+        "signature": {"relations": [{"name": "R", "arity": 1},
+                                    {"name": "Q", "arity": 2}],
+                      "constants": ["c"]},
+        "sentences": [{"and": [rc, {"not": rc}]},
+                      {"atom": {"rel": "Q", "args": [c, c]}}]}))
     (d / "b8_family.json").write_bytes(
         run(("cp-from-algebra", "b8.json", "--emit"), d).stdout)
     return d

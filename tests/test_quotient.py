@@ -68,7 +68,7 @@ def test_los_skips_formulas_without_fullness():
 
 
 def test_los_suite_over_generated_pool():
-    pool = formula_pool(max_depth=2)
+    pool = formula_pool()
     for m in model_pool()[:6]:
         for uf in enumerate_ultrafilters(m.algebra):
             rep = los_check(m, uf, pool)

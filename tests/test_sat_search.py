@@ -236,7 +236,7 @@ def test_strong_witness_structures_are_one_atom_witnesses():
         oracle_sat(sig, theory, 3, 2, "strong"))
 
 
-def test_strong_exhaustion_builds_one_model_per_structure_and_constants(
+def test_strong_exhaustion_builds_one_model_per_distinct_quotient(
         monkeypatch):
     built = []
 
@@ -249,8 +249,9 @@ def test_strong_exhaustion_builds_one_model_per_structure_and_constants(
                                       split_constant_theory(), max_atoms=3,
                                       max_domain=3, mode="strong")
     assert res["exhausted"]
-    # 1, 2 and 5 partitions of 1, 2 and 3 elements; 3 constants
-    assert len(built) == 1 * 1 + 2 * 2 ** 3 + 5 * 3 ** 3
+    # a quotient with k classes puts each of the 3 constants in one of
+    # them, whichever of domain sizes 1 to 3 it comes from
+    assert len(built) == 1 ** 3 + 2 ** 3 + 3 ** 3
     assert {atom_names for _, atom_names, *_ in built} == {("a0",)}
 
 
