@@ -271,16 +271,12 @@ def check_full(model: BValuedModel, f: Formula,
     return {"full": False, "value": target, "sup_of_values": best}
 
 
-def existential_subformulas(f: Formula) -> list[Exists]:
-    return [g for g in subformulas(f) if isinstance(g, Exists)]
-
-
 def check_full_everywhere(model: BValuedModel, f: Formula) -> dict:
     """check_full for every existential subformula of f under every
     assignment of its free variables; the fullness precondition used by the
     quotient theorem."""
     failures = []
-    for g in existential_subformulas(f):
+    for g in [g for g in subformulas(f) if isinstance(g, Exists)]:
         fv = sorted(g.free_vars())
         for tup in itertools.product(model.domain, repeat=len(fv)):
             r = check_full(model, g, dict(zip(fv, tup)))

@@ -78,16 +78,6 @@ def _need(cond: bool, reason: str) -> None:
         raise _Reject(reason)
 
 
-def _distinct_children(f: And) -> list[Formula]:
-    seen = set()
-    out = []
-    for c in sorted(f.children, key=lambda g: g.key()):
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
-
-
 def _check_step(step: Step, prems: list[Sequent]) -> None:
     """Raises _Reject naming the violated side condition."""
     s = step.sequent
@@ -193,7 +183,7 @@ def _check_step(step: Step, prems: list[Sequent]) -> None:
         _need(isinstance(phi, And),
               "conj_right needs a conjunction parameter")
         _need(phi in s.succ, "conjunction missing from the succedent")
-        kids = _distinct_children(phi)
+        kids = list(dict.fromkeys(sorted(phi.children, key=lambda g: g.key())))
         _need(len(prems) == len(kids),
               f"conj_right takes one premise per distinct conjunct "
               f"({len(kids)} expected)")

@@ -154,7 +154,7 @@ def cmd_check_cp(args) -> int:
 def _family_root(cp: ConsistencyProperty, index: int) -> frozenset:
     if cp.family is None or not 0 <= index < len(cp.family):
         raise ParseError(f"$.family: root index {index} out of range")
-    return cp.family[index]
+    return cp.decode(cp.family[index])
 
 
 def cmd_generic(args) -> int:

@@ -3,19 +3,21 @@ finite sentence pool, maximality, forcing posets over the family, dense sets,
 generic filters, and the term structure realized by a generic filter.
 
 A family is either an explicit finite list of finite sentence sets or the
-positivity family of a model: a membership oracle with a declared pool,
-accepting a set exactly when the meet of its sentences' values is nonzero.
-Positivity families are closed under subsets; they are enumerated as the
-accepted pool-subsets, depth-first with antitone pruning and a hard cap.
-Sentences that a clause adds are looked up in explicit families (a miss
-outside the pool is a PoolIncomplete finding) and simply evaluated through
-the oracle otherwise.
+positivity family of a model, accepting a set exactly when the meet of its
+sentences' values is nonzero. Positivity families are closed under subsets;
+they are enumerated as the accepted pool-subsets, depth-first with antitone
+pruning and a hard cap. Sentences that a clause adds are looked up in
+explicit families (a miss outside the pool is a PoolIncomplete finding) and
+simply evaluated in the model otherwise. A member is an int over the
+family's interned sentences, bit i the i-th in canonical key order; the
+forcing side works with frozensets of sentences (`decode`/`encode`).
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from .boolalg import FinPoset
@@ -37,29 +39,52 @@ MEMBER_CAP = 300_000
 
 @dataclass(frozen=True, eq=False)
 class ConsistencyProperty:
+    """An explicit `family`, or the positivity family of `model`, whose
+    domain elements name themselves. Members are ints over `sentences`: the
+    pool and every sentence an explicit member holds, in canonical key
+    order, given or interned here from a family of sentence sets. `bit`
+    indexes the sentences, `oracle` decides membership, and `masks` holds a
+    positivity family's sentence values."""
     signature: Signature
     fresh_constants: tuple[str, ...]
     pool: tuple[Formula, ...]
-    family: tuple[frozenset, ...] | None = None
-    oracle: Callable[[frozenset], bool] | None = None
-    meta: dict = field(default_factory=dict)
+    family: tuple | None = None
+    model: BValuedModel | None = None
+    sentences: tuple[Formula, ...] | None = None
+    oracle: Callable[[int], bool] = field(init=False, repr=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, default=())
+    bit: dict[Formula, int] = field(init=False, repr=False)
+    pool_mask: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if (self.family is None) == (self.oracle is None):
-            raise ValueError("exactly one of family/oracle must be given")
+        if (self.family is None) == (self.model is None):
+            raise ValueError("exactly one of family/model must be given")
         for c in self.fresh_constants:
             if c in self.signature.constants:
                 raise ValueError(f"fresh constant {c!r} already in signature")
         for s in self.pool:
             if not is_sentence(s):
                 raise ValueError(f"pool entry has free variables: {s!r}")
-        if self.family is not None:
-            object.__setattr__(
-                self, "family",
-                tuple(frozenset(m) for m in self.family))
-        # membership sets, built once rather than on every lookup
-        object.__setattr__(self, "_pool_set", frozenset(self.pool))
-        object.__setattr__(self, "_family_set", frozenset(self.family or ()))
+        family = self.family
+        if self.sentences is None:
+            family = family and [frozenset(m) for m in family]
+            held = set(self.pool).union(*family or ())
+            object.__setattr__(self, "sentences",
+                               tuple(sorted(held, key=_pkey)))
+        set_ = functools.partial(object.__setattr__, self)
+        set_("bit", {f: i for i, f in enumerate(self.sentences)})
+        set_("pool_mask", self.encode(self.pool))
+        if family is not None:
+            family = tuple(m if type(m) is int else self.encode(m)
+                           for m in family)
+            set_("family", family)
+            set_("oracle", frozenset(family).__contains__)
+            return
+        set_("masks", tuple(eval_formula(self.model, f)
+                            for f in self.sentences))
+        set_("oracle", lambda m: functools.reduce(
+            operator.and_, map(self.masks.__getitem__, _bits(m)),
+            self.model.algebra.one) != 0)
 
     @property
     def explicit(self) -> bool:
@@ -71,13 +96,28 @@ class ConsistencyProperty:
     def extended_signature(self) -> Signature:
         return self.signature.with_constants(self.fresh_constants)
 
-    def is_member(self, s: frozenset) -> bool:
-        if self.family is not None:
-            return s in self._family_set
-        return bool(self.oracle(s))
+    def is_member(self, m: int) -> bool:
+        return self.oracle(m)
 
     def in_pool(self, f: Formula) -> bool:
-        return f in self._pool_set
+        return f in self.bit and bool(self.pool_mask >> self.bit[f] & 1)
+
+    def encode(self, s: Iterable[Formula]) -> int:
+        """The member holding the sentences of s, all of them interned."""
+        return sum(1 << b for b in {self.bit[f] for f in s})
+
+    def decode(self, m: int) -> frozenset:
+        return frozenset(map(self.sentences.__getitem__, _bits(m)))
+
+
+def _bits(m: int) -> list[int]:
+    """The positions of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 def _pkey(f: Formula) -> str:
@@ -88,61 +128,64 @@ def _member_key(m: frozenset) -> tuple:
     return tuple(sorted(f.key() for f in m))
 
 
-def enumerate_members(cp: ConsistencyProperty) -> list[frozenset]:
+def enumerate_members(cp: ConsistencyProperty) -> list[int]:
     """Family members: the explicit list, or a positivity family's members
     in the order of member_meets."""
-    if cp.family is not None:
-        return list(cp.family)
-    return list(member_meets(cp))
+    return list(member_meets(cp) if cp.family is None else cp.family)
 
 
-def member_meets(cp: ConsistencyProperty) -> dict[frozenset, int]:
+def member_meets(cp: ConsistencyProperty) -> dict[int, int]:
     """The members of a positivity family, each mapped to the meet of its
     sentences' values. The walk is depth-first over the pool in canonical
     order and carries the running meet, so a candidate costs one AND with
     the next sentence's value mask; the pruning is exact because the family
     is closed under subsets."""
-    pool = sorted(cp.pool, key=_pkey)
-    value = cp.meta["value"]
-    masks = [value(f) for f in pool]
-    out: dict[frozenset, int] = {}
+    steps = [(1 << b, cp.masks[b]) for b in _bits(cp.pool_mask)]
+    out: dict[int, int] = {}
 
-    def dfs(current: frozenset, meet: int, start: int) -> None:
+    def dfs(current: int, meet: int, start: int) -> None:
         out[current] = meet
         if len(out) > MEMBER_CAP:
             raise CapExceeded(
                 f"oracle family exceeds the member cap ({MEMBER_CAP}); "
                 f"shrink the pool")
-        for i in range(start, len(pool)):
-            nxt = meet & masks[i]
+        for i in range(start, len(steps)):
+            b, mask = steps[i]
+            nxt = meet & mask
             if nxt:
-                dfs(current | {pool[i]}, nxt, i + 1)
+                dfs(current | b, nxt, i + 1)
 
-    dfs(frozenset(), cp.meta["model"].algebra.one, 0)
+    dfs(0, cp.model.algebra.one, 0)
     return out
 
 
 def maximal_members(cp: ConsistencyProperty,
                     root: frozenset = frozenset()) -> list[frozenset]:
     """Inclusion-maximal members extending the root; these are the minimal
-    conditions of the forcing poset below the root."""
-    if cp.explicit:
-        above = [m for m in cp.family if root <= m]
-    else:
-        above = {m: v for m, v in member_meets(cp).items() if root <= m}
-    return sorted(maximal_among(cp, above), key=_member_key)
+    conditions of the forcing poset below the root, sorted canonically."""
+    if not all(f in cp.bit for f in root):
+        return []
+    r = cp.encode(root)
+    members = dict.fromkeys(cp.family) if cp.explicit else member_meets(cp)
+    above = {m: v for m, v in members.items() if m & r == r}
+    return [cp.decode(m) for m in sorted(maximal_among(cp, above), key=_bits)]
 
 
-def maximal_among(cp: ConsistencyProperty, members) -> list[frozenset]:
+def maximal_among(cp: ConsistencyProperty, members) -> list[int]:
     """The inclusion-maximal sets among `members` (every family member above
-    each of them included): a list, or for a positivity family a dict from
-    member to meet, and then a member is maximal when its meet is disjoint
-    from the value of each pool sentence it lacks."""
+    each of them included), for a positivity family a dict from member to
+    meet: a member is then maximal when it holds every pool sentence whose
+    value meets its meet."""
     if cp.family is not None:
-        return [m for m in members if not any(m < other for other in members)]
-    masks = [(f, cp.meta["value"](f)) for f in cp.pool]
-    return [m for m, meet in members.items()
-            if not any(meet & v for f, v in masks if f not in m)]
+        return [m for m in members
+                if not any(m & o == m != o for o in members)]
+    pool = [(1 << b, cp.masks[b]) for b in _bits(cp.pool_mask)]
+
+    @functools.cache
+    def meeting(meet: int) -> int:
+        return sum(b for b, v in pool if v & meet)
+
+    return [m for m, meet in members.items() if not meeting(meet) & ~m]
 
 
 def instances(f: Formula, names: Iterable[str]) -> list[Formula]:
@@ -265,98 +308,112 @@ def _clauses(cp: ConsistencyProperty):
     return rows, namings
 
 
-def _undecidable(cp: ConsistencyProperty, s: frozenset, add: Formula) -> bool:
-    """An explicit family cannot decide membership of a sentence outside its
-    pool; the clauses report such candidates as pool gaps."""
-    return cp.explicit and not cp.in_pool(add) and add not in s
+def _compiler(cp: ConsistencyProperty) -> Callable[[tuple], tuple]:
+    """Rows compiled against the family: a candidate extends a member when
+    it meets the member's reach (`_reaches`). A positivity candidate is its
+    value mask, evaluated only outside the pool; an explicit one is its bit
+    (0 when not interned), undecidable outside the pool. A SOME row becomes
+    the join of its candidates and the sorted keys of the undecidable ones."""
+    def candidate(f: Formula) -> tuple:
+        b = cp.bit.get(f)
+        if cp.family is None:
+            return (f.key(), eval_formula(cp.model, f) if b is None
+                    else cp.masks[b], False)
+        return f.key(), 0 if b is None else 1 << b, not cp.in_pool(f)
+
+    def compile_row(row: tuple) -> tuple:
+        clause, mode, candidates, extra = row
+        cands = list(map(candidate, candidates))
+        if mode == SOME:
+            ints = [c for _, c, _ in cands]
+            cands = (functools.reduce(operator.or_, ints, 0),
+                     sorted(k for k, _, gap in cands if gap))
+        return clause, mode, cands, extra
+    return compile_row
 
 
-def _try_extension(cp: ConsistencyProperty, s: frozenset, add: Formula,
-                   clause: str, violations: list, require: bool,
-                   member_key: tuple | None = None) -> bool:
-    """Check s union {add} for membership. For explicit families a sentence
-    outside the pool cannot be a member; when `require` is set that is
-    recorded as a PoolIncomplete finding, otherwise the candidate just fails.
-    Returns membership."""
-    gap = _undecidable(cp, s, add)
-    ok = not gap and cp.is_member(s | {add})
-    if require and not ok:
-        violations.append({
-            "clause": clause, "kind": "PoolIncomplete" if gap else "violation",
-            "member": _member_key(s) if member_key is None else member_key,
-            "missing" if gap else "needed": add.key()})
-    return ok
+def _reaches(cp: ConsistencyProperty) -> list[tuple[int, int]]:
+    """(member, reach) pairs. A positivity member's reach is its meet; an
+    explicit member's is the member with every pool sentence whose addition
+    is again a member."""
+    if cp.family is None:
+        return list(member_meets(cp).items())
+    members = enumerate_members(cp)
+    reach = {m: m for m in members}
+    for m in reach:
+        for b in _bits(m & cp.pool_mask):
+            if m ^ 1 << b in reach:
+                reach[m ^ 1 << b] |= 1 << b
+    return [(m, reach[m]) for m in members]
 
 
-def _miss(s: frozenset, clause: str, gaps: list[tuple], violations: list,
-          member_key: tuple | None = None, **extra) -> None:
-    """Record a failed some-candidate clause: a hard violation when every
-    candidate was decidable, a PoolIncomplete finding naming the keys of
-    the undecidable ones otherwise."""
-    entry = {"clause": clause,
-             "member": _member_key(s) if member_key is None else member_key,
-             **extra}
-    if gaps:
-        entry.update(kind="PoolIncomplete", missing=sorted(gaps))
-    else:
-        entry.update(kind="violation")
-    violations.append(entry)
+def _violation(clause: str, key: tuple, need: str, gap: bool = False) -> dict:
+    return {"clause": clause, "kind": "PoolIncomplete" if gap else "violation",
+            "member": key, "missing" if gap else "needed": need}
 
 
-def _check_row(cp: ConsistencyProperty, s: frozenset, row: tuple,
-               violations: list, member_key: tuple) -> None:
-    clause, mode, candidates, extra = row
+def _check_row(row: tuple, reach: int, violations: list, key: tuple) -> None:
+    """Run a compiled row on a member with the given reach; a failed SOME
+    row is a PoolIncomplete finding when it has undecidable candidates."""
+    clause, mode, cands, extra = row
     if mode == EVERY:
-        for add in candidates:
-            _try_extension(cp, s, add, clause, violations, True, member_key)
+        for k, c, gap in cands:
+            if not reach & c:
+                violations.append(_violation(clause, key, k, gap))
         return
-    gaps = []
-    for add in candidates:
-        if _undecidable(cp, s, add):
-            gaps.append(add.key())
-        elif cp.is_member(s | {add}):
-            return
-    _miss(s, clause, gaps, violations, member_key, **extra)
+    union, gaps = cands
+    if not reach & union:
+        found = {"kind": "PoolIncomplete", "missing": gaps} if gaps \
+            else {"kind": "violation"}
+        violations.append({"clause": clause, "member": key, **extra, **found})
 
 
 def check_cp(cp: ConsistencyProperty) -> dict:
     """Check every consistency-property clause on every family member.
     Returns {"ok", "family_size", "violations": [...]}; violation entries
     carry the clause tag, the offending member, and what was required.
-    The clause table is built once per family, and each member's key once
-    and shared by its findings."""
-    violations: list[dict] = []
-    members = enumerate_members(cp)
-    keys = [_member_key(s) for s in members]
+    The clause table is compiled once per family, and each member's
+    sentences are read in canonical order."""
+    members = _reaches(cp)
     rows, namings = _clauses(cp)
-    variants = functools.cache(occurrence_variants)
+    compile_row = _compiler(cp)
+    namings = [compile_row(r) for r in namings]
+    sentences, keys = cp.sentences, [f.key() for f in cp.sentences]
 
-    if cp.explicit:
-        for m, key in zip(members, keys):
-            for f in m:
-                if f not in cp._pool_set:
-                    violations.append({
-                        "clause": "pool", "kind": "PoolIncomplete",
-                        "member": key, "missing": f.key()})
+    @functools.cache
+    def plan(b: int) -> tuple:
+        """Sentence b's Con partner, compiled rows and Str.2 constants."""
+        f = sentences[b]
+        con = 1 << cp.bit[f.body] \
+            if isinstance(f, Not) and f.body in cp.bit else 0
+        swap = (f.right.name, f.left.name) \
+            if _const_eq(f) and f.left != f.right else None
+        return con, [compile_row(r) for r in rows(f)], swap
 
-    for s, key in zip(members, keys):
+    @functools.cache
+    def substituted(b: int, old: str, new: str) -> tuple:
+        return compile_row(("Str.2", EVERY, occurrence_variants(
+            sentences[b], old, new), {}))
+
+    violations = [_violation("pool", _member_key(cp.decode(m)), keys[b], True)
+                  for m in cp.family or () for b in _bits(m & ~cp.pool_mask)]
+
+    for m, reach in members:
+        idx = _bits(m)
+        key = tuple(map(keys.__getitem__, idx))
+        plans = list(map(plan, idx))
         # (Con): no sentence together with its negation
-        for f in s:
-            if isinstance(f, Not) and f.body in s:
-                violations.append({
-                    "clause": "Con", "kind": "violation",
-                    "member": key, "needed": f.body.key()})
-        for f in s:
-            for r in rows(f):
-                _check_row(cp, s, r, violations, key)
+        violations += [_violation("Con", key, keys[con.bit_length() - 1])
+                       for con, _, _ in plans if m & con]
+        for con, own, swap in plans:
+            for r in own:
+                _check_row(r, reach, violations, key)
             # (Str.2): substitution into any co-member, any occurrences
-            if _const_eq(f) and f.left != f.right:
-                for psi in s:
-                    for variant in variants(psi, f.right.name, f.left.name):
-                        _try_extension(cp, s, variant, "Str.2", violations,
-                                       True, key)
+            if swap:
+                for p in idx:
+                    _check_row(substituted(p, *swap), reach, violations, key)
         for r in namings:
-            _check_row(cp, s, r, violations, key)
+            _check_row(r, reach, violations, key)
 
     return {"ok": not violations, "family_size": len(members),
             "violations": violations}
@@ -366,13 +423,14 @@ def check_smax(cp: ConsistencyProperty) -> dict:
     """Maximality: every member extends by each pool sentence or by its
     literal negation, a SOME row per pool sentence."""
     violations: list[dict] = []
-    members = enumerate_members(cp)
-    rows = [("S-Max", SOME, [f, Not(f)], {"sentence": f.key()})
+    compile_row = _compiler(cp)
+    rows = [compile_row(("S-Max", SOME, [f, Not(f)], {"sentence": f.key()}))
             for f in cp.pool]
-    for s in members:
-        key = _member_key(s)
+    members = _reaches(cp)
+    for m, reach in members:
+        key = _member_key(cp.decode(m))
         for r in rows:
-            _check_row(cp, s, r, violations, key)
+            _check_row(r, reach, violations, key)
     return {"ok": not violations, "family_size": len(members),
             "violations": violations}
 
@@ -384,38 +442,20 @@ def cp_from_model(model: BValuedModel, pool: Iterable[Formula] | None = None,
                   seeds: Iterable[Formula] = ()) -> ConsistencyProperty:
     """The positivity family of a valid model: the fresh constants are the
     domain elements naming themselves, and a finite sentence set is a member
-    exactly when its conjunction has nonzero value. Each sentence is
-    evaluated once; its value mask is kept in `meta["value"]`."""
-    named = model.with_self_named_constants(model.domain)
-    memo: dict[Formula, int] = {}
-
-    def value(f: Formula) -> int:
-        v = memo.get(f)
-        if v is None:
-            v = memo[f] = eval_formula(named, f)
-        return v
-
-    def oracle(s: frozenset) -> bool:
-        return named.algebra.inf(map(value, s)) != named.algebra.zero
-
+    exactly when its conjunction has nonzero value."""
     if pool is None:
         pool = default_pool(model.signature, tuple(model.domain), list(seeds))
     return ConsistencyProperty(
-        signature=model.signature,
-        fresh_constants=tuple(model.domain),
-        pool=tuple(pool),
-        oracle=oracle,
-        meta={"kind": "model-positivity", "model": named, "value": value})
+        model.signature, tuple(model.domain), tuple(pool),
+        model=model.with_self_named_constants(model.domain))
 
 
 def convert_to_explicit(cp: ConsistencyProperty,
-                        members: Iterable[frozenset] | None = None
+                        members: Iterable[int] | None = None
                         ) -> ConsistencyProperty:
     """The family as an explicit list of `members`, by default all."""
-    return ConsistencyProperty(
-        signature=cp.signature, fresh_constants=cp.fresh_constants,
-        pool=cp.pool, meta=dict(cp.meta),
-        family=tuple(enumerate_members(cp) if members is None else members))
+    return replace(cp, model=None, family=tuple(
+        enumerate_members(cp) if members is None else members))
 
 
 # ---------------------------------------------------------------------------

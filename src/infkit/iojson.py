@@ -8,6 +8,7 @@ diffs stay meaningful.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import json
 from typing import Any, NoReturn
@@ -16,9 +17,9 @@ from .boolalg import FinBooleanAlgebra, FinPoset, powerset_algebra, \
     ro_completion, table_algebra
 from .bvmodel import BValuedModel
 from .calculus import Proof, Sequent, Step, RULES
-from .consprop import ConsistencyProperty, default_pool
+from .consprop import ConsistencyProperty, _bits, default_pool
 from .syntax import And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, \
-    Signature, Term, Var, is_sentence, validate_formula
+    Signature, Term, Var, validate_formula
 
 
 class ParseError(Exception):
@@ -57,6 +58,11 @@ def _get(d: dict, key: str, path: str) -> Any:
     if key not in d:
         _fail(path, f"missing required key {key!r}")
     return d[key]
+
+
+def _each(x: Any, path: str, parse) -> list:
+    """The array x, each item parsed by parse(item, its path)."""
+    return [parse(v, f"{path}[{i}]") for i, v in enumerate(_arr(x, path))]
 
 
 def _reject_extras(d: dict, allowed: set[str], path: str) -> None:
@@ -109,8 +115,7 @@ def parse_formula(x: Any, path: str = "$") -> Formula:
             args = _arr(_get(a, "args", here), f"{here}.args")
             if not args:
                 _fail(f"{here}.args", "an atom takes at least one argument")
-            return Atom(rel, tuple(
-                parse_term(t, f"{here}.args[{i}]") for i, t in enumerate(args)))
+            return Atom(rel, tuple(_each(args, f"{here}.args", parse_term)))
         if kind == "eq":
             pair = _arr(val, here)
             if len(pair) != 2:
@@ -120,14 +125,12 @@ def parse_formula(x: Any, path: str = "$") -> Formula:
         if kind == "not":
             return Not(parse_formula(val, here))
         if kind in ("and", "or"):
-            kids = tuple(parse_formula(c, f"{here}[{i}]")
-                         for i, c in enumerate(_arr(val, here)))
+            kids = tuple(_each(val, here, parse_formula))
             return And(kids) if kind == "and" else Or(kids)
         # forall / exists
         b = _obj(val, here)
         _reject_extras(b, {"vars", "body"}, here)
-        vars_ = _arr(_get(b, "vars", here), f"{here}.vars")
-        names = tuple(_str(v, f"{here}.vars[{i}]") for i, v in enumerate(vars_))
+        names = tuple(_each(_get(b, "vars", here), f"{here}.vars", _str))
         body = parse_formula(_get(b, "body", here), f"{here}.body")
         return Forall(names, body) if kind == "forall" else Exists(names, body)
     except ValueError as exc:
@@ -165,10 +168,8 @@ def parse_signature(x: Any, path: str = "$") -> Signature:
         _reject_extras(e, {"name", "arity"}, here)
         rels.append((_str(_get(e, "name", here), f"{here}.name"),
                      _int(_get(e, "arity", here), f"{here}.arity")))
-    consts = tuple(
-        _str(c, f"{path}.constants[{i}]")
-        for i, c in enumerate(_arr(_get(d, "constants", path),
-                                   f"{path}.constants")))
+    consts = tuple(_each(_get(d, "constants", path), f"{path}.constants",
+                         _str))
     try:
         return Signature(tuple(rels), consts)
     except ValueError as exc:
@@ -183,9 +184,11 @@ def emit_signature(sig: Signature) -> dict:
     }
 
 
-def _validated(f: Formula, sig: Signature, path: str,
-               need_sentence: bool = False) -> Formula:
-    """Signature check with a path-carrying error that cites the signature."""
+def _validated(x: Any, path: str, sig: Signature,
+               need_sentence: bool = True) -> Formula:
+    """The formula x, parsed and checked against the signature, with a
+    path-carrying error that cites the signature."""
+    f = parse_formula(x, path)
     if need_sentence and f.free_vars():
         _fail(path, f"expected a sentence, found free variables "
                     f"{sorted(f.free_vars())}")
@@ -205,9 +208,7 @@ def _validated(f: Formula, sig: Signature, path: str,
 def parse_poset(x: Any, path: str = "$") -> FinPoset:
     d = _obj(x, path)
     _reject_extras(d, {"elements", "leq"}, path)
-    els = [_str(e, f"{path}.elements[{i}]")
-           for i, e in enumerate(_arr(_get(d, "elements", path),
-                                      f"{path}.elements"))]
+    els = _each(_get(d, "elements", path), f"{path}.elements", _str)
     pairs = []
     for i, entry in enumerate(_arr(_get(d, "leq", path), f"{path}.leq")):
         here = f"{path}.leq[{i}]"
@@ -233,9 +234,7 @@ def parse_algebra(x: Any, path: str = "$") -> FinBooleanAlgebra:
     try:
         if kind == "powerset":
             _reject_extras(d, {"type", "atoms"}, path)
-            atoms = [_str(a, f"{path}.atoms[{i}]")
-                     for i, a in enumerate(_arr(_get(d, "atoms", path),
-                                                f"{path}.atoms"))]
+            atoms = _each(_get(d, "atoms", path), f"{path}.atoms", _str)
             return powerset_algebra(atoms)
         if kind == "ro":
             _reject_extras(d, {"type", "poset"}, path)
@@ -244,14 +243,11 @@ def parse_algebra(x: Any, path: str = "$") -> FinBooleanAlgebra:
         if kind == "table":
             _reject_extras(d, {"type", "elements", "meet", "join", "comp"},
                            path)
-            els = [_str(e, f"{path}.elements[{i}]")
-                   for i, e in enumerate(_arr(_get(d, "elements", path),
-                                              f"{path}.elements"))]
+            els = _each(_get(d, "elements", path), f"{path}.elements",
+                        _str)
             meet = _table_rows(_get(d, "meet", path), f"{path}.meet")
             join = _table_rows(_get(d, "join", path), f"{path}.join")
-            comp = [_str(e, f"{path}.comp[{i}]")
-                    for i, e in enumerate(_arr(_get(d, "comp", path),
-                                               f"{path}.comp"))]
+            comp = _each(_get(d, "comp", path), f"{path}.comp", _str)
             return table_algebra(els, meet, join, comp)
     except Exception as exc:  # algebra constructors raise several kinds
         if isinstance(exc, ParseError):
@@ -262,9 +258,7 @@ def parse_algebra(x: Any, path: str = "$") -> FinBooleanAlgebra:
 
 
 def _table_rows(x: Any, path: str) -> list[list[str]]:
-    rows = _arr(x, path)
-    return [[_str(v, f"{path}[{i}][{j}]") for j, v in enumerate(_arr(r, f"{path}[{i}]"))]
-            for i, r in enumerate(rows)]
+    return _each(x, path, lambda row, here: _each(row, here, _str))
 
 
 def emit_algebra(alg: FinBooleanAlgebra) -> dict:
@@ -353,9 +347,7 @@ def parse_model(x: Any, path: str = "$") -> BValuedModel:
                        "constants"}, path)
     sig = parse_signature(_get(d, "signature", path), f"{path}.signature")
     alg = parse_algebra(_get(d, "algebra", path), f"{path}.algebra")
-    domain = tuple(
-        _str(m, f"{path}.domain[{i}]")
-        for i, m in enumerate(_arr(_get(d, "domain", path), f"{path}.domain")))
+    domain = tuple(_each(_get(d, "domain", path), f"{path}.domain", _str))
     eq = {}
     for i, entry in enumerate(_arr(d.get("eq", []), f"{path}.eq")):
         here = f"{path}.eq[{i}]"
@@ -374,10 +366,7 @@ def parse_model(x: Any, path: str = "$") -> BValuedModel:
             here = f"{path}.relations.{rel}[{i}]"
             e = _obj(entry, here)
             _reject_extras(e, {"args", "value"}, here)
-            args = tuple(
-                _str(m, f"{here}.args[{j}]")
-                for j, m in enumerate(_arr(_get(e, "args", here),
-                                           f"{here}.args")))
+            args = tuple(_each(_get(e, "args", here), f"{here}.args", _str))
             table[args] = parse_element(alg, _get(e, "value", here),
                                         f"{here}.value")
         relations[rel] = table
@@ -450,11 +439,9 @@ def parse_theory(x: Any, path: str = "$") -> tuple[Signature, tuple[Formula, ...
     d = _obj(x, path)
     _reject_extras(d, {"signature", "sentences"}, path)
     sig = parse_signature(_get(d, "signature", path), f"{path}.signature")
-    sentences = tuple(
-        _validated(parse_formula(s, f"{path}.sentences[{i}]"), sig,
-                   f"{path}.sentences[{i}]", need_sentence=True)
-        for i, s in enumerate(_arr(_get(d, "sentences", path),
-                                   f"{path}.sentences")))
+    sentences = tuple(_each(_get(d, "sentences", path),
+                            f"{path}.sentences",
+                            functools.partial(_validated, sig=sig)))
     return sig, sentences
 
 
@@ -471,13 +458,10 @@ def parse_pool(x: Any, path: str = "$", sig: Signature | None = None,
     signature it will be evaluated in."""
     d = _obj(x, path)
     _reject_extras(d, {"formulas"}, path)
-    pool = []
-    for i, f in enumerate(_arr(_get(d, "formulas", path), f"{path}.formulas")):
-        here = f"{path}.formulas[{i}]"
-        g = parse_formula(f, here)
-        pool.append(g if sig is None else
-                    _validated(g, sig, here, need_sentence))
-    return tuple(pool)
+    return tuple(_each(
+        _get(d, "formulas", path), f"{path}.formulas",
+        lambda f, here: parse_formula(f, here) if sig is None
+        else _validated(f, here, sig, need_sentence)))
 
 
 def emit_pool(pool: tuple[Formula, ...]) -> dict:
@@ -492,29 +476,26 @@ def parse_cp(x: Any, path: str = "$") -> ConsistencyProperty:
     d = _obj(x, path)
     _reject_extras(d, {"signature", "fresh_constants", "family", "pool"}, path)
     sig = parse_signature(_get(d, "signature", path), f"{path}.signature")
-    fresh = tuple(
-        _str(c, f"{path}.fresh_constants[{i}]")
-        for i, c in enumerate(_arr(_get(d, "fresh_constants", path),
-                                   f"{path}.fresh_constants")))
+    fresh = tuple(_each(_get(d, "fresh_constants", path),
+                        f"{path}.fresh_constants", _str))
     try:
         wide = sig.with_constants(fresh)
     except ValueError as exc:
         _fail(f"{path}.fresh_constants", str(exc))
-    family = []
-    for i, member in enumerate(_arr(_get(d, "family", path), f"{path}.family")):
-        sentences = frozenset(
-            _validated(parse_formula(s, f"{path}.family[{i}][{j}]"), wide,
-                       f"{path}.family[{i}][{j}]", need_sentence=True)
-            for j, s in enumerate(_arr(member, f"{path}.family[{i}]")))
-        family.append(sentences)
+    parsed: dict[str, Formula] = {}   # by the text of a sentence's JSON
+
+    def sentence(s: Any, here: str) -> Formula:
+        text = repr(s)
+        if text not in parsed:
+            parsed[text] = _validated(s, here, wide)
+        return parsed[text]
+
+    family = _each(_get(d, "family", path), f"{path}.family",
+                   lambda m, here: frozenset(_each(m, here, sentence)))
     if "pool" in d:
-        pool = tuple(
-            _validated(parse_formula(s, f"{path}.pool[{i}]"), wide,
-                       f"{path}.pool[{i}]", need_sentence=True)
-            for i, s in enumerate(_arr(d["pool"], f"{path}.pool")))
+        pool = tuple(_each(d["pool"], f"{path}.pool", sentence))
     else:
-        seeds = [f for member in family for f in member]
-        pool = default_pool(sig, fresh, seeds)
+        pool = default_pool(sig, fresh, [f for m in family for f in m])
     try:
         return ConsistencyProperty(sig, fresh, pool, family=tuple(family))
     except ValueError as exc:
@@ -522,18 +503,19 @@ def parse_cp(x: Any, path: str = "$") -> ConsistencyProperty:
 
 
 def emit_cp(cp: ConsistencyProperty) -> dict:
+    """The file form of an explicit family: members by size, then by their
+    sentences' canonical forms (bit order), each sentence one shared dict."""
     if cp.family is None:
         raise ValueError("only explicit families have a file form; "
                          "use convert_to_explicit first")
-    members = sorted(
-        (sorted(m, key=lambda f: f.key()) for m in cp.family),
-        key=lambda m: (len(m), [f.key() for f in m]))
-    emit = functools.cache(emit_formula)   # one shared dict per formula
+    emitted = [emit_formula(f) for f in cp.sentences]
+    members = sorted(map(_bits, cp.family), key=lambda m: (len(m), m))
     return {
         "signature": emit_signature(cp.signature),
         "fresh_constants": sorted(cp.fresh_constants),
-        "family": [[emit(f) for f in m] for m in members],
-        "pool": [emit(f) for f in sorted(cp.pool, key=lambda f: f.key())],
+        "family": [list(map(emitted.__getitem__, m)) for m in members],
+        "pool": [emitted[cp.bit[f]]
+                 for f in sorted(cp.pool, key=lambda f: f.key())],
     }
 
 
@@ -559,10 +541,8 @@ _RULE_PARAM_KEYS = {
 def _parse_sequent(x: Any, path: str) -> Sequent:
     d = _obj(x, path)
     _reject_extras(d, {"ante", "succ"}, path)
-    ante = [parse_formula(f, f"{path}.ante[{i}]")
-            for i, f in enumerate(_arr(_get(d, "ante", path), f"{path}.ante"))]
-    succ = [parse_formula(f, f"{path}.succ[{i}]")
-            for i, f in enumerate(_arr(_get(d, "succ", path), f"{path}.succ"))]
+    ante = _each(_get(d, "ante", path), f"{path}.ante", parse_formula)
+    succ = _each(_get(d, "succ", path), f"{path}.succ", parse_formula)
     try:
         return Sequent(frozenset(ante), frozenset(succ))
     except ValueError as exc:
@@ -585,10 +565,8 @@ def parse_proof(x: Any, path: str = "$") -> Proof:
             _fail(f"{here}.rule.name", f"unknown rule {name!r}")
         _reject_extras(rule_obj, {"name", "premises"} | _RULE_PARAM_KEYS[name],
                        f"{here}.rule")
-        premises = tuple(
-            _int(p, f"{here}.rule.premises[{j}]")
-            for j, p in enumerate(_arr(rule_obj.get("premises", []),
-                                       f"{here}.rule.premises")))
+        premises = tuple(_each(rule_obj.get("premises", []),
+                               f"{here}.rule.premises", _int))
         params = _parse_rule_params(rule_obj, f"{here}.rule")
         steps.append(Step(sequent, name, premises, params or None))
     if not steps:
@@ -603,14 +581,11 @@ def _parse_rule_params(rule_obj: dict, path: str) -> dict:
             params[key] = parse_formula(rule_obj[key], f"{path}.{key}")
     for key in ("terms", "from_terms", "to_terms"):
         if key in rule_obj:
-            params[key] = tuple(
-                parse_term(t, f"{path}.{key}[{i}]")
-                for i, t in enumerate(_arr(rule_obj[key], f"{path}.{key}")))
+            params[key] = tuple(_each(rule_obj[key], f"{path}.{key}",
+                                      parse_term))
     for key in ("fresh", "vars"):
         if key in rule_obj:
-            params[key] = tuple(
-                _str(v, f"{path}.{key}[{i}]")
-                for i, v in enumerate(_arr(rule_obj[key], f"{path}.{key}")))
+            params[key] = tuple(_each(rule_obj[key], f"{path}.{key}", _str))
     if "map" in rule_obj:
         m = _obj(rule_obj["map"], f"{path}.map")
         params["map"] = {
@@ -651,38 +626,53 @@ def emit_proof(proof: Proof) -> dict:
 
 def dumps(obj: Any) -> str:
     """Canonical serialization: the bytes of json.dumps(obj, sort_keys=True,
-    indent=2) plus a newline, rendering each container object once per depth
-    (emit_cp shares one dict per formula)."""
-    rendered: dict[tuple[int, int], str] = {}
+    indent=2) plus a newline. Each container is rendered once per depth by
+    one join, and a list of items already rendered at its depth (emit_cp's
+    member lists of shared formula dicts) joins their texts directly."""
+    rendered = collections.defaultdict(dict)  # depth -> id(container) -> text
 
-    def render(x: Any, depth: int) -> str:
-        if isinstance(x, (dict, list, tuple)):
-            key = (id(x), depth)
-            if key not in rendered:
-                inner = "\n" + "  " * (depth + 1)
-                if isinstance(x, dict):
-                    if not all(isinstance(k, str) for k in x):
-                        raise TypeError("object keys must be str")
-                    parts = [f"{_encode_str(k)}: {render(x[k], depth + 1)}"
-                             for k in sorted(x)]
-                else:
-                    parts = [render(v, depth + 1) for v in x]
-                body = inner + ("," + inner).join(parts) + "\n" \
-                    + "  " * depth if parts else ""
-                rendered[key] = ("{%s}" if isinstance(x, dict)
-                                 else "[%s]") % body
-            return rendered[key]
+    def render(x: Any, depth: int, end: str = "") -> str:
         if isinstance(x, str):
-            return _encode_str(x)
+            return _encode_str(x) + end
+        if isinstance(x, (dict, list, tuple)):
+            text = rendered[depth].get(id(x))
+            if text is None:
+                inner = "\n" + "  " * (depth + 1)
+                sep = "," + inner
+                if isinstance(x, dict):
+                    pieces = []
+                    for k in sorted(x):
+                        if not isinstance(k, str):
+                            raise TypeError("object keys must be str")
+                        v = x[k]
+                        pieces += sep, f"{_encode_str(k)}: ", \
+                            _encode_str(v) if type(v) is str \
+                            else render(v, depth + 1)
+                else:
+                    parts = list(map(rendered[depth + 1].get, map(id, x)))
+                    if None in parts:
+                        parts = [_encode_str(v) if type(v) is str
+                                 else render(v, depth + 1) for v in x]
+                    pieces = [sep] * (2 * len(parts))
+                    pieces[1::2] = parts
+                opening, closing = "{}" if isinstance(x, dict) else "[]"
+                if pieces:
+                    pieces[0] = opening + inner
+                    closing = "\n" + "  " * depth + closing
+                else:
+                    pieces = [opening]
+                pieces.append(closing + end)
+                text = rendered[depth][id(x)] = "".join(pieces)
+            return text
         if x is None or x is True or x is False:
-            return _CONSTANTS[x]
+            return _CONSTANTS[x] + end
         if isinstance(x, (int, float)):
             text = (float if isinstance(x, float) else int).__repr__(x)
-            return _CONSTANTS.get(text, text)
+            return _CONSTANTS.get(text, text) + end
         raise TypeError(f"Object of type {type(x).__name__} "
                         f"is not JSON serializable")
 
-    return render(obj, 0) + "\n"
+    return render(obj, 0, "\n")
 
 
 _encode_str = json.encoder.encode_basestring_ascii

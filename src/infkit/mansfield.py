@@ -19,7 +19,8 @@ from .boolalg import (
 from .bvmodel import BValuedModel, _by_label, check_model, eval_formula
 from .consprop import (
     ConsistencyProperty, cp_from_model, check_cp, forcing_poset,
-    forcing_poset_conditions, maximal_among, member_meets, _member_key, _pkey,
+    forcing_poset_conditions, maximal_among, member_meets, _bits, _member_key,
+    _pkey,
 )
 from .syntax import (
     Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
@@ -177,13 +178,7 @@ def sb_pool(alg: FinBooleanAlgebra, names: dict) -> tuple[Formula, ...]:
     pool.append(Exists(("v0",), Atom("inG", (v,))))
     pool.append(Forall(("v0",), Or((Atom("inG", (v,)),
                                     Not(Atom("inG", (v,)))))))
-    seen = set()
-    out = []
-    for f in pool:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return tuple(out)
+    return tuple(dict.fromkeys(pool))
 
 
 # Pair checks of cp_from_algebra are exhaustive up to SAMPLE_LIMIT members
@@ -201,11 +196,12 @@ def cp_from_algebra(
     order preservation, incompatibility agreement, and surjectivity onto the
     nonzero elements through the singleton conditions."""
     model, names = algebra_model(alg)
-    pool = sb_pool(alg, names)
-    cp = cp_from_model(model, pool)
+    cp = cp_from_model(model, sb_pool(alg, names))
     pi = member_meets(cp)
     members = list(pi)
-    zero = alg.zero
+
+    def key(m: int) -> tuple:
+        return _member_key(cp.decode(m))
 
     order_failures = []
     incomp_failures = []
@@ -220,21 +216,18 @@ def cp_from_algebra(
     for i, j in pairs:
         p, q = members[i], members[j]
         # order: p below q in the poset means q is a subset of p
-        if q <= p and not alg.leq(pi[p], pi[q]):
-            order_failures.append((_member_key(p), _member_key(q)))
-        if p <= q and not alg.leq(pi[q], pi[p]):
-            order_failures.append((_member_key(q), _member_key(p)))
-        compatible = cp.is_member(p | q)
-        if compatible != (alg.meet(pi[p], pi[q]) != zero):
-            incomp_failures.append((_member_key(p), _member_key(q)))
+        if p & q == q and not alg.leq(pi[p], pi[q]):
+            order_failures.append((key(p), key(q)))
+        if p & q == p and not alg.leq(pi[q], pi[p]):
+            order_failures.append((key(q), key(p)))
+        if cp.is_member(p | q) != (alg.meet(pi[p], pi[q]) != alg.zero):
+            incomp_failures.append((key(p), key(q)))
 
     surj_failures = []
     for e in alg.elements:
-        f = Atom("inG", (Const(names[e]),))
-        if e != zero:
-            s = frozenset({f})
-            if not cp.is_member(s) or cp.meta["value"](f) != e:
-                surj_failures.append(names[e])
+        b = cp.bit[Atom("inG", (Const(names[e]),))]
+        if e != alg.zero and not (cp.is_member(1 << b) and cp.masks[b] == e):
+            surj_failures.append(names[e])
 
     report = {
         "ok": not (order_failures or incomp_failures or surj_failures),
@@ -255,56 +248,47 @@ def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
     the condition's valuation. Small posets are additionally materialized and
     completed explicitly."""
     cp, pi, _ = cp_from_algebra(alg)
-    members = list(pi)             # the members, in enumeration order
     atoms = _by_label(alg, alg.atoms())
-    by_atom = {}
-    for a in atoms:
-        by_atom[a] = frozenset(
-            f for f in cp.pool if alg.leq(a, cp.meta["value"](f)))
-    member_set = set(members)
+    # the member of the pool sentences whose value holds the atom
+    by_atom = {a: cp.encode(f for f, v in zip(cp.sentences, cp.masks)
+                            if alg.leq(a, v)) for a in atoms}
     maxes = set(maximal_among(cp, pi))
     max_match = (
         set(by_atom.values()) == maxes
         and len(by_atom) == len(set(by_atom.values()))
-        and all(m in member_set for m in by_atom.values()))
+        and all(m in pi for m in by_atom.values()))
 
-    def h(subset: frozenset):
-        return alg.sup(a for a in atoms if by_atom[a] in subset)
+    # a subset of the maximal members is an int over `atoms`, bit i standing
+    # for by_atom[atoms[i]]; h maps it to the join of the atoms it holds
+    h = [alg.sup(atoms[i] for i in _bits(s)) for s in range(1 << len(atoms))]
+    sets = range(len(h))
+    h_bijective = sorted(h) == sorted(alg.elements)
+    h_hom = all(alg.meet(h[s], h[t]) == h[s & t]
+                and alg.join(h[s], h[t]) == h[s | t]
+                for s in sets for t in sets) and all(
+        alg.comp(h[s]) == h[len(h) - 1 ^ s] for s in sets)
 
-    atom_sets = [frozenset(s) for k in range(len(atoms) + 1)
-                 for s in itertools.combinations(
-                     sorted(by_atom.values(), key=_member_key), k)]
-    images = [h(s) for s in atom_sets]
-    h_bijective = len(set(images)) == len(images) \
-        and set(images) == set(alg.elements)
-    h_hom = all(
-        alg.meet(h(s), h(t)) == h(s & t)
-        and alg.join(h(s), h(t)) == h(s | t)
-        for s in atom_sets for t in atom_sets) and all(
-        alg.comp(h(s)) == h(frozenset(by_atom.values()) - s)
-        for s in atom_sets)
-
-    reg_matches = all(
-        h(frozenset(m for m in by_atom.values() if s <= m)) == pi[s]
-        for s in members)
+    # each member's valuation joins the atoms whose maximal member holds it
+    reg_matches = all(alg.sup(a for a, held in by_atom.items()
+                              if held & s == s) == v for s, v in pi.items())
 
     materialized = False
     ro_size = None
-    if len(members) <= MATERIALIZE_LIMIT:
-        poset = forcing_poset(members)
+    if len(pi) <= MATERIALIZE_LIMIT:
+        conditions = list(map(cp.decode, pi))
+        poset = forcing_poset(conditions)
         ro_alg, emb = ro_completion(poset)
         ro_size = len(ro_alg.elements)
         materialized = True
-        max_match = max_match and set(poset.minimals()) == maxes
+        max_match = max_match and set(map(cp.encode, poset.minimals())) == maxes
         # minimal conditions inside Reg(N_s) are exactly those containing s
         reg_matches = reg_matches and ro_size == len(alg.elements) and all(
-            h(frozenset(m for m in by_atom.values()
-                        if m in ro_alg.labels[emb[s]]))
-            == pi[s]
-            for s in members)
+            alg.sup(a for a, held in by_atom.items()
+                    if cp.decode(held) in ro_alg.labels[emb[t]]) == pi[s]
+            for s, t in zip(pi, conditions))
 
     ok = max_match and h_bijective and h_hom and reg_matches
-    return {"ok": ok, "atoms": len(atoms), "members": len(members),
+    return {"ok": ok, "atoms": len(atoms), "members": len(pi),
             "maximal_members_match": max_match, "h_bijective": h_bijective,
             "h_homomorphism": h_hom, "reg_matches_pi": reg_matches,
             "materialized": materialized, "ro_size": ro_size,

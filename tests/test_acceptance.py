@@ -171,7 +171,7 @@ def test_generic_filter_pipeline_realizes_every_root(good_families,
     roots = 0
     for name, cp in good_families.items():
         assert check_cp(cp)["ok"], name
-        for root in cp.family:
+        for root in map(cp.decode, cp.family):
             gf = generic_filter(cp, root)
             assert root <= gf.sigma
             rep = verify_realizes(build_af(cp, gf.sigma), gf.sigma)
@@ -184,7 +184,7 @@ def test_generic_filter_pipeline_realizes_every_root(good_families,
 
 def test_condition_model_and_claims_at_every_root(good_families, corpus_dir):
     for name, cp in good_families.items():
-        for root in cp.family:
+        for root in map(cp.decode, cp.family):
             built = mansfield_build(cp, root, verify=False)
             assert built["root_ok"], (name, sorted(map(repr, root)))
             assert check_model(built["model"])["ok"]

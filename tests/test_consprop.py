@@ -9,6 +9,8 @@ from infkit.consprop import (
     forcing_poset_conditions, generic_filter, maximal_members,
     occurrence_variants, verify_realizes,
 )
+from infkit.iojson import load_json, parse_algebra
+from infkit.mansfield import cp_from_algebra
 from infkit.modelgen import split_constant_theory, four_element_model
 from infkit.syntax import (
     Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
@@ -65,7 +67,7 @@ def test_eq4_maximal_members_are_the_two_blocks(eq4):
 
 def test_forcing_poset_conditions_are_family_members(eq4):
     poset = forcing_poset(forcing_poset_conditions(eq4))
-    assert set(poset.elements) <= set(eq4.family)
+    assert set(poset.elements) <= set(map(eq4.decode, eq4.family))
     # stronger condition = superset
     got = {(p, q) for p in poset.elements for q in poset.elements
            if p != q and poset.leq(p, q)}
@@ -91,7 +93,7 @@ def test_dense_sets_listed_per_trigger(eq4):
 
 def test_generic_filter_at_empty_root(eq4):
     gf = generic_filter(eq4)
-    assert gf.minimum in set(eq4.family)
+    assert eq4.encode(gf.minimum) in eq4.family
     assert gf.sigma == gf.minimum
 
 
@@ -208,13 +210,13 @@ def test_oracle_family_membership_is_positivity(m4):
                            Eq(Const("c0"), Const("c1"))]
     cp = cp_from_model(m4, pool)
     assert not cp.explicit
-    assert cp.is_member(frozenset())
+    assert cp.is_member(cp.encode(()))
     disj, neq01, neqd0, neqd1 = theory
-    assert cp.is_member(frozenset({disj, neqd0}))
+    assert cp.is_member(cp.encode({disj, neqd0}))
     # the two inequalities meet to zero on the reference model
-    assert not cp.is_member(frozenset({neqd0, neqd1}))
+    assert not cp.is_member(cp.encode({neqd0, neqd1}))
     for s in enumerate_members(cp):
-        vals = [eval_formula(cp.meta["model"], f) for f in s]
+        vals = [eval_formula(cp.model, f) for f in cp.decode(s)]
         assert m4.algebra.inf(vals) != m4.algebra.zero
 
 
@@ -244,4 +246,20 @@ def test_kappa_omega_biconditional():
 def test_conditions_as_family_is_consistency_property(good_families):
     cond = good_families["conditions_family"]
     assert check_cp(cond)["ok"]
-    assert set(cond.family) == set(good_families["eq4_family"].family)
+    eq4 = good_families["eq4_family"]
+    assert set(map(cond.decode, cond.family)) == set(map(eq4.decode,
+                                                         eq4.family))
+
+
+def test_check_cp_asks_a_positivity_family_no_oracle_question(corpus_dir):
+    """Each candidate is one AND of the member's meet with the candidate's
+    value, so check_cp on the b16 positivity family calls the membership
+    oracle not once (the per-candidate check called it 364,160 times)."""
+    cp, _, _ = cp_from_algebra(
+        parse_algebra(load_json(str(corpus_dir / "b16.json"))))
+    calls = []
+    oracle = cp.oracle
+    object.__setattr__(cp, "oracle", lambda m: calls.append(m) or oracle(m))
+    report = check_cp(cp)
+    assert report == {"ok": True, "family_size": 13328, "violations": []}
+    assert calls == []

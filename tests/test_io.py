@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from infkit.boolalg import powerset_algebra
 from infkit.bvmodel import check_model
+from infkit.cli import main
 from infkit.consprop import cp_from_model
 from infkit.iojson import (
     ParseError, as_table_algebra, dumps, emit_algebra, emit_cp, emit_element,
@@ -181,6 +182,26 @@ def test_cp_default_pool_is_computed():
                    "family": fam})
     assert cp.pool  # default pool fills in when absent
     assert Eq(Const("c0"), Const("c0")) in cp.pool
+
+
+def test_cp_parses_each_distinct_sentence_once(capsys, tmp_path):
+    sig = {"relations": [{"name": "R", "arity": 1}], "constants": ["k"]}
+    good = {"atom": {"rel": "R", "args": [{"const": "k"}]}}
+    bad = {"atom": {"rel": "S", "args": [{"const": "k"}]}}    # undeclared
+    cp = parse_cp({"signature": sig, "fresh_constants": [],
+                   "family": [[good], [good, {"not": good}], [good]]})
+    first, second, third = (cp.decode(m) for m in cp.family)
+    (a,), (b,) = first, third
+    assert a is b and a in second
+    # an invalid sentence fails at its first occurrence, every time
+    fam = [[bad], [good], [], [good, bad]]
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps({"signature": sig, "fresh_constants": [],
+                                "family": fam}))
+    assert main(["check-cp", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: $.family[0][0]: undeclared relation")
 
 
 def test_cp_emit_requires_explicit_family(m4):

@@ -90,7 +90,7 @@ def test_algebra_model_basics():
     pool = sb_pool(alg, names)
     assert all(not f.free_vars() for f in pool)
     from infkit.consprop import cp_from_model
-    named = cp_from_model(model, pool).meta["model"]
+    named = cp_from_model(model, pool).model
     for e in alg.elements:
         got = eval_formula(named, Atom("inG", (Const(names[e]),)))
         assert got == e

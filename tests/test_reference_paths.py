@@ -11,7 +11,9 @@ operation tables, against the int-mask algebras, and the positivity walk
 that asked the oracle about every candidate set against the walk that
 carries the running meet. Also the soundness sampler that assembled every
 sample against the one that decides each atom's quotient, and the density
-and mixing checks by their definitions."""
+and mixing checks by their definitions. Also every path that reads family
+members as ints over the interned sentences (the walk, maximality, the
+clause checks, emission) against the same path on sets of sentences."""
 import dataclasses
 import functools
 import itertools
@@ -28,14 +30,14 @@ from infkit.boolalg import (
 from infkit.bvmodel import _by_label, assemble_model, eval_formula, mixes_over
 from infkit.calculus import Sequent, in_calculus_fragment, soundness_sample
 from infkit.consprop import (
-    ConsistencyProperty, _member_key, _miss as _record_miss, _pkey,
-    _try_extension, check_cp, check_smax, convert_to_explicit, cp_from_model,
-    default_pool, enumerate_members, maximal_among, maximal_members,
-    member_meets, occurrence_variants,
+    ConsistencyProperty, _member_key, _pkey, check_cp, check_smax,
+    convert_to_explicit, cp_from_model, default_pool, enumerate_members,
+    maximal_among, maximal_members, member_meets, occurrence_variants,
 )
 from infkit.iojson import (
-    dumps, emit_model, load_json, parse_algebra, parse_cp, parse_model,
-    parse_pool, parse_poset, parse_proof,
+    dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
+    parse_algebra, parse_cp, parse_model, parse_pool, parse_poset,
+    parse_proof,
 )
 from infkit.mansfield import cp_from_algebra
 from infkit.modelgen import (
@@ -49,40 +51,79 @@ from infkit.syntax import (
     Var, constants_of, is_sentence, move_neg_inside, replace_const,
     subformulas, substitute, validate_formula,
 )
+from test_golden import _table_powerset
 from test_syntax import formulas
 
 
 # --- the oracles --------------------------------------------------------------
+
+@functools.cache
+def _sentence_sets(cp):
+    """The explicit family's members as frozensets of sentences."""
+    return frozenset(map(cp.decode, cp.family))
+
+
+def reference_is_member(cp, s):
+    """Membership of a sentence set as it was decided: a lookup among the
+    explicit members, or the meet of the sentences' values being nonzero."""
+    if cp.explicit:
+        return s in _sentence_sets(cp)
+    alg = cp.model.algebra
+    return alg.inf(eval_formula(cp.model, f) for f in s) != alg.zero
+
+
+def reference_members_of(cp):
+    return [cp.decode(m) for m in enumerate_members(cp)]
+
+
+def _try_extension(cp, s, add, clause, violations, require):
+    """s union {add} checked for membership as it was, on sentence sets: for
+    explicit families a sentence outside the pool is a PoolIncomplete
+    finding when `require` is set, and otherwise just fails."""
+    gap = cp.explicit and not cp.in_pool(add) and add not in s
+    ok = not gap and reference_is_member(cp, s | {add})
+    if require and not ok:
+        violations.append({
+            "clause": clause, "kind": "PoolIncomplete" if gap else "violation",
+            "member": _member_key(s), "missing" if gap else "needed": add.key()})
+    return ok
+
 
 def _miss(cp, s, clause, candidates, violations, **extra):
     """A failed some-candidate clause as it was recorded: the undecidable
     candidates found again after every extension was tried."""
     gaps = [c.key() for c in candidates
             if cp.explicit and not cp.in_pool(c) and c not in s]
-    _record_miss(s, clause, gaps, violations, **extra)
+    entry = {"clause": clause, "member": _member_key(s), **extra}
+    if gaps:
+        entry.update(kind="PoolIncomplete", missing=sorted(gaps))
+    else:
+        entry.update(kind="violation")
+    violations.append(entry)
 
 
 def reference_check_cp(cp):
-    """check_cp as it was: every clause instance rebuilt per member."""
+    """check_cp as it was: every clause instance rebuilt per member, each
+    member a set of sentences read in canonical order."""
     violations = []
-    members = enumerate_members(cp)
+    members = reference_members_of(cp)
     consts = cp.all_constants()
     fresh = cp.fresh_constants
     pool_set = set(cp.pool)
     if cp.explicit:
         for m in members:
-            for f in m:
+            for f in sorted(m, key=_pkey):
                 if f not in pool_set:
                     violations.append({
                         "clause": "pool", "kind": "PoolIncomplete",
                         "member": _member_key(m), "missing": f.key()})
     for s in members:
-        for f in s:
+        for f in sorted(s, key=_pkey):
             if isinstance(f, Not) and f.body in s:
                 violations.append({
                     "clause": "Con", "kind": "violation",
                     "member": _member_key(s), "needed": f.body.key()})
-        for f in s:
+        for f in sorted(s, key=_pkey):
             if isinstance(f, Not):
                 _try_extension(cp, s, move_neg_inside(f.body), "Ind.1",
                                violations, require=True)
@@ -117,7 +158,7 @@ def reference_check_cp(cp):
                 _try_extension(cp, s, Eq(f.right, f.left), "Str.1",
                                violations, require=True)
                 if c != d:
-                    for psi in s:
+                    for psi in sorted(s, key=_pkey):
                         for variant in occurrence_variants(psi, d, c):
                             _try_extension(cp, s, variant, "Str.2",
                                            violations, require=True)
@@ -142,7 +183,7 @@ def reference_check_smax(cp):
     """check_smax as it was: both extensions tried for every pool sentence,
     and the negation built again for every member."""
     violations = []
-    members = enumerate_members(cp)
+    members = reference_members_of(cp)
     for s in members:
         for f in cp.pool:
             pos = _try_extension(cp, s, f, "S-Max", [], require=False)
@@ -424,7 +465,8 @@ def test_check_cp_matches_reference_on_emitted_algebra_families(
     alg = parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
     oracle_cp, _, _ = cp_from_algebra(alg)
     explicit = convert_to_explicit(oracle_cp)
-    families = [explicit] if size == 8 else [oracle_cp, *_variants(explicit)]
+    families = [oracle_cp, explicit] if size == 8 \
+        else [oracle_cp, *_variants(explicit)]
     for cp in families:
         got = check_cp(cp)
         assert got == reference_check_cp(cp)
@@ -566,16 +608,17 @@ def test_cp_from_algebra_valuation_is_per_member_evaluation(corpus_dir,
                                                             size):
     alg = parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
     cp, pi, _ = cp_from_algebra(alg)
-    named = cp.meta["model"]
+    named = cp.model
     assert set(pi) == set(enumerate_members(cp))
     for s, value in pi.items():
-        assert value == alg.inf(eval_formula(named, f) for f in s)
+        assert value == alg.inf(eval_formula(named, f) for f in cp.decode(s))
 
 
 # --- positivity walks ---------------------------------------------------------
 
 def reference_members(cp):
-    """enumerate_members as it was: the oracle decides every candidate."""
+    """enumerate_members as it was: sentence sets, the oracle deciding every
+    candidate."""
     pool = sorted(cp.pool, key=_pkey)
     out = []
 
@@ -583,10 +626,10 @@ def reference_members(cp):
         out.append(current)
         for i in range(start, len(pool)):
             nxt = current | {pool[i]}
-            if cp.oracle(nxt):
+            if reference_is_member(cp, nxt):
                 dfs(nxt, i + 1)
 
-    if cp.oracle(frozenset()):
+    if reference_is_member(cp, frozenset()):
         dfs(frozenset(), 0)
     return out
 
@@ -594,21 +637,23 @@ def reference_members(cp):
 def reference_maximal_among(cp, members):
     pool = set(cp.pool)
     return [m for m in members
-            if not any(cp.oracle(m | {f}) for f in pool - m)]
+            if not any(reference_is_member(cp, m | {f}) for f in pool - m)]
 
 
 def assert_walks_agree(cp):
-    """The walk carrying the running meet gives the oracle walk's members in
-    its order, each with the per-set meet, and the same maximal members."""
+    """The walk carrying the running meet over int members gives the oracle
+    walk's members in its order, each with the per-set meet, and the same
+    maximal members."""
     members = reference_members(cp)
-    named = cp.meta["model"]
+    named = cp.model
     value = {f: eval_formula(named, f) for f in cp.pool}
     meets = member_meets(cp)
-    assert list(meets) == members and enumerate_members(cp) == members
-    assert meets == {s: named.algebra.inf(value[f] for f in s)
-                     for s in members}
+    assert list(map(cp.decode, meets)) == members
+    assert enumerate_members(cp) == list(meets)
+    assert {cp.decode(m): v for m, v in meets.items()} == {
+        s: named.algebra.inf(value[f] for f in s) for s in members}
     maxes = reference_maximal_among(cp, members)
-    assert maximal_among(cp, meets) == maxes
+    assert list(map(cp.decode, maximal_among(cp, meets))) == maxes
     assert maximal_members(cp) == sorted(maxes, key=_member_key)
     root = members[len(members) // 2]
     above = [m for m in members if root <= m]
@@ -617,11 +662,18 @@ def assert_walks_agree(cp):
     return meets
 
 
-@pytest.mark.parametrize("size", [4, 8, 16])
+def _algebra(corpus_dir, size):
+    """The corpus algebra b<size>, or for "16_table" the powerset of four
+    atoms in table form."""
+    if size == "16_table":
+        return parse_algebra(_table_powerset(4, 0))
+    return parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 16, "16_table"])
 def test_positivity_walk_matches_the_oracle_walk_on_algebras(corpus_dir,
                                                               size):
-    alg = parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
-    cp, pi, _ = cp_from_algebra(alg)
+    cp, pi, _ = cp_from_algebra(_algebra(corpus_dir, size))
     assert assert_walks_agree(cp) == pi
     assert convert_to_explicit(cp, pi).family \
         == convert_to_explicit(cp).family
@@ -646,8 +698,36 @@ def test_positivity_walk_matches_the_oracle_walk_on_corpus_families(
     # the explicit corpus families keep the plain inclusion test
     for name in _CORPUS_FAMILIES:
         cp = load(f"{name}.json", parse_cp)
-        assert maximal_among(cp, list(cp.family)) == [
-            m for m in cp.family if not any(m < o for o in cp.family)]
+        sets = reference_members_of(cp)
+        assert list(map(cp.decode, maximal_among(cp, list(cp.family)))) == [
+            m for m in sets if not any(m < o for o in sets)]
+
+
+# --- emission -----------------------------------------------------------------
+
+def reference_emit_cp(cp):
+    """emit_cp as it was: members sorted as sentence lists by size, then by
+    their canonical forms."""
+    members = sorted(
+        (sorted(m, key=_pkey) for m in reference_members_of(cp)),
+        key=lambda m: (len(m), [f.key() for f in m]))
+    emit = functools.cache(emit_formula)
+    return {
+        "signature": emit_signature(cp.signature),
+        "fresh_constants": sorted(cp.fresh_constants),
+        "family": [[emit(f) for f in m] for m in members],
+        "pool": [emit(f) for f in sorted(cp.pool, key=_pkey)],
+    }
+
+
+def test_emission_matches_the_sentence_set_emission(corpus_dir):
+    families = [convert_to_explicit(cp_from_algebra(
+        _algebra(corpus_dir, size))[0]) for size in (4, 8, 16)]
+    families += [parse_cp(load_json(str(corpus_dir / f"{name}.json")))
+                 for name in _CORPUS_FAMILIES]
+    for cp in families:
+        want = json.dumps(reference_emit_cp(cp), sort_keys=True, indent=2)
+        assert dumps(emit_cp(cp)) == want + "\n"
 
 
 # --- soundness sampling -------------------------------------------------------
