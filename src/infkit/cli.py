@@ -151,10 +151,10 @@ def cmd_check_cp(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _family_root(cp: ConsistencyProperty, index: int) -> frozenset:
+def _family_root(cp: ConsistencyProperty, index: int) -> int:
     if cp.family is None or not 0 <= index < len(cp.family):
         raise ParseError(f"$.family: root index {index} out of range")
-    return cp.decode(cp.family[index])
+    return cp.family[index]
 
 
 def cmd_generic(args) -> int:
@@ -162,16 +162,16 @@ def cmd_generic(args) -> int:
     root = _family_root(cp, args.root)
     try:
         gf = generic_filter(cp, root)
-        term_model = build_af(cp, gf.sigma)
+        term_model = build_af(cp, gf.minimum)
     except (AssertionError, ValueError, IllDefined) as exc:
         _print({"ok": False, "reason": str(exc)})
         return 1
-    realizes = verify_realizes(term_model, gf.sigma)
+    realizes = verify_realizes(cp, term_model, gf.minimum)
     report = {
         "ok": realizes["ok"],
-        "root": sorted(f.key() for f in root),
-        "minimum": sorted(f.key() for f in gf.minimum),
-        "sigma": sorted(f.key() for f in gf.sigma),
+        "root": list(cp.key(root)),
+        "minimum": list(cp.key(gf.minimum)),
+        "sigma": list(cp.key(gf.minimum)),      # the union of the filter
         "classes": [sorted(c) for c in term_model.classes],
         "dense": list(gf.dense_report),
         "realizes": realizes,

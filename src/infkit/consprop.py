@@ -9,8 +9,9 @@ they are enumerated as the accepted pool-subsets, depth-first with antitone
 pruning and a hard cap. Sentences that a clause adds are looked up in
 explicit families (a miss outside the pool is a PoolIncomplete finding) and
 simply evaluated in the model otherwise. A member is an int over the
-family's interned sentences, bit i the i-th in canonical key order; the
-forcing side works with frozensets of sentences (`decode`/`encode`).
+family's interned sentences, bit i the i-th in canonical key order, and so
+are the roots, conditions and filters of the forcing side: a condition is a
+submask of a member, and p lies below q when p & q == q.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ class ConsistencyProperty:
             family = family and [frozenset(m) for m in family]
             held = set(self.pool).union(*family or ())
             object.__setattr__(self, "sentences",
-                               tuple(sorted(held, key=_pkey)))
+                               tuple(sorted(held, key=Formula.key)))
         set_ = functools.partial(object.__setattr__, self)
         set_("bit", {f: i for i, f in enumerate(self.sentences)})
         set_("pool_mask", self.encode(self.pool))
@@ -109,6 +110,10 @@ class ConsistencyProperty:
     def decode(self, m: int) -> frozenset:
         return frozenset(map(self.sentences.__getitem__, _bits(m)))
 
+    def key(self, m: int) -> tuple:
+        """The canonical forms of m's sentences, in bit (key) order."""
+        return tuple(self.sentences[b].key() for b in _bits(m))
+
 
 def _bits(m: int) -> list[int]:
     """The positions of the set bits of m, ascending."""
@@ -118,14 +123,6 @@ def _bits(m: int) -> list[int]:
         out.append(low.bit_length() - 1)
         m ^= low
     return out
-
-
-def _pkey(f: Formula) -> str:
-    return f.key()
-
-
-def _member_key(m: frozenset) -> tuple:
-    return tuple(sorted(f.key() for f in m))
 
 
 def enumerate_members(cp: ConsistencyProperty) -> list[int]:
@@ -159,16 +156,12 @@ def member_meets(cp: ConsistencyProperty) -> dict[int, int]:
     return out
 
 
-def maximal_members(cp: ConsistencyProperty,
-                    root: frozenset = frozenset()) -> list[frozenset]:
+def maximal_members(cp: ConsistencyProperty, root: int = 0) -> list[int]:
     """Inclusion-maximal members extending the root; these are the minimal
-    conditions of the forcing poset below the root, sorted canonically."""
-    if not all(f in cp.bit for f in root):
-        return []
-    r = cp.encode(root)
+    conditions of the forcing poset below the root, in bit order."""
     members = dict.fromkeys(cp.family) if cp.explicit else member_meets(cp)
-    above = {m: v for m, v in members.items() if m & r == r}
-    return [cp.decode(m) for m in sorted(maximal_among(cp, above), key=_bits)]
+    above = {m: v for m, v in members.items() if m & root == root}
+    return sorted(maximal_among(cp, above), key=_bits)
 
 
 def maximal_among(cp: ConsistencyProperty, members) -> list[int]:
@@ -241,7 +234,7 @@ def default_pool(signature: Signature, fresh_constants: tuple[str, ...],
     for c in consts:
         for d in consts:
             pool.add(Eq(Const(c), Const(d)))
-    return tuple(sorted(pool, key=_pkey))
+    return tuple(sorted(pool, key=Formula.key))
 
 
 def occurrence_variants(f: Formula, old: str, new: str) -> set[Formula]:
@@ -395,7 +388,7 @@ def check_cp(cp: ConsistencyProperty) -> dict:
         return compile_row(("Str.2", EVERY, occurrence_variants(
             sentences[b], old, new), {}))
 
-    violations = [_violation("pool", _member_key(cp.decode(m)), keys[b], True)
+    violations = [_violation("pool", cp.key(m), keys[b], True)
                   for m in cp.family or () for b in _bits(m & ~cp.pool_mask)]
 
     for m, reach in members:
@@ -428,7 +421,7 @@ def check_smax(cp: ConsistencyProperty) -> dict:
             for f in cp.pool]
     members = _reaches(cp)
     for m, reach in members:
-        key = _member_key(cp.decode(m))
+        key = cp.key(m)
         for r in rows:
             _check_row(r, reach, violations, key)
     return {"ok": not violations, "family_size": len(members),
@@ -462,29 +455,30 @@ def convert_to_explicit(cp: ConsistencyProperty,
 # forcing poset, dense sets, generic filters
 
 def forcing_poset_conditions(cp: ConsistencyProperty,
-                             root: frozenset = frozenset()
-                             ) -> list[frozenset]:
-    """All conditions extending the root: subsets of family members that
-    contain the root (the forcing order is reverse inclusion). At most
-    MEMBER_CAP of them."""
-    out: set[frozenset] = set()
+                             root: int = 0) -> list[int]:
+    """All conditions extending the root, in bit order: submasks of family
+    members that contain the root (the forcing order is reverse
+    inclusion). At most MEMBER_CAP of them."""
+    out: set[int] = set()
     for m in maximal_members(cp, root):
-        rest = sorted(m - root, key=_pkey)
-        for k in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, k):
-                out.add(root | frozenset(combo))
-                if len(out) > MEMBER_CAP:
-                    raise CapExceeded(
-                        f"the forcing poset exceeds the condition cap "
-                        f"({MEMBER_CAP} conditions)")
-    return sorted(out, key=_member_key)
+        rest = sub = m & ~root
+        while True:
+            out.add(root | sub)
+            if len(out) > MEMBER_CAP:
+                raise CapExceeded(
+                    f"the forcing poset exceeds the condition cap "
+                    f"({MEMBER_CAP} conditions)")
+            if not sub:
+                break
+            sub = sub - 1 & rest
+    return sorted(out, key=_bits)
 
 
-def forcing_poset(conditions: list[frozenset]) -> FinPoset:
+def forcing_poset(conditions: list[int]) -> FinPoset:
     """The forcing order on conditions: reverse inclusion, so p is below q
-    exactly when p is the larger set."""
+    exactly when p & q == q."""
     return FinPoset(conditions, [(p, q) for p in conditions
-                                 for q in conditions if q <= p])
+                                 for q in conditions if p & q == q])
 
 
 _DENSE_KIND = {"Ind.4": "disjunction", "Ind.5": "existential",
@@ -497,10 +491,12 @@ def dense_sets(cp: ConsistencyProperty) -> list[dict]:
     disjunct), one per existential pool sentence (by some fresh-constant
     instance), one per base constant d (by some c=d with c fresh). A set is
     dense below a condition when every maximal member above it that holds
-    the guard holds a trigger (no guard: every such member)."""
+    the guard holds a trigger (no guard: every such member). The guard and
+    the triggers are masks over the interned sentences; a trigger that is
+    not interned is in no member and drops out."""
     rows, namings = _clauses(cp)
-    guarded = [(f, r) for f in cp.pool for r in rows(f)] + \
-        [(None, r) for r in namings
+    guarded = [(1 << cp.bit[f], r) for f in cp.pool for r in rows(f)] + \
+        [(0, r) for r in namings
          if r[3]["constant"] in cp.signature.constants]
     out = []
     for guard, r in guarded:
@@ -508,24 +504,23 @@ def dense_sets(cp: ConsistencyProperty) -> list[dict]:
             clause, _, candidates, extra = r
             (name,) = extra.values()
             out.append({"kind": _DENSE_KIND[clause], "name": name,
-                        "guard": guard, "triggers": tuple(candidates)})
+                        "guard": guard, "triggers": cp.encode(
+                            t for t in candidates if t in cp.bit)})
     return out
 
 
 @dataclass(frozen=True)
 class GenericFilter:
-    root: frozenset
-    minimum: frozenset                 # the chosen minimal condition
-    sigma: frozenset                   # union of the filter
+    root: int
+    minimum: int                       # the chosen minimal condition
     dense_report: tuple = ()
 
 
-def generic_filter(cp: ConsistencyProperty,
-                   root: frozenset = frozenset()) -> GenericFilter:
+def generic_filter(cp: ConsistencyProperty, root: int = 0) -> GenericFilter:
     """The up-set of the lexicographically least minimal condition below the
     root (any condition of the forcing poset), whose members are the subsets
-    of that condition. Verified to meet every emitted dense set that is
-    dense below the root."""
+    of that condition, so its union sigma is the minimum itself. Verified to
+    meet every emitted dense set that is dense below the root."""
     maxes = maximal_members(cp, root)
     if not maxes:
         raise ValueError("the root is not a condition of the forcing poset")
@@ -534,30 +529,27 @@ def generic_filter(cp: ConsistencyProperty,
     for entry in dense_sets(cp):
         guard, triggers, name = (entry["guard"], entry["triggers"],
                                  entry["name"])
-        dense_below_root = all(
-            (guard is not None and guard not in m)
-            or any(t in m for t in triggers)
-            for m in maxes)
-        met = any(t in minimum for t in triggers)
+        dense_below_root = all(m & guard != guard or m & triggers
+                               for m in maxes)
+        met = bool(minimum & triggers)
         report.append({"kind": entry["kind"], "name": name,
                        "dense_below_root": dense_below_root, "met": met})
         if dense_below_root and not met:
             raise AssertionError(
                 f"minimal condition misses a dense set: {name}")
-    return GenericFilter(root=root, minimum=minimum, sigma=minimum,
+    return GenericFilter(root=root, minimum=minimum,
                          dense_report=tuple(report))
 
 
 # ---------------------------------------------------------------------------
 # the realized term structure
 
-def build_af(cp: ConsistencyProperty,
-             sigma: frozenset) -> TwoValuedStructure:
+def build_af(cp: ConsistencyProperty, sigma: int) -> TwoValuedStructure:
     """Classes of the constants under the equalities found in sigma (with
     reflexive-symmetric-transitive closure), relations holding when some
     representative's positive atomic sentence lies in sigma. Raises
     IllDefined when sigma contains conflicting positive and negative facts
-    across class-equal tuples."""
+    across class-equal tuples, naming the first in bit (key) order."""
     consts = cp.all_constants()
     parent = {c: c for c in consts}
 
@@ -577,7 +569,7 @@ def build_af(cp: ConsistencyProperty,
     eq_neg = []
     rel_pos = []
     rel_neg = []
-    for f in sigma:
+    for f in map(cp.sentences.__getitem__, _bits(sigma)):
         if _const_eq(f):
             eq_pos.append((f.left.name, f.right.name))
         elif isinstance(f, Not) and _const_eq(f.body):
@@ -617,14 +609,12 @@ def build_af(cp: ConsistencyProperty,
                               constants)
 
 
-def verify_realizes(term_model: TwoValuedStructure,
-                    sigma: frozenset) -> dict:
+def verify_realizes(cp: ConsistencyProperty, term_model: TwoValuedStructure,
+                    sigma: int) -> dict:
     """Two-valued satisfaction of every sigma sentence in the term structure."""
     model = term_model.to_two_valued_model()
     one = model.algebra.one
-    failures = []
-    for f in sorted(sigma, key=_pkey):
-        if eval_formula(model, f) != one:
-            failures.append(f.key())
+    sentences = list(map(cp.sentences.__getitem__, _bits(sigma)))
+    failures = [f.key() for f in sentences if eval_formula(model, f) != one]
     return {"ok": not failures, "failures": failures,
-            "checked": len(sigma)}
+            "checked": len(sentences)}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .boolalg import (
     FinBooleanAlgebra, FinPoset, TrivialAlgebra, ro_completion,
@@ -19,8 +19,7 @@ from .boolalg import (
 from .bvmodel import BValuedModel, _by_label, check_model, eval_formula
 from .consprop import (
     ConsistencyProperty, cp_from_model, check_cp, forcing_poset,
-    forcing_poset_conditions, maximal_among, member_meets, _bits, _member_key,
-    _pkey,
+    forcing_poset_conditions, maximal_among, member_meets, _bits,
 )
 from .syntax import (
     Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
@@ -29,31 +28,43 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class ConditionAlgebra:
-    """RO completion of the forcing poset restricted below a root."""
-    root: frozenset
-    conditions: tuple[frozenset, ...]
+    """RO completion of the forcing poset restricted below a root; the root
+    and the conditions are ints over the family's sentences."""
+    root: int
+    conditions: tuple[int, ...]
     poset: FinPoset
     algebra: FinBooleanAlgebra
     embedding: dict                    # condition -> regular-open element
+    l_values: dict                     # sentence -> its L-value
 
-    def l_value(self, f: Formula):
+    def l_value(self, f: Formula) -> int:
         """Join of Reg(N_t) over the conditions t containing the sentence."""
-        return self.algebra.sup(
-            self.embedding[t] for t in self.conditions if f in t)
+        return self.l_values.get(f, self.algebra.zero)
 
 
 def condition_algebra(cp: ConsistencyProperty,
-                      root: frozenset = frozenset()) -> ConditionAlgebra:
+                      root: int = 0) -> ConditionAlgebra:
+    """The completion, its labels mapped back to sets of sentence sets
+    once, so that emitted tables and reports order them as sentences. A
+    sentence's L-value is one OR per bit of each condition."""
     conds = forcing_poset_conditions(cp, root)
     if not conds:
         raise ValueError("the root is not a condition of the forcing poset")
     poset = forcing_poset(conds)
     algebra, emb = ro_completion(poset)
+    sets = {t: cp.decode(t) for t in conds}
+    algebra = replace(algebra, labels=tuple(
+        frozenset(map(sets.__getitem__, lab)) for lab in algebra.labels))
+    lv = [algebra.zero] * len(cp.sentences)
+    for t in conds:
+        for b in _bits(t):
+            lv[b] |= emb[t]
     return ConditionAlgebra(root=root, conditions=tuple(conds), poset=poset,
-                            algebra=algebra, embedding=emb)
+                            algebra=algebra, embedding=emb,
+                            l_values=dict(zip(cp.sentences, lv)))
 
 
-def mansfield_build(cp: ConsistencyProperty, root: frozenset = frozenset(),
+def mansfield_build(cp: ConsistencyProperty, root: int = 0,
                     verify: bool = True) -> dict:
     """Model over the restricted regular-open algebra in which every root
     sentence holds with value one. Verifies the family first (the clauses are
@@ -81,8 +92,8 @@ def mansfield_build(cp: ConsistencyProperty, root: frozenset = frozenset(),
     model = BValuedModel(signature=sig, algebra=ca.algebra, domain=consts,
                          eq=eq, relations=relations,
                          constants={c: c for c in consts})
-    root_values = {f.key(): eval_formula(model, f) for f in sorted(root,
-                                                                   key=_pkey)}
+    root_values = {f.key(): eval_formula(model, f)
+                   for f in map(cp.sentences.__getitem__, _bits(root))}
     out = {
         "model": model,
         "conditions": ca,
@@ -99,17 +110,17 @@ def verify_claim1(cp: ConsistencyProperty, built: dict) -> dict:
     regular-open neighborhood of s sits below the sentence's join, in the
     condition algebra of a mansfield_build result."""
     ca = built["conditions"]
-    cond_set = set(ca.conditions)
+    conds = set(ca.conditions)
     checked = skipped = 0
     failures = []
-    lvals = {f: ca.l_value(f) for f in cp.pool}
+    pool = [(f, cp.bit[f], ca.l_value(f)) for f in cp.pool]
     for s in ca.conditions:
-        exts = [t for t in ca.conditions if s <= t]
-        for f in cp.pool:
-            if all(t | {f} in cond_set for t in exts):
+        exts = [t for t in ca.conditions if t & s == s]
+        for f, b, lv in pool:
+            if all(t | 1 << b in conds for t in exts):
                 checked += 1
-                if not ca.algebra.leq(ca.embedding[s], lvals[f]):
-                    failures.append({"condition": _member_key(s),
+                if not ca.algebra.leq(ca.embedding[s], lv):
+                    failures.append({"condition": cp.key(s),
                                      "sentence": f.key()})
             else:
                 skipped += 1
@@ -200,9 +211,6 @@ def cp_from_algebra(
     pi = member_meets(cp)
     members = list(pi)
 
-    def key(m: int) -> tuple:
-        return _member_key(cp.decode(m))
-
     order_failures = []
     incomp_failures = []
     if len(members) <= SAMPLE_LIMIT:
@@ -217,11 +225,11 @@ def cp_from_algebra(
         p, q = members[i], members[j]
         # order: p below q in the poset means q is a subset of p
         if p & q == q and not alg.leq(pi[p], pi[q]):
-            order_failures.append((key(p), key(q)))
+            order_failures.append((cp.key(p), cp.key(q)))
         if p & q == p and not alg.leq(pi[q], pi[p]):
-            order_failures.append((key(q), key(p)))
+            order_failures.append((cp.key(q), cp.key(p)))
         if cp.is_member(p | q) != (alg.meet(pi[p], pi[q]) != alg.zero):
-            incomp_failures.append((key(p), key(q)))
+            incomp_failures.append((cp.key(p), cp.key(q)))
 
     surj_failures = []
     for e in alg.elements:
@@ -250,8 +258,8 @@ def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
     cp, pi, _ = cp_from_algebra(alg)
     atoms = _by_label(alg, alg.atoms())
     # the member of the pool sentences whose value holds the atom
-    by_atom = {a: cp.encode(f for f, v in zip(cp.sentences, cp.masks)
-                            if alg.leq(a, v)) for a in atoms}
+    by_atom = {a: sum(1 << b for b, v in enumerate(cp.masks)
+                      if alg.leq(a, v)) for a in atoms}
     maxes = set(maximal_among(cp, pi))
     max_match = (
         set(by_atom.values()) == maxes
@@ -275,17 +283,16 @@ def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
     materialized = False
     ro_size = None
     if len(pi) <= MATERIALIZE_LIMIT:
-        conditions = list(map(cp.decode, pi))
-        poset = forcing_poset(conditions)
+        poset = forcing_poset(list(pi))
         ro_alg, emb = ro_completion(poset)
         ro_size = len(ro_alg.elements)
         materialized = True
-        max_match = max_match and set(map(cp.encode, poset.minimals())) == maxes
+        max_match = max_match and set(poset.minimals()) == maxes
         # minimal conditions inside Reg(N_s) are exactly those containing s
         reg_matches = reg_matches and ro_size == len(alg.elements) and all(
             alg.sup(a for a, held in by_atom.items()
-                    if cp.decode(held) in ro_alg.labels[emb[t]]) == pi[s]
-            for s, t in zip(pi, conditions))
+                    if held in ro_alg.labels[emb[s]]) == v
+            for s, v in pi.items())
 
     ok = max_match and h_bijective and h_hom and reg_matches
     return {"ok": ok, "atoms": len(atoms), "members": len(pi),

@@ -11,7 +11,7 @@ import infkit
 from infkit.cli import main
 from infkit.consprop import ConsistencyProperty
 from infkit.iojson import dumps, emit_cp
-from infkit.syntax import Atom, Const, Signature
+from infkit.syntax import Atom, Const, Eq, Not, Signature
 
 
 def run(capsys, *argv):
@@ -317,6 +317,23 @@ def test_generic_reports_an_ill_defined_term_structure(corpus_dir, root):
     report = json.loads(proc.stdout)
     assert report["ok"] is False
     assert "both asserts and denies" in report["reason"]
+
+
+def test_generic_names_the_first_conflict_at_every_hash_seed(tmp_path):
+    """A member that denies both c0=c1 and c2=c3 while asserting them: the
+    reported conflict is the first in key order, whatever the string-hash
+    seed."""
+    c = [Const(f"c{i}") for i in range(4)]
+    member = {Eq(a, a) for a in c} | {Eq(c[0], c[1]), Eq(c[2], c[3])}
+    member |= {Not(Eq(c[0], c[1])), Not(Eq(c[2], c[3]))}
+    cp = ConsistencyProperty(Signature((), ()), ("c0", "c1", "c2", "c3"),
+                             tuple(member), family=(frozenset(member),))
+    path = _write_json(tmp_path / "cp.json", emit_cp(cp))
+    procs = [run_subprocess("generic", "--cp", path, "--root", "0",
+                            hash_seed=seed) for seed in ("0", "6")]
+    assert procs[0].stdout == procs[1].stdout
+    assert json.loads(procs[0].stdout) == {
+        "ok": False, "reason": "sigma denies c0=c1 but their classes coincide"}
 
 
 def _without_pool(corpus_dir, tmp_path):

@@ -59,20 +59,20 @@ def test_eq4_family_is_consistency_property(eq4):
 def test_eq4_maximal_members_are_the_two_blocks(eq4):
     maxes = maximal_members(eq4)
     assert len(maxes) == 2
-    assert all(len(m) == 6 for m in maxes)
-    keys = {frozenset(f.key() for f in m) for m in maxes}
+    assert all(m.bit_count() == 6 for m in maxes)
+    keys = {eq4.key(m) for m in maxes}
     assert any("(= k:c0 k:c1)" in k for k in keys)
     assert any("(= k:c2 k:c3)" in k for k in keys)
 
 
 def test_forcing_poset_conditions_are_family_members(eq4):
     poset = forcing_poset(forcing_poset_conditions(eq4))
-    assert set(poset.elements) <= set(map(eq4.decode, eq4.family))
+    assert set(poset.elements) <= set(eq4.family)
     # stronger condition = superset
     got = {(p, q) for p in poset.elements for q in poset.elements
            if p != q and poset.leq(p, q)}
     assert got == {(p, q) for p in poset.elements for q in poset.elements
-                   if p != q and q < p}
+                   if p != q and eq4.decode(q) < eq4.decode(p)}
 
 
 def test_dense_sets_listed_per_trigger(eq4):
@@ -93,31 +93,33 @@ def test_dense_sets_listed_per_trigger(eq4):
 
 def test_generic_filter_at_empty_root(eq4):
     gf = generic_filter(eq4)
-    assert eq4.encode(gf.minimum) in eq4.family
-    assert gf.sigma == gf.minimum
+    assert gf.root == 0
+    assert gf.minimum in eq4.family
 
 
 def test_generic_filter_respects_root(eq4):
-    root = frozenset({Eq(Const("c2"), Const("c3"))})
+    root = eq4.encode({Eq(Const("c2"), Const("c3"))})
     gf = generic_filter(eq4, root)
-    assert root <= gf.sigma
-    tm = build_af(eq4, gf.sigma)
-    rep = verify_realizes(tm, gf.sigma)
+    assert gf.minimum & root == root
+    tm = build_af(eq4, gf.minimum)
+    rep = verify_realizes(eq4, tm, gf.minimum)
     assert rep["ok"], rep
     merged = [sorted(cl) for cl in tm.classes if len(cl) > 1]
     assert merged == [["c2", "c3"]]
 
 
 def test_generic_filter_rejects_non_condition(eq4):
-    bad = frozenset({Eq(Const("c0"), Const("c2"))})
+    # the two identifications lie in different blocks: no member holds both
+    bad = eq4.encode({Eq(Const("c0"), Const("c1")),
+                      Eq(Const("c2"), Const("c3"))})
     with pytest.raises(ValueError):
         generic_filter(eq4, bad)
 
 
 def test_build_af_realizes_union_classes(eq4):
     gf = generic_filter(eq4)
-    tm = build_af(eq4, gf.sigma)
-    assert verify_realizes(tm, gf.sigma)["ok"]
+    tm = build_af(eq4, gf.minimum)
+    assert verify_realizes(eq4, tm, gf.minimum)["ok"]
     assert sorted(len(cl) for cl in tm.classes) == [1, 1, 2]
     two = type(tm.to_two_valued_model())
     assert two is BValuedModel

@@ -4,7 +4,9 @@ string-hash seed 0, pinned to the values these commands printed before
 algebra elements became int masks over atoms (the `check-cp` and `generic`
 pins: before the clause table was shared by every forcing-side check; the
 `sat` and soundness-sampling pins: before `sat` and the sampler shared one
-quotient model per distinct per-atom structure). Also that
+quotient model per distinct per-atom structure; the `mansfield` pins on
+`conditions_family` and `max_family`: before the conditions of the forcing
+side became ints over the interned sentences). Also that
 `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import importlib.util
@@ -68,6 +70,12 @@ GOLDEN = {
                          "80", "--emit-model", "emitted.json"),
     "generic_eq4_5": ("generic", "--cp", "eq4_family.json", "--root", "5",
                       "--emit-model", "emitted.json"),
+    # a non-mixing model over a 4-element condition algebra: the antichain
+    # labels and the emitted table
+    "mansfield_conditions_0": ("mansfield", "--cp", "conditions_family.json",
+                               "--root", "0", "--emit-model", "emitted.json"),
+    "mansfield_max_3_pool": ("mansfield", "--cp", "max_family.json", "--root",
+                             "3", "--pool", "max_pool.json"),
     "corpus": ("corpus",),
     "check_cp_b8_emitted": ("check-cp", "b8_family.json"),
     "check_cp_max_smax": ("check-cp", "max_family.json", "--smax"),
@@ -116,12 +124,16 @@ EXPECTED = {
         "e8683959777ba51a22431c4ec74493def413940e79ab88cdcd920ce8cf692220",
     "generic_max_3":
         "9272c0c09e2396c297b5c8ee9fe79813294f1488ea37012ed77335a1b879f960",
+    "mansfield_conditions_0":
+        "029f9bda003b9354a652be88132fc75bdabcfc661c2f724d19b070fed6b56dba",
     "mansfield_eq4_0":
         "421e66ad51709d30254d51c1d34772f3b834863e22d870759271e3735099333f",
     "mansfield_eq4_2":
         "8049efb449a24cb0ca51882e7d1b7d128a322ba62a36b99133939a6ed1429fbe",
     "mansfield_eq4_80":
         "5c6cc03495f800f2aac75622e82bb0e349d856238e32a4d5ade128e4e29a541f",
+    "mansfield_max_3_pool":
+        "d6777e0e4a907ac42aeee3b04a10fbe8be5e682ca55ed74ce72edc03a9fdd3d3",
     "quotient_los":
         "20dfbdb0492ee3837c7039deb0ae70829536e27c9eb578c7735ac89d4bebe61a",
     "ro_poset14":

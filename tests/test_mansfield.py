@@ -48,7 +48,7 @@ def test_build_on_equality_family(eq4):
 
 
 def test_root_sentences_valid_at_nonempty_root(eq4):
-    root = frozenset({Eq(Const("c2"), Const("c3"))})
+    root = eq4.encode({Eq(Const("c2"), Const("c3"))})
     built = mansfield_build(eq4, root)
     assert built["root_ok"]
     assert all(v == built["model"].algebra.one
@@ -67,8 +67,9 @@ def test_meet_identity_on_pool_pairs(eq4):
     alg = ca.algebra
     for f, g in itertools.combinations(eq4.pool, 2):
         # L(f) meet L(g) is the join of Reg(N_q) over the q holding both
+        fg = eq4.encode({f, g})
         both = alg.sup(ca.embedding[q] for q in ca.conditions
-                       if f in q and g in q)
+                       if q & fg == fg)
         assert alg.meet(ca.l_value(f), ca.l_value(g)) == both, \
             (f.key(), g.key())
 

@@ -13,7 +13,8 @@ carries the running meet. Also the soundness sampler that assembled every
 sample against the one that decides each atom's quotient, and the density
 and mixing checks by their definitions. Also every path that reads family
 members as ints over the interned sentences (the walk, maximality, the
-clause checks, emission) against the same path on sets of sentences."""
+clause checks, emission, and on the forcing side the conditions, generic
+filters and claim 1) against the same path on sets of sentences."""
 import dataclasses
 import functools
 import itertools
@@ -30,16 +31,17 @@ from infkit.boolalg import (
 from infkit.bvmodel import _by_label, assemble_model, eval_formula, mixes_over
 from infkit.calculus import Sequent, in_calculus_fragment, soundness_sample
 from infkit.consprop import (
-    ConsistencyProperty, _member_key, _pkey, check_cp, check_smax,
-    convert_to_explicit, cp_from_model, default_pool, enumerate_members,
-    maximal_among, maximal_members, member_meets, occurrence_variants,
+    ConsistencyProperty, check_cp, check_smax, convert_to_explicit,
+    cp_from_model, default_pool, dense_sets, enumerate_members,
+    forcing_poset_conditions, generic_filter, instances, maximal_among,
+    maximal_members, member_meets, occurrence_variants,
 )
 from infkit.iojson import (
     dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
     parse_algebra, parse_cp, parse_model, parse_pool, parse_poset,
     parse_proof,
 )
-from infkit.mansfield import cp_from_algebra
+from infkit.mansfield import cp_from_algebra, mansfield_build, verify_claim1
 from infkit.modelgen import (
     all_labeled_posets, four_element_model, infer_signature,
     random_structures, split_constant_theory,
@@ -47,8 +49,8 @@ from infkit.modelgen import (
 
 small_posets = functools.cache(all_labeled_posets)   # the n <= 5 sweep
 from infkit.syntax import (
-    And, Atom, CaptureError, Const, Eq, Exists, Forall, Not, Or, Signature,
-    Var, constants_of, is_sentence, move_neg_inside, replace_const,
+    And, Atom, CaptureError, Const, Eq, Exists, Forall, Formula, Not, Or,
+    Signature, Var, constants_of, is_sentence, move_neg_inside, replace_const,
     subformulas, substitute, validate_formula,
 )
 from test_golden import _table_powerset
@@ -76,6 +78,12 @@ def reference_members_of(cp):
     return [cp.decode(m) for m in enumerate_members(cp)]
 
 
+def member_key(s):
+    """The canonical order of sentence sets: their sentences' canonical
+    forms, sorted."""
+    return tuple(sorted(f.key() for f in s))
+
+
 def _try_extension(cp, s, add, clause, violations, require):
     """s union {add} checked for membership as it was, on sentence sets: for
     explicit families a sentence outside the pool is a PoolIncomplete
@@ -85,7 +93,7 @@ def _try_extension(cp, s, add, clause, violations, require):
     if require and not ok:
         violations.append({
             "clause": clause, "kind": "PoolIncomplete" if gap else "violation",
-            "member": _member_key(s), "missing" if gap else "needed": add.key()})
+            "member": member_key(s), "missing" if gap else "needed": add.key()})
     return ok
 
 
@@ -94,7 +102,7 @@ def _miss(cp, s, clause, candidates, violations, **extra):
     candidates found again after every extension was tried."""
     gaps = [c.key() for c in candidates
             if cp.explicit and not cp.in_pool(c) and c not in s]
-    entry = {"clause": clause, "member": _member_key(s), **extra}
+    entry = {"clause": clause, "member": member_key(s), **extra}
     if gaps:
         entry.update(kind="PoolIncomplete", missing=sorted(gaps))
     else:
@@ -112,18 +120,18 @@ def reference_check_cp(cp):
     pool_set = set(cp.pool)
     if cp.explicit:
         for m in members:
-            for f in sorted(m, key=_pkey):
+            for f in sorted(m, key=Formula.key):
                 if f not in pool_set:
                     violations.append({
                         "clause": "pool", "kind": "PoolIncomplete",
-                        "member": _member_key(m), "missing": f.key()})
+                        "member": member_key(m), "missing": f.key()})
     for s in members:
-        for f in sorted(s, key=_pkey):
+        for f in sorted(s, key=Formula.key):
             if isinstance(f, Not) and f.body in s:
                 violations.append({
                     "clause": "Con", "kind": "violation",
-                    "member": _member_key(s), "needed": f.body.key()})
-        for f in sorted(s, key=_pkey):
+                    "member": member_key(s), "needed": f.body.key()})
+        for f in sorted(s, key=Formula.key):
             if isinstance(f, Not):
                 _try_extension(cp, s, move_neg_inside(f.body), "Ind.1",
                                violations, require=True)
@@ -158,7 +166,7 @@ def reference_check_cp(cp):
                 _try_extension(cp, s, Eq(f.right, f.left), "Str.1",
                                violations, require=True)
                 if c != d:
-                    for psi in sorted(s, key=_pkey):
+                    for psi in sorted(s, key=Formula.key):
                         for variant in occurrence_variants(psi, d, c):
                             _try_extension(cp, s, variant, "Str.2",
                                            violations, require=True)
@@ -619,7 +627,7 @@ def test_cp_from_algebra_valuation_is_per_member_evaluation(corpus_dir,
 def reference_members(cp):
     """enumerate_members as it was: sentence sets, the oracle deciding every
     candidate."""
-    pool = sorted(cp.pool, key=_pkey)
+    pool = sorted(cp.pool, key=Formula.key)
     out = []
 
     def dfs(current, start):
@@ -654,11 +662,12 @@ def assert_walks_agree(cp):
         s: named.algebra.inf(value[f] for f in s) for s in members}
     maxes = reference_maximal_among(cp, members)
     assert list(map(cp.decode, maximal_among(cp, meets))) == maxes
-    assert maximal_members(cp) == sorted(maxes, key=_member_key)
+    assert list(map(cp.decode, maximal_members(cp))) == sorted(
+        maxes, key=member_key)
     root = members[len(members) // 2]
     above = [m for m in members if root <= m]
-    assert maximal_members(cp, root) == sorted(
-        reference_maximal_among(cp, above), key=_member_key)
+    assert list(map(cp.decode, maximal_members(cp, cp.encode(root)))) == \
+        sorted(reference_maximal_among(cp, above), key=member_key)
     return meets
 
 
@@ -709,14 +718,14 @@ def reference_emit_cp(cp):
     """emit_cp as it was: members sorted as sentence lists by size, then by
     their canonical forms."""
     members = sorted(
-        (sorted(m, key=_pkey) for m in reference_members_of(cp)),
+        (sorted(m, key=Formula.key) for m in reference_members_of(cp)),
         key=lambda m: (len(m), [f.key() for f in m]))
     emit = functools.cache(emit_formula)
     return {
         "signature": emit_signature(cp.signature),
         "fresh_constants": sorted(cp.fresh_constants),
         "family": [[emit(f) for f in m] for m in members],
-        "pool": [emit(f) for f in sorted(cp.pool, key=_pkey)],
+        "pool": [emit(f) for f in sorted(cp.pool, key=Formula.key)],
     }
 
 
@@ -728,6 +737,165 @@ def test_emission_matches_the_sentence_set_emission(corpus_dir):
     for cp in families:
         want = json.dumps(reference_emit_cp(cp), sort_keys=True, indent=2)
         assert dumps(emit_cp(cp)) == want + "\n"
+
+
+# --- the forcing side ---------------------------------------------------------
+
+def reference_maximal_members(cp, root=frozenset()):
+    """maximal_members as it was: the inclusion-maximal sentence sets among
+    the members holding the root, sorted by their sentences' keys."""
+    above = [m for m in reference_members_of(cp) if root <= m]
+    if cp.explicit:
+        maxes = [m for m in above if not any(m < o for o in above)]
+    else:
+        maxes = reference_maximal_among(cp, above)
+    return sorted(maxes, key=member_key)
+
+
+def reference_forcing_poset_conditions(cp, root=frozenset()):
+    """Every subset of a maximal member above the root that holds the root,
+    sorted by its sentences' keys."""
+    out = set()
+    for m in reference_maximal_members(cp, root):
+        rest = sorted(m - root, key=Formula.key)
+        for k in range(len(rest) + 1):
+            out.update(root | frozenset(c)
+                       for c in itertools.combinations(rest, k))
+    return sorted(out, key=member_key)
+
+
+def reference_dense_sets(cp):
+    """The dense-set roster by its definition, (kind, name, guard, triggers)
+    over sentence sets: a disjunctive pool sentence and its disjuncts, an
+    existential one and its fresh instances, a base constant d and the
+    sentences c=d with c fresh."""
+    out = []
+    for f in cp.pool:
+        if isinstance(f, Or):
+            out.append(("disjunction", f.key(), {f}, set(f.children)))
+        elif isinstance(f, Exists):
+            out.append(("existential", f.key(), {f},
+                        set(instances(f, cp.fresh_constants))))
+    for d in cp.signature.constants:
+        out.append(("constant", d, set(), {Eq(Const(c), Const(d))
+                                           for c in cp.fresh_constants}))
+    return out
+
+
+def reference_generic_filter(cp, root=frozenset()):
+    """generic_filter as it was on sentence sets: the least minimal
+    condition below the root and the dense-set report."""
+    maxes = reference_maximal_members(cp, root)
+    if not maxes:
+        raise ValueError("the root is not a condition of the forcing poset")
+    minimum = maxes[0]
+    report = []
+    for kind, name, guard, triggers in reference_dense_sets(cp):
+        dense = all(not guard <= m or triggers & m for m in maxes)
+        met = bool(triggers & minimum)
+        report.append({"kind": kind, "name": name, "dense_below_root": dense,
+                       "met": met})
+        if dense and not met:
+            raise AssertionError(
+                f"minimal condition misses a dense set: {name}")
+    return minimum, tuple(report)
+
+
+def reference_verify_claim1(cp, root=frozenset()):
+    """verify_claim1 as it was, on the completion of the forcing poset of
+    sentence sets; also each pool sentence's L-value as a set of sets."""
+    conds = reference_forcing_poset_conditions(cp, root)
+    alg, emb = ro_completion(FinPoset(
+        conds, [(p, q) for p in conds for q in conds if q <= p]))
+    cond_set = set(conds)
+    lvals = {f: alg.sup(emb[t] for t in conds if f in t) for f in cp.pool}
+    checked = skipped = 0
+    failures = []
+    for s in conds:
+        exts = [t for t in conds if s <= t]
+        for f in cp.pool:
+            if all(t | {f} in cond_set for t in exts):
+                checked += 1
+                if not alg.leq(emb[s], lvals[f]):
+                    failures.append({"condition": member_key(s),
+                                     "sentence": f.key()})
+            else:
+                skipped += 1
+    claim = {"ok": not failures, "checked": checked, "skipped": skipped,
+             "failures": failures}
+    return claim, {f: alg.labels[v] for f, v in lvals.items()}
+
+
+def two_member_family(k=6):
+    """Fresh c0..c(k-1), one unary P, the family [E, A u E] over the pool
+    A u E, where E holds every ci=ci and A every P(ci): root 0 has 2^k
+    conditions, all but two of them outside the family."""
+    names = tuple(f"c{i}" for i in range(k))
+    e = frozenset(Eq(Const(c), Const(c)) for c in names)
+    a = frozenset(Atom("P", (Const(c),)) for c in names)
+    return ConsistencyProperty(
+        Signature((("P", 1),), ()), names,
+        tuple(sorted(a | e, key=Formula.key)), family=(e, a | e))
+
+
+def shared_sentence_family():
+    """The empty member and two maximal members {a, b} and {a, c} over fresh
+    c0, c1: at the empty root the L-value of a joins both atoms, while every
+    condition holding a besides {a} lies below one of them."""
+    a, b, c = (Eq(Const(x), Const(y))
+               for x, y in (("c0", "c0"), ("c0", "c1"), ("c1", "c1")))
+    return ConsistencyProperty(Signature((), ()), ("c0", "c1"), (a, b, c),
+                               family=(frozenset(), frozenset({a, b}),
+                                       frozenset({a, c})))
+
+
+def _forcing_families(corpus_dir):
+    fams = {name: parse_cp(load_json(str(corpus_dir / f"{name}.json")))
+            for name in _CORPUS_FAMILIES}
+    return {**fams, "two_member": two_member_family(),
+            "shared_sentence": shared_sentence_family()}
+
+
+def test_forcing_side_matches_the_sentence_set_paths(corpus_dir):
+    """At every root of every corpus family and of the two made-up ones:
+    maximal members, conditions and the generic filter on ints, decoded,
+    equal the sentence-set paths, and so do the dense-set roster and the
+    decoded labels of the condition algebra."""
+    roots = 0
+    for name, cp in _forcing_families(corpus_dir).items():
+        interned = set(cp.sentences)
+        assert [(e["kind"], e["name"], cp.decode(e["guard"]),
+                 cp.decode(e["triggers"])) for e in dense_sets(cp)] == [
+            (kind, n, guard, triggers & interned)
+            for kind, n, guard, triggers in reference_dense_sets(cp)]
+        for root in cp.family:
+            ref_root = cp.decode(root)
+            assert list(map(cp.decode, maximal_members(cp, root))) == \
+                reference_maximal_members(cp, ref_root), name
+            conds = forcing_poset_conditions(cp, root)
+            assert list(map(cp.decode, conds)) == \
+                reference_forcing_poset_conditions(cp, ref_root), name
+            gf = generic_filter(cp, root)
+            assert (cp.decode(gf.minimum), gf.dense_report) == \
+                reference_generic_filter(cp, ref_root), name
+            roots += 1
+    assert roots == 310 + 2 + 3   # the corpus families, then the others
+
+
+@pytest.mark.parametrize("name", _CORPUS_FAMILIES + ("two_member",
+                                                    "shared_sentence"))
+def test_claim1_matches_the_sentence_set_path(corpus_dir, name):
+    """Claim 1 and the pool sentences' L-values at every root."""
+    cp = _forcing_families(corpus_dir)[name]
+    for root in cp.family:
+        built = mansfield_build(cp, root, verify=False)
+        ca = built["conditions"]
+        claim, labels = reference_verify_claim1(cp, cp.decode(root))
+        assert verify_claim1(cp, built) == claim
+        assert {f: ca.algebra.labels[ca.l_value(f)] for f in cp.pool} \
+            == labels
+    if name == "two_member":
+        assert len(forcing_poset_conditions(cp, cp.family[0])) == 64
 
 
 # --- soundness sampling -------------------------------------------------------

@@ -159,7 +159,8 @@ def main() -> None:
     conds = forcing_poset_conditions(EQ4)
     COND = ConsistencyProperty(signature=sig0,
                                fresh_constants=("c0", "c1", "c2", "c3"),
-                               pool=pool8, family=tuple(conds))
+                               pool=pool8, family=tuple(conds),
+                               sentences=EQ4.sentences)
     assert check_cp(COND)["ok"]
     ship("conditions_family.json", "cp", emit_cp(COND),
          {"check_cp": True, "members": len(conds)})
