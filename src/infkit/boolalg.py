@@ -14,8 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable
+
+from .record import Record
 
 
 class TrivialAlgebra(Exception):
@@ -86,7 +87,9 @@ class FinPoset:
                      if len(self._below[self._idx[e]]) == 1)
 
     def min_below(self, p: Hashable) -> frozenset:
-        return frozenset(m for m in self.minimals() if self.leq(m, p))
+        """The minimal elements below p: those of its down-set whose own
+        down-set is a singleton."""
+        return frozenset(m for m in self._down[p] if len(self._down[m]) == 1)
 
     def incompatible(self, a: Hashable, b: Hashable) -> bool:
         """No common lower bound."""
@@ -104,25 +107,23 @@ class FinPoset:
 # ---------------------------------------------------------------------------
 # algebras
 
-@dataclass(frozen=True, eq=False)
-class FinBooleanAlgebra:
+class FinBooleanAlgebra(Record):
     """Finite Boolean algebra on int masks over its atoms: element x is the
     join of the atoms whose bits it sets, and `labels[x]` is its label.
     `elements` holds every mask once, in the order of the source: by size
-    and then lexicographically over the atoms, or in table order."""
+    and then lexicographically over the atoms, or in table order. `masks`
+    maps each label back to its element."""
 
-    kind: str                       # "powerset" | "ro" | "table"
-    elements: tuple[int, ...]
-    labels: tuple
-    meta: dict = field(default_factory=dict)
-    one: int = field(init=False)
-    masks: dict = field(init=False, repr=False)     # label -> element
+    _fields = ("kind", "elements", "labels", "meta", "one")
     zero = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "one", len(self.labels) - 1)
-        object.__setattr__(self, "masks",
-                           {lab: x for x, lab in enumerate(self.labels)})
+    def __init__(self, kind: str,   # "powerset" | "ro" | "table"
+                 elements: tuple[int, ...], labels: tuple,
+                 meta: dict | None = None) -> None:
+        self.__dict__.update(
+            kind=kind, elements=elements, labels=labels, meta=meta or {},
+            one=len(labels) - 1,
+            masks={lab: x for x, lab in enumerate(labels)})
 
     def meet(self, a: int, b: int) -> int:
         return a & b

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .boolalg import FinBooleanAlgebra, powerset_algebra
+from .record import Record, Value
 from .syntax import (
     And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature, Term, Var,
     subformulas,
@@ -36,14 +36,18 @@ class CapExceeded(Exception):
 STRUCTURE_CAP = 100_000
 
 
-@dataclass(frozen=True, eq=False)
-class BValuedModel:
-    signature: Signature
-    algebra: FinBooleanAlgebra
-    domain: tuple[str, ...]
-    eq: dict = field(default_factory=dict)          # (m, n) -> mask
-    relations: dict = field(default_factory=dict)   # rel -> {args tuple -> mask}
-    constants: dict = field(default_factory=dict)   # const name -> domain member
+class BValuedModel(Record):
+    def __init__(self, signature: Signature, algebra: FinBooleanAlgebra,
+                 domain: tuple[str, ...],
+                 eq: dict | None = None,          # (m, n) -> mask
+                 relations: dict | None = None,   # rel -> {args -> mask}
+                 constants: dict | None = None,   # const name -> member
+                 ) -> None:
+        self.__dict__.update(signature=signature, algebra=algebra,
+                             domain=domain, eq=eq or {},
+                             relations=relations or {},
+                             constants=constants or {})
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(set(self.domain)) != len(self.domain):
@@ -61,7 +65,7 @@ class BValuedModel:
         for (m, n) in eq:
             if m not in self.domain or n not in self.domain:
                 raise ValueError(f"eq entry {(m, n)} outside the domain")
-        object.__setattr__(self, "eq", eq)
+        self.__dict__["eq"] = eq
         rels = {}
         declared = dict(self.signature.relations)
         for rel, table in self.relations.items():
@@ -79,7 +83,7 @@ class BValuedModel:
             table = rels.setdefault(rel, {})
             for args in itertools.product(self.domain, repeat=arity):
                 table.setdefault(args, alg.zero)
-        object.__setattr__(self, "relations", rels)
+        self.__dict__["relations"] = rels
         consts = dict(self.constants)
         for c in self.signature.constants:
             if c not in consts:
@@ -87,7 +91,7 @@ class BValuedModel:
         for c, m in consts.items():
             if m not in self.domain:
                 raise ValueError(f"constant {c!r} interpreted outside the domain")
-        object.__setattr__(self, "constants", consts)
+        self.__dict__["constants"] = consts
 
     def eq_value(self, m: str, n: str):
         return self.eq[(m, n)]
@@ -109,15 +113,16 @@ class BValuedModel:
                             self.relations, consts)
 
 
-@dataclass(frozen=True)
-class TwoValuedStructure:
+class TwoValuedStructure(Value):
     """A crisp structure on class representatives: the quotient of a model
     by an ultrafilter, or the term structure realized by a generic filter."""
-    signature: Signature
-    classes: tuple[frozenset, ...]
-    reps: tuple[str, ...]                   # least member of each class
-    relations: dict                          # rel -> frozenset of rep tuples
-    constants: dict                          # const -> rep
+
+    def __init__(self, signature: Signature, classes: tuple[frozenset, ...],
+                 reps: tuple[str, ...],       # least member of each class
+                 relations: dict,             # rel -> frozenset of rep tuples
+                 constants: dict) -> None:    # const -> rep
+        self.__dict__.update(signature=signature, classes=classes, reps=reps,
+                             relations=relations, constants=constants)
 
     def rep_of(self, m: str) -> str:
         for cls, rep in zip(self.classes, self.reps):

@@ -12,10 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
 from .bvmodel import assemble_model, eval_formula, quotient_model
 from .modelgen import infer_signature, random_structures
+from .record import Value
 from .syntax import (
     And, CaptureError, Eq, Exists, Forall, Formula, Not, Or, Term, Var,
     nodes, substitute,
@@ -26,14 +26,9 @@ def in_calculus_fragment(f: Formula) -> bool:
     return not any(isinstance(g, (Or, Exists)) for g in nodes(f))
 
 
-@dataclass(frozen=True)
-class Sequent:
-    ante: frozenset
-    succ: frozenset
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ante", frozenset(self.ante))
-        object.__setattr__(self, "succ", frozenset(self.succ))
+class Sequent(Value):
+    def __init__(self, ante: frozenset, succ: frozenset) -> None:
+        self.__dict__.update(ante=frozenset(ante), succ=frozenset(succ))
         for f in itertools.chain(self.ante, self.succ):
             if not in_calculus_fragment(f):
                 raise ValueError(
@@ -44,20 +39,20 @@ class Sequent:
                 tuple(sorted(f.key() for f in self.succ)))
 
 
-@dataclass(frozen=True)
-class Step:
-    sequent: Sequent
-    rule: str
-    premises: tuple[int, ...] = ()
-    params: dict | None = None
+class Step(Value):
+    def __init__(self, sequent: Sequent, rule: str,
+                 premises: tuple[int, ...] = (),
+                 params: dict | None = None) -> None:
+        self.__dict__.update(sequent=sequent, rule=rule, premises=premises,
+                             params=params)
 
     def param(self, name):
         return (self.params or {}).get(name)
 
 
-@dataclass(frozen=True)
-class Proof:
-    steps: tuple[Step, ...]
+class Proof(Value):
+    def __init__(self, steps: tuple[Step, ...]) -> None:
+        self.__dict__["steps"] = steps
 
     @property
     def goal(self) -> Sequent:

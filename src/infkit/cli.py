@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
-from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .boolalg import ImproperFilter, TrivialAlgebra, check_algebra, \
     regular_open_sets_bruteforce, ro_completion
@@ -32,6 +30,9 @@ from .mansfield import cp_from_algebra, mansfield_build, roundtrip_check, \
     verify_claim1, verify_claim2
 from .quotient import los_check, quotient
 from .syntax import Formula, validate_formula
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 DEFAULT_SEED = 0
 
@@ -285,9 +286,11 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from pathlib import Path
     if args.manifest:
         manifest_path = Path(args.manifest)
     else:
+        from importlib import resources
         manifest_path = Path(str(resources.files("infkit").joinpath(
             "corpus/manifest.json")))
     report = run_corpus(manifest_path)

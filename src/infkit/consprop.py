@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from .boolalg import FinPoset
 from .bvmodel import BValuedModel, CapExceeded, TwoValuedStructure, \
     eval_formula
+from .record import Record, Value
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature,
     constants_of, is_sentence, move_neg_inside, replace_const, subformulas,
@@ -38,26 +38,24 @@ class IllDefined(Exception):
 MEMBER_CAP = 300_000
 
 
-@dataclass(frozen=True, eq=False)
-class ConsistencyProperty:
+class ConsistencyProperty(Record):
     """An explicit `family`, or the positivity family of `model`, whose
     domain elements name themselves. Members are ints over `sentences`: the
     pool and every sentence an explicit member holds, in canonical key
     order, given or interned here from a family of sentence sets. `bit`
-    indexes the sentences, `oracle` decides membership, and `masks` holds a
-    positivity family's sentence values."""
-    signature: Signature
-    fresh_constants: tuple[str, ...]
-    pool: tuple[Formula, ...]
-    family: tuple | None = None
-    model: BValuedModel | None = None
-    sentences: tuple[Formula, ...] | None = None
-    oracle: Callable[[int], bool] = field(init=False, repr=False)
-    masks: tuple[int, ...] = field(init=False, repr=False, default=())
-    bit: dict[Formula, int] = field(init=False, repr=False)
-    pool_mask: int = field(init=False, repr=False)
+    indexes the sentences, `pool_mask` is the pool as a member, `oracle`
+    decides membership, and `masks` holds a positivity family's sentence
+    values."""
+    masks: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, signature: Signature,
+                 fresh_constants: tuple[str, ...], pool: tuple[Formula, ...],
+                 family: tuple | None = None,
+                 model: BValuedModel | None = None,
+                 sentences: tuple[Formula, ...] | None = None) -> None:
+        self.__dict__.update(signature=signature,
+                             fresh_constants=fresh_constants, pool=pool,
+                             family=family, model=model, sentences=sentences)
         if (self.family is None) == (self.model is None):
             raise ValueError("exactly one of family/model must be given")
         for c in self.fresh_constants:
@@ -70,9 +68,8 @@ class ConsistencyProperty:
         if self.sentences is None:
             family = family and [frozenset(m) for m in family]
             held = set(self.pool).union(*family or ())
-            object.__setattr__(self, "sentences",
-                               tuple(sorted(held, key=Formula.key)))
-        set_ = functools.partial(object.__setattr__, self)
+            self.__dict__["sentences"] = tuple(sorted(held, key=Formula.key))
+        set_ = self.__dict__.__setitem__
         set_("bit", {f: i for i, f in enumerate(self.sentences)})
         set_("pool_mask", self.encode(self.pool))
         if family is not None:
@@ -447,8 +444,10 @@ def convert_to_explicit(cp: ConsistencyProperty,
                         members: Iterable[int] | None = None
                         ) -> ConsistencyProperty:
     """The family as an explicit list of `members`, by default all."""
-    return replace(cp, model=None, family=tuple(
-        enumerate_members(cp) if members is None else members))
+    return ConsistencyProperty(
+        cp.signature, cp.fresh_constants, cp.pool, family=tuple(
+            enumerate_members(cp) if members is None else members),
+        sentences=cp.sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +508,12 @@ def dense_sets(cp: ConsistencyProperty) -> list[dict]:
     return out
 
 
-@dataclass(frozen=True)
-class GenericFilter:
-    root: int
-    minimum: int                       # the chosen minimal condition
-    dense_report: tuple = ()
+class GenericFilter(Value):
+    def __init__(self, root: int,
+                 minimum: int,         # the chosen minimal condition
+                 dense_report: tuple = ()) -> None:
+        self.__dict__.update(root=root, minimum=minimum,
+                             dense_report=dense_report)
 
 
 def generic_filter(cp: ConsistencyProperty, root: int = 0) -> GenericFilter:

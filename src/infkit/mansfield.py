@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 
 from .boolalg import (
     FinBooleanAlgebra, FinPoset, TrivialAlgebra, ro_completion,
@@ -21,21 +20,23 @@ from .consprop import (
     ConsistencyProperty, cp_from_model, check_cp, forcing_poset,
     forcing_poset_conditions, maximal_among, member_meets, _bits,
 )
+from .record import Value
 from .syntax import (
     Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
 )
 
 
-@dataclass(frozen=True)
-class ConditionAlgebra:
+class ConditionAlgebra(Value):
     """RO completion of the forcing poset restricted below a root; the root
     and the conditions are ints over the family's sentences."""
-    root: int
-    conditions: tuple[int, ...]
-    poset: FinPoset
-    algebra: FinBooleanAlgebra
-    embedding: dict                    # condition -> regular-open element
-    l_values: dict                     # sentence -> its L-value
+
+    def __init__(self, root: int, conditions: tuple[int, ...],
+                 poset: FinPoset, algebra: FinBooleanAlgebra,
+                 embedding: dict,      # condition -> regular-open element
+                 l_values: dict) -> None:   # sentence -> its L-value
+        self.__dict__.update(root=root, conditions=conditions, poset=poset,
+                             algebra=algebra, embedding=embedding,
+                             l_values=l_values)
 
     def l_value(self, f: Formula) -> int:
         """Join of Reg(N_t) over the conditions t containing the sentence."""
@@ -53,8 +54,9 @@ def condition_algebra(cp: ConsistencyProperty,
     poset = forcing_poset(conds)
     algebra, emb = ro_completion(poset)
     sets = {t: cp.decode(t) for t in conds}
-    algebra = replace(algebra, labels=tuple(
-        frozenset(map(sets.__getitem__, lab)) for lab in algebra.labels))
+    algebra = FinBooleanAlgebra(algebra.kind, algebra.elements, tuple(
+        frozenset(map(sets.__getitem__, lab)) for lab in algebra.labels),
+        algebra.meta)
     lv = [algebra.zero] * len(cp.sentences)
     for t in conds:
         for b in _bits(t):

@@ -15,8 +15,9 @@ walk formulas through that interface only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator
+
+from .record import Record, Value
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -38,23 +39,17 @@ def _require_ident(name: object, what: str) -> str:
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def __post_init__(self) -> None:
-        _require_ident(self.name, "variable name")
+class Var(Value):
+    def __init__(self, name: str) -> None:
+        self.__dict__["name"] = _require_ident(name, "variable name")
 
     def key(self) -> str:
         return f"v:{self.name}"
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-
-    def __post_init__(self) -> None:
-        _require_ident(self.name, "constant name")
+class Const(Value):
+    def __init__(self, name: str) -> None:
+        self.__dict__["name"] = _require_ident(name, "constant name")
 
     def key(self) -> str:
         return f"k:{self.name}"
@@ -70,7 +65,7 @@ def is_term(obj: object) -> bool:
 # ---------------------------------------------------------------------------
 # formulas
 
-class Formula:
+class Formula(Record):
     """Base class; subclasses set _key (canonical string) and _free."""
 
     _key: str
@@ -117,25 +112,20 @@ class Formula:
         return f"<{type(self).__name__} {self._key}>"
 
 
-def _seal(node: Formula, key: str, free: frozenset[str]) -> None:
-    object.__setattr__(node, "_key", key)
-    object.__setattr__(node, "_free", free)
+def _seal(node: Formula, key: str, free: frozenset[str], **fields) -> None:
+    node.__dict__.update(fields, _key=key, _free=free)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
-    rel: str
-    args: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        _require_ident(self.rel, "relation name")
-        object.__setattr__(self, "args", tuple(self.args))
-        for a in self.args:
+    def __init__(self, rel: str, args: tuple[Term, ...]) -> None:
+        _require_ident(rel, "relation name")
+        args = tuple(args)
+        for a in args:
             if not is_term(a):
                 raise ValueError(f"atom argument is not a term: {a!r}")
-        key = f"(r {self.rel} {' '.join(a.key() for a in self.args)})"
-        free = frozenset(a.name for a in self.args if isinstance(a, Var))
-        _seal(self, key, free)
+        key = f"(r {rel} {' '.join(a.key() for a in args)})"
+        free = frozenset(a.name for a in args if isinstance(a, Var))
+        _seal(self, key, free, rel=rel, args=args)
 
     def terms(self) -> tuple[Term, ...]:
         return self.args
@@ -144,19 +134,13 @@ class Atom(Formula):
         return Atom(self.rel, terms)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Eq(Formula):
-    left: Term
-    right: Term
-
-    def __post_init__(self) -> None:
-        if not (is_term(self.left) and is_term(self.right)):
+    def __init__(self, left: Term, right: Term) -> None:
+        if not (is_term(left) and is_term(right)):
             raise ValueError("equality sides must be terms")
-        key = f"(= {self.left.key()} {self.right.key()})"
-        free = frozenset(
-            t.name for t in (self.left, self.right) if isinstance(t, Var)
-        )
-        _seal(self, key, free)
+        key = f"(= {left.key()} {right.key()})"
+        free = frozenset(t.name for t in (left, right) if isinstance(t, Var))
+        _seal(self, key, free, left=left, right=right)
 
     def terms(self) -> tuple[Term, ...]:
         return (self.left, self.right)
@@ -165,14 +149,11 @@ class Eq(Formula):
         return Eq(*terms)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
-    body: Formula
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.body, Formula):
+    def __init__(self, body: Formula) -> None:
+        if not isinstance(body, Formula):
             raise ValueError("negation body must be a formula")
-        _seal(self, f"(n {self.body.key()})", self.body.free_vars())
+        _seal(self, f"(n {body.key()})", body.free_vars(), body=body)
 
     def parts(self) -> tuple[Formula, ...]:
         return (self.body,)
@@ -189,19 +170,18 @@ def _gate_children(children: object) -> tuple[Formula, ...]:
     return out
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Junction(Formula):
     """And/Or: the children are the subformulas, in tuple order."""
-    children: tuple[Formula, ...]
 
     _tag = ""                               # of the canonical form
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", _gate_children(self.children))
-        keys = sorted(c.key() for c in self.children)
-        free = frozenset().union(*(c.free_vars() for c in self.children)) \
-            if self.children else frozenset()
-        _seal(self, f"({self._tag} {' '.join(keys)})", free)
+    def __init__(self, children: tuple[Formula, ...]) -> None:
+        children = _gate_children(children)
+        keys = sorted(c.key() for c in children)
+        free = frozenset().union(*(c.free_vars() for c in children)) \
+            if children else frozenset()
+        _seal(self, f"({self._tag} {' '.join(keys)})", free,
+              children=children)
 
     def parts(self) -> tuple[Formula, ...]:
         return self.children
@@ -231,19 +211,15 @@ def _gate_binder(vars_: object, body: object) -> tuple[str, ...]:
     return vs
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Quantifier(Formula):
     """Forall/Exists: one body under a binder."""
-    vars: tuple[str, ...]
-    body: Formula
 
     _tag = ""                               # of the canonical form
 
-    def __post_init__(self) -> None:
-        vs = _gate_binder(self.vars, self.body)
-        object.__setattr__(self, "vars", vs)
-        _seal(self, f"({self._tag} {','.join(vs)} {self.body.key()})",
-              self.body.free_vars() - set(vs))
+    def __init__(self, vars: tuple[str, ...], body: Formula) -> None:
+        vs = _gate_binder(vars, body)
+        _seal(self, f"({self._tag} {','.join(vs)} {body.key()})",
+              body.free_vars() - set(vs), vars=vs, body=body)
 
     def parts(self) -> tuple[Formula, ...]:
         return (self.body,)
@@ -270,15 +246,11 @@ def is_sentence(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # signatures
 
-@dataclass(frozen=True)
-class Signature:
-    relations: tuple[tuple[str, int], ...]
-    constants: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        rels = tuple((str(n), int(a)) for n, a in self.relations)
-        object.__setattr__(self, "relations", rels)
-        object.__setattr__(self, "constants", tuple(self.constants))
+class Signature(Value):
+    def __init__(self, relations: tuple[tuple[str, int], ...],
+                 constants: tuple[str, ...]) -> None:
+        rels = tuple((str(n), int(a)) for n, a in relations)
+        self.__dict__.update(relations=rels, constants=tuple(constants))
         names = [n for n, _ in rels]
         if len(set(names)) != len(names):
             raise ValueError("duplicate relation names")

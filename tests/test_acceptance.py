@@ -7,7 +7,6 @@ sibling modules; expected counts below were computed once with the
 bruteforce oracles and frozen.
 """
 
-import dataclasses
 import itertools
 import json
 import random
@@ -19,7 +18,7 @@ from infkit.boolalg import (check_algebra, enumerate_ultrafilters,
 from infkit.bvmodel import (ShapeError, bounded_boolean_sat,
                             check_full_everywhere, check_mixing, check_model,
                             eval_formula)
-from infkit.calculus import RULES, Proof, check_proof, soundness_sample
+from infkit.calculus import RULES, Proof, Step, check_proof, soundness_sample
 from infkit.consprop import (build_af, check_cp, generic_filter,
                              verify_realizes)
 from infkit.iojson import (dumps, emit_algebra, emit_cp, emit_formula,
@@ -235,23 +234,24 @@ def _mutants(proof):
     """Every single-parameter mutation: one step's rule, one premise entry,
     or one rule parameter changed; sequents stay fixed."""
     for i, step in enumerate(proof.steps):
+        seq, rule0, params = step.sequent, step.rule, step.params
         for rule in RULES:
-            if rule != step.rule:
-                yield i, dataclasses.replace(step, rule=rule)
+            if rule != rule0:
+                yield i, Step(seq, rule, step.premises, params)
         prem = tuple(step.premises)
         for k in range(len(prem)):
             bumped = prem[:k] + (prem[k] + 1,) + prem[k + 1:]
-            yield i, dataclasses.replace(step, premises=bumped)
+            yield i, Step(seq, rule0, bumped, params)
             if prem[k] != 0:
                 zeroed = prem[:k] + (0,) + prem[k + 1:]
-                yield i, dataclasses.replace(step, premises=zeroed)
+                yield i, Step(seq, rule0, zeroed, params)
         if prem:
-            yield i, dataclasses.replace(step, premises=prem[:-1])
+            yield i, Step(seq, rule0, prem[:-1], params)
         if i > 0:
-            yield i, dataclasses.replace(step, premises=prem + (0,))
-        for key in sorted(step.params or {}):
-            mutated = {**step.params, key: _perturbed(step.params[key])}
-            yield i, dataclasses.replace(step, params=mutated)
+            yield i, Step(seq, rule0, prem + (0,), params)
+        for key in sorted(params or {}):
+            mutated = {**params, key: _perturbed(params[key])}
+            yield i, Step(seq, rule0, step.premises, mutated)
 
 
 def test_calculus_accepts_corpus_rejects_mutants_and_is_sound(corpus_dir,

@@ -15,7 +15,6 @@ and mixing checks by their definitions. Also every path that reads family
 members as ints over the interned sentences (the walk, maximality, the
 clause checks, emission, and on the forcing side the conditions, generic
 filters and claim 1) against the same path on sets of sentences."""
-import dataclasses
 import functools
 import itertools
 import json
@@ -33,8 +32,8 @@ from infkit.calculus import Sequent, in_calculus_fragment, soundness_sample
 from infkit.consprop import (
     ConsistencyProperty, check_cp, check_smax, convert_to_explicit,
     cp_from_model, default_pool, dense_sets, enumerate_members,
-    forcing_poset_conditions, generic_filter, instances, maximal_among,
-    maximal_members, member_meets, occurrence_variants,
+    forcing_poset, forcing_poset_conditions, generic_filter, instances,
+    maximal_among, maximal_members, member_meets, occurrence_variants,
 )
 from infkit.iojson import (
     dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
@@ -48,6 +47,7 @@ from infkit.modelgen import (
 )
 
 small_posets = functools.cache(all_labeled_posets)   # the n <= 5 sweep
+from infkit.record import Record
 from infkit.syntax import (
     And, Atom, CaptureError, Const, Eq, Exists, Forall, Formula, Not, Or,
     Signature, Var, constants_of, is_sentence, move_neg_inside, replace_const,
@@ -249,10 +249,15 @@ def reference_powerset(atoms):
     return TableAlgebra(elements, *tables, frozenset(), universe)
 
 
+def reference_min_below(poset, p):
+    """The minimal elements below p, by definition."""
+    return frozenset(m for m in poset.minimals() if poset.leq(m, p))
+
+
 def reference_ro_completion(poset):
     mins = tuple(sorted(poset.minimals(), key=repr))
     minset = frozenset(mins)
-    min_below = {q: poset.min_below(q) for q in poset.elements}
+    min_below = {q: reference_min_below(poset, q) for q in poset.elements}
     carrier = {}
     for k in range(len(mins) + 1):
         for combo in itertools.combinations(mins, k):
@@ -432,11 +437,15 @@ def _variants(cp):
     one pool sentence dropped (which opens pool gaps)."""
     out = [cp]
     if cp.family:
-        out.append(dataclasses.replace(cp, family=cp.family[1:]))
+        out.append(ConsistencyProperty(
+            cp.signature, cp.fresh_constants, cp.pool, cp.family[1:],
+            cp.model, cp.sentences))
     if cp.explicit and len(cp.pool) > 1:
         dropped = cp.pool[len(cp.pool) // 2]
-        out.append(dataclasses.replace(
-            cp, pool=tuple(f for f in cp.pool if f != dropped)))
+        out.append(ConsistencyProperty(
+            cp.signature, cp.fresh_constants,
+            tuple(f for f in cp.pool if f != dropped), cp.family, cp.model,
+            cp.sentences))
     return out
 
 
@@ -607,6 +616,16 @@ def test_poset_down_and_up_closure_match_their_definitions():
                     e for e in els if any(poset.leq(x, e) for x in s))
     vee = FinPoset("abc", [("a", "c"), ("b", "c")])
     assert vee.up_closure(["a", "b"]) == frozenset("abc")
+
+
+def test_min_below_matches_its_definition():
+    posets = [poset for n in range(1, 6) for poset in small_posets(n)]
+    cp = two_member_family()
+    posets.append(forcing_poset(forcing_poset_conditions(cp, cp.family[0])))
+    assert len(posets[-1].elements) == 64
+    for poset in posets:
+        for p in poset.elements:
+            assert poset.min_below(p) == reference_min_below(poset, p)
 
 
 # --- valuations ---------------------------------------------------------------
@@ -1199,9 +1218,9 @@ def _exact(x):
     (formula equality ignores the order of And/Or children)."""
     if isinstance(x, (list, tuple)):
         return tuple(_exact(y) for y in x)
-    if dataclasses.is_dataclass(x):
+    if isinstance(x, Record):
         return (type(x).__name__,) + tuple(
-            _exact(getattr(x, fld.name)) for fld in dataclasses.fields(x))
+            _exact(getattr(x, name)) for name in x._fields)
     return x
 
 
