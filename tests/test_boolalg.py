@@ -4,21 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infkit.boolalg import (
-    FinPoset, check_algebra, check_tables, enumerate_ultrafilters, is_filter,
+    FinPoset, check_tables, enumerate_ultrafilters, is_filter,
     is_ultrafilter, powerset_algebra, principal_filter,
     regular_open_sets_bruteforce, ro_completion, table_algebra,
     two_valued_algebra,
 )
 from infkit.modelgen import all_labeled_posets
-from test_reference_paths import is_dense_subset
+from test_reference_paths import check_algebra, is_dense_subset
 
 
 # --- posets -------------------------------------------------------------------
 
 def test_poset_closure_and_cycle_rejection():
     p = FinPoset(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert p.leq("a", "c") and p.leq("a", "a")
-    assert not p.leq("c", "a")
+    assert "a" in p.down("c") and "a" in p.down("a")
+    assert "c" not in p.down("a")
     with pytest.raises(ValueError):
         FinPoset(["a", "b"], [("a", "b"), ("b", "a")])
 
@@ -82,9 +82,7 @@ def test_table_algebra_roundtrip_and_broken_table():
 
     comp_bad = list(comp)
     comp_bad[0], comp_bad[-1] = comp_bad[-1], comp_bad[0]
-    rep = check_tables([name[e] for e in els], meet, join, comp_bad)
-    assert not rep["ok"] and rep["violations"]
-    law = rep["violations"][0]
+    law = next(check_tables([name[e] for e in els], meet, join, comp_bad))
     with pytest.raises(ValueError, match=f"not a Boolean algebra: "
                                          f"{law['law']} fails"):
         table_algebra([name[e] for e in els], meet, join, comp_bad)
@@ -131,10 +129,9 @@ def brute_match(poset: FinPoset) -> dict:
     }
     order = incompat = True
     for p, q in itertools.product(poset.elements, repeat=2):
-        if poset.leq(p, q) and not alg.leq(emb[p], emb[q]):
+        if p in poset.down(q) and not alg.leq(emb[p], emb[q]):
             order = False
-        compatible = any(poset.leq(r, p) and poset.leq(r, q)
-                         for r in poset.elements)
+        compatible = bool(poset.down(p) & poset.down(q))
         if compatible != (alg.meet(emb[p], emb[q]) != alg.zero):
             incompat = False
     out["order"] = order

@@ -70,7 +70,7 @@ def test_forcing_poset_conditions_are_family_members(eq4):
     assert set(poset.elements) <= set(eq4.family)
     # stronger condition = superset
     got = {(p, q) for p in poset.elements for q in poset.elements
-           if p != q and poset.leq(p, q)}
+           if p != q and p in poset.down(q)}
     assert got == {(p, q) for p in poset.elements for q in poset.elements
                    if p != q and eq4.decode(q) < eq4.decode(p)}
 

@@ -56,6 +56,9 @@ GOLDEN = {
     "emit_b16_table": ("cp-from-algebra", "b16_table.json", "--emit"),
     "ro_vee_3": ("ro", "vee_3.json"),
     "ro_poset14": ("ro", "poset14.json", "--brute-max", "14"),
+    # pinned while each still scanned its 512-element algebra for the laws
+    "ro_antichain_9": ("ro", "antichain_9.json"),
+    "check_model_point_9": ("check-model", "point_model_9.json"),
     "eval": ("eval", "--model", "four_element_model.json", "--formula",
              "disjunction.json"),
     "check_model": ("check-model", "four_element_model.json"),
@@ -108,6 +111,8 @@ EXPECTED = {
         "17ab8c427e86e17945b70a43d4d9349c0a5615db52e1d616545991694a465d01",
     "check_model":
         "bc7fc38b8c4283f2ecfbf90b99af5ba5b087fe5fe3d20142ec700d616333118a",
+    "check_model_point_9":
+        "bc7fc38b8c4283f2ecfbf90b99af5ba5b087fe5fe3d20142ec700d616333118a",
     "corpus":
         "b07379a6301e8a6393ac157cdb1994d390563fbd2e47cf2ce24186cc96b3ad9d",
     "emit_b16_table":
@@ -136,6 +141,8 @@ EXPECTED = {
         "d6777e0e4a907ac42aeee3b04a10fbe8be5e682ca55ed74ce72edc03a9fdd3d3",
     "quotient_los":
         "20dfbdb0492ee3837c7039deb0ae70829536e27c9eb578c7735ac89d4bebe61a",
+    "ro_antichain_9":
+        "48f3732e45319c1e6d17319e2d71550d145c7291be561a51c12d7feba69dde95",
     "ro_poset14":
         "44396a810c222b820caeb45c2bfcf10f45ab641448a387a5e191c3bdf0a87ccb",
     "ro_vee_3":
@@ -172,6 +179,12 @@ def workdir(tmp_path_factory):
         shutil.copyfile(f, d / f.name)
     (d / "b16_table.json").write_text(dumps(_table_powerset(4, 0)))
     (d / "poset14.json").write_text(dumps(_two_level_poset(7, 7, 0)))
+    (d / "antichain_9.json").write_text(dumps(
+        {"elements": [f"p{i}" for i in range(9)], "leq": []}))
+    (d / "point_model_9.json").write_text(dumps({
+        "algebra": {"type": "powerset", "atoms": [f"a{i}" for i in range(9)]},
+        "domain": ["x"], "relations": {},
+        "signature": {"constants": [], "relations": []}}))
     (d / "disjunction.json").write_text(dumps({"or": [
         {"eq": [{"const": "d"}, {"const": "c0"}]},
         {"eq": [{"const": "d"}, {"const": "c1"}]}]}))

@@ -1,8 +1,10 @@
 """The once-per-family fast paths against the reference paths they replaced,
 kept here as oracles: the per-member clause check (every clause instance
 rebuilt for every member) and maximality check (both extensions tried for
-every sentence), the per-k law loop of check_algebra, the
-definitions of poset down-sets and up-closures, per-member evaluation in
+every sentence), the per-k law loop of check_tables, the law check that
+every algebra once passed (check_algebra) and the pairwise self-check of
+the regular-open completion, the definitions of poset down-sets and
+up-closures, per-member evaluation in
 cp_from_algebra, and the standard-library JSON encoder. Also the formula
 walkers as they were, one isinstance chain per operation, against the same
 operations built on the node interface (`parts`/`rebuild`/`terms`). Also
@@ -24,8 +26,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from infkit.boolalg import (
-    FinPoset, TrivialAlgebra, check_algebra, check_tables, powerset_algebra,
-    ro_completion, table_algebra,
+    FinPoset, TrivialAlgebra, check_tables, powerset_algebra, ro_completion,
+    table_algebra,
 )
 from infkit.bvmodel import _by_label, assemble_model, eval_formula, mixes_over
 from infkit.calculus import Sequent, in_calculus_fragment, soundness_sample
@@ -251,7 +253,7 @@ def reference_powerset(atoms):
 
 def reference_min_below(poset, p):
     """The minimal elements below p, by definition."""
-    return frozenset(m for m in poset.minimals() if poset.leq(m, p))
+    return frozenset(m for m in poset.minimals() if m in poset.down(p))
 
 
 def reference_ro_completion(poset):
@@ -318,8 +320,16 @@ def assert_same_algebra(alg, ref):
     assert alg.sup(alg.atoms()) == alg.one
 
 
+def check_algebra(alg):
+    """The Boolean law check that every algebra once passed in `ro`,
+    `check-model` and the corpus runner: the full scan of its table view."""
+    violations = list(check_tables(*raw_tables(alg)))
+    return {"ok": not violations, "violations": violations}
+
+
 def reference_check_algebra(alg):
-    """check_algebra as it was: every ternary law checked k by k."""
+    """The law scan on a table algebra as it was first written: every
+    ternary law checked k by k."""
     els = list(alg.elements)
     n = len(els)
     idx = {e: i for i, e in enumerate(els)}
@@ -370,18 +380,38 @@ def reference_check_algebra(alg):
     return {"ok": not violations, "violations": violations}
 
 
+def reference_ro_selfcheck(poset, alg, embedding):
+    """The check ro_completion once ran on its output, pair by pair: the
+    embedding preserves order and incompatibility and has a dense image.
+    The poset's order and incompatibility are read off its down-sets."""
+    for p in poset.elements:
+        for q in poset.elements:
+            if p in poset.down(q) and not alg.leq(embedding[p], embedding[q]):
+                raise RuntimeError("embedding failed order preservation")
+            incompat = not poset.down(p) & poset.down(q)
+            disjoint = alg.meet(embedding[p], embedding[q]) == alg.zero
+            if incompat != disjoint:
+                raise RuntimeError(
+                    "embedding failed incompatibility preservation")
+    image = [e for e in embedding.values() if e != alg.zero]
+    for a in alg.elements:
+        if a != alg.zero and not any(alg.leq(e, a) for e in image):
+            raise RuntimeError("embedding image is not dense")
+
+
 def is_dense_subset(alg, dense):
     """Every nonzero element bounds some nonzero member of `dense` below it:
     the density of ro_completion's embedding, by definition."""
     ds = [d for d in dense if d != alg.zero]
-    return all(any(alg.leq(d, b) for d in ds) for b in alg.nonzero())
+    return all(any(alg.leq(d, b) for d in ds)
+               for b in alg.elements if b != alg.zero)
 
 
 def check_mixing_by_antichains(model):
     """check_mixing by definition: every antichain of nonzero elements and
     every target map; exponential, for small algebras only."""
     alg = model.algebra
-    nz = _by_label(alg, alg.nonzero())
+    nz = _by_label(alg, [x for x in alg.elements if x != alg.zero])
 
     antichains = [()]
     def extend(prefix, rest):
@@ -503,8 +533,11 @@ def _lattice_tables(poset):
             or sum(len(poset.up_closure([e])) == 1 for e in els) != 1:
         return None                      # no bottom or no top
 
+    def leq(x, y):
+        return x in poset.down(y)
+
     def bound(a, b, below):
-        le = poset.leq if below else (lambda x, y: poset.leq(y, x))
+        le = leq if below else (lambda x, y: leq(y, x))
         common = [c for c in els if le(c, a) and le(c, b)]
         best = [c for c in common if all(le(d, c) for d in common)]
         return best[0] if best else None
@@ -513,7 +546,7 @@ def _lattice_tables(poset):
     join = [[bound(a, b, False) for b in els] for a in els]
     if any(v is None for row in meet + join for v in row):
         return None
-    bottom = next(e for e in els if all(poset.leq(e, x) for x in els))
+    bottom = next(e for e in els if all(leq(e, x) for x in els))
     comp = [next(c for c in els if meet[i][els.index(c)] == bottom)
             for i in range(len(els))]
     return els, meet, join, comp
@@ -521,18 +554,22 @@ def _lattice_tables(poset):
 
 def assert_table_paths_agree(tables):
     """The law check on raw tables against the per-k oracle; a lawful table
-    becomes a mask algebra that agrees with the table algebra, any other
-    one is refused naming its first violated law."""
+    becomes a mask algebra that agrees with the table algebra and passes
+    the law check again, any other one is refused naming its first violated
+    law."""
     ref = reference_table(*tables)
-    report = check_tables(*tables)
-    assert report == reference_check_algebra(ref)
-    if report["ok"]:
-        assert_same_algebra(table_algebra(*tables), ref)
+    violations = list(check_tables(*tables))
+    assert {"ok": not violations, "violations": violations} \
+        == reference_check_algebra(ref)
+    if not violations:
+        alg = table_algebra(*tables)
+        assert_same_algebra(alg, ref)
+        assert check_algebra(alg)["ok"]
     else:
-        first = report["violations"][0]["law"]
+        first = violations[0]["law"]
         with pytest.raises(ValueError, match=f"Boolean algebra: {first} "):
             table_algebra(*tables)
-    return report["ok"]
+    return not violations
 
 
 def test_check_algebra_matches_reference_on_corpus_algebras(corpus_dir):
@@ -548,8 +585,7 @@ def test_check_algebra_matches_reference_on_corpus_algebras(corpus_dir):
         tables = raw_tables(alg)
         report = check_algebra(alg)
         assert report == reference_check_algebra(reference_table(*tables))
-        assert report == check_tables(*tables) and report["ok"]
-        assert_table_paths_agree(tables)
+        assert report["ok"] and assert_table_paths_agree(tables)
 
 
 def test_check_algebra_matches_reference_on_small_lattices():
@@ -583,6 +619,23 @@ def test_check_algebra_matches_reference_on_random_tables(tables):
     assert_table_paths_agree(tables)
 
 
+def flipped_powerset_table(n_atoms, seed=0):
+    """The powerset of n atoms in table form with the meet of one pair of
+    incomparable elements, in both orders, replaced by their join."""
+    d = _table_powerset(n_atoms, seed)
+    els, meet, join = d["elements"], d["meet"], d["join"]
+    # neither zero nor one: some but not all elements lie above it
+    i = next(i for i, e in enumerate(els) if 1 < meet[i].count(e) < len(els))
+    j = next(j for j in range(len(els))
+             if meet[i][j] not in (els[i], els[j]))
+    meet[i][j] = meet[j][i] = join[i][j]
+    return els, meet, join, d["comp"]
+
+
+def test_check_algebra_names_the_first_law_of_a_flipped_table():
+    assert not assert_table_paths_agree(flipped_powerset_table(6))
+
+
 # --- int-mask algebras --------------------------------------------------------
 
 def test_mask_algebras_match_the_table_algebras():
@@ -597,7 +650,66 @@ def test_mask_algebras_match_the_table_algebras():
             ref, ref_emb = reference_ro_completion(poset)
             assert_same_algebra(alg, ref)
             assert {p: alg.labels[e] for p, e in emb.items()} == ref_emb
-            assert check_tables(*raw_tables(alg))["ok"]
+            assert check_algebra(alg)["ok"]
+
+
+def _completed_posets(corpus_dir):
+    """The n <= 5 sweep, the forcing poset at every root of every corpus
+    family, and the two-member families on up to 64 conditions."""
+    posets = [poset for n in range(1, 6) for poset in small_posets(n)]
+    families = [parse_cp(load_json(str(corpus_dir / f"{name}.json")))
+                for name in _CORPUS_FAMILIES]
+    families += [two_member_family(k) for k in range(1, 7)]
+    for cp in families:
+        posets += [forcing_poset(forcing_poset_conditions(cp, root))
+                   for root in cp.family]
+    return posets
+
+
+def test_ro_completion_passes_its_old_self_check(corpus_dir):
+    posets = _completed_posets(corpus_dir)
+    assert (len(posets), max(len(poset.elements) for poset in posets)) \
+        == (4795, 112)
+    for poset in posets:
+        reference_ro_selfcheck(poset, *ro_completion(poset))
+    # the self-check can fail: an embedding that maps the top of the vee
+    # to one of its atoms breaks order preservation
+    vee = FinPoset("lrt", [("l", "t"), ("r", "t")])
+    alg, emb = ro_completion(vee)
+    with pytest.raises(RuntimeError, match="order preservation"):
+        reference_ro_selfcheck(vee, alg, {**emb, "t": emb["l"]})
+
+
+def test_no_command_scans_a_mask_algebra_for_the_laws(corpus_dir, manifest,
+                                                      monkeypatch, capsys):
+    """ro, check-model, mansfield and corpus on the shipped inputs never
+    call check_tables; only a refused table does."""
+    import infkit.boolalg
+    from infkit.cli import main
+    calls = []
+
+    def counting(*tables):
+        calls.append(len(tables[0]))
+        return check_tables(*tables)
+
+    monkeypatch.setattr(infkit.boolalg, "check_tables", counting)
+    files = {kind: [str(corpus_dir / e["file"]) for e in manifest["entries"]
+                    if e["kind"] == kind] for kind in ("poset", "model")}
+    commands = [("ro", f) for f in files["poset"]] \
+        + [("check-model", f) for f in files["model"]] \
+        + [("mansfield", "--cp", str(corpus_dir / f"{name}.json"),
+            "--root", root) for name, root in (
+                ("eq4_family", "0"), ("conditions_family", "0"),
+                ("max_family", "3"))] \
+        + [("corpus",)]
+    assert len(commands) == 12
+    for argv in commands:
+        code = main(list(argv))
+        assert (code, capsys.readouterr().err) == (0, ""), argv
+    assert calls == []
+    with pytest.raises(ValueError, match="not a Boolean algebra"):
+        table_algebra(*flipped_powerset_table(2))
+    assert calls == [4]
 
 
 # --- posets -------------------------------------------------------------------
@@ -606,14 +718,15 @@ def test_poset_down_and_up_closure_match_their_definitions():
     for n in range(1, 6):
         for poset in small_posets(n):
             els = poset.elements
+            leq = set(poset.leq_pairs())
             for p in els:
                 assert poset.down(p) == frozenset(
-                    q for q in els if poset.leq(q, p))
+                    q for q in els if (q, p) in leq)
             subsets = [()] + [(p,) for p in els] \
                 + list(itertools.combinations(els, 2)) + [els]
             for s in subsets:
                 assert poset.up_closure(s) == frozenset(
-                    e for e in els if any(poset.leq(x, e) for x in s))
+                    e for e in els if any((x, e) in leq for x in s))
     vee = FinPoset("abc", [("a", "c"), ("b", "c")])
     assert vee.up_closure(["a", "b"]) == frozenset("abc")
 

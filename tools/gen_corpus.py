@@ -11,7 +11,7 @@ import itertools
 from pathlib import Path
 
 from infkit.boolalg import (
-    FinPoset, check_algebra, enumerate_ultrafilters, powerset_algebra,
+    FinPoset, check_tables, enumerate_ultrafilters, powerset_algebra,
     ro_completion, two_valued_algebra,
 )
 from infkit.bvmodel import BValuedModel, bounded_boolean_sat, check_model
@@ -21,8 +21,9 @@ from infkit.consprop import (
     cp_from_model, forcing_poset_conditions,
 )
 from infkit.iojson import (
-    dumps, emit_algebra, emit_cp, emit_formula, emit_model, emit_poset,
-    emit_pool, emit_proof, emit_signature, emit_theory, emit_ultrafilter,
+    as_table_algebra, dumps, emit_algebra, emit_cp, emit_formula, emit_model,
+    emit_poset, emit_pool, emit_proof, emit_signature, emit_theory,
+    emit_ultrafilter,
 )
 from infkit.modelgen import split_signature, split_constant_theory, four_element_model
 from infkit.syntax import (
@@ -96,7 +97,10 @@ def main() -> None:
     # --- algebras: powersets on 1..4 atoms ---------------------------------
     for n in (1, 2, 3, 4):
         alg = powerset_algebra(tuple(f"a{i}" for i in range(n)))
-        assert check_algebra(alg)["ok"] and len(alg.atoms()) == n
+        table = emit_algebra(as_table_algebra(alg))
+        assert not any(check_tables(table["elements"], table["meet"],
+                                    table["join"], table["comp"]))
+        assert len(alg.atoms()) == n
         ship(f"b{2 ** n}.json", "algebra", emit_algebra(alg),
              {"laws": True, "atoms": n})
 
