@@ -182,6 +182,44 @@ def eval_formula(model: BValuedModel, f: Formula,
     return ev(f, dict(a))
 
 
+def quotient_truth(signature: Signature):
+    """Two-valued truth on a quotient's own data, with no model built:
+    `truth(f, n, tables, named, env)` decides f on the classes 0..n-1, with
+    `tables` one set of class tuples per relation of the signature and
+    `named` the class of each constant, both in signature order, and `env`
+    the class of each free variable. Equality is equality of classes. In a
+    model over a powerset algebra, an atom lies below f's value iff f is
+    true in that atom's quotient."""
+    rel_index = {rel: i for i, (rel, _) in enumerate(signature.relations)}
+    const_index = {c: i for i, c in enumerate(signature.constants)}
+
+    def truth(g: Formula, n: int, tables: tuple, named: tuple,
+              env: dict) -> bool:
+        def term(t: Term) -> int:
+            return env[t.name] if isinstance(t, Var) \
+                else named[const_index[t.name]]
+
+        if isinstance(g, Atom):
+            return tuple(map(term, g.args)) in tables[rel_index[g.rel]]
+        if isinstance(g, Eq):
+            return term(g.left) == term(g.right)
+        if isinstance(g, Not):
+            return not truth(g.body, n, tables, named, env)
+        if isinstance(g, And):
+            return all(truth(c, n, tables, named, env) for c in g.children)
+        if isinstance(g, Or):
+            return any(truth(c, n, tables, named, env) for c in g.children)
+        if isinstance(g, (Forall, Exists)):
+            found = (truth(g.body, n, tables, named, {**env, **dict(zip(
+                         g.vars, tup))})
+                     for tup in itertools.product(range(n),
+                                                  repeat=len(g.vars)))
+            return all(found) if isinstance(g, Forall) else any(found)
+        raise ValueError(f"not a formula node: {g!r}")
+
+    return truth
+
+
 # ---------------------------------------------------------------------------
 # validity
 
@@ -293,23 +331,43 @@ def check_full_everywhere(model: BValuedModel, f: Formula) -> dict:
 # ---------------------------------------------------------------------------
 # bounded satisfiability search
 
+def _growth_counts(n: int) -> tuple[tuple[int, ...], ...]:
+    """counts[k][u], for k + u up to at least n: the ways to end a
+    restricted-growth string with k more items once u classes are in use;
+    counts[n][0] is the Bell number of n. The counts do not depend on n, so
+    one table serves every n up to the next power of two."""
+    return _growth_table(1 << n.bit_length())
+
+
+@functools.cache
+def _growth_table(size: int) -> tuple[tuple[int, ...], ...]:
+    rows = [(1,) * (size + 1)]
+    for k in range(1, size + 1):
+        rows.append(tuple(u * rows[-1][u] + rows[-1][u + 1]
+                          for u in range(size + 1 - k)))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=4096)
+def _unrank_partition(n: int, rank: int) -> tuple[int, ...]:
+    """The restricted-growth string (the canonical encoding of a set
+    partition of n items) of the given rank in lexicographic order, found
+    without listing the strings before it."""
+    counts, out, used = _growth_counts(n), [], 0
+    for k in range(n - 1, -1, -1):
+        each = counts[k][used]      # ways to end after an old class
+        if rank < used * each:
+            c, rank = divmod(rank, each)
+        else:
+            c, rank, used = used, rank - used * each, used + 1
+        out.append(c)
+    return tuple(out)
+
+
 @functools.cache
 def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Restricted-growth strings: canonical encodings of set partitions of n
-    items, lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: list[int], used: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for c in range(used + 1):
-            prefix.append(c)
-            grow(prefix, max(used, c + 1))
-            prefix.pop()
-
-    grow([], 0)
-    return tuple(out)
+    """Every restricted-growth string of n items, lexicographic order."""
+    return tuple(_unrank_partition(n, r) for r in range(_growth_counts(n)[n][0]))
 
 
 def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
@@ -327,13 +385,14 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
     then constants.
 
     Every connective and quantifier acts atom by atom, so a sentence's value
-    at an atom is its truth in that atom's quotient (`quotient_model`), and
-    each distinct quotient is evaluated once into a mask with one bit per
-    true sentence. A candidate is a weak witness iff the OR of its
-    structures' masks sets every bit, and a strong witness iff the AND
-    does; then each of its structures is a one-atom strong witness with the
-    same constants, which the order reaches first, so strong mode tries one
-    atom per domain size and moves on.
+    at an atom is its truth in that atom's quotient, which `quotient_truth`
+    decides on the quotient's classes, tables and constant classes without
+    building a model. Each distinct quotient is evaluated once into a mask
+    with one bit per true sentence. A candidate is a weak witness iff the OR
+    of its structures' masks sets every bit, and a strong witness iff the
+    AND does; then each of its structures is a one-atom strong witness with
+    the same constants, which the order reaches first, so strong mode tries
+    one atom per domain size and moves on.
 
     Weak mode goes on to k atoms only when no constant choice has a cover
     by fewer, so a k-atom cover has k distinct masks, and putting the first
@@ -348,12 +407,12 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
     if max_atoms < 1 or max_domain < 1:
         raise ValueError("bounds must be at least 1")
     every = (1 << len(sentences)) - 1
+    true_in = quotient_truth(signature)
 
     @functools.cache
     def truth(n: int, tables: tuple, named: tuple) -> int:
-        model = quotient_model(signature, n, tables, named)
         return sum(1 << i for i, f in enumerate(sentences)
-                   if eval_formula(model, f) == model.algebra.one)
+                   if true_in(f, n, tables, named, {}))
 
     arities = [arity for _, arity in signature.relations]
     for n_dom in range(1, max_domain + 1):
@@ -483,14 +542,3 @@ def assemble_model(signature: Signature, atom_names: tuple[str, ...],
         relations[rel] = table
     return BValuedModel(signature, alg, domain, eq, relations, dict(constants))
 
-
-def quotient_model(signature: Signature, n: int, tables: tuple,
-                   named: tuple) -> BValuedModel:
-    """The one-atom model of a per-atom quotient: classes m0..m(n-1), one
-    table of class tuples per relation, and the i-th constant of the
-    signature in class named[i]."""
-    classes = tuple(f"m{k}" for k in range(n))
-    return assemble_model(signature, ("a0",), classes,
-                          ((tuple(range(n)), tables),),
-                          {c: classes[k]
-                           for c, k in zip(signature.constants, named)})

@@ -13,8 +13,8 @@ import functools
 import itertools
 import random
 
-from .bvmodel import assemble_model, eval_formula, quotient_model
-from .modelgen import infer_signature, random_structures
+from .bvmodel import assemble_model, eval_formula, quotient_truth
+from .modelgen import infer_signature, random_quotients, random_structures
 from .record import Value
 from .syntax import (
     And, CaptureError, Eq, Exists, Forall, Formula, Not, Or, Term, Var,
@@ -275,32 +275,41 @@ def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
     of the succedent) under every assignment in seeded random valid models.
     Any violation is a countermodel for the goal.
 
-    A model is drawn as one quotient structure per atom, and every
-    connective acts atom by atom, so the inequality holds in it iff it
-    holds in each atom's quotient (`quotient_model`) under every assignment
-    to classes. Each quotient is decided once per call; only a sample with a
-    failing atom is assembled."""
+    A model is drawn as one quotient per atom, and every connective acts
+    atom by atom, so the inequality holds in it iff it holds in each atom's
+    quotient under every assignment to classes. `quotient_truth` decides
+    each distinct quotient once per call, with no model built. Only a
+    failing sample is assembled, replayed from the seed by
+    `random_structures`."""
     if max_atoms < 1 or max_domain < 1:
         raise ValueError("bounds must be at least 1")
     formulas = list(goal.ante) + list(goal.succ)
     sig = infer_signature(formulas)
     free = sorted(set().union(*(f.free_vars() for f in formulas))
                   if formulas else set())
+    truth = quotient_truth(sig)
 
     @functools.cache
     def holds(n: int, tables: tuple, named: tuple) -> bool:
-        quotient = quotient_model(sig, n, tables, named)
-        return next(_failing_assignments(goal, quotient, free), None) is None
+        for tup in itertools.product(range(n), repeat=len(free)):
+            env = dict(zip(free, tup))
+            if all(truth(f, n, tables, named, env) for f in goal.ante) \
+                    and not any(truth(f, n, tables, named, env)
+                                for f in goal.succ):
+                return False
+        return True
 
     rng = random.Random(seed)
     for i in range(samples):
-        atoms, domain, per_atom, consts = random_structures(
-            rng, sig, max_atoms=max_atoms, max_domain=max_domain)
-        if all(holds(max(rgs) + 1, tables,
-                     tuple(rgs[domain.index(consts[c])] for c in sig.constants))
+        _, per_atom, consts = random_quotients(rng, sig, max_atoms,
+                                               max_domain)
+        if all(holds(max(rgs) + 1, tables, tuple(rgs[k] for k in consts))
                for rgs, tables in per_atom):
             continue
-        model = assemble_model(sig, atoms, domain, per_atom, consts)
+        replay = random.Random(seed)
+        for _ in range(i + 1):
+            drawn = random_structures(replay, sig, max_atoms, max_domain)
+        model = assemble_model(sig, *drawn)
         violations = [{"sample": i, "assignment": assign, "model": model}
                       for assign in _failing_assignments(goal, model, free)]
         return {"ok": False, "samples": samples, "violations": violations}

@@ -2,6 +2,7 @@
 methods and imports no `inspect`. Each record's `__init__` stores its fields
 straight into `__dict__`; assigning or deleting an attribute afterwards
 raises AttributeError."""
+from operator import attrgetter
 
 
 class Record:
@@ -29,15 +30,20 @@ class Record:
 
 class Value(Record):
     """Equal to a record of the same class with equal fields; hashed as the
-    tuple of its fields."""
+    tuple of its fields, which each class reads with one getter built when
+    the class is made."""
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = attrgetter(*cls._fields)
+        cls._astuple = staticmethod(
+            get if len(cls._fields) > 1 else lambda record: (get(record),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        astuple = self._astuple
+        return astuple(self) == astuple(other)
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._astuple(self))

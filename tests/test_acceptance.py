@@ -29,11 +29,13 @@ from infkit.iojson import (dumps, emit_algebra, emit_cp, emit_formula,
                            parse_signature, parse_theory, parse_ultrafilter)
 from infkit.mansfield import (cp_from_algebra, mansfield_build,
                               roundtrip_check, verify_claim1, verify_claim2)
-from infkit.modelgen import (all_labeled_posets, formula_pool, model_pool,
-                             split_constant_theory, split_signature,
-                             three_element_nonmixing_model)
+from infkit.modelgen import split_constant_theory, split_signature
 from infkit.quotient import los_check
 from infkit.syntax import Const, Eq, Formula, Not, Or
+from inputs import (
+    all_labeled_posets, formula_pool, model_pool,
+    three_element_nonmixing_model,
+)
 from test_reference_paths import (check_algebra, check_mixing_by_antichains,
                                   is_dense_subset)
 

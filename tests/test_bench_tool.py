@@ -1,5 +1,6 @@
 """tools/bench.py on synthetic perfbench result files: pairing by workload
-and seed, medians and quartiles per side, pair wins, and the gain rule."""
+and seed, medians and quartiles per side, pair wins, the gain rule, and
+each command's median wall time per side."""
 import importlib.util
 import json
 from pathlib import Path
@@ -12,11 +13,13 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 
 
-def _write(directory, workload, seed, wall, rss, nproc=2):
+def _write(directory, workload, seed, wall, rss, nproc=2, cycles=()):
     directory.mkdir(parents=True, exist_ok=True)
     result = {"workload": workload, "seed": seed, "seconds": 40.0,
               "python": "3.11.7", "nproc": nproc, "failed_share": 0.0,
-              "metrics": {"wall_ref": wall, "peak_rss_mb": rss}}
+              "metrics": {"wall_ref": wall, "peak_rss_mb": rss},
+              "cycles": [[{"name": name, "wall_s": wall_s, "cpu_s": 0.0}
+                          for name, wall_s in cycle] for cycle in cycles]}
     (directory / f"{workload}-seed{seed}-trace0.json").write_text(
         json.dumps(result))
 
@@ -55,6 +58,28 @@ def test_pairs_medians_wins_and_the_gain_rule(tmp_path):
     assert wall["median_gain"] == pytest.approx(1.6) and wall["gain"]
     rss = row["metrics"]["peak_rss_mb"]
     assert (rss["wins"], rss["losses"], rss["gain"]) == (0, 0, False)
+
+
+def test_per_command_medians_over_every_cycle(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(3):
+        # two cycles per run; `sat` takes 0.1 s throughout, `check` moves
+        _write(parent, "search", seed, 5.0, 16.0, cycles=[
+            [("sat", 0.1), ("check", 0.3 + 0.01 * seed)],
+            [("sat", 0.1), ("check", 0.2)]])
+        _write(change, "search", seed, 4.5, 16.0, cycles=[
+            [("sat", 0.1), ("check", 0.15), ("new", 1.0)]])
+    _write(change, "search", 7, 4.5, 16.0, cycles=[[("check", 9.0)]])
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--parent", str(parent), "--change", str(change),
+                       "--out", str(out),
+                       "--benchmark", str(_benchmark(tmp_path))]) == 0
+    commands = json.loads(out.read_text())["workloads"]["search"]["commands"]
+    assert list(commands) == ["check", "sat"]     # on both sides only
+    assert commands["sat"] == {"parent": 0.1, "change": 0.1}
+    # parent: 0.2, 0.2, 0.2, 0.3, 0.31, 0.32; the unpaired seed 7 is left out
+    assert commands["check"]["parent"] == pytest.approx(0.25)
+    assert commands["check"]["change"] == 0.15
 
 
 def test_results_from_different_hosts_are_refused(tmp_path):

@@ -9,7 +9,7 @@ from infkit.boolalg import (
     regular_open_sets_bruteforce, ro_completion, table_algebra,
     two_valued_algebra,
 )
-from infkit.modelgen import all_labeled_posets
+from inputs import all_labeled_posets
 from test_reference_paths import check_algebra, is_dense_subset
 
 

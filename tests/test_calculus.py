@@ -1,9 +1,13 @@
+import time
+
 import pytest
 
+from infkit import bvmodel, calculus
 from infkit.calculus import (
     Proof, Sequent, Step, check_proof, in_calculus_fragment,
     soundness_sample,
 )
+from infkit.cli import main
 from infkit.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Not, Or, Var,
 )
@@ -188,3 +192,48 @@ def test_countermodel_for_unprovable_goal():
     rep = soundness_sample(Sequent(frozenset(), {Rc}), samples=100, seed=1)
     assert not rep["ok"]
     assert rep["violations"][0]["sample"] <= 100
+
+
+def test_corpus_proofs_assemble_no_model(corpus_dir, monkeypatch, capsys):
+    """No sample of an accepted corpus proof is a countermodel, so none is
+    made a model: each quotient is decided on its own data."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return bvmodel.assemble_model(*args)
+
+    monkeypatch.setattr(calculus, "assemble_model", counting)
+    init = bvmodel.BValuedModel.__post_init__
+    monkeypatch.setattr(bvmodel.BValuedModel, "__post_init__",
+                        lambda model: built.append(model) or init(model))
+    proofs = sorted(corpus_dir.glob("proof_*.json"))
+    assert len(proofs) == 13
+    exits = [main(["check-proof", str(path), "--soundness-samples", "2000",
+                   "--max-atoms", "3", "--max-domain", "4"])
+             for path in proofs]
+    capsys.readouterr()
+    assert sorted(exits) == [0] * 11 + [1] * 2
+    assert built == []
+
+
+def test_only_the_countermodel_is_assembled(monkeypatch):
+    built = []
+    init = bvmodel.BValuedModel.__post_init__
+    monkeypatch.setattr(bvmodel.BValuedModel, "__post_init__",
+                        lambda model: built.append(model) or init(model))
+    rep = soundness_sample(Sequent(frozenset(), {Rc}), samples=100, seed=1)
+    assert rep["violations"] and built == [rep["violations"][0]["model"]]
+
+
+@pytest.mark.parametrize("max_domain", ["13", "40"])
+def test_large_domains_are_drawn_without_listing_partitions(
+        corpus_dir, capsys, max_domain):
+    """Bell(13) is 27,644,437 and Bell(40) about 1.6e35: the partition of
+    each drawn domain is unranked from its index, not picked from a list."""
+    start = time.perf_counter()
+    assert main(["check-proof", str(corpus_dir / "proof_axiom.json"),
+                 "--soundness-samples", "20", "--max-atoms", "1",
+                 "--max-domain", max_domain]) == 0
+    assert time.perf_counter() - start < 2
+    assert '"ok": true' in capsys.readouterr().out

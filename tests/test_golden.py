@@ -6,7 +6,9 @@ pins: before the clause table was shared by every forcing-side check; the
 `sat` and soundness-sampling pins: before `sat` and the sampler shared one
 quotient model per distinct per-atom structure; the `mansfield` pins on
 `conditions_family` and `max_family`: before the conditions of the forcing
-side became ints over the interned sentences). Also that
+side became ints over the interned sentences; the soundness pins on the
+other five proofs and on a 12-element domain: before samples were drawn
+straight into their per-atom quotients). Also that
 `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import importlib.util
@@ -97,7 +99,12 @@ GOLDEN = {
     **{f"soundness_{name}": (
         "check-proof", f"proof_{name}.json", "--soundness-samples", "2000",
         "--max-atoms", "3", "--max-domain", "4")
-       for name in ("quant_left", "eq_subst")},
+       for name in ("quant_left", "eq_subst", "axiom", "quant_right",
+                    "empty_conj", "neg_right", "eq_swap")},
+    # Bell(12) = 4,213,597 partitions of the domain, one drawn per atom
+    "soundness_axiom_domain_12": (
+        "check-proof", "proof_axiom.json", "--soundness-samples", "20",
+        "--max-atoms", "1", "--max-domain", "12"),
 }
 
 EXPECTED = {
@@ -165,6 +172,18 @@ EXPECTED = {
         "9e097888e5b63d666e9b458fde9820f7bd41f325f74a014a09ba32921ee4a6e0",
     "sat_uncoverable_weak_4":
         "9b295cf50fdab4ab5a972f4deb30549f4c6db6270eeaca5629db6dd5cb2dff25",
+    "soundness_axiom":
+        "eff865d1fd3cea3c52d5e02efab7dafe9afc91aec74f3fa44224d908552c1ae6",
+    "soundness_axiom_domain_12":
+        "2a82bf608eb0b2ac3992ff3cc62ffe0f8afea38af53972fcedf7c0bbc4619d99",
+    "soundness_empty_conj":
+        "0d3abd7b0c19fa18a50b3732dfe7233dfe2d5c075fd437c5ef69684b6bd3555f",
+    "soundness_eq_swap":
+        "3fa995d08aab045cb129a7cb99bc8dcc9f186d20e29782845f8b55dab81704c0",
+    "soundness_neg_right":
+        "57df507fc78051803a60dad33e918d4be3e71a6bbe0eb391be712bbccbc19189",
+    "soundness_quant_right":
+        "f939e4c9624848f8468c6b98b038e4765ce66516172cbe4ca7a3188f5d973bee",
     "soundness_eq_subst":
         "d2971a65a6dd39c827952ca3efe0fc1bd2fe494ae341b49745aa7dfe815a957a",
     "soundness_quant_left":

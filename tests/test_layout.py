@@ -1,27 +1,13 @@
 """Library code that only tests reach does not stay in the library: every
 public top-level name of `src/infkit/*.py` must be used by the program
-(`src/infkit` and `tools`) outside its own definition, unless it is a kept
-test oracle or test input listed below with its reason."""
+(`src/infkit` and `tools`) outside its own definition. Test oracles live in
+`tests/test_reference_paths.py` and test inputs in `tests/inputs.py`."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "infkit").glob("*.py"))
 PROGRAM = LIBRARY + sorted((ROOT / "tools").glob("*.py"))
-
-KEPT = {
-    "modelgen.three_element_nonmixing_model":
-        "reference model without mixing, an acceptance-test input",
-    "modelgen.unattained_sup_formula":
-        "reference sentence whose sup no witness attains",
-    "modelgen.model_pool":
-        "deterministic model pool, an acceptance-test input",
-    "modelgen.formula_pool":
-        "deterministic formula pool, an acceptance-test input",
-    "modelgen.all_labeled_posets":
-        "every small poset, the acceptance sweep of ro_completion",
-}
-
 
 def _public_definitions(tree: ast.Module):
     """(name, statement) for each public name a top-level statement binds."""
@@ -60,10 +46,7 @@ def _unused_by_program() -> set[str]:
 
 
 def test_library_names_are_used_by_the_program():
-    unused = _unused_by_program()
-    only_tests = sorted(unused - set(KEPT))
-    assert not only_tests, (
-        f"not used by the program: {only_tests}; delete them with the "
-        f"tests that exist only for them, or keep one in KEPT with its reason")
-    stale = sorted(set(KEPT) - unused)
-    assert not stale, f"KEPT entries the program uses or no longer has: {stale}"
+    unused = sorted(_unused_by_program())
+    assert not unused, (
+        f"not used by the program: {unused}; delete them with the tests "
+        f"that exist only for them, or move a test input to tests/inputs.py")

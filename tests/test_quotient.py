@@ -4,12 +4,13 @@ import pytest
 
 from infkit.boolalg import enumerate_ultrafilters, powerset_algebra
 from infkit.bvmodel import check_full_everywhere, eval_formula
-from infkit.modelgen import (
-    split_constant_theory, formula_pool, four_element_model, model_pool,
-    three_element_nonmixing_model, unattained_sup_formula,
-)
+from infkit.modelgen import split_constant_theory, four_element_model
 from infkit.quotient import los_check, quotient
 from infkit.syntax import Const, Eq, Exists, Forall, Not, Or, Var
+from inputs import (
+    formula_pool, model_pool, three_element_nonmixing_model,
+    unattained_sup_formula,
+)
 
 
 def test_quotient_partitions_domain(m4):

@@ -12,7 +12,10 @@ the finite algebras as they were, frozenset or named elements with O(n^2)
 operation tables, against the int-mask algebras, and the positivity walk
 that asked the oracle about every candidate set against the walk that
 carries the running meet. Also the soundness sampler that assembled every
-sample against the one that decides each atom's quotient, and the density
+sample against the one that decides each atom's quotient, truth in a
+quotient's one-atom model (`quotient_model`) against truth decided on the
+quotient's own data, the partitions of a domain as they were listed against
+the unranked ones, and the density
 and mixing checks by their definitions. Also every path that reads family
 members as ints over the interned sentences (the walk, maximality, the
 clause checks, emission, and on the forcing side the conditions, generic
@@ -29,7 +32,10 @@ from infkit.boolalg import (
     FinPoset, TrivialAlgebra, check_tables, powerset_algebra, ro_completion,
     table_algebra,
 )
-from infkit.bvmodel import _by_label, assemble_model, eval_formula, mixes_over
+from infkit.bvmodel import (
+    _by_label, _growth_counts, _partitions, _unrank_partition, assemble_model,
+    eval_formula, mixes_over, quotient_truth,
+)
 from infkit.calculus import Sequent, in_calculus_fragment, soundness_sample
 from infkit.consprop import (
     ConsistencyProperty, check_cp, check_smax, convert_to_explicit,
@@ -44,19 +50,20 @@ from infkit.iojson import (
 )
 from infkit.mansfield import cp_from_algebra, mansfield_build, verify_claim1
 from infkit.modelgen import (
-    all_labeled_posets, four_element_model, infer_signature,
+    four_element_model, infer_signature, random_quotients,
     random_structures, split_constant_theory,
 )
-
-small_posets = functools.cache(all_labeled_posets)   # the n <= 5 sweep
 from infkit.record import Record
 from infkit.syntax import (
     And, Atom, CaptureError, Const, Eq, Exists, Forall, Formula, Not, Or,
     Signature, Var, constants_of, is_sentence, move_neg_inside, replace_const,
     subformulas, substitute, validate_formula,
 )
+from inputs import all_labeled_posets
 from test_golden import _table_powerset
 from test_syntax import formulas
+
+small_posets = functools.cache(all_labeled_posets)   # the n <= 5 sweep
 
 
 # --- the oracles --------------------------------------------------------------
@@ -431,6 +438,42 @@ def check_mixing_by_antichains(model):
                         "antichain": [alg.labels[a] for a in chain],
                         "targets": list(targets)}
     return {"mixing": True}
+
+
+def reference_partitions(n):
+    """The restricted-growth strings of n items as they were listed, by a
+    depth-first walk in lexicographic order."""
+    out = []
+
+    def grow(prefix, used):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for c in range(used + 1):
+            grow(prefix + [c], max(used, c + 1))
+
+    grow([], 0)
+    return out
+
+
+def quotient_model(signature, n, tables, named):
+    """The one-atom model of a per-atom quotient, which `sat` and the
+    sampler built for each distinct quotient before `quotient_truth`:
+    classes m0..m(n-1), one table of class tuples per relation, and the
+    i-th constant of the signature in class named[i]."""
+    classes = tuple(f"m{k}" for k in range(n))
+    return assemble_model(signature, ("a0",), classes,
+                          ((tuple(range(n)), tables),),
+                          {c: classes[k]
+                           for c, k in zip(signature.constants, named)})
+
+
+def reference_truth(signature, f, n, tables, named, env):
+    """Truth in a quotient as it was decided: f's value in the quotient's
+    one-atom model is one."""
+    model = quotient_model(signature, n, tables, named)
+    value = eval_formula(model, f, {v: f"m{k}" for v, k in env.items()})
+    return value == model.algebra.one
 
 
 def reference_soundness_sample(goal, samples=200, seed=0, max_atoms=2,
@@ -1033,13 +1076,16 @@ def test_claim1_matches_the_sentence_set_path(corpus_dir, name):
 # --- soundness sampling -------------------------------------------------------
 
 def assert_samplers_agree(goal, **bounds):
+    """Both samplers give the same report; returns the sample index of the
+    first violation, or None."""
     def report(rep):
         return (rep["ok"], rep["samples"],
                 [(v["sample"], v["assignment"], dumps(emit_model(v["model"])))
                  for v in rep["violations"]])
 
-    assert report(soundness_sample(goal, **bounds)) == \
-        report(reference_soundness_sample(goal, **bounds))
+    got = report(soundness_sample(goal, **bounds))
+    assert got == report(reference_soundness_sample(goal, **bounds))
+    return got[2][0][0] if got[2] else None
 
 
 @pytest.mark.parametrize("bounds", [{}, {"max_atoms": 3, "max_domain": 4}],
@@ -1090,6 +1136,71 @@ def test_soundness_sample_matches_reference_on_drawn_sequents(ante, succ):
     for seed in (0, 1, 2):
         assert_samplers_agree(goal, samples=60, seed=seed, max_atoms=3,
                               max_domain=3)
+
+
+def test_unranking_gives_the_listed_partition():
+    for n in range(8):
+        listed = reference_partitions(n)
+        assert _growth_counts(n)[n][0] == len(listed)
+        assert [_unrank_partition(n, r) for r in range(len(listed))] == \
+            listed == list(_partitions(n))
+    assert [_growth_counts(n)[n][0] for n in (12, 13, 40)] == \
+        [4_213_597, 27_644_437, 157_450_588_391_204_931_289_324_344_702_531_067]
+
+
+_RQ_CD = Signature((("Q", 2), ("R", 1)), ("c", "d"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(formulas(), st.integers(0, 2 ** 32))
+@example(Forall(("v0",), Or((Eq(Var("v0"), Const("c")), Atom(
+    "Q", (Var("v0"), Const("d")))))), 0)
+def test_quotient_truth_matches_the_one_atom_model(f, seed):
+    """Truth on the quotient's data equals the value one in its one-atom
+    model, at every atom of random structures with 1 to 4 elements and
+    under random classes for the free variables."""
+    rng = random.Random(seed)
+    truth = quotient_truth(_RQ_CD)
+    free = sorted(f.free_vars())
+    for _ in range(3):
+        _, per_atom, consts = random_quotients(rng, _RQ_CD, 2, 4)
+        for rgs, tables in per_atom:
+            key = (max(rgs) + 1, tables, tuple(rgs[k] for k in consts))
+            env = {v: rng.randrange(key[0]) for v in free}
+            assert truth(f, *key, env) == \
+                reference_truth(_RQ_CD, f, *key, env)
+
+
+_c, _d, _v0, _v1 = Const("c"), Const("d"), Var("v0"), Var("v1")
+
+
+def _q(a, b):
+    return Atom("Q", (a, b))
+
+
+# Unsound goals over Q/2 and the constants c and d, whose first
+# countermodel is rarely the first sample.
+LATE_COUNTERMODELS = {
+    "total": Sequent({Forall(("v0",), _q(_v0, _c))},
+                     {Forall(("v0", "v1"), _q(_v0, _v1))}),
+    "two_way": Sequent({_q(_c, _d), _q(_d, _c)}, {_q(_c, _c), Eq(_c, _d)}),
+    "free_pair": Sequent({_q(_v0, _v1), _q(_v1, _v0)},
+                         {Eq(_v0, _v1), _q(_v0, _v0)}),
+    "negations": Sequent({Not(_q(_c, _d)), Not(_q(_d, _c))},
+                         {Eq(_c, _d), Forall(("v0",), Not(_q(_v0, _v0)))}),
+}
+
+
+@pytest.mark.parametrize("bounds", [{"max_atoms": 3, "max_domain": 4},
+                                    {"max_atoms": 2, "max_domain": 6}],
+                         ids=["3x4", "2x6"])
+@pytest.mark.parametrize("name", sorted(LATE_COUNTERMODELS))
+def test_soundness_sample_matches_reference_on_late_countermodels(name,
+                                                                  bounds):
+    firsts = [assert_samplers_agree(LATE_COUNTERMODELS[name], samples=200,
+                                    seed=seed, **bounds)
+              for seed in range(4)]
+    assert None not in firsts and max(firsts) > 0, firsts
 
 
 # --- serialization ------------------------------------------------------------

@@ -10,9 +10,11 @@ end-to-end metric `BENCHMARK.json` declares, the output gives each side's
 median and quartiles, the pairs the change won (ties count for neither
 side), the median gap, and whether the change counts as a gain: it wins at
 least nine tenths of the pairs, and its median is better than the parent's
-by more than the parent's interquartile range. The seeds, the Python version
-and the CPU count of the runs are recorded with them. Standard library
-only; the benchmark itself is not touched.
+by more than the parent's interquartile range. Each command's median wall
+time in seconds on each side, over every cycle of the paired runs, shows
+which commands moved. The seeds, the Python version and the CPU count of
+the runs are recorded with them. Standard library only; the benchmark
+itself is not touched.
 """
 from __future__ import annotations
 
@@ -59,6 +61,17 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             "gain": wins >= 0.9 * len(parent) and gap > p["iqr"]}
 
 
+def command_medians(results: list[dict]) -> dict[str, float]:
+    """Median wall time in seconds of each command over every cycle of the
+    result files."""
+    walls: dict[str, list[float]] = {}
+    for result in results:
+        for cycle in result.get("cycles", ()):
+            for run in cycle:
+                walls.setdefault(run["name"], []).append(run["wall_s"])
+    return {name: statistics.median(w) for name, w in walls.items()}
+
+
 def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
     pairs = sorted(set(parent) & set(change))
     if not pairs:
@@ -88,6 +101,11 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 **compare([parent[k]["metrics"][name] for k in keys],
                           [change[k]["metrics"][name] for k in keys],
                           metric["better"])}
+        before = command_medians([parent[k] for k in keys])
+        after = command_medians([change[k] for k in keys])
+        row["commands"] = {name: {"parent": before[name],
+                                  "change": after[name]}
+                           for name in sorted(before.keys() & after.keys())}
         workloads[workload] = row
     return {"python": python, "nproc": nproc, "workloads": workloads}
 
