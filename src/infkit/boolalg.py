@@ -43,35 +43,25 @@ class FinPoset:
             raise ValueError("duplicate poset elements")
         idx = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
-        below = [set() for _ in range(n)]  # below[i] = {j : e_j <= e_i}
+        below = [1 << i for i in range(n)]  # bit j of below[i]: e_j <= e_i
         for lo, hi in pairs:
             if lo not in idx or hi not in idx:
                 raise ValueError(f"pair ({lo!r}, {hi!r}) uses unknown elements")
-            below[idx[hi]].add(idx[lo])
-        for i in range(n):
-            below[i].add(i)
-        changed = True
-        while changed:
-            changed = False
+            below[idx[hi]] |= 1 << idx[lo]
+        for k in range(n):          # Warshall's closure, one row OR per step
             for i in range(n):
-                extra = set()
-                for j in below[i]:
-                    extra |= below[j]
-                if not extra <= below[i]:
-                    below[i] |= extra
-                    changed = True
-        for i in range(n):
-            for j in below[i]:
-                if i != j and i in below[j]:
-                    raise ValueError(
-                        f"antisymmetry violated between "
-                        f"{self.elements[i]!r} and {self.elements[j]!r}")
-        self._idx = idx
-        self._below = below
+                if below[i] >> k & 1:
+                    below[i] |= below[k]
         els = self.elements
-        self._down = {e: frozenset(els[j] for j in below[i])
+        for i, j in itertools.product(range(n), repeat=2):
+            if i != j and below[i] >> j & below[j] >> i & 1:
+                raise ValueError(f"antisymmetry violated between "
+                                 f"{els[i]!r} and {els[j]!r}")
+        self._down = {e: frozenset(els[j] for j in range(n)
+                                   if below[i] >> j & 1)
                       for i, e in enumerate(els)}
-        self._up = {e: frozenset(els[j] for j in range(n) if i in below[j])
+        self._up = {e: frozenset(els[j] for j in range(n)
+                                 if below[j] >> i & 1)
                     for i, e in enumerate(els)}
 
     def down(self, p: Hashable) -> frozenset:
@@ -82,8 +72,7 @@ class FinPoset:
         return frozenset().union(*(self._up[x] for x in s))
 
     def minimals(self) -> tuple:
-        return tuple(e for e in self.elements
-                     if len(self._below[self._idx[e]]) == 1)
+        return tuple(e for e in self.elements if len(self._down[e]) == 1)
 
     def min_below(self, p: Hashable) -> frozenset:
         """The minimal elements below p: those of its down-set whose own
@@ -91,11 +80,7 @@ class FinPoset:
         return frozenset(m for m in self._down[p] if len(self._down[m]) == 1)
 
     def leq_pairs(self) -> list[tuple[Hashable, Hashable]]:
-        out = []
-        for e in self.elements:
-            for j in self._below[self._idx[e]]:
-                out.append((self.elements[j], e))
-        return out
+        return [(lo, e) for e in self.elements for lo in self._down[e]]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +96,7 @@ class FinBooleanAlgebra(Record):
     _fields = ("kind", "elements", "labels", "meta", "one")
     zero = 0
 
-    def __init__(self, kind: str,   # "powerset" | "ro" | "table"
+    def __init__(self, kind: str,   # powerset | ro | table | conditions
                  elements: tuple[int, ...], labels: tuple,
                  meta: dict | None = None) -> None:
         self.__dict__.update(

@@ -464,7 +464,8 @@ def _first_cover(masks: list[list[int]], every: int,
     order, whose masks OR to `every`; masks[c][s] is the mask of structure
     s under constant choice c. Per choice, only the first structure with
     each mask is tried, depth-first, pruned where the OR of the masks left
-    cannot finish the cover."""
+    cannot finish the cover. A k-atom cover has k distinct masks, so k
+    stops at the most distinct masks of any choice."""
     firsts = []
     for row in masks:
         seen: dict[int, int] = {}
@@ -484,7 +485,7 @@ def _first_cover(masks: list[list[int]], every: int,
                 return (reps[j][1],) + rest
         return None
 
-    for k in range(2, max_atoms + 1):
+    for k in range(2, min(max_atoms, max(len(r) for r, _ in firsts)) + 1):
         covers = [(combo, c) for c, (reps, left) in enumerate(firsts)
                   if (combo := dfs(reps, left, 0, k, 0))]
         if covers:

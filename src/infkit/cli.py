@@ -16,7 +16,7 @@ from .boolalg import ImproperFilter, TrivialAlgebra, \
     regular_open_sets_bruteforce, ro_completion
 from .bvmodel import CapExceeded, UnboundVariable, bounded_boolean_sat, \
     check_mixing, check_model, eval_formula
-from .calculus import Sequent, check_proof, soundness_sample
+from .calculus import SAMPLE_CAP, Sequent, check_proof, soundness_sample
 from .consprop import ConsistencyProperty, IllDefined, build_af, check_cp, \
     check_smax, convert_to_explicit, cp_from_model, generic_filter, \
     verify_realizes
@@ -277,6 +277,11 @@ def cmd_ro(args) -> int:
 def cmd_check_proof(args) -> int:
     if args.max_atoms < 1 or args.max_domain < 1:
         return _input_error("--max-atoms and --max-domain must be at least 1")
+    for flag, bound in (("--max-atoms", args.max_atoms),
+                        ("--max-domain", args.max_domain)):
+        if bound > SAMPLE_CAP:
+            return _input_error(f"{flag} {bound} is over the sample cap of "
+                                f"{SAMPLE_CAP}; lower {flag}")
     proof = parse_proof(load_json(args.proof))
     report = check_proof(proof)
     ok = report["accepted"]

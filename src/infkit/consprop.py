@@ -453,13 +453,12 @@ def convert_to_explicit(cp: ConsistencyProperty,
 # ---------------------------------------------------------------------------
 # forcing poset, dense sets, generic filters
 
-def forcing_poset_conditions(cp: ConsistencyProperty,
-                             root: int = 0) -> list[int]:
-    """All conditions extending the root, in bit order: submasks of family
-    members that contain the root (the forcing order is reverse
-    inclusion). At most MEMBER_CAP of them."""
+def forcing_poset_conditions(maxes: list[int], root: int) -> list[int]:
+    """All conditions extending the root, in bit order, given the maximal
+    members above it: their submasks that contain the root (the forcing
+    order is reverse inclusion). At most MEMBER_CAP of them."""
     out: set[int] = set()
-    for m in maximal_members(cp, root):
+    for m in maxes:
         rest = sub = m & ~root
         while True:
             out.add(root | sub)

@@ -265,11 +265,7 @@ def emit_algebra(alg: FinBooleanAlgebra) -> dict:
     if alg.kind == "powerset":
         return {"type": "powerset", "atoms": sorted(alg.meta["atoms"])}
     if alg.kind == "ro":
-        poset = alg.meta["poset"]
-        if all(isinstance(e, str) for e in poset.elements):
-            return {"type": "ro", "poset": emit_poset(poset)}
-        raise ValueError("regular-open algebra over non-identifier poset "
-                         "elements; convert with as_table_algebra first")
+        return {"type": "ro", "poset": emit_poset(alg.meta["poset"])}
     if alg.kind == "table":
         els, name = alg.elements, alg.labels
         return {
@@ -295,8 +291,8 @@ def _skey(x: Any):
 def as_table_algebra(alg: FinBooleanAlgebra) -> FinBooleanAlgebra:
     """The same algebra, masks included, as a table over the opaque labels
     b0..bN: zero first, one last, the rest in the order of their old labels.
-    Makes algebras with unprintable labels (regular opens of formula posets)
-    serializable."""
+    Makes algebras with unprintable labels (condition algebras, labelled by
+    sets of sentence sets) serializable."""
     middle = sorted((e for e in alg.elements if e not in (alg.zero, alg.one)),
                     key=lambda e: _skey(alg.labels[e]))
     ordered = (alg.zero, *middle, alg.one)

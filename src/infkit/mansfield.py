@@ -9,16 +9,16 @@ conditions containing it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
-from .boolalg import (
-    FinBooleanAlgebra, FinPoset, TrivialAlgebra, ro_completion,
-)
+from .boolalg import FinBooleanAlgebra, TrivialAlgebra, _by_size, ro_completion
 from .bvmodel import BValuedModel, _by_label, check_model, eval_formula
 from .consprop import (
     ConsistencyProperty, cp_from_model, check_cp, forcing_poset,
-    forcing_poset_conditions, maximal_among, member_meets, _bits,
+    forcing_poset_conditions, maximal_among, maximal_members, member_meets,
+    _bits,
 )
 from .record import Value
 from .syntax import (
@@ -27,16 +27,18 @@ from .syntax import (
 
 
 class ConditionAlgebra(Value):
-    """RO completion of the forcing poset restricted below a root; the root
-    and the conditions are ints over the family's sentences."""
+    """RO completion of the forcing poset restricted below a root, read off
+    its minimal conditions; the root, the conditions and the minimal
+    conditions are ints over the family's sentences."""
 
     def __init__(self, root: int, conditions: tuple[int, ...],
-                 poset: FinPoset, algebra: FinBooleanAlgebra,
+                 minimal: tuple[int, ...],   # the atoms, in bit order
+                 algebra: FinBooleanAlgebra,
                  embedding: dict,      # condition -> regular-open element
                  l_values: dict) -> None:   # sentence -> its L-value
-        self.__dict__.update(root=root, conditions=conditions, poset=poset,
-                             algebra=algebra, embedding=embedding,
-                             l_values=l_values)
+        self.__dict__.update(root=root, conditions=conditions,
+                             minimal=minimal, algebra=algebra,
+                             embedding=embedding, l_values=l_values)
 
     def l_value(self, f: Formula) -> int:
         """Join of Reg(N_t) over the conditions t containing the sentence."""
@@ -45,25 +47,28 @@ class ConditionAlgebra(Value):
 
 def condition_algebra(cp: ConsistencyProperty,
                       root: int = 0) -> ConditionAlgebra:
-    """The completion, its labels mapped back to sets of sentence sets
-    once, so that emitted tables and reports order them as sentences. A
-    sentence's L-value is one OR per bit of each condition."""
-    conds = forcing_poset_conditions(cp, root)
-    if not conds:
+    """The completion read off the minimal conditions below the root, the
+    maximal members holding it: as in ro_completion, it is their powerset
+    (in repr order), Reg(N_t) is the mask of those that hold t, and an
+    element's label is the set of conditions, as sentence sets, whose
+    masks it contains. A sentence's L-value, the join over the conditions
+    holding it, is the mask of the minimal conditions holding it."""
+    maxes = maximal_members(cp, root)
+    if not maxes:
         raise ValueError("the root is not a condition of the forcing poset")
-    poset = forcing_poset(conds)
-    algebra, emb = ro_completion(poset)
+    conds = forcing_poset_conditions(maxes, root)
+    mins = tuple(sorted(maxes, key=repr))
+    emb = {t: sum(1 << i for i, m in enumerate(mins) if m & t == t)
+           for t in conds}
     sets = {t: cp.decode(t) for t in conds}
-    algebra = FinBooleanAlgebra(algebra.kind, algebra.elements, tuple(
-        frozenset(map(sets.__getitem__, lab)) for lab in algebra.labels),
-        algebra.meta)
-    lv = [algebra.zero] * len(cp.sentences)
-    for t in conds:
-        for b in _bits(t):
-            lv[b] |= emb[t]
-    return ConditionAlgebra(root=root, conditions=tuple(conds), poset=poset,
-                            algebra=algebra, embedding=emb,
-                            l_values=dict(zip(cp.sentences, lv)))
+    labels = tuple(frozenset(sets[t] for t, x in emb.items() if not x & ~e)
+                   for e in range(1 << len(mins)))
+    return ConditionAlgebra(
+        root=root, conditions=tuple(conds), minimal=mins,
+        algebra=FinBooleanAlgebra("conditions", _by_size(len(mins)), labels),
+        embedding=emb, l_values={f: sum(1 << i for i, m in enumerate(mins)
+                                        if m >> b & 1)
+                                 for b, f in enumerate(cp.sentences)})
 
 
 def mansfield_build(cp: ConsistencyProperty, root: int = 0,
@@ -110,23 +115,27 @@ def mansfield_build(cp: ConsistencyProperty, root: int = 0,
 def verify_claim1(cp: ConsistencyProperty, built: dict) -> dict:
     """Whenever every condition extending s accepts the sentence, the
     regular-open neighborhood of s sits below the sentence's join, in the
-    condition algebra of a mansfield_build result."""
+    condition algebra of a mansfield_build result. Every extension of s
+    accepts b iff every minimal condition holding s holds b, so s is checked
+    for the pool sentences in the AND of those; equal embeddings share one
+    verdict."""
     ca = built["conditions"]
-    conds = set(ca.conditions)
-    checked = skipped = 0
-    failures = []
     pool = [(f, cp.bit[f], ca.l_value(f)) for f in cp.pool]
-    for s in ca.conditions:
-        exts = [t for t in ca.conditions if t & s == s]
-        for f, b, lv in pool:
-            if all(t | 1 << b in conds for t in exts):
-                checked += 1
-                if not ca.algebra.leq(ca.embedding[s], lv):
-                    failures.append({"condition": cp.key(s),
-                                     "sentence": f.key()})
-            else:
-                skipped += 1
-    return {"ok": not failures, "checked": checked, "skipped": skipped,
+
+    @functools.cache
+    def verdict(e: int) -> tuple[int, list]:
+        held = functools.reduce(int.__and__,
+                                map(ca.minimal.__getitem__, _bits(e)))
+        hits = [(f, lv) for f, b, lv in pool if held >> b & 1]
+        return len(hits), [f.key() for f, lv in hits
+                           if not ca.algebra.leq(e, lv)]
+
+    verdicts = [(s, *verdict(ca.embedding[s])) for s in ca.conditions]
+    checked = sum(n for _, n, _ in verdicts)
+    failures = [{"condition": cp.key(s), "sentence": k}
+                for s, _, bad in verdicts for k in bad]
+    return {"ok": not failures, "checked": checked,
+            "skipped": len(ca.conditions) * len(pool) - checked,
             "failures": failures}
 
 

@@ -1,12 +1,14 @@
 """Test inputs: the three-element model without mixing and the sentence
 whose sup no witness attains, a deterministic pool of models and formulas,
-and every small labeled poset."""
+every small labeled poset, and the two-member families of the forcing
+side."""
 import itertools
 
 from infkit.boolalg import FinPoset
 from infkit.bvmodel import (
     BValuedModel, _class_tuples, _partitions, assemble_model,
 )
+from infkit.consprop import ConsistencyProperty
 from infkit.modelgen import split_signature
 from infkit.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
@@ -139,3 +141,15 @@ def all_labeled_posets(n: int) -> list[FinPoset]:
                                       for i in range(n) for j in range(n)
                                       if rel[i][j]]))
     return out
+
+
+def two_member_family(k: int = 6) -> ConsistencyProperty:
+    """Fresh c0..c(k-1), one unary P, the family [E, A u E] over the pool
+    A u E, where E holds every ci=ci and A every P(ci): root 0 has 2^k
+    conditions, all but two of them outside the family."""
+    names = tuple(f"c{i}" for i in range(k))
+    e = frozenset(Eq(Const(c), Const(c)) for c in names)
+    a = frozenset(Atom("P", (Const(c),)) for c in names)
+    return ConsistencyProperty(
+        Signature((("P", 1),), ()), names,
+        tuple(sorted(a | e, key=Formula.key)), family=(e, a | e))

@@ -23,6 +23,13 @@ def test_poset_closure_and_cycle_rejection():
         FinPoset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def test_a_cycle_is_refused_by_its_least_pair():
+    els = [f"p{i}" for i in range(10)]
+    with pytest.raises(ValueError, match="between 'p2' and 'p3'$"):
+        FinPoset(els, [("p2", "p8"), ("p8", "p2"), ("p2", "p3"),
+                       ("p3", "p2")])
+
+
 def test_poset_minimals():
     p = FinPoset(["l", "r", "top"], [("l", "top"), ("r", "top")])
     assert set(p.minimals()) == {"l", "r"}

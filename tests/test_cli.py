@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import infkit
+from infkit.calculus import SAMPLE_CAP
 from infkit.cli import main
 from infkit.consprop import ConsistencyProperty
 from infkit.iojson import dumps, emit_cp
@@ -219,6 +220,25 @@ def test_search_bounds_below_one_are_input_errors(corpus_dir, argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--max-atoms", "--max-domain"])
+def test_sample_bounds_over_the_cap_are_input_errors(corpus_dir, flag):
+    """100,000,000 atoms per sample ran past 20 s, and a 1,000-element
+    domain took 245 MB; both flags stop at SAMPLE_CAP, and the cap itself
+    is accepted."""
+    proof = corpus("proof_axiom.json", corpus_dir)
+    start = time.perf_counter()
+    proc = run_subprocess("check-proof", proof, "--soundness-samples", "5",
+                          flag, "100000000")
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: {flag} 100000000 is over the sample cap "
+                           f"of {SAMPLE_CAP}; lower {flag}\n")
+    proc = run_subprocess("check-proof", proof, "--soundness-samples", "5",
+                          "--max-atoms", str(SAMPLE_CAP), "--max-domain",
+                          str(SAMPLE_CAP))
+    assert proc.returncode == 0 and '"ok": true' in proc.stdout
 
 
 def test_mansfield_report_ignores_the_hash_seed(corpus_dir):
@@ -471,19 +491,33 @@ def test_zero_ary_atoms_are_refused_at_parse(tmp_path, corpus_dir):
     assert len(proc.stderr.splitlines()) == 1
 
 
-def test_mansfield_completes_the_forcing_poset_once(capsys, monkeypatch,
-                                                   corpus_dir):
-    from infkit import mansfield
+def test_mansfield_builds_no_forcing_poset(capsys, monkeypatch, corpus_dir,
+                                           tmp_path):
+    """The condition algebra is read off the maximal members: mansfield
+    neither builds a FinPoset nor calls forcing_poset or ro_completion."""
+    from infkit import boolalg, consprop, mansfield
     calls = []
 
-    def counting(poset):
-        calls.append(poset)
-        return real(poset)
+    def counting(name, real):
+        return lambda *args: calls.append(name) or real(*args)
 
-    real = mansfield.ro_completion
-    monkeypatch.setattr(mansfield, "ro_completion", counting)
-    code, out, err = run(capsys, "mansfield", "--cp",
-                         corpus("eq4_family.json", corpus_dir), "--root", "0")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["ok"]
-    assert len(calls) == 1
+    for module, name in ((mansfield, "forcing_poset"),
+                         (mansfield, "ro_completion"),
+                         (consprop, "forcing_poset"),
+                         (boolalg, "ro_completion")):
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
+    monkeypatch.setattr(boolalg.FinPoset, "__init__", counting(
+        "FinPoset", boolalg.FinPoset.__init__))
+    for family, root, *extra in (
+            ("eq4_family.json", "0"), ("eq4_family.json", "80"),
+            ("conditions_family.json", "0", "--emit-model",
+             str(tmp_path / "model.json")),
+            ("max_family.json", "3", "--pool",
+             corpus("max_pool.json", corpus_dir))):
+        code, out, err = run(capsys, "mansfield", "--cp",
+                             corpus(family, corpus_dir), "--root", root,
+                             *extra)
+        assert (code, err) == (0, ""), family
+        assert json.loads(out)["conditions"] > 1
+    assert calls == []

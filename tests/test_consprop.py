@@ -66,7 +66,7 @@ def test_eq4_maximal_members_are_the_two_blocks(eq4):
 
 
 def test_forcing_poset_conditions_are_family_members(eq4):
-    poset = forcing_poset(forcing_poset_conditions(eq4))
+    poset = forcing_poset(forcing_poset_conditions(maximal_members(eq4), 0))
     assert set(poset.elements) <= set(eq4.family)
     # stronger condition = superset
     got = {(p, q) for p in poset.elements for q in poset.elements

@@ -8,7 +8,9 @@ quotient model per distinct per-atom structure; the `mansfield` pins on
 `conditions_family` and `max_family`: before the conditions of the forcing
 side became ints over the interned sentences; the soundness pins on the
 other five proofs and on a 12-element domain: before samples were drawn
-straight into their per-atom quotients). Also that
+straight into their per-atom quotients; the `mansfield` pin on the
+two-member family at 4,096 conditions: while the condition algebra was
+still the completion of the forcing poset). Also that
 `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import importlib.util
@@ -22,7 +24,8 @@ from pathlib import Path
 import pytest
 
 import infkit
-from infkit.iojson import dumps
+from infkit.iojson import dumps, emit_cp
+from inputs import two_member_family
 
 CORPUS = Path(infkit.__file__).parent / "corpus"
 
@@ -81,6 +84,10 @@ GOLDEN = {
                                "--root", "0", "--emit-model", "emitted.json"),
     "mansfield_max_3_pool": ("mansfield", "--cp", "max_family.json", "--root",
                              "3", "--pool", "max_pool.json"),
+    # 2^12 conditions below the root, two of them family members
+    "mansfield_two_member_12": ("mansfield", "--cp", "two_member_12.json",
+                                "--root", "0", "--emit-model",
+                                "emitted.json"),
     "corpus": ("corpus",),
     "check_cp_b8_emitted": ("check-cp", "b8_family.json"),
     "check_cp_max_smax": ("check-cp", "max_family.json", "--smax"),
@@ -146,6 +153,8 @@ EXPECTED = {
         "5c6cc03495f800f2aac75622e82bb0e349d856238e32a4d5ade128e4e29a541f",
     "mansfield_max_3_pool":
         "d6777e0e4a907ac42aeee3b04a10fbe8be5e682ca55ed74ce72edc03a9fdd3d3",
+    "mansfield_two_member_12":
+        "bd099d00e10e68d92ff364d9df96cfabe1b31929fe18ff2023b66a24e6bfc444",
     "quotient_los":
         "20dfbdb0492ee3837c7039deb0ae70829536e27c9eb578c7735ac89d4bebe61a",
     "ro_antichain_9":
@@ -215,6 +224,8 @@ def workdir(tmp_path_factory):
                       "constants": ["c"]},
         "sentences": [{"and": [rc, {"not": rc}]},
                       {"atom": {"rel": "Q", "args": [c, c]}}]}))
+    (d / "two_member_12.json").write_text(
+        dumps(emit_cp(two_member_family(12))))
     (d / "b8_family.json").write_bytes(
         run(("cp-from-algebra", "b8.json", "--emit"), d).stdout)
     return d

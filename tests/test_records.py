@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from infkit.boolalg import FinBooleanAlgebra, FinPoset
+from infkit.boolalg import FinBooleanAlgebra
 from infkit.bvmodel import BValuedModel, TwoValuedStructure
 from infkit.calculus import Proof, Sequent, Step
 from infkit.consprop import ConsistencyProperty, GenericFilter
@@ -24,7 +24,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SIG = Signature((("R", 1),), ("c",))
 ATOM = Atom("R", (Const("c"),))
 SEQ = Sequent(frozenset(), frozenset({ATOM}))
-POSET = FinPoset([0], [])
 ALGEBRA = FinBooleanAlgebra("table", (0, 1), ("zero", "one"))
 
 # Each value type's fields, in order, each with a factory that builds an
@@ -47,8 +46,9 @@ VALUES = {
     GenericFilter: (("root", "minimum", "dense_report"),
                     lambda k: GenericFilter(root=0, minimum=k)),
     ConditionAlgebra: (
-        ("root", "conditions", "poset", "algebra", "embedding", "l_values"),
-        lambda k: ConditionAlgebra(k, (0,), POSET, ALGEBRA, {0: 1}, {})),
+        ("root", "conditions", "minimal", "algebra", "embedding",
+         "l_values"),
+        lambda k: ConditionAlgebra(k, (0,), (0,), ALGEBRA, {0: 1}, {})),
 }
 
 

@@ -19,7 +19,9 @@ the unranked ones, and the density
 and mixing checks by their definitions. Also every path that reads family
 members as ints over the interned sentences (the walk, maximality, the
 clause checks, emission, and on the forcing side the conditions, generic
-filters and claim 1) against the same path on sets of sentences."""
+filters and claim 1) against the same path on sets of sentences, and the
+condition algebra read off the maximal members against the completion of
+the forcing poset."""
 import functools
 import itertools
 import json
@@ -42,13 +44,16 @@ from infkit.consprop import (
     cp_from_model, default_pool, dense_sets, enumerate_members,
     forcing_poset, forcing_poset_conditions, generic_filter, instances,
     maximal_among, maximal_members, member_meets, occurrence_variants,
+    _bits,
 )
 from infkit.iojson import (
     dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
     parse_algebra, parse_cp, parse_model, parse_pool, parse_poset,
     parse_proof,
 )
-from infkit.mansfield import cp_from_algebra, mansfield_build, verify_claim1
+from infkit.mansfield import (
+    condition_algebra, cp_from_algebra, mansfield_build, verify_claim1,
+)
 from infkit.modelgen import (
     four_element_model, infer_signature, random_quotients,
     random_structures, split_constant_theory,
@@ -59,7 +64,7 @@ from infkit.syntax import (
     Signature, Var, constants_of, is_sentence, move_neg_inside, replace_const,
     subformulas, substitute, validate_formula,
 )
-from inputs import all_labeled_posets
+from inputs import all_labeled_posets, two_member_family
 from test_golden import _table_powerset
 from test_syntax import formulas
 
@@ -704,8 +709,8 @@ def _completed_posets(corpus_dir):
                 for name in _CORPUS_FAMILIES]
     families += [two_member_family(k) for k in range(1, 7)]
     for cp in families:
-        posets += [forcing_poset(forcing_poset_conditions(cp, root))
-                   for root in cp.family]
+        posets += [forcing_poset(forcing_poset_conditions(
+            maximal_members(cp, root), root)) for root in cp.family]
     return posets
 
 
@@ -777,7 +782,9 @@ def test_poset_down_and_up_closure_match_their_definitions():
 def test_min_below_matches_its_definition():
     posets = [poset for n in range(1, 6) for poset in small_posets(n)]
     cp = two_member_family()
-    posets.append(forcing_poset(forcing_poset_conditions(cp, cp.family[0])))
+    root = cp.family[0]
+    posets.append(forcing_poset(forcing_poset_conditions(
+        maximal_members(cp, root), root)))
     assert len(posets[-1].elements) == 64
     for poset in posets:
         for p in poset.elements:
@@ -1001,18 +1008,6 @@ def reference_verify_claim1(cp, root=frozenset()):
     return claim, {f: alg.labels[v] for f, v in lvals.items()}
 
 
-def two_member_family(k=6):
-    """Fresh c0..c(k-1), one unary P, the family [E, A u E] over the pool
-    A u E, where E holds every ci=ci and A every P(ci): root 0 has 2^k
-    conditions, all but two of them outside the family."""
-    names = tuple(f"c{i}" for i in range(k))
-    e = frozenset(Eq(Const(c), Const(c)) for c in names)
-    a = frozenset(Atom("P", (Const(c),)) for c in names)
-    return ConsistencyProperty(
-        Signature((("P", 1),), ()), names,
-        tuple(sorted(a | e, key=Formula.key)), family=(e, a | e))
-
-
 def shared_sentence_family():
     """The empty member and two maximal members {a, b} and {a, c} over fresh
     c0, c1: at the empty root the L-value of a joins both atoms, while every
@@ -1045,9 +1040,10 @@ def test_forcing_side_matches_the_sentence_set_paths(corpus_dir):
             for kind, n, guard, triggers in reference_dense_sets(cp)]
         for root in cp.family:
             ref_root = cp.decode(root)
-            assert list(map(cp.decode, maximal_members(cp, root))) == \
+            maxes = maximal_members(cp, root)
+            assert list(map(cp.decode, maxes)) == \
                 reference_maximal_members(cp, ref_root), name
-            conds = forcing_poset_conditions(cp, root)
+            conds = forcing_poset_conditions(maxes, root)
             assert list(map(cp.decode, conds)) == \
                 reference_forcing_poset_conditions(cp, ref_root), name
             gf = generic_filter(cp, root)
@@ -1057,20 +1053,61 @@ def test_forcing_side_matches_the_sentence_set_paths(corpus_dir):
     assert roots == 310 + 2 + 3   # the corpus families, then the others
 
 
+def reference_condition_algebra(cp, root=0):
+    """condition_algebra as it was: the forcing poset below the root
+    completed by ro_completion, the completion's labels mapped back to sets
+    of sentence sets, and a sentence's L-value one OR per bit of each
+    condition. Returns the conditions, the embedding, the relabelled
+    algebra and the L-values."""
+    conds = forcing_poset_conditions(maximal_members(cp, root), root)
+    algebra, emb = ro_completion(forcing_poset(conds))
+    sets = {t: cp.decode(t) for t in conds}
+    labels = tuple(frozenset(map(sets.__getitem__, lab))
+                   for lab in algebra.labels)
+    lv = [algebra.zero] * len(cp.sentences)
+    for t in conds:
+        for b in _bits(t):
+            lv[b] |= emb[t]
+    return (tuple(conds), emb, algebra.elements, labels,
+            dict(zip(cp.sentences, lv)))
+
+
+def test_condition_algebra_matches_the_completion(corpus_dir):
+    """At every root of every corpus family, of the shared-sentence family
+    and of the two-member families up to 256 conditions, the algebra read
+    off the maximal members is the completion of the forcing poset."""
+    families = [*_forcing_families(corpus_dir).values(),
+                *map(two_member_family, range(1, 9))]
+    roots = 0
+    for cp in families:
+        for root in cp.family:
+            ca = condition_algebra(cp, root)
+            assert ca.minimal == tuple(sorted(maximal_members(cp, root),
+                                              key=repr))
+            assert (ca.conditions, ca.embedding, ca.algebra.elements,
+                    ca.algebra.labels, ca.l_values) == \
+                reference_condition_algebra(cp, root)
+            roots += 1
+    assert roots == 310 + 2 + 3 + 2 * 8
+
+
 @pytest.mark.parametrize("name", _CORPUS_FAMILIES + ("two_member",
                                                     "shared_sentence"))
 def test_claim1_matches_the_sentence_set_path(corpus_dir, name):
-    """Claim 1 and the pool sentences' L-values at every root."""
-    cp = _forcing_families(corpus_dir)[name]
-    for root in cp.family:
-        built = mansfield_build(cp, root, verify=False)
-        ca = built["conditions"]
-        claim, labels = reference_verify_claim1(cp, cp.decode(root))
-        assert verify_claim1(cp, built) == claim
-        assert {f: ca.algebra.labels[ca.l_value(f)] for f in cp.pool} \
-            == labels
+    """Claim 1 and the pool sentences' L-values at every root; for the
+    two-member families, at k = 2..8 (4 to 256 conditions at root 0)."""
+    families = list(map(two_member_family, range(2, 9))) \
+        if name == "two_member" else [_forcing_families(corpus_dir)[name]]
+    for cp in families:
+        for root in cp.family:
+            built = mansfield_build(cp, root, verify=False)
+            ca = built["conditions"]
+            claim, labels = reference_verify_claim1(cp, cp.decode(root))
+            assert verify_claim1(cp, built) == claim
+            assert {f: ca.algebra.labels[ca.l_value(f)] for f in cp.pool} \
+                == labels
     if name == "two_member":
-        assert len(forcing_poset_conditions(cp, cp.family[0])) == 64
+        assert len(condition_algebra(cp, cp.family[0]).conditions) == 256
 
 
 # --- soundness sampling -------------------------------------------------------

@@ -210,6 +210,26 @@ def test_weak_mode_is_bounded_by_the_structure_cap(capsys, tmp_path):
     assert time.perf_counter() - start < 20
 
 
+def test_weak_mode_tries_no_more_atoms_than_distinct_masks(capsys,
+                                                           tmp_path):
+    """No structure makes c = c false, so every structure has the empty
+    mask; a k-atom cover needs k distinct masks, so weak mode tries no
+    second atom, whatever --max-atoms says (the k loop once ran to it)."""
+    c = {"const": "c"}
+    theory = {"signature": {"relations": [], "constants": ["c"]},
+              "sentences": [{"not": {"eq": [c, c]}}]}
+    path = tmp_path / "theory.json"
+    path.write_text(dumps(theory))
+    start = time.perf_counter()
+    assert main(["sat", "--theory", str(path), "--mode", "weak",
+                 "--max-domain", "3", "--max-atoms", "100000000"]) == 1
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out == (
+        '{\n  "exhausted": true,\n  "found": false,\n'
+        '  "max_atoms": 100000000,\n  "max_domain": 3,\n'
+        '  "mode": "weak"\n}\n')
+
+
 # --- strong mode needs one atom -----------------------------------------------
 
 def test_strong_witness_structures_are_one_atom_witnesses():

@@ -18,7 +18,7 @@ from infkit.bvmodel import BValuedModel, bounded_boolean_sat, check_model
 from infkit.calculus import Proof, Sequent, Step, check_proof, soundness_sample
 from infkit.consprop import (
     ConsistencyProperty, check_cp, check_smax, convert_to_explicit,
-    cp_from_model, forcing_poset_conditions,
+    cp_from_model, forcing_poset_conditions, maximal_members,
 )
 from infkit.iojson import (
     as_table_algebra, dumps, emit_algebra, emit_cp, emit_formula, emit_model,
@@ -160,7 +160,7 @@ def main() -> None:
          {"check_cp": True, "members": 16, "smax": True})
 
     # conditions of the forcing order over EQ4, recast as a family
-    conds = forcing_poset_conditions(EQ4)
+    conds = forcing_poset_conditions(maximal_members(EQ4), 0)
     COND = ConsistencyProperty(signature=sig0,
                                fresh_constants=("c0", "c1", "c2", "c3"),
                                pool=pool8, family=tuple(conds),
