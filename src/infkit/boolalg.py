@@ -57,19 +57,9 @@ class FinPoset:
             if i != j and below[i] >> j & below[j] >> i & 1:
                 raise ValueError(f"antisymmetry violated between "
                                  f"{els[i]!r} and {els[j]!r}")
-        self._down = {e: frozenset(els[j] for j in range(n)
+        self._down = {e: frozenset(els[j] for j in range(n)  # N_e: all <= e
                                    if below[i] >> j & 1)
                       for i, e in enumerate(els)}
-        self._up = {e: frozenset(els[j] for j in range(n)
-                                 if below[j] >> i & 1)
-                    for i, e in enumerate(els)}
-
-    def down(self, p: Hashable) -> frozenset:
-        """Basic open N_p: everything <= p."""
-        return self._down[p]
-
-    def up_closure(self, s: Iterable[Hashable]) -> frozenset:
-        return frozenset().union(*(self._up[x] for x in s))
 
     def minimals(self) -> tuple:
         return tuple(e for e in self.elements if len(self._down[e]) == 1)
@@ -193,25 +183,23 @@ def table_algebra(elements: Iterable[str], meet_rows: list[list[str]],
 # regular-open completion
 
 def regular_open_sets_bruteforce(poset: FinPoset) -> set[frozenset]:
-    """All A with A = int(cl(A)), enumerating every subset. Opens are the
-    downward-closed sets; cl is up-closure; int(B) = {q : N_q subset of B}.
-    Exponential; used as the oracle for small posets."""
+    """All A with A = int(cl(A)), cl the up-closure and int(B) = {q : N_q
+    subset of B} = ~up(~B), over every subset as a mask of the elements:
+    Reg(A) = ~up(~up(A)), up one lookup per half. Exponential; the oracle."""
     els = poset.elements
+    n, half = len(els), len(els) // 2
+    low, high = [0], [0]
+    for table, part in ((low, els[:half]), (high, els[half:])):
+        for p in part:   # the subsets holding p: those before it, or up(p)
+            up = sum(1 << j for j, e in enumerate(els) if p in poset._down[e])
+            table += [x | up for x in table]
+    full, cut = (1 << n) - 1, (1 << half) - 1
     out = set()
-    for k in range(len(els) + 1):
-        for combo in itertools.combinations(els, k):
-            a = frozenset(combo)
-            if _reg(poset, a) == a:
-                out.add(a)
+    for a in range(1 << n):
+        b = full ^ (low[a & cut] | high[a >> half])
+        if full ^ (low[b & cut] | high[b >> half]) == a:
+            out.add(frozenset(e for i, e in enumerate(els) if a >> i & 1))
     return out
-
-
-def _interior(poset: FinPoset, b: frozenset) -> frozenset:
-    return frozenset(q for q in poset.elements if poset.down(q) <= b)
-
-
-def _reg(poset: FinPoset, a: frozenset) -> frozenset:
-    return _interior(poset, poset.up_closure(a))
 
 
 def ro_completion(poset: FinPoset) -> tuple[FinBooleanAlgebra, dict]:
@@ -276,8 +264,10 @@ def check_tables(elements: Iterable[str], meet_rows: list[list[str]],
     named elements, with zero and one the join and meet identities (the
     first and last element when there is none). Yields each violated
     instance as {"law", "args"}, by element and then by law, so the first
-    one costs only the scan up to it; raises ValueError, on the first step,
-    on tables of the wrong shape."""
+    one costs only the scan up to it: a ternary law is checked k by k only
+    at the (i, j) where two rows disagree, such as meet[meet[i][j]] and
+    meet[i] read at meet[j]. Raises ValueError, on the first step, on
+    tables of the wrong shape."""
     els, meet, join, comp = _indexed(elements, meet_rows, join_rows,
                                      comp_row)
     rng = range(len(els))
@@ -288,6 +278,9 @@ def check_tables(elements: Iterable[str], meet_rows: list[list[str]],
     def bad(law: str, *args: int) -> dict:
         return {"law": law, "args": [els[i] for i in args]}
 
+    # at_m[j](r) reads row r at meet[j] (one element: no tuple, so k loop)
+    mt, jt = [tuple(row) for row in meet], [tuple(row) for row in join]
+    at_m, at_j = ([operator.itemgetter(*row) for row in t] for t in (mt, jt))
     if zero == one:
         yield bad("nontrivial")
     for i in rng:
@@ -303,16 +296,19 @@ def check_tables(elements: Iterable[str], meet_rows: list[list[str]],
             yield bad("complement_meet", i)
         if join[i][comp[i]] != one:
             yield bad("complement_join", i)
-        for j in rng:
-            if meet[i][j] != meet[j][i]:
+        mi, ji = mt[i], jt[i]
+        for j, mij, jij in zip(rng, mi, ji):
+            if mij != meet[j][i]:
                 yield bad("meet_commutative", i, j)
-            if join[i][j] != join[j][i]:
+            if jij != join[j][i]:
                 yield bad("join_commutative", i, j)
-            if meet[i][join[i][j]] != i:
+            if mi[jij] != i:
                 yield bad("absorption_meet", i, j)
-            if join[i][meet[i][j]] != i:
+            if ji[mij] != i:
                 yield bad("absorption_join", i, j)
-            mij, jij = meet[i][j], join[i][j]
+            if (mt[mij], jt[jij], at_m[i](jt[mij]), at_j[i](mt[jij])) \
+                    == (at_m[j](mi), at_j[j](ji), at_j[j](mi), at_m[j](ji)):
+                continue
             for k in rng:
                 if meet[mij][k] != meet[i][meet[j][k]]:
                     yield bad("meet_associative", i, j, k)

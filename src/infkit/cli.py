@@ -199,7 +199,7 @@ def cmd_cp_from_model(args) -> int:
                             f"element names the family adds: {exc}")
     pool = parse_pool(load_json(args.pool), sig=named, need_sentence=True)
     cp = cp_from_model(model, pool=pool)
-    sys.stdout.write(dumps(emit_cp(convert_to_explicit(cp))))
+    emit_cp(convert_to_explicit(cp), sys.stdout.write)
     return 0
 
 
@@ -237,7 +237,7 @@ def cmd_cp_from_algebra(args) -> int:
     cp, pi, report = cp_from_algebra(alg)
     if args.emit:
         sys.stderr.write(dumps(report))
-        sys.stdout.write(dumps(emit_cp(convert_to_explicit(cp, pi))))
+        emit_cp(convert_to_explicit(cp, pi), sys.stdout.write)
     else:
         _print(report)
     return 0 if report["ok"] else 1
@@ -321,7 +321,6 @@ _PARSERS = {
     "model": (parse_model, emit_model),
     "theory": (parse_theory, emit_theory),
     "pool": (parse_pool, emit_pool),
-    "cp": (parse_cp, emit_cp),
     "proof": (parse_proof, emit_proof),
 }
 
@@ -348,11 +347,15 @@ def _check_entry(base: Path, entry: dict, position: int) -> dict:
         if kind == "ultrafilter":
             alg = parse_algebra(load_json(str(base / entry["algebra"])))
             value = parse_ultrafilter(obj, alg)
-            emitted = emit_ultrafilter(alg, value)
+            text = dumps(emit_ultrafilter(alg, value))
+        elif kind == "cp":
+            value, parts = parse_cp(obj), []
+            emit_cp(value, parts.append)
+            text = "".join(parts)
         elif kind in _PARSERS:
             parse, emit = _PARSERS[kind]
             value = parse(obj)
-            emitted = emit(value)
+            text = dumps(emit(value))
         else:
             add("kind", False, f"unknown corpus kind {kind!r}")
             return out
@@ -362,7 +365,7 @@ def _check_entry(base: Path, entry: dict, position: int) -> dict:
     add("parses", True)
 
     if expect.get("roundtrip", True):
-        identical = dumps(emitted) == raw
+        identical = text == raw
         add("roundtrip", identical,
             "" if identical else "emit(parse(x)) is not byte-identical")
 

@@ -4,14 +4,13 @@ Parsing is strict: every function takes the decoded JSON value plus a path
 string and raises ParseError naming the faulty location. Emission is
 canonical (sorted object keys, two-space indent, formula lists ordered by
 canonical form, trailing newline) so emit(parse(x)) is byte-stable and file
-diffs stay meaningful.
+diffs stay meaningful; a family is written as text in chunks, not built.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import json
-from typing import Any, NoReturn
+from typing import Any, Callable, NoReturn
 
 from .boolalg import FinBooleanAlgebra, FinPoset, powerset_algebra, \
     ro_completion, table_algebra
@@ -498,21 +497,26 @@ def parse_cp(x: Any, path: str = "$") -> ConsistencyProperty:
         _fail(path, str(exc))
 
 
-def emit_cp(cp: ConsistencyProperty) -> dict:
-    """The file form of an explicit family: members by size, then by their
-    sentences' canonical forms (bit order), each sentence one shared dict."""
+def emit_cp(cp: ConsistencyProperty, write: Callable[[str], Any]) -> None:
+    """Write the file form of an explicit family through `write`, 256
+    members at a time: by size, then by their sentences' canonical forms."""
     if cp.family is None:
         raise ValueError("only explicit families have a file form; "
                          "use convert_to_explicit first")
-    emitted = [emit_formula(f) for f in cp.sentences]
-    members = sorted(map(_bits, cp.family), key=lambda m: (len(m), m))
-    return {
-        "signature": emit_signature(cp.signature),
-        "fresh_constants": sorted(cp.fresh_constants),
-        "family": [list(map(emitted.__getitem__, m)) for m in members],
-        "pool": [emitted[cp.bit[f]]
-                 for f in sorted(cp.pool, key=lambda f: f.key())],
-    }
+    # JSON text holds no raw newline, so indenting is one replace
+    texts = [dumps(emit_formula(f))[:-1].replace("\n", "\n      ")
+             for f in cp.sentences]
+    members = sorted(sorted(map(_bits, cp.family)), key=len)
+    head = '{\n  "family": ['
+    for i in range(0, len(members), 256):
+        write(head + "\n    " + ",\n    ".join([
+            "[\n      " + ",\n      ".join(map(texts.__getitem__, m))
+            + "\n    ]" if m else "[]" for m in members[i:i + 256]]))
+        head = ","
+    rest = dumps({"fresh_constants": sorted(cp.fresh_constants),
+                  "pool": emit_pool(cp.pool)["formulas"],
+                  "signature": emit_signature(cp.signature)})
+    write(("\n  ]," if members else head + "],") + rest[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +627,14 @@ def emit_proof(proof: Proof) -> dict:
 def dumps(obj: Any) -> str:
     """Canonical serialization: the bytes of json.dumps(obj, sort_keys=True,
     indent=2) plus a newline. Each container is rendered once per depth by
-    one join, and a list of items already rendered at its depth (emit_cp's
-    member lists of shared formula dicts) joins their texts directly."""
-    rendered = collections.defaultdict(dict)  # depth -> id(container) -> text
+    one join."""
+    rendered = {}   # (depth, id(container)) -> text
 
     def render(x: Any, depth: int, end: str = "") -> str:
         if isinstance(x, str):
             return _encode_str(x) + end
         if isinstance(x, (dict, list, tuple)):
-            text = rendered[depth].get(id(x))
+            text = rendered.get((depth, id(x)))
             if text is None:
                 inner = "\n" + "  " * (depth + 1)
                 sep = "," + inner
@@ -645,10 +648,8 @@ def dumps(obj: Any) -> str:
                             _encode_str(v) if type(v) is str \
                             else render(v, depth + 1)
                 else:
-                    parts = list(map(rendered[depth + 1].get, map(id, x)))
-                    if None in parts:
-                        parts = [_encode_str(v) if type(v) is str
-                                 else render(v, depth + 1) for v in x]
+                    parts = [_encode_str(v) if type(v) is str
+                             else render(v, depth + 1) for v in x]
                     pieces = [sep] * (2 * len(parts))
                     pieces[1::2] = parts
                 opening, closing = "{}" if isinstance(x, dict) else "[]"
@@ -658,7 +659,7 @@ def dumps(obj: Any) -> str:
                 else:
                     pieces = [opening]
                 pieces.append(closing + end)
-                text = rendered[depth][id(x)] = "".join(pieces)
+                text = rendered[depth, id(x)] = "".join(pieces)
             return text
         if x is None or x is True or x is False:
             return _CONSTANTS[x] + end

@@ -1,7 +1,7 @@
 """Test inputs: the three-element model without mixing and the sentence
 whose sup no witness attains, a deterministic pool of models and formulas,
-every small labeled poset, and the two-member families of the forcing
-side."""
+every small labeled poset and its down-sets, the two-member families of
+the forcing side, and the file text of an explicit family."""
 import itertools
 
 from infkit.boolalg import FinPoset
@@ -9,6 +9,7 @@ from infkit.bvmodel import (
     BValuedModel, _class_tuples, _partitions, assemble_model,
 )
 from infkit.consprop import ConsistencyProperty
+from infkit.iojson import emit_cp
 from infkit.modelgen import split_signature
 from infkit.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
@@ -143,6 +144,14 @@ def all_labeled_posets(n: int) -> list[FinPoset]:
     return out
 
 
+def down_sets(poset: FinPoset) -> dict:
+    """Each element's basic open N_p, everything <= p, read off the order."""
+    downs: dict = {e: set() for e in poset.elements}
+    for lo, hi in poset.leq_pairs():
+        downs[hi].add(lo)
+    return {e: frozenset(s) for e, s in downs.items()}
+
+
 def two_member_family(k: int = 6) -> ConsistencyProperty:
     """Fresh c0..c(k-1), one unary P, the family [E, A u E] over the pool
     A u E, where E holds every ci=ci and A every P(ci): root 0 has 2^k
@@ -153,3 +162,10 @@ def two_member_family(k: int = 6) -> ConsistencyProperty:
     return ConsistencyProperty(
         Signature((("P", 1),), ()), names,
         tuple(sorted(a | e, key=Formula.key)), family=(e, a | e))
+
+
+def cp_text(cp: ConsistencyProperty) -> str:
+    """The text emit_cp writes for an explicit family, joined."""
+    parts: list[str] = []
+    emit_cp(cp, parts.append)
+    return "".join(parts)

@@ -1,6 +1,6 @@
 """tools/bench.py on synthetic perfbench result files: pairing by workload
 and seed, medians and quartiles per side, pair wins, the gain rule, and
-each command's median wall time per side."""
+each command's median wall time and max-RSS per side."""
 import importlib.util
 import json
 from pathlib import Path
@@ -18,8 +18,10 @@ def _write(directory, workload, seed, wall, rss, nproc=2, cycles=()):
     result = {"workload": workload, "seed": seed, "seconds": 40.0,
               "python": "3.11.7", "nproc": nproc, "failed_share": 0.0,
               "metrics": {"wall_ref": wall, "peak_rss_mb": rss},
-              "cycles": [[{"name": name, "wall_s": wall_s, "cpu_s": 0.0}
-                          for name, wall_s in cycle] for cycle in cycles]}
+              "cycles": [[{"name": name, "wall_s": wall_s, "cpu_s": 0.0,
+                           **({"maxrss_mb": more[0]} if more else {})}
+                          for name, wall_s, *more in cycle]
+                         for cycle in cycles]}
     (directory / f"{workload}-seed{seed}-trace0.json").write_text(
         json.dumps(result))
 
@@ -80,6 +82,30 @@ def test_per_command_medians_over_every_cycle(tmp_path):
     # parent: 0.2, 0.2, 0.2, 0.3, 0.31, 0.32; the unpaired seed 7 is left out
     assert commands["check"]["parent"] == pytest.approx(0.25)
     assert commands["check"]["change"] == 0.15
+
+
+def test_per_command_max_rss_medians_next_to_the_wall_times(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(3):
+        # `emit` holds less memory on the change side; `help` records no
+        # max-RSS on the parent side, so it gets none
+        _write(parent, "families", seed, 4.0, 105.7, cycles=[
+            [("emit", 0.3, 105.0 + seed), ("help", 0.1)],
+            [("emit", 0.3, 106.0), ("help", 0.1)]])
+        _write(change, "families", seed, 3.5, 27.0, cycles=[
+            [("emit", 0.1, 21.0), ("help", 0.1, 15.0)],
+            [("emit", 0.1, 22.0 + seed), ("help", 0.1, 15.0)]])
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--parent", str(parent), "--change", str(change),
+                       "--out", str(out),
+                       "--benchmark", str(_benchmark(tmp_path))]) == 0
+    commands = json.loads(out.read_text())["workloads"]["families"][
+        "commands"]
+    # parent: 105, 106, 106, 106, 106, 107; change: 21 x3, 22, 23, 24
+    assert commands["emit"] == {"parent": 0.3, "change": 0.1,
+                                "parent_maxrss_mb": 106.0,
+                                "change_maxrss_mb": 21.5}
+    assert commands["help"] == {"parent": 0.1, "change": 0.1}
 
 
 def test_results_from_different_hosts_are_refused(tmp_path):

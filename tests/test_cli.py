@@ -11,8 +11,10 @@ import infkit
 from infkit.calculus import SAMPLE_CAP
 from infkit.cli import main
 from infkit.consprop import ConsistencyProperty
-from infkit.iojson import dumps, emit_cp
+from infkit.iojson import dumps
 from infkit.syntax import Atom, Const, Eq, Not, Signature
+from inputs import cp_text
+from test_golden import _table_powerset
 
 
 def run(capsys, *argv):
@@ -251,7 +253,11 @@ def test_mansfield_report_ignores_the_hash_seed(corpus_dir):
 
 
 def _write_json(path, obj):
-    path.write_text(dumps(obj))
+    return _write_text(path, dumps(obj))
+
+
+def _write_text(path, text):
+    path.write_text(text)
     return str(path)
 
 
@@ -282,6 +288,22 @@ def test_non_boolean_algebras_are_input_errors(tmp_path, command, table,
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.rstrip("\n").endswith(message)
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_a_late_law_violation_is_refused_quickly(tmp_path, capsys):
+    """The 256-element powerset table with the complements of its last two
+    elements swapped breaks no law before x98, so every pair of elements
+    before it is checked for the ternary laws first."""
+    table = _table_powerset(8, 0)
+    comp = table["comp"]
+    comp[-1], comp[-2] = comp[-2], comp[-1]
+    path = _write_json(tmp_path / "late.json", table)
+    start = time.perf_counter()
+    code = main(["roundtrip", path])
+    assert time.perf_counter() - start < 2
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: $: not a Boolean algebra: complement_meet fails at "
+               "x98\n")
 
 
 def test_sat_structure_cap_is_an_input_error(tmp_path):
@@ -348,7 +370,7 @@ def test_generic_names_the_first_conflict_at_every_hash_seed(tmp_path):
     member |= {Not(Eq(c[0], c[1])), Not(Eq(c[2], c[3]))}
     cp = ConsistencyProperty(Signature((), ()), ("c0", "c1", "c2", "c3"),
                              tuple(member), family=(frozenset(member),))
-    path = _write_json(tmp_path / "cp.json", emit_cp(cp))
+    path = _write_text(tmp_path / "cp.json", cp_text(cp))
     procs = [run_subprocess("generic", "--cp", path, "--root", "0",
                             hash_seed=seed) for seed in ("0", "6")]
     assert procs[0].stdout == procs[1].stdout
@@ -464,7 +486,7 @@ def test_generic_does_not_list_the_subsets_of_its_condition(capsys,
                     constants=tuple(f"c{i}" for i in range(30)))
     pool = tuple(Atom("P", (Const(c),)) for c in sig.constants)
     cp = ConsistencyProperty(sig, (), pool, family=(frozenset(pool),))
-    path = _write_json(tmp_path / "cp.json", emit_cp(cp))
+    path = _write_text(tmp_path / "cp.json", cp_text(cp))
     code, out, err = run(capsys, "generic", "--cp", path, "--root", "0")
     assert (code, err) == (0, "")
     report = json.loads(out)

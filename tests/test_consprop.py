@@ -15,6 +15,7 @@ from infkit.modelgen import split_constant_theory, four_element_model
 from infkit.syntax import (
     Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
 )
+from inputs import down_sets
 from test_acceptance import check_kappa_omega_iff
 
 SIG0 = Signature(relations=(), constants=())
@@ -69,8 +70,9 @@ def test_forcing_poset_conditions_are_family_members(eq4):
     poset = forcing_poset(forcing_poset_conditions(maximal_members(eq4), 0))
     assert set(poset.elements) <= set(eq4.family)
     # stronger condition = superset
+    downs = down_sets(poset)
     got = {(p, q) for p in poset.elements for q in poset.elements
-           if p != q and p in poset.down(q)}
+           if p != q and p in downs[q]}
     assert got == {(p, q) for p in poset.elements for q in poset.elements
                    if p != q and eq4.decode(q) < eq4.decode(p)}
 

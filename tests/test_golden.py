@@ -10,7 +10,8 @@ side became ints over the interned sentences; the soundness pins on the
 other five proofs and on a 12-element domain: before samples were drawn
 straight into their per-atom quotients; the `mansfield` pin on the
 two-member family at 4,096 conditions: while the condition algebra was
-still the completion of the forcing poset). Also that
+still the completion of the forcing poset; the `cp-from-model` pins:
+while an emitted family was still one dict and one string). Also that
 `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import importlib.util
@@ -24,8 +25,8 @@ from pathlib import Path
 import pytest
 
 import infkit
-from infkit.iojson import dumps, emit_cp
-from inputs import two_member_family
+from infkit.iojson import dumps
+from inputs import cp_text, two_member_family
 
 CORPUS = Path(infkit.__file__).parent / "corpus"
 
@@ -89,6 +90,11 @@ GOLDEN = {
                                 "--root", "0", "--emit-model",
                                 "emitted.json"),
     "corpus": ("corpus",),
+    "cp_from_model_los": ("cp-from-model", "--model",
+                          "four_element_model.json", "--pool",
+                          "los_pool.json"),
+    "cp_from_model_max": ("cp-from-model", "--model", "two_point_model.json",
+                          "--pool", "max_pool.json"),
     "check_cp_b8_emitted": ("check-cp", "b8_family.json"),
     "check_cp_max_smax": ("check-cp", "max_family.json", "--smax"),
     "check_cp_ind4": ("check-cp", "ind4_family.json"),
@@ -129,6 +135,10 @@ EXPECTED = {
         "bc7fc38b8c4283f2ecfbf90b99af5ba5b087fe5fe3d20142ec700d616333118a",
     "corpus":
         "b07379a6301e8a6393ac157cdb1994d390563fbd2e47cf2ce24186cc96b3ad9d",
+    "cp_from_model_los":
+        "bfc148864f4bff9db58661917c94f78acaa7ce00d56adaaaf6338945018a92fd",
+    "cp_from_model_max":
+        "6f721175f857b1df72cb0deb89216888fd57843e2df9af841938d1ae5eac4da2",
     "emit_b16_table":
         "edeb5868ea6b2e88836f339810b71c2d39b508a15edef2c40c63e7ab63fb9603",
     "emit_b4":
@@ -225,7 +235,7 @@ def workdir(tmp_path_factory):
         "sentences": [{"and": [rc, {"not": rc}]},
                       {"atom": {"rel": "Q", "args": [c, c]}}]}))
     (d / "two_member_12.json").write_text(
-        dumps(emit_cp(two_member_family(12))))
+        cp_text(two_member_family(12)))
     (d / "b8_family.json").write_bytes(
         run(("cp-from-algebra", "b8.json", "--emit"), d).stdout)
     return d

@@ -3,10 +3,10 @@ kept here as oracles: the per-member clause check (every clause instance
 rebuilt for every member) and maximality check (both extensions tried for
 every sentence), the per-k law loop of check_tables, the law check that
 every algebra once passed (check_algebra) and the pairwise self-check of
-the regular-open completion, the definitions of poset down-sets and
-up-closures, per-member evaluation in
-cp_from_algebra, and the standard-library JSON encoder. Also the formula
-walkers as they were, one isinstance chain per operation, against the same
+the regular-open completion, the regular-open sets found by a frozenset
+loop over every subset, per-member evaluation in cp_from_algebra, the
+standard-library JSON encoder, and the dict form of an emitted family.
+Also the formula walkers as they were, one isinstance chain per operation, against the same
 operations built on the node interface (`parts`/`rebuild`/`terms`). Also
 the finite algebras as they were, frozenset or named elements with O(n^2)
 operation tables, against the int-mask algebras, and the positivity walk
@@ -31,8 +31,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from infkit.boolalg import (
-    FinPoset, TrivialAlgebra, check_tables, powerset_algebra, ro_completion,
-    table_algebra,
+    FinPoset, TrivialAlgebra, check_tables, powerset_algebra,
+    regular_open_sets_bruteforce, ro_completion, table_algebra,
 )
 from infkit.bvmodel import (
     _by_label, _growth_counts, _partitions, _unrank_partition, assemble_model,
@@ -64,8 +64,8 @@ from infkit.syntax import (
     Signature, Var, constants_of, is_sentence, move_neg_inside, replace_const,
     subformulas, substitute, validate_formula,
 )
-from inputs import all_labeled_posets, two_member_family
-from test_golden import _table_powerset
+from inputs import all_labeled_posets, cp_text, down_sets, two_member_family
+from test_golden import _table_powerset, _two_level_poset
 from test_syntax import formulas
 
 small_posets = functools.cache(all_labeled_posets)   # the n <= 5 sweep
@@ -265,7 +265,7 @@ def reference_powerset(atoms):
 
 def reference_min_below(poset, p):
     """The minimal elements below p, by definition."""
-    return frozenset(m for m in poset.minimals() if m in poset.down(p))
+    return frozenset(m for m in poset.minimals() if m in down_sets(poset)[p])
 
 
 def reference_ro_completion(poset):
@@ -396,11 +396,12 @@ def reference_ro_selfcheck(poset, alg, embedding):
     """The check ro_completion once ran on its output, pair by pair: the
     embedding preserves order and incompatibility and has a dense image.
     The poset's order and incompatibility are read off its down-sets."""
+    downs = down_sets(poset)
     for p in poset.elements:
         for q in poset.elements:
-            if p in poset.down(q) and not alg.leq(embedding[p], embedding[q]):
+            if p in downs[q] and not alg.leq(embedding[p], embedding[q]):
                 raise RuntimeError("embedding failed order preservation")
-            incompat = not poset.down(p) & poset.down(q)
+            incompat = not downs[p] & downs[q]
             disjoint = alg.meet(embedding[p], embedding[q]) == alg.zero
             if incompat != disjoint:
                 raise RuntimeError(
@@ -576,13 +577,13 @@ def _lattice_tables(poset):
     """The poset as a table algebra when it is a lattice: meet and join are
     the greatest lower and least upper bounds, comp the first element whose
     meet with x is the bottom (so most of these tables break some law)."""
-    els = poset.elements
+    els, downs = poset.elements, down_sets(poset)
     if len(poset.minimals()) != 1 \
-            or sum(len(poset.up_closure([e])) == 1 for e in els) != 1:
+            or sum(len(downs[e]) == len(els) for e in els) != 1:
         return None                      # no bottom or no top
 
     def leq(x, y):
-        return x in poset.down(y)
+        return x in downs[y]
 
     def bound(a, b, below):
         le = leq if below else (lambda x, y: leq(y, x))
@@ -762,23 +763,6 @@ def test_no_command_scans_a_mask_algebra_for_the_laws(corpus_dir, manifest,
 
 # --- posets -------------------------------------------------------------------
 
-def test_poset_down_and_up_closure_match_their_definitions():
-    for n in range(1, 6):
-        for poset in small_posets(n):
-            els = poset.elements
-            leq = set(poset.leq_pairs())
-            for p in els:
-                assert poset.down(p) == frozenset(
-                    q for q in els if (q, p) in leq)
-            subsets = [()] + [(p,) for p in els] \
-                + list(itertools.combinations(els, 2)) + [els]
-            for s in subsets:
-                assert poset.up_closure(s) == frozenset(
-                    e for e in els if any((x, e) in leq for x in s))
-    vee = FinPoset("abc", [("a", "c"), ("b", "c")])
-    assert vee.up_closure(["a", "b"]) == frozenset("abc")
-
-
 def test_min_below_matches_its_definition():
     posets = [poset for n in range(1, 6) for poset in small_posets(n)]
     cp = two_member_family()
@@ -789,6 +773,50 @@ def test_min_below_matches_its_definition():
     for poset in posets:
         for p in poset.elements:
             assert poset.min_below(p) == reference_min_below(poset, p)
+
+
+def reference_regular_open_sets(poset):
+    """regular_open_sets_bruteforce as it was: every subset as a frozenset,
+    kept when the interior of its up-closure is the subset itself."""
+    els, downs = poset.elements, down_sets(poset)
+    out = set()
+    for k in range(len(els) + 1):
+        for combo in itertools.combinations(els, k):
+            a = frozenset(combo)
+            up = frozenset(q for q in els if downs[q] & a)
+            if frozenset(q for q in els if downs[q] <= up) == a:
+                out.add(a)
+    return out
+
+
+@st.composite
+def random_posets(draw, max_size=8):
+    """A poset on up to max_size elements, ordered along a drawn
+    permutation so that every pair can go either way."""
+    n = draw(st.integers(1, max_size))
+    name = [f"p{i}" for i in draw(st.permutations(range(n)))]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1))))
+    return FinPoset(sorted(name), [(name[i], name[j]) for i, j in pairs
+                                   if i < j])
+
+
+def test_regular_open_sets_match_the_subset_loop(corpus_dir, manifest):
+    posets = [poset for n in range(1, 6) for poset in small_posets(n)]
+    posets += [parse_poset(load_json(str(corpus_dir / e["file"])))
+               for e in manifest["entries"] if e["kind"] == "poset"]
+    posets.append(parse_poset(_two_level_poset(7, 7, 0)))
+    assert len(posets) == 4473 + 6 + 1
+    for poset in posets:
+        assert regular_open_sets_bruteforce(poset) \
+            == reference_regular_open_sets(poset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_posets())
+def test_regular_open_sets_match_on_random_posets(poset):
+    assert regular_open_sets_bruteforce(poset) \
+        == reference_regular_open_sets(poset)
 
 
 # --- valuations ---------------------------------------------------------------
@@ -911,14 +939,56 @@ def reference_emit_cp(cp):
     }
 
 
+def assert_emission_matches(cp):
+    want = json.dumps(reference_emit_cp(cp), sort_keys=True, indent=2)
+    assert cp_text(cp) == want + "\n"
+
+
 def test_emission_matches_the_sentence_set_emission(corpus_dir):
     families = [convert_to_explicit(cp_from_algebra(
-        _algebra(corpus_dir, size))[0]) for size in (4, 8, 16)]
+        _algebra(corpus_dir, size))[0]) for size in (4, 8, 16, "16_table")]
     families += [parse_cp(load_json(str(corpus_dir / f"{name}.json")))
                  for name in _CORPUS_FAMILIES]
     for cp in families:
-        want = json.dumps(reference_emit_cp(cp), sort_keys=True, indent=2)
-        assert dumps(emit_cp(cp)) == want + "\n"
+        assert_emission_matches(cp)
+
+
+_closed = formulas().map(lambda f: Forall(tuple(sorted(f.free_vars())), f)
+                         if f.free_vars() else f)
+
+
+@st.composite
+def explicit_families(draw):
+    """A family over a few sentences, members and pool possibly empty or
+    repeated."""
+    sentences = draw(st.lists(_closed, max_size=5, unique_by=Formula.key))
+    some = st.lists(st.sampled_from(sentences), max_size=4) if sentences \
+        else st.just([])
+    family = draw(st.lists(some.map(frozenset), max_size=6))
+    fresh = draw(st.lists(st.sampled_from(["e0", "e1"]), unique=True))
+    return ConsistencyProperty(Signature((("R", 1), ("Q", 2)), ("c", "d")),
+                               tuple(fresh), tuple(draw(some)),
+                               family=tuple(family))
+
+
+R_C = Atom("R", (Const("c"),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(explicit_families())
+@example(ConsistencyProperty(Signature((("R", 1),), ("c",)), (), (),
+                             family=(frozenset(), frozenset({R_C}))))
+@example(ConsistencyProperty(Signature((("R", 1),), ("c",)), ("e0",),
+                             (R_C, R_C), family=()))
+def test_emission_matches_on_random_families(cp):
+    assert_emission_matches(cp)
+
+
+def test_emission_writes_no_chunk_over_a_mebibyte(corpus_dir):
+    cp = convert_to_explicit(cp_from_algebra(_algebra(corpus_dir, 16))[0])
+    sizes = []
+    emit_cp(cp, lambda text: sizes.append(len(text)))
+    assert sum(sizes) > 16 << 20 and max(sizes) <= 1 << 20
 
 
 # --- the forcing side ---------------------------------------------------------

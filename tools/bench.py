@@ -11,8 +11,8 @@ median and quartiles, the pairs the change won (ties count for neither
 side), the median gap, and whether the change counts as a gain: it wins at
 least nine tenths of the pairs, and its median is better than the parent's
 by more than the parent's interquartile range. Each command's median wall
-time in seconds on each side, over every cycle of the paired runs, shows
-which commands moved. The seeds, the Python version and the CPU count of
+time in seconds and median max-RSS in MB on each side, over every cycle of
+the paired runs, show which commands moved. The seeds, the Python version and the CPU count of
 the runs are recorded with them. Standard library only; the benchmark
 itself is not touched.
 """
@@ -61,15 +61,18 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             "gain": wins >= 0.9 * len(parent) and gap > p["iqr"]}
 
 
-def command_medians(results: list[dict]) -> dict[str, float]:
-    """Median wall time in seconds of each command over every cycle of the
-    result files."""
-    walls: dict[str, list[float]] = {}
+def command_medians(results: list[dict],
+                    field: str = "wall_s") -> dict[str, float]:
+    """Median of one field of each command's runs over every cycle of the
+    result files: by default the wall time in seconds, or `maxrss_mb`.
+    Runs without the field are left out."""
+    values: dict[str, list[float]] = {}
     for result in results:
         for cycle in result.get("cycles", ()):
             for run in cycle:
-                walls.setdefault(run["name"], []).append(run["wall_s"])
-    return {name: statistics.median(w) for name, w in walls.items()}
+                if field in run:
+                    values.setdefault(run["name"], []).append(run[field])
+    return {name: statistics.median(v) for name, v in values.items()}
 
 
 def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
@@ -101,11 +104,17 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 **compare([parent[k]["metrics"][name] for k in keys],
                           [change[k]["metrics"][name] for k in keys],
                           metric["better"])}
-        before = command_medians([parent[k] for k in keys])
-        after = command_medians([change[k] for k in keys])
-        row["commands"] = {name: {"parent": before[name],
-                                  "change": after[name]}
-                           for name in sorted(before.keys() & after.keys())}
+        sides = [parent[k] for k in keys], [change[k] for k in keys]
+        before, after = map(command_medians, sides)
+        rss_before, rss_after = (command_medians(side, "maxrss_mb")
+                                 for side in sides)
+        row["commands"] = {}
+        for name in sorted(before.keys() & after.keys()):
+            entry = row["commands"][name] = {"parent": before[name],
+                                             "change": after[name]}
+            if name in rss_before and name in rss_after:
+                entry["parent_maxrss_mb"] = rss_before[name]
+                entry["change_maxrss_mb"] = rss_after[name]
         workloads[workload] = row
     return {"python": python, "nproc": nproc, "workloads": workloads}
 

@@ -36,9 +36,17 @@ SOUND_SAMPLES = 25
 entries: list[dict] = []
 
 
-def ship(name: str, kind: str, payload: dict, expect: dict | None = None,
-         **extra) -> None:
-    (CORPUS / name).write_text(dumps(payload), encoding="utf-8")
+def cp_text(cp: ConsistencyProperty) -> str:
+    """The file text of an explicit family."""
+    parts: list[str] = []
+    emit_cp(cp, parts.append)
+    return "".join(parts)
+
+
+def ship(name: str, kind: str, payload: dict | str,
+         expect: dict | None = None, **extra) -> None:
+    text = payload if isinstance(payload, str) else dumps(payload)
+    (CORPUS / name).write_text(text, encoding="utf-8")
     entry = {"file": name, "kind": kind, **extra}
     if expect:
         entry["expect"] = expect
@@ -144,7 +152,7 @@ def main() -> None:
                               fresh_constants=("c0", "c1", "c2", "c3"),
                               pool=pool8, family=tuple(fam))
     assert len(EQ4.family) == 112 and check_cp(EQ4)["ok"]
-    ship("eq4_family.json", "cp", emit_cp(EQ4),
+    ship("eq4_family.json", "cp", cp_text(EQ4),
          {"check_cp": True, "members": 112})
 
     # two-constant variant: closed under adding any pool sentence
@@ -156,7 +164,7 @@ def main() -> None:
                               family=tuple(fam16))
     assert len(EQ2.family) == 16
     assert check_cp(EQ2)["ok"] and check_smax(EQ2)["ok"]
-    ship("eq2_family.json", "cp", emit_cp(EQ2),
+    ship("eq2_family.json", "cp", cp_text(EQ2),
          {"check_cp": True, "members": 16, "smax": True})
 
     # conditions of the forcing order over EQ4, recast as a family
@@ -166,7 +174,7 @@ def main() -> None:
                                pool=pool8, family=tuple(conds),
                                sentences=EQ4.sentences)
     assert check_cp(COND)["ok"]
-    ship("conditions_family.json", "cp", emit_cp(COND),
+    ship("conditions_family.json", "cp", cp_text(COND),
          {"check_cp": True, "members": len(conds)})
 
     # value-positivity family of the two-point crisp model, made explicit.
@@ -178,7 +186,7 @@ def main() -> None:
     smax_rep = check_smax(S2)
     assert not smax_rep["ok"]
     assert {v["kind"] for v in smax_rep["violations"]} == {"PoolIncomplete"}
-    ship("max_family.json", "cp", emit_cp(S2),
+    ship("max_family.json", "cp", cp_text(S2),
          {"check_cp": True, "members": 64})
 
     # family that omits every disjunct of a member disjunction
@@ -195,7 +203,7 @@ def main() -> None:
     assert not rep["ok"]
     assert {v["clause"] for v in rep["violations"]} == {"Ind.4"}
     assert all(v["kind"] == "violation" for v in rep["violations"])
-    ship("ind4_family.json", "cp", emit_cp(IND4), {"check_cp": False})
+    ship("ind4_family.json", "cp", cp_text(IND4), {"check_cp": False})
 
     # member containing a sentence together with its negation
     sigR = Signature(relations=(("R", 1),), constants=("k",))
@@ -207,7 +215,7 @@ def main() -> None:
     assert not repc["ok"]
     assert any(v["clause"] == "Con" and v["kind"] == "violation"
                for v in repc["violations"])
-    ship("con_family.json", "cp", emit_cp(CON), {"check_cp": False})
+    ship("con_family.json", "cp", cp_text(CON), {"check_cp": False})
 
     # --- proofs -------------------------------------------------------------
     Rc = Atom("R", (Const("c"),))
