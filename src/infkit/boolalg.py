@@ -156,7 +156,8 @@ def table_algebra(elements: Iterable[str], meet_rows: list[list[str]],
     as its label. The tables are Boolean iff that map is a bijection onto
     the masks over k >= 1 atoms under which meet, join and comp are &, |
     and ^ one, which takes O(n^2) to check; when it is not, raises
-    ValueError naming the first law that check_tables finds violated."""
+    ValueError naming the first law that check_tables finds violated, with
+    no scan when only comp is wrong and so no lattice law fails."""
     els, meet, join, comp = _indexed(elements, meet_rows, join_rows, comp_row)
     zero = meet[0][comp[0]]
     atoms = [i for i, row in enumerate(meet)
@@ -166,17 +167,22 @@ def table_algebra(elements: Iterable[str], meet_rows: list[list[str]],
     at = {x: i for i, x in enumerate(masks)}
     one = len(els) - 1
     if not (atoms and len(at) == len(els) == 1 << len(atoms) and all(
-            comp[i] == at[x ^ one] and meet[i] == [at[x & y] for y in masks]
+            meet[i] == [at[x & y] for y in masks]
             and join[i] == [at[x | y] for y in masks]
             for i, x in enumerate(masks))):
         violation = next(check_tables(els, meet_rows, join_rows, comp_row))
         law, args = violation["law"], violation["args"]
-        where = f" at {', '.join(map(str, args))}" if args else ""
-        raise ValueError(f"not a Boolean algebra: {law} fails{where}")
-    labels = [None] * len(els)
-    for name, x in zip(els, masks):
-        labels[x] = name
-    return FinBooleanAlgebra("table", tuple(masks), tuple(labels))
+    elif (i := next((i for i, x in enumerate(masks)
+                     if comp[i] != at[x ^ one]), None)) is None:
+        labels = [None] * len(els)
+        for name, x in zip(els, masks):
+            labels[x] = name
+        return FinBooleanAlgebra("table", tuple(masks), tuple(labels))
+    else:
+        law = "complement_" + ("meet" if meet[i][comp[i]] != zero else "join")
+        args = [els[i]]
+    where = f" at {', '.join(map(str, args))}" if args else ""
+    raise ValueError(f"not a Boolean algebra: {law} fails{where}")
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,11 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
     the same constants, which the order reaches first, so strong mode tries
     one atom per domain size and moves on.
 
+    A one-atom witness on n elements has a quotient on at most n classes
+    that is a strong witness, and smaller sizes tried those on fewer, so
+    each size first tries the quotients on exactly n classes. If none is
+    one, strong mode lists no structure and weak mode goes to covers.
+
     Weak mode goes on to k atoms only when no constant choice has a cover
     by fewer, so a k-atom cover has k distinct masks, and putting the first
     structure with the same mask in place of each keeps the cover and moves
@@ -424,11 +429,12 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
                 f"domain size {n_dom} has {count or f'over 2^{bits}'} "
                 f"per-atom structures, over the cap of {STRUCTURE_CAP}; "
                 f"lower --max-domain")
-        structures = [
-            (rgs, tables) for rgs in _partitions(n_dom)
-            for tables in itertools.product(*(
-                _subsets_lex(_class_tuples(max(rgs) + 1, arity))
-                for arity in arities))]
+        witness = any(truth(n_dom, tables, named) == every
+                      for tables, named in quotients(signature, n_dom))
+        if not witness and mode == "strong":
+            continue
+        structures = [(rgs, tables) for rgs in _partitions(n_dom)
+                      for tables in _tables(signature, max(rgs) + 1)]
         choices = list(itertools.product(range(n_dom),
                                          repeat=len(signature.constants)))
 
@@ -439,7 +445,7 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
 
         hit = next((((s,), c) for s in range(len(structures))
                     for c in range(len(choices)) if mask(s, c) == every),
-                   None)
+                   None) if witness else None
         if hit is None and mode == "weak":
             hit = _first_cover([[mask(s, c) for s in range(len(structures))]
                                 for c in range(len(choices))],
@@ -503,6 +509,26 @@ def structure_count(n_dom: int, arities: list[int]) -> int:
         row = [0] + [k * row[k] + row[k - 1] for k in range(1, m + 1)]
     return sum(row[k] << sum(k ** a for a in arities)
                for k in range(1, n_dom + 1))
+
+
+def quotients(signature: Signature, k: int):
+    """Every quotient on exactly k classes as `(tables, named)`, the
+    arguments of `quotient_truth`, in search order."""
+    return itertools.product(_tables(signature, k), itertools.product(
+        range(k), repeat=len(signature.constants)))
+
+
+def quotient_count(signature: Signature, k: int) -> int:
+    """2^(sum of k^arity) * k^|constants| quotients on k classes, counted
+    without listing them; 0 over 64 table bits, as for the structure cap."""
+    bits = sum(k ** arity for _, arity in signature.relations)
+    return k ** len(signature.constants) << bits if bits <= 64 else 0
+
+
+def _tables(signature: Signature, k: int):
+    """One table of class tuples per relation on k classes, search order."""
+    return itertools.product(*(_subsets_lex(_class_tuples(k, arity))
+                               for _, arity in signature.relations))
 
 
 @functools.cache

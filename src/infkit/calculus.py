@@ -13,7 +13,9 @@ import functools
 import itertools
 import random
 
-from .bvmodel import assemble_model, eval_formula, quotient_truth
+from .bvmodel import (
+    assemble_model, eval_formula, quotient_count, quotient_truth, quotients,
+)
 from .modelgen import infer_signature, random_quotients, random_structures
 from .record import Value
 from .syntax import (
@@ -283,9 +285,10 @@ def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
     A model is drawn as one quotient per atom, and every connective acts
     atom by atom, so the inequality holds in it iff it holds in each atom's
     quotient under every assignment to classes. `quotient_truth` decides
-    each distinct quotient once per call, with no model built. Only a
-    failing sample is assembled, replayed from the seed by
-    `random_structures`."""
+    each distinct quotient once per call, with no model built. A drawn atom
+    can be any quotient on 1 to max_domain classes; when those are at most
+    `samples` and all hold, none is drawn. Only a failing sample is
+    assembled, replayed from the seed by `random_structures`."""
     if max_atoms < 1 or max_domain < 1:
         raise ValueError("bounds must be at least 1")
     formulas = list(goal.ante) + list(goal.succ)
@@ -304,6 +307,11 @@ def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
                 return False
         return True
 
+    sizes = range(1, max_domain + 1)
+    counts = [quotient_count(sig, k) for k in sizes]
+    if 0 not in counts and sum(counts) <= samples and all(
+            holds(k, *q) for k in sizes for q in quotients(sig, k)):
+        return {"ok": True, "samples": samples, "violations": []}
     rng = random.Random(seed)
     for i in range(samples):
         _, per_atom, consts = random_quotients(rng, sig, max_atoms,

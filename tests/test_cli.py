@@ -291,19 +291,21 @@ def test_non_boolean_algebras_are_input_errors(tmp_path, command, table,
 
 
 def test_a_late_law_violation_is_refused_quickly(tmp_path, capsys):
-    """The 256-element powerset table with the complements of its last two
-    elements swapped breaks no law before x98, so every pair of elements
-    before it is checked for the ternary laws first."""
-    table = _table_powerset(8, 0)
-    comp = table["comp"]
-    comp[-1], comp[-2] = comp[-2], comp[-1]
-    path = _write_json(tmp_path / "late.json", table)
-    start = time.perf_counter()
-    code = main(["roundtrip", path])
-    assert time.perf_counter() - start < 2
-    assert (code, *capsys.readouterr()) == (
-        2, "", "error: $: not a Boolean algebra: complement_meet fails at "
-               "x98\n")
+    """The 256- and 512-element powerset tables with the complements of
+    their last two elements swapped break no law before x98. Only comp is
+    wrong, so no lattice law can fail first, and the first wrong complement
+    is named without scanning every pair of elements before it."""
+    for n_atoms in (8, 9):
+        table = _table_powerset(n_atoms, 0)
+        comp = table["comp"]
+        comp[-1], comp[-2] = comp[-2], comp[-1]
+        path = _write_json(tmp_path / f"late_{n_atoms}.json", table)
+        start = time.perf_counter()
+        code = main(["roundtrip", path])
+        assert time.perf_counter() - start < 2
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: $: not a Boolean algebra: complement_meet fails "
+                   "at x98\n")
 
 
 def test_sat_structure_cap_is_an_input_error(tmp_path):

@@ -11,7 +11,9 @@ other five proofs and on a 12-element domain: before samples were drawn
 straight into their per-atom quotients; the `mansfield` pin on the
 two-member family at 4,096 conditions: while the condition algebra was
 still the completion of the forcing poset; the `cp-from-model` pins:
-while an emitted family was still one dict and one string). Also that
+while an emitted family was still one dict and one string; the strong
+`sat` pins at 9 and 10 elements: while strong mode still scanned every
+structure of every domain size). Also that
 `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import importlib.util
@@ -20,6 +22,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,11 @@ GOLDEN = {
         "sat", "--theory", "split_constant_theory.json", "--mode", mode,
         "--max-atoms", a, "--max-domain", d)
        for mode in ("weak", "strong") for a, d in (("2", "3"), ("3", "4"))},
+    # no strong witness: exit 1 after domain size 9, which has 21,147
+    # structures and 729 constant choices; the structure cap at size 10
+    **{f"sat_split_strong_3_{d}": (
+        "sat", "--theory", "split_constant_theory.json", "--mode", "strong",
+        "--max-atoms", "3", "--max-domain", d) for d in ("9", "10")},
     # no cover exists: exit 1 at domain size 3, the structure cap at 4
     **{f"sat_uncoverable_weak_{d}": (
         "sat", "--theory", "uncoverable.json", "--mode", "weak",
@@ -183,6 +191,10 @@ EXPECTED = {
         "081c92fe094e1aff457a22c2a31e5e0343e3a5774716db8a941634ca813624c8",
     "sat_split_strong_3_4":
         "49008ced3fb7a013fa86b36aa75abccc6ab4097e83e99b53870e0fecd4b4f25c",
+    "sat_split_strong_3_9":
+        "c4760ae312069a48f13ce2758ba8638458449ee3e3f944ad5f910c30bed2c6ec",
+    "sat_split_strong_3_10":
+        "cbc50de49e95fb1348b88c1fe3f23e9be3dae859fe30a82cce2d95986ec00cec",
     "sat_split_weak_2_3":
         "24c8cb5663d9397ac95f588767c1bf7de54889ea2f50297ec68f30443fc8776b",
     "sat_split_weak_3_4":
@@ -262,6 +274,17 @@ def digest(argv, cwd: Path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_command_prints_its_pinned_bytes(workdir, name):
     assert digest(GOLDEN[name], workdir) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", ["sat_split_strong_3_9",
+                                  "sat_split_strong_3_10"])
+def test_strong_sat_passes_sizes_without_a_witness_quotient(workdir, name):
+    """Each size is decided on its quotients alone, 2,025 of them up to 9
+    classes; trying every structure and constant choice of each size takes
+    about half a minute (Python 3.11, 2 CPUs)."""
+    start = time.perf_counter()
+    assert digest(GOLDEN[name], workdir) == EXPECTED[name]
+    assert time.perf_counter() - start < 2
 
 
 def test_gen_corpus_writes_the_shipped_corpus(tmp_path, capsys):

@@ -36,7 +36,7 @@ from infkit.boolalg import (
 )
 from infkit.bvmodel import (
     _by_label, _growth_counts, _partitions, _unrank_partition, assemble_model,
-    eval_formula, mixes_over, quotient_truth,
+    eval_formula, mixes_over, quotient_count, quotient_truth, quotients,
 )
 from infkit.calculus import Sequent, in_calculus_fragment, soundness_sample
 from infkit.consprop import (
@@ -615,9 +615,12 @@ def assert_table_paths_agree(tables):
         assert_same_algebra(alg, ref)
         assert check_algebra(alg)["ok"]
     else:
-        first = violations[0]["law"]
-        with pytest.raises(ValueError, match=f"Boolean algebra: {first} "):
+        law, args = violations[0]["law"], violations[0]["args"]
+        where = f" at {', '.join(args)}" if args else ""
+        with pytest.raises(ValueError) as refused:
             table_algebra(*tables)
+        assert str(refused.value) \
+            == f"not a Boolean algebra: {law} fails{where}"
     return not violations
 
 
@@ -683,6 +686,23 @@ def flipped_powerset_table(n_atoms, seed=0):
 
 def test_check_algebra_names_the_first_law_of_a_flipped_table():
     assert not assert_table_paths_agree(flipped_powerset_table(6))
+
+
+def test_a_table_wrong_only_in_comp_is_named_as_the_scan_names_it():
+    """Every swap of two complements, and every complement moved to another
+    element, in the powerset tables of 1 to 3 atoms."""
+    refused = 0
+    for n in range(1, 4):
+        d = _table_powerset(n, n)
+        els, comp = d["elements"], d["comp"]
+        for i, j in itertools.product(range(len(els)), repeat=2):
+            swapped, moved = list(comp), list(comp)
+            swapped[i], swapped[j] = comp[j], comp[i]
+            moved[i] = els[j]
+            for row in (swapped, moved):
+                refused += not assert_table_paths_agree(
+                    (els, d["meet"], d["join"], row))
+    assert refused == 2 * (2 + 12 + 56)
 
 
 # --- int-mask algebras --------------------------------------------------------
@@ -1205,6 +1225,79 @@ def test_soundness_sample_matches_reference_on_corpus_proofs(corpus_dir,
     for goal in goals:
         for seed in (0, 1):
             assert_samplers_agree(goal, samples=200, seed=seed, **bounds)
+
+
+def quotient_space(goal, max_domain):
+    """The quotients a sample of the goal can draw at one atom."""
+    sig = infer_signature(list(goal.ante) + list(goal.succ))
+    return sum(quotient_count(sig, k) for k in range(1, max_domain + 1))
+
+
+@pytest.mark.parametrize("samples", [25, 2000])
+def test_soundness_sample_matches_reference_on_small_quotient_spaces(
+        corpus_dir, samples):
+    """At 3 atoms and 4 elements each corpus goal has 4 to 1,252 quotients,
+    so at 2,000 samples every space is decided whole, and at 25 some are
+    decided whole and the rest drawn."""
+    goals = [parse_proof(load_json(str(path))).goal
+             for path in sorted(corpus_dir.glob("proof_*.json"))]
+    spaces = {quotient_space(goal, 4) <= samples for goal in goals}
+    assert spaces == ({True} if samples == 2000 else {True, False})
+    for goal in goals:
+        for seed in (0, 1):
+            assert_samplers_agree(goal, samples=samples, seed=seed,
+                                  max_atoms=3, max_domain=4)
+
+
+def test_soundness_sample_draws_a_failing_goal_of_a_small_space(corpus_dir):
+    """A failing quotient in a space no larger than the samples sends the
+    sampler back to its draws, which find the reference's countermodel."""
+    goals = [Sequent((), {Atom("R", (Const("c"),))}), parse_proof(load_json(
+        str(corpus_dir / "proof_unprovable_goal.json"))).goal]
+    for goal in goals:
+        assert quotient_space(goal, 3) <= 100
+        for seed in (0, 1, 2):
+            assert assert_samplers_agree(goal, samples=100,
+                                         seed=seed) is not None
+
+
+def test_a_sound_goal_of_a_small_space_draws_no_sample(corpus_dir, manifest,
+                                                       monkeypatch):
+    """The seven proofs the manifest samples, at 3 atoms and 4 elements, as
+    the search workload of the benchmark samples them."""
+    import infkit.calculus
+    draws = []
+    draw = infkit.calculus.random_quotients
+    monkeypatch.setattr(infkit.calculus, "random_quotients",
+                        lambda *args: draws.append(1) or draw(*args))
+    bounds = {"samples": 2000, "max_atoms": 3, "max_domain": 4}
+    files = [e["file"] for e in manifest["entries"]
+             if e["kind"] == "proof" and e["expect"].get("sound_samples")]
+    assert len(files) == 7
+    for name in files:
+        goal = parse_proof(load_json(str(corpus_dir / name))).goal
+        assert soundness_sample(goal, **bounds)["ok"]
+    assert draws == []
+    unprovable = parse_proof(load_json(
+        str(corpus_dir / "proof_unprovable_goal.json"))).goal
+    assert assert_samplers_agree(unprovable, **bounds) is not None
+    assert draws
+
+
+def test_quotients_are_counted_and_drawn_ones():
+    """The listing has the counted length, and every quotient a draw
+    reaches on k classes is in it."""
+    rng = random.Random(16)
+    for sig in (Signature((), ()), Signature((("R", 1),), ("c",)), _RQ_CD):
+        listed = {k: set(quotients(sig, k)) for k in range(1, 4)}
+        assert [len(listed[k]) for k in listed] \
+            == [quotient_count(sig, k) for k in listed]
+        for _ in range(200):
+            _, per_atom, consts = random_quotients(rng, sig, 2, 3)
+            for rgs, tables in per_atom:
+                assert (tables, tuple(rgs[k] for k in consts)) \
+                    in listed[max(rgs) + 1]
+    assert quotient_count(_RQ_CD, 8) == 0       # 72 table bits
 
 
 _fragment_terms = st.one_of(st.sampled_from(["v0", "v1"]).map(Var),

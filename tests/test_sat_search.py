@@ -257,6 +257,52 @@ def test_strong_witness_structures_are_one_atom_witnesses():
         oracle_sat(sig, theory, 3, 2, "strong"))
 
 
+def test_strong_mode_skips_sizes_with_no_witness_quotient_like_oracle():
+    """The first theory's first strong witness quotient has 2 classes, and
+    the second theory has none, so the sizes before are passed without
+    listing their structures."""
+    sig = Signature(relations=(("R", 1),), constants=("c",))
+    c = Const("c")
+    exists_not_r = Exists(("v0",), Not(Atom("R", (Var("v0"),))))
+    for theory in ([TWO_ELEMENTS, Atom("R", (c,)), exists_not_r],
+                   [TWO_ELEMENTS, Forall(("v0",), Eq(Var("v0"), c))]):
+        for max_domain in (1, 2, 3):
+            got = bounded_boolean_sat(sig, theory, max_atoms=2,
+                                      max_domain=max_domain, mode="strong")
+            assert report_bytes(got) == report_bytes(
+                oracle_sat(sig, theory, 2, max_domain, "strong"))
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+def test_corpus_theory_matches_oracle_up_to_five_elements(mode):
+    """The weak witness has 2 atoms and 3 elements; no strong witness
+    exists, so strong mode skips every size (one atom is enough for the
+    oracle, which would otherwise try every pair of structures)."""
+    sig, theory = split_signature(), split_constant_theory()
+    atoms = 3 if mode == "weak" else 1
+    for max_domain in range(1, 6):
+        got = bounded_boolean_sat(sig, theory, max_atoms=atoms,
+                                  max_domain=max_domain, mode=mode)
+        assert report_bytes(got) == report_bytes(
+            oracle_sat(sig, theory, atoms, max_domain, mode))
+
+
+def test_strong_mode_lists_no_partition_without_a_witness_quotient(
+        monkeypatch):
+    """The corpus theory has no strong witness, and each size shows it on
+    its quotients alone: 2,025 of them up to 9 classes, against 21,147
+    structures times 729 constant choices at size 9 alone."""
+    listed = []
+    partitions = bvmodel._partitions
+    monkeypatch.setattr(bvmodel, "_partitions",
+                        lambda n: listed.append(n) or partitions(n))
+    start = time.perf_counter()
+    res = bounded_boolean_sat(split_signature(), split_constant_theory(),
+                              max_atoms=3, max_domain=9, mode="strong")
+    assert time.perf_counter() - start < 2
+    assert res["exhausted"] and listed == []
+
+
 def test_strong_exhaustion_assembles_no_model(monkeypatch):
     """Each distinct quotient is decided on its own data, so a search that
     finds no witness builds no model."""
