@@ -397,7 +397,8 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
     A one-atom witness on n elements has a quotient on at most n classes
     that is a strong witness, and smaller sizes tried those on fewer, so
     each size first tries the quotients on exactly n classes. If none is
-    one, strong mode lists no structure and weak mode goes to covers.
+    one, strong mode and one-atom weak mode list no structure, and weak
+    mode goes to covers.
 
     Weak mode goes on to k atoms only when no constant choice has a cover
     by fewer, so a k-atom cover has k distinct masks, and putting the first
@@ -431,7 +432,7 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
                 f"lower --max-domain")
         witness = any(truth(n_dom, tables, named) == every
                       for tables, named in quotients(signature, n_dom))
-        if not witness and mode == "strong":
+        if not witness and (mode == "strong" or max_atoms == 1):
             continue
         structures = [(rgs, tables) for rgs in _partitions(n_dom)
                       for tables in _tables(signature, max(rgs) + 1)]

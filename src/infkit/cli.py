@@ -20,7 +20,7 @@ from .calculus import SAMPLE_CAP, Sequent, check_proof, soundness_sample
 from .consprop import ConsistencyProperty, IllDefined, build_af, check_cp, \
     check_smax, convert_to_explicit, cp_from_model, generic_filter, \
     verify_realizes
-from .iojson import ParseError, dumps, emit_algebra, emit_cp, \
+from .iojson import ParseError, dump, dumps, emit_algebra, emit_cp, \
     emit_element, emit_formula, emit_model, emit_pool, emit_poset, \
     emit_proof, emit_signature, emit_theory, emit_ultrafilter, load_json, \
     parse_algebra, parse_cp, parse_formula, parse_model, parse_pool, \
@@ -62,7 +62,7 @@ _LAWFUL = {"ok": True, "violations": []}
 
 
 def _print(report: dict) -> None:
-    sys.stdout.write(dumps(report))
+    dump(report, sys.stdout.write)
 
 
 def _input_error(msg: str) -> int:
@@ -236,7 +236,7 @@ def cmd_cp_from_algebra(args) -> int:
     alg = parse_algebra(load_json(args.algebra))
     cp, pi, report = cp_from_algebra(alg)
     if args.emit:
-        sys.stderr.write(dumps(report))
+        dump(report, sys.stderr.write)
         emit_cp(convert_to_explicit(cp, pi), sys.stdout.write)
     else:
         _print(report)

@@ -624,15 +624,17 @@ def emit_proof(proof: Proof) -> dict:
 # ---------------------------------------------------------------------------
 # files
 
-def dumps(obj: Any) -> str:
-    """Canonical serialization: the bytes of json.dumps(obj, sort_keys=True,
-    indent=2) plus a newline. Each container is rendered once per depth by
-    one join."""
-    rendered = {}   # (depth, id(container)) -> text
+def dump(obj: Any, write: Callable[[str], Any]) -> None:
+    """Canonical serialization, written through `write`: the bytes of
+    json.dumps(obj, sort_keys=True, indent=2) plus a newline. Containers at
+    depth 0 and 1 are written as they are rendered, about 256 pieces per
+    write; deeper ones are rendered by one join each, a list or tuple that
+    occurs many times once per depth."""
+    rendered = {}   # (depth, id(list or tuple)) -> text
 
-    def render(x: Any, depth: int, end: str = "") -> str:
+    def render(x: Any, depth: int) -> str:
         if isinstance(x, str):
-            return _encode_str(x) + end
+            return _encode_str(x)
         if isinstance(x, (dict, list, tuple)):
             text = rendered.get((depth, id(x)))
             if text is None:
@@ -641,12 +643,9 @@ def dumps(obj: Any) -> str:
                 if isinstance(x, dict):
                     pieces = []
                     for k in sorted(x):
-                        if not isinstance(k, str):
-                            raise TypeError("object keys must be str")
                         v = x[k]
-                        pieces += sep, f"{_encode_str(k)}: ", \
-                            _encode_str(v) if type(v) is str \
-                            else render(v, depth + 1)
+                        pieces += sep, f"{_encode_str(k)}: ", _encode_str(v) \
+                            if type(v) is str else render(v, depth + 1)
                 else:
                     parts = [_encode_str(v) if type(v) is str
                              else render(v, depth + 1) for v in x]
@@ -658,18 +657,45 @@ def dumps(obj: Any) -> str:
                     closing = "\n" + "  " * depth + closing
                 else:
                     pieces = [opening]
-                pieces.append(closing + end)
-                text = rendered[depth, id(x)] = "".join(pieces)
+                pieces.append(closing)
+                text = "".join(pieces)
+                if not isinstance(x, dict):
+                    rendered[depth, id(x)] = text
             return text
         if x is None or x is True or x is False:
-            return _CONSTANTS[x] + end
+            return _CONSTANTS[x]
         if isinstance(x, (int, float)):
             text = (float if isinstance(x, float) else int).__repr__(x)
-            return _CONSTANTS.get(text, text) + end
+            return _CONSTANTS.get(text, text)
         raise TypeError(f"Object of type {type(x).__name__} "
                         f"is not JSON serializable")
 
-    return render(obj, 0, "\n")
+    def stream(x: Any, depth: int) -> None:
+        if depth > 1 or not x or not isinstance(x, (dict, list, tuple)):
+            out.append(render(x, depth))
+            return
+        opening, closing = "{}" if isinstance(x, dict) else "[]"
+        inner = "\n" + "  " * (depth + 1)
+        items = ((f"{_encode_str(k)}: ", x[k]) for k in sorted(x)) \
+            if opening == "{" else (("", v) for v in x)
+        for i, (key, v) in enumerate(items):
+            out.append(("," if i else opening) + inner + key)
+            stream(v, depth + 1)
+            if len(out) >= 256:
+                write("".join(out))
+                out.clear()
+        out.append("\n" + "  " * depth + closing)
+
+    out = []
+    stream(obj, 0)
+    write("".join(out) + "\n")
+
+
+def dumps(obj: Any) -> str:
+    """The text `dump` writes, as one string."""
+    parts = []
+    dump(obj, parts.append)
+    return "".join(parts)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -689,4 +715,4 @@ def load_json(path_on_disk: str) -> Any:
 
 def save_json(path_on_disk: str, obj: Any) -> None:
     with open(path_on_disk, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        dump(obj, fh.write)

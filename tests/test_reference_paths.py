@@ -26,6 +26,7 @@ import functools
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,7 +48,7 @@ from infkit.consprop import (
     _bits,
 )
 from infkit.iojson import (
-    dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
+    dump, dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
     parse_algebra, parse_cp, parse_model, parse_pool, parse_poset,
     parse_proof,
 )
@@ -1418,27 +1419,77 @@ _values = st.recursive(
     max_leaves=12)
 
 
+def assert_dump_matches(obj) -> list[str]:
+    """The texts `dump` writes for obj, checked against the stdlib."""
+    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    chunks = []
+    dump(obj, chunks.append)
+    assert "".join(chunks) == want and all(chunks)
+    assert dumps(obj) == want
+    return chunks
+
+
 @settings(max_examples=50, deadline=None)
 @given(_values, _values)
 def test_dumps_matches_the_stdlib_encoder(value, shared):
     # the same container object at two different depths, and twice at one
-    obj = {"value": value, "a": shared, "b": [shared, {"c": shared}]}
-    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    assert dumps(obj) == want
-    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert_dump_matches({"value": value, "a": shared,
+                         "b": [shared, {"c": shared}]})
+    assert_dump_matches(value)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 513])
+def test_dump_writes_streamed_levels_in_chunks(n):
+    items = [[i, str(i)] for i in range(n)]
+    # depth 1 is written in chunks, depth 2 is rendered whole
+    assert len(assert_dump_matches({"a": items})) > 1
+    assert len(assert_dump_matches([items])) > 1
+    assert len(assert_dump_matches({"a": {"b": items}})) == 1
+    assert len(assert_dump_matches([[items]])) == 1
+    # one container at a streamed and at a rendered depth
+    shared = [{"k": i} for i in range(n)]
+    assert_dump_matches({"a": shared, "b": [shared, {"c": shared}]})
+    assert_dump_matches([shared, shared, [shared]])
+
+
+@pytest.mark.parametrize("obj", [{}, [], (), 0, -1.5, "x", None, True,
+                                 float("nan")])
+def test_dump_writes_an_empty_container_or_a_scalar_at_once(obj):
+    assert len(assert_dump_matches(obj)) == 1
 
 
 def test_dumps_covers_special_values():
-    obj = {"é \x00\x1f\"\\": [float("nan"), float("inf"),
-                                    -float("inf"), -0.0, 1e300, 2 ** 100,
-                                    True, False, None, [], {}, ()]}
-    assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert_dump_matches({"é \x00\x1f\"\\": [
+        float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2 ** 100,
+        True, False, None, [], {}, ()]})
 
 
-@pytest.mark.parametrize("obj", [{1: "a"}, [{"a": {None: 1}}], {"a": {1.5}}])
+@pytest.mark.parametrize("obj", [{1: "a"}, [{"a": {None: 1}}], {"a": {1.5}},
+                                 [{2: 1}], [[{"a": object()}]]])
 def test_dumps_rejects_what_it_cannot_encode(obj):
     with pytest.raises(TypeError):
         dumps(obj)
+    with pytest.raises(TypeError):
+        dump(obj, lambda text: None)
+
+
+def test_the_b8_report_is_written_in_bounded_memory(corpus_dir):
+    """The b8 check-cp report (2.7 MB of text) goes out in writes of at most
+    1 MiB, holding under 2 MB at once; its text as one string peaked at
+    9.2 MB (Python 3.11)."""
+    parts = []
+    emit_cp(convert_to_explicit(cp_from_algebra(_algebra(corpus_dir, 8))[0]),
+            parts.append)
+    report = check_cp(parse_cp(json.loads("".join(parts))))
+    sizes = []
+    tracemalloc.start()
+    try:
+        dump(report, lambda text: sizes.append(len(text)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) > 2_500_000 and max(sizes) <= 1 << 20
+    assert peak < 2_000_000
 
 
 # --- formula walkers ------------------------------------------------------------
