@@ -266,6 +266,9 @@ def _canonical_key(x) -> str | tuple:
 
 
 def _by_label(alg: FinBooleanAlgebra, elements) -> list:
+    elements = list(elements)
+    if len(elements) < 2:
+        return elements
     return sorted(elements, key=lambda x: _canonical_key(alg.labels[x]))
 
 

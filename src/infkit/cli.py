@@ -8,6 +8,7 @@ invocations print identical reports.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import TYPE_CHECKING, Any
@@ -579,5 +580,12 @@ def main(argv: list[str] | None = None) -> int:
         return _input_error(str(exc))
 
 
+def run() -> int:
+    """Process entry: the import-time heap lives until exit, so it goes to
+    the permanent generation and interpreter shutdown does not collect it."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
+from infkit import bvmodel
 from infkit.boolalg import powerset_algebra
 from infkit.bvmodel import (
-    BValuedModel, ShapeError, UnboundVariable, bounded_boolean_sat,
-    check_full, check_full_everywhere, check_mixing, check_model,
-    eval_formula, mixes_over, term_value,
+    BValuedModel, ShapeError, UnboundVariable, assemble_model,
+    bounded_boolean_sat, check_full, check_full_everywhere, check_mixing,
+    check_model, eval_formula, mixes_over, term_value,
 )
 from infkit.modelgen import (
     split_signature, split_constant_theory, four_element_model,
@@ -101,6 +102,21 @@ def test_three_element_model_does_not_mix():
     antichain = [m3.algebra.masks[label] for label in rep["antichain"]]
     assert mixes_over(m3, antichain, rep["targets"]) is None
     assert not check_mixing_by_antichains(m3)["mixing"]
+
+
+def test_one_atom_is_ordered_without_a_key(monkeypatch, m4):
+    """A condition algebra below a root with one maximal member has one atom
+    but may label it with every condition: ordering it computes no key."""
+    calls = []
+    key = bvmodel._canonical_key
+    monkeypatch.setattr(bvmodel, "_canonical_key",
+                        lambda x: calls.append(x) or key(x))
+    model = assemble_model(m4.signature, ("t",), ("m0", "m1"),
+                           (((0, 1), ()),),
+                           {"d": "m0", "c0": "m0", "c1": "m1"})
+    assert check_mixing(model) == {"mixing": True}
+    assert calls == []
+    assert check_mixing(m4)["mixing"] and calls
 
 
 def test_unattained_sup():

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import infkit
+from infkit import cli
 from infkit.calculus import SAMPLE_CAP
 from infkit.cli import main
 from infkit.consprop import ConsistencyProperty
@@ -545,3 +547,48 @@ def test_mansfield_builds_no_forcing_poset(capsys, monkeypatch, corpus_dir,
         assert (code, err) == (0, ""), family
         assert json.loads(out)["conditions"] > 1
     assert calls == []
+
+
+# --- process entry -----------------------------------------------------------
+
+def test_run_freezes_once_before_main(monkeypatch):
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+    assert cli.run() == 3
+    assert events == ["freeze", "main"]
+
+
+def test_main_never_freezes(capsys, monkeypatch):
+    """In-process callers keep a normal collector: `main` leaves the
+    permanent generation alone, also through the corpus runner."""
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    code, out, err = run(capsys, "corpus")
+    assert (code, err) == (0, "")
+    assert calls == []
+
+
+def test_module_entry_freezes_the_import_heap(corpus_dir):
+    """`python -m infkit.cli` takes the `run` path: by exit, atexit handlers
+    still run and the permanent generation holds the import-time heap."""
+    probe = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count(),"
+             " file=sys.stderr))\n"
+             "sys.argv = ['infkit', *sys.argv[1:]]\n"
+             "runpy.run_module('infkit.cli', run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(infkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "check-model",
+         corpus("four_element_model.json", corpus_dir)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and '"ok": true' in proc.stdout
+    label, count = proc.stderr.split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_installed_script_is_the_run_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(infkit.__file__).parents[2]
+    project = tomllib.loads((root / "pyproject.toml").read_text())
+    assert project["project"]["scripts"] == {"infkit": "infkit.cli:run"}
