@@ -7,9 +7,9 @@ powerset-of-atoms, regular-open completion of a finite poset (masks over its
 minimal elements), and raw operation tables, accepted when they are
 isomorphic to the powerset of their atoms. So the Boolean laws hold for
 every algebra by construction, and only raw tables are ever scanned for
-them, to name the law a refused table breaks. Each algebra keeps one label
-per element for the wire format and reports: the frozenset of atom names,
-the regular-open set, or the table's name for it.
+them, to name the law a refused table breaks. An element's label, for the
+wire format and reports, is computed when read: the frozenset of atom
+names, the regular-open set, or the table's name for it.
 """
 from __future__ import annotations
 
@@ -78,21 +78,45 @@ class FinPoset:
 
 class FinBooleanAlgebra(Record):
     """Finite Boolean algebra on int masks over its atoms: element x is the
-    join of the atoms whose bits it sets, and `labels[x]` is its label.
-    `elements` holds every mask once, in the order of the source: by size
-    and then lexicographically over the atoms, or in table order. `masks`
-    maps each label back to its element."""
+    join of the atoms whose bits it sets. `elements` holds every mask once,
+    in the order of the source: by size and then lexicographically over the
+    atoms, or in table order. A table keeps its element names by mask, any
+    other algebra (point, mask) pairs from which `label` reads its sets."""
 
-    _fields = ("kind", "elements", "labels", "meta", "one")
+    _fields = ("kind", "elements", "names", "points", "meta", "one")
     zero = 0
 
     def __init__(self, kind: str,   # powerset | ro | table | conditions
-                 elements: tuple[int, ...], labels: tuple,
+                 elements: tuple[int, ...], names: tuple | None = None,
+                 points: Iterable[tuple[Hashable, int]] = (), decode=None,
                  meta: dict | None = None) -> None:
         self.__dict__.update(
-            kind=kind, elements=elements, labels=labels, meta=meta or {},
-            one=len(labels) - 1,
-            masks={lab: x for x, lab in enumerate(labels)})
+            kind=kind, elements=elements, names=names, points=points,
+            decode=decode, meta=meta or {}, one=len(elements) - 1)
+
+    def label(self, x: int):
+        """The name of x in a table, else the set of the points whose masks
+        lie below x, each passed through `decode` when one is given."""
+        if self.names is not None:
+            return self.names[x]
+        held = (p for p, m in self.points if not m & ~x)
+        return frozenset(map(self.decode, held) if self.decode else held)
+
+    def element(self, label) -> int | None:
+        """The element labelled `label`, or None: a name looked up in a table,
+        else the join of the masks of the points in `label`, refused unless
+        its own label is `label` (a set that is not regular open is not)."""
+        if self.names is not None:
+            return self._by_name.get(label)
+        if not isinstance(label, frozenset):
+            return None
+        x = functools.reduce(operator.or_, (m for p, m in self.points if (
+            self.decode(p) if self.decode else p) in label), 0)
+        return x if self.label(x) == label else None
+
+    @functools.cached_property
+    def _by_name(self) -> dict:
+        return {name: x for x, name in enumerate(self.names)}
 
     def meet(self, a: int, b: int) -> int:
         return a & b
@@ -137,10 +161,8 @@ def _powerset_algebra(atoms: tuple[str, ...]) -> FinBooleanAlgebra:
     is atoms[i]; an element's label is the frozenset of its atoms."""
     if not atoms:
         raise TrivialAlgebra("powerset algebra needs at least one atom")
-    labels = tuple(frozenset(a for i, a in enumerate(atoms) if x >> i & 1)
-                   for x in range(1 << len(atoms)))
-    return FinBooleanAlgebra("powerset", _by_size(len(atoms)), labels,
-                             meta={"atoms": atoms})
+    return FinBooleanAlgebra("powerset", _by_size(len(atoms)), points=tuple(
+        (a, 1 << i) for i, a in enumerate(atoms)))
 
 
 def two_valued_algebra() -> FinBooleanAlgebra:
@@ -174,10 +196,8 @@ def table_algebra(elements: Iterable[str], meet_rows: list[list[str]],
         law, args = violation["law"], violation["args"]
     elif (i := next((i for i, x in enumerate(masks)
                      if comp[i] != at[x ^ one]), None)) is None:
-        labels = [None] * len(els)
-        for name, x in zip(els, masks):
-            labels[x] = name
-        return FinBooleanAlgebra("table", tuple(masks), tuple(labels))
+        return FinBooleanAlgebra("table", tuple(masks), tuple(
+            els[j] for j in sorted(range(len(els)), key=masks.__getitem__)))
     else:
         law = "complement_" + ("meet" if meet[i][comp[i]] != zero else "join")
         args = [els[i]]
@@ -229,11 +249,9 @@ def ro_completion(poset: FinPoset) -> tuple[FinBooleanAlgebra, dict]:
     bit = {m: 1 << i for i, m in enumerate(mins)}
     embedding = {q: sum(bit[m] for m in poset.min_below(q))
                  for q in poset.elements}
-    labels = tuple(frozenset(q for q, s in embedding.items() if not s & ~x)
-                   for x in range(1 << len(mins)))
-    alg = FinBooleanAlgebra("ro", _by_size(len(mins)), labels,
-                            meta={"poset": poset})
-    return alg, embedding
+    return FinBooleanAlgebra("ro", _by_size(len(mins)),
+                             points=embedding.items(),
+                             meta={"poset": poset}), embedding
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +348,16 @@ def check_tables(elements: Iterable[str], meet_rows: list[list[str]],
 # filters
 
 def is_filter(alg: FinBooleanAlgebra, members: frozenset) -> bool:
-    if not members or not all(alg.is_element(x) for x in members):
-        return False
-    if alg.zero in members:
-        return False
-    for a in members:
-        for b in members:
-            if alg.meet(a, b) not in members:
-                return False
-        for b in alg.elements:
-            if alg.leq(a, b) and b not in members:
-                return False
-    return True
+    return bool(members) and all(map(alg.is_element, members)) \
+        and alg.zero not in members and all(
+            alg.meet(a, b) in members for a in members for b in members) \
+        and all(b in members for a in members for b in alg.elements
+                if alg.leq(a, b))
 
 
 def is_ultrafilter(alg: FinBooleanAlgebra, members: frozenset) -> bool:
-    if not is_filter(alg, members):
-        return False
-    return all(b in members or alg.comp(b) in members for b in alg.elements)
+    return is_filter(alg, members) and all(
+        b in members or alg.comp(b) in members for b in alg.elements)
 
 
 def principal_filter(alg: FinBooleanAlgebra, generator: int) -> frozenset:
@@ -359,5 +369,5 @@ def principal_filter(alg: FinBooleanAlgebra, generator: int) -> frozenset:
 def enumerate_ultrafilters(alg: FinBooleanAlgebra) -> list[frozenset]:
     """On a finite algebra every ultrafilter is principal at an atom."""
     return [principal_filter(alg, a)
-            for a in sorted(alg.atoms(), key=lambda a: repr(alg.labels[a]))]
+            for a in sorted(alg.atoms(), key=lambda a: repr(alg.label(a)))]
 

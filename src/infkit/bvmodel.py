@@ -269,7 +269,7 @@ def _by_label(alg: FinBooleanAlgebra, elements) -> list:
     elements = list(elements)
     if len(elements) < 2:
         return elements
-    return sorted(elements, key=lambda x: _canonical_key(alg.labels[x]))
+    return sorted(elements, key=lambda x: _canonical_key(alg.label(x)))
 
 
 def check_mixing(model: BValuedModel) -> dict:
@@ -282,7 +282,7 @@ def check_mixing(model: BValuedModel) -> dict:
     for targets in itertools.product(model.domain, repeat=len(atoms)):
         if mixes_over(model, atoms, targets) is None:
             return {"mixing": False,
-                    "antichain": [alg.labels[a] for a in atoms],
+                    "antichain": [alg.label(a) for a in atoms],
                     "targets": list(targets)}
     return {"mixing": True}
 

@@ -269,7 +269,7 @@ def cmd_ro(args) -> int:
     }
     if len(poset.elements) <= args.brute_max:
         brute = regular_open_sets_bruteforce(poset)
-        report["brute_match"] = brute == set(alg.labels)
+        report["brute_match"] = brute == set(map(alg.label, alg.elements))
         report["ok"] = report["ok"] and report["brute_match"]
     _print(report)
     return 0 if report["ok"] else 1

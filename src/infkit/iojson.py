@@ -14,7 +14,7 @@ from typing import Any, Callable, NoReturn
 
 from .boolalg import FinBooleanAlgebra, FinPoset, powerset_algebra, \
     ro_completion, table_algebra
-from .bvmodel import BValuedModel
+from .bvmodel import BValuedModel, CapExceeded
 from .calculus import Proof, Sequent, Step, RULES
 from .consprop import ConsistencyProperty, _bits, default_pool
 from .syntax import And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, \
@@ -262,11 +262,11 @@ def _table_rows(x: Any, path: str) -> list[list[str]]:
 
 def emit_algebra(alg: FinBooleanAlgebra) -> dict:
     if alg.kind == "powerset":
-        return {"type": "powerset", "atoms": sorted(alg.meta["atoms"])}
+        return {"type": "powerset", "atoms": sorted(a for a, _ in alg.points)}
     if alg.kind == "ro":
         return {"type": "ro", "poset": emit_poset(alg.meta["poset"])}
     if alg.kind == "table":
-        els, name = alg.elements, alg.labels
+        els, name = alg.elements, alg.names
         return {
             "type": "table",
             "elements": [name[a] for a in els],
@@ -287,17 +287,23 @@ def _skey(x: Any):
     return ("a", str(x))
 
 
+TABLE_CAP = 2048    # elements; a table holds their count squared names
+
+
 def as_table_algebra(alg: FinBooleanAlgebra) -> FinBooleanAlgebra:
     """The same algebra, masks included, as a table over the opaque labels
     b0..bN: zero first, one last, the rest in the order of their old labels.
     Makes algebras with unprintable labels (condition algebras, labelled by
-    sets of sentence sets) serializable."""
+    sets of sentence sets) serializable. Raises CapExceeded above
+    TABLE_CAP elements."""
+    if len(alg.elements) > TABLE_CAP:
+        raise CapExceeded(f"the algebra has {len(alg.elements)} elements, "
+                          f"over the table cap of {TABLE_CAP}")
     middle = sorted((e for e in alg.elements if e not in (alg.zero, alg.one)),
-                    key=lambda e: _skey(alg.labels[e]))
+                    key=lambda e: _skey(alg.label(e)))
     ordered = (alg.zero, *middle, alg.one)
-    names = {e: f"b{i}" for i, e in enumerate(ordered)}
-    return FinBooleanAlgebra("table", ordered,
-                             tuple(names[e] for e in range(alg.one + 1)))
+    return FinBooleanAlgebra("table", ordered, tuple(   # b<i> names ordered[i]
+        f"b{i}" for i in sorted(range(len(ordered)), key=ordered.__getitem__)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +312,16 @@ def as_table_algebra(alg: FinBooleanAlgebra) -> FinBooleanAlgebra:
 def parse_element(alg: FinBooleanAlgebra, x: Any, path: str = "$") -> int:
     """The element whose label is x: an element name, a sorted name list
     for a set label, or the alias '0'/'1'."""
-    if x == "0" and "0" not in alg.masks:
-        return alg.zero
-    if x == "1" and "1" not in alg.masks:
-        return alg.one
+    if x in ("0", "1") and alg.element(x) is None:
+        return alg.zero if x == "0" else alg.one
     if isinstance(x, str):
-        if x in alg.masks:
-            return alg.masks[x]
+        if (e := alg.element(x)) is not None:
+            return e
         _fail(path, f"{x!r} is not an element of the algebra")
     if isinstance(x, list):
         val = frozenset(_str(n, f"{path}[{i}]") for i, n in enumerate(x))
-        if val in alg.masks:
-            return alg.masks[val]
+        if (e := alg.element(val)) is not None:
+            return e
         _fail(path, f"{sorted(x)} is not an element of the algebra")
     _fail(path, "an element is a sorted name list, an element name, "
                 "or the alias '0'/'1'")
@@ -327,10 +331,8 @@ def emit_element(alg: FinBooleanAlgebra, val: Any):
     """The label of an element, a set label as a sorted name list."""
     if not alg.is_element(val):
         raise ValueError(f"value {val!r} is not in the algebra")
-    label = alg.labels[val]
-    if isinstance(label, frozenset):
-        return sorted(str(v) for v in label)
-    return label
+    label = alg.label(val)
+    return sorted(map(str, label)) if isinstance(label, frozenset) else label
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +379,13 @@ def parse_model(x: Any, path: str = "$") -> BValuedModel:
 
 def emit_model(model: BValuedModel) -> dict:
     alg = model.algebra
-    try:
-        alg_obj = emit_algebra(alg)
-    except ValueError:
+    if alg.kind == "conditions":
         alg = as_table_algebra(alg)
-        alg_obj = emit_algebra(alg)
-    eq_rows = []
-    for m in sorted(model.domain):
-        for n in sorted(model.domain):
-            val = model.eq[(m, n)]
-            if val != (alg.one if m == n else alg.zero):
-                eq_rows.append({"pair": [m, n],
-                                "value": emit_element(alg, val)})
+    alg_obj = emit_algebra(alg)
+    dom = sorted(model.domain)
+    eq_rows = [{"pair": [m, n], "value": emit_element(alg, model.eq[m, n])}
+               for m in dom for n in dom
+               if model.eq[m, n] != (alg.one if m == n else alg.zero)]
     rel_obj = {}
     for rel, table in sorted(model.relations.items()):
         rows = [{"args": list(args), "value": emit_element(alg, v)}
@@ -398,7 +395,7 @@ def emit_model(model: BValuedModel) -> dict:
     out = {
         "signature": emit_signature(model.signature),
         "algebra": alg_obj,
-        "domain": sorted(model.domain),
+        "domain": dom,
     }
     if eq_rows:
         out["eq"] = eq_rows

@@ -50,9 +50,10 @@ def condition_algebra(cp: ConsistencyProperty,
     """The completion read off the minimal conditions below the root, the
     maximal members holding it: as in ro_completion, it is their powerset
     (in repr order), Reg(N_t) is the mask of those that hold t, and an
-    element's label is the set of conditions, as sentence sets, whose
-    masks it contains. A sentence's L-value, the join over the conditions
-    holding it, is the mask of the minimal conditions holding it."""
+    element's label is the set of conditions, decoded to sentence sets when
+    it is read, whose masks it contains. A sentence's L-value, the join
+    over the conditions holding it, is the mask of the minimal conditions
+    holding it."""
     maxes = maximal_members(cp, root)
     if not maxes:
         raise ValueError("the root is not a condition of the forcing poset")
@@ -60,12 +61,10 @@ def condition_algebra(cp: ConsistencyProperty,
     mins = tuple(sorted(maxes, key=repr))
     emb = {t: sum(1 << i for i, m in enumerate(mins) if m & t == t)
            for t in conds}
-    sets = {t: cp.decode(t) for t in conds}
-    labels = tuple(frozenset(sets[t] for t, x in emb.items() if not x & ~e)
-                   for e in range(1 << len(mins)))
     return ConditionAlgebra(
         root=root, conditions=tuple(conds), minimal=mins,
-        algebra=FinBooleanAlgebra("conditions", _by_size(len(mins)), labels),
+        algebra=FinBooleanAlgebra("conditions", _by_size(len(mins)),
+                                  points=emb.items(), decode=cp.decode),
         embedding=emb, l_values={f: sum(1 << i for i, m in enumerate(mins)
                                         if m >> b & 1)
                                  for b, f in enumerate(cp.sentences)})
@@ -86,16 +85,11 @@ def mansfield_build(cp: ConsistencyProperty, root: int = 0,
     ca = condition_algebra(cp, root)
     consts = cp.all_constants()
     sig = cp.extended_signature()
-    eq = {}
-    for x in consts:
-        for y in consts:
-            eq[(x, y)] = ca.l_value(Eq(Const(x), Const(y)))
-    relations = {}
-    for rel, arity in sig.relations:
-        table = {}
-        for args in itertools.product(consts, repeat=arity):
-            table[args] = ca.l_value(Atom(rel, tuple(Const(a) for a in args)))
-        relations[rel] = table
+    eq = {(x, y): ca.l_value(Eq(Const(x), Const(y)))
+          for x in consts for y in consts}
+    relations = {rel: {args: ca.l_value(Atom(rel, tuple(map(Const, args))))
+                       for args in itertools.product(consts, repeat=arity)}
+                 for rel, arity in sig.relations}
     model = BValuedModel(signature=sig, algebra=ca.algebra, domain=consts,
                          eq=eq, relations=relations,
                          constants={c: c for c in consts})
@@ -147,15 +141,15 @@ def verify_claim2(cp: ConsistencyProperty, built: dict,
     ca = built["conditions"]
     model = built["model"]
     pool = pool if pool is not None else cp.pool
-    labels = ca.algebra.labels
+    label = ca.algebra.label
     failures = []
     for f in pool:
         lv = ca.l_value(f)
         mv = eval_formula(model, f)
         if not ca.algebra.leq(lv, mv):
             failures.append({"sentence": f.key(),
-                             "l_value": sorted(map(repr, labels[lv])),
-                             "model_value": sorted(map(repr, labels[mv]))})
+                             "l_value": sorted(map(repr, label(lv))),
+                             "model_value": sorted(map(repr, label(mv)))})
     return {"ok": not failures, "checked": len(pool), "failures": failures}
 
 
@@ -164,7 +158,7 @@ def verify_claim2(cp: ConsistencyProperty, built: dict,
 
 def _element_names(alg: FinBooleanAlgebra) -> dict:
     def skey(e):
-        lab = alg.labels[e]
+        lab = alg.label(e)
         if isinstance(lab, frozenset):
             return (0, len(lab), tuple(sorted(map(repr, lab))))
         return (1, 0, (repr(lab),))
@@ -301,9 +295,8 @@ def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
         max_match = max_match and set(poset.minimals()) == maxes
         # minimal conditions inside Reg(N_s) are exactly those containing s
         reg_matches = reg_matches and ro_size == len(alg.elements) and all(
-            alg.sup(a for a, held in by_atom.items()
-                    if held in ro_alg.labels[emb[s]]) == v
-            for s, v in pi.items())
+            alg.sup(a for a, held in by_atom.items() if held in reg) == v
+            for s, v in pi.items() for reg in (ro_alg.label(emb[s]),))
 
     ok = max_match and h_bijective and h_hom and reg_matches
     return {"ok": ok, "atoms": len(atoms), "members": len(pi),

@@ -1,7 +1,7 @@
 """Test inputs: the three-element model without mixing and the sentence
 whose sup no witness attains, a deterministic pool of models and formulas,
-every small labeled poset and its down-sets, the two-member families of
-the forcing side, and the file text of an explicit family."""
+every small labeled poset and its down-sets, the two-member and star
+families of the forcing side, and the file text of an explicit family."""
 import itertools
 
 from infkit.boolalg import FinPoset
@@ -162,6 +162,20 @@ def two_member_family(k: int = 6) -> ConsistencyProperty:
     return ConsistencyProperty(
         Signature((("P", 1),), ()), names,
         tuple(sorted(a | e, key=Formula.key)), family=(e, a | e))
+
+
+def star_family(k: int) -> ConsistencyProperty:
+    """Fresh c0..c(k-1), one unary P, the family [E, E u {P(c0)}, ...,
+    E u {P(c(k-1))}], where E holds every ci=ci: below root 0 the k
+    maximal members are the minimal conditions, so the condition algebra
+    has 2^k elements."""
+    names = tuple(f"c{i}" for i in range(k))
+    e = frozenset(Eq(Const(c), Const(c)) for c in names)
+    a = [Atom("P", (Const(c),)) for c in names]
+    return ConsistencyProperty(
+        Signature((("P", 1),), ()), names,
+        tuple(sorted(e.union(a), key=Formula.key)),
+        family=(e, *(e | {x} for x in a)))
 
 
 def cp_text(cp: ConsistencyProperty) -> str:

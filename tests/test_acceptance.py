@@ -75,7 +75,8 @@ def test_ro_completion_matches_bruteforce_on_all_small_posets(corpus_dir):
         for poset in posets:
             alg, emb = ro_completion(poset)
             assert check_algebra(alg)["ok"]
-            assert set(alg.labels) == regular_open_sets_bruteforce(poset)
+            assert set(map(alg.label, alg.elements)) \
+                == regular_open_sets_bruteforce(poset)
             downs = down_sets(poset)
             for p, q in itertools.product(poset.elements, repeat=2):
                 if p in downs[q]:

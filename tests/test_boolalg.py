@@ -46,9 +46,9 @@ def test_powerset_algebra_laws(n):
     assert check_algebra(alg)["ok"]
     assert len(alg.atoms()) == n
     assert alg.zero == 0 and alg.one == 2 ** n - 1
-    assert alg.labels[alg.zero] == frozenset()
-    assert alg.labels[alg.one] == frozenset(f"a{i}" for i in range(n))
-    assert [alg.labels[a] for a in alg.atoms()] == [
+    assert alg.label(alg.zero) == frozenset()
+    assert alg.label(alg.one) == frozenset(f"a{i}" for i in range(n))
+    assert [alg.label(a) for a in alg.atoms()] == [
         frozenset({f"a{i}"}) for i in range(n)]
 
 
@@ -60,21 +60,21 @@ def test_two_valued_algebra():
 
 def test_algebra_operations_match_sets():
     alg = powerset_algebra(["a", "b", "c"])
-    lab, mask = alg.labels, alg.masks
+    lab, mask = alg.label, alg.element
     for x, y in itertools.product(alg.elements, repeat=2):
-        assert lab[alg.meet(x, y)] == lab[x] & lab[y]
-        assert lab[alg.join(x, y)] == lab[x] | lab[y]
-        assert lab[alg.comp(x)] == lab[alg.one] - lab[x]
-        assert alg.leq(x, y) == (lab[x] <= lab[y])
+        assert lab(alg.meet(x, y)) == lab(x) & lab(y)
+        assert lab(alg.join(x, y)) == lab(x) | lab(y)
+        assert lab(alg.comp(x)) == lab(alg.one) - lab(x)
+        assert alg.leq(x, y) == (lab(x) <= lab(y))
         assert alg.inf([x, y]) == alg.meet(x, y)
-    assert alg.leq(mask[frozenset({"a"})], mask[frozenset({"a", "b"})])
+    assert alg.leq(mask(frozenset({"a"})), mask(frozenset({"a", "b"})))
     assert alg.sup([]) == alg.zero and alg.inf([]) == alg.one
     assert not alg.is_element(alg.one + 1) and not alg.is_element(True)
 
 
 def test_table_algebra_roundtrip_and_broken_table():
     src = powerset_algebra(["a", "b"])
-    els = sorted(src.elements, key=lambda x: sorted(src.labels[x]))
+    els = sorted(src.elements, key=lambda x: sorted(src.label(x)))
     name = {e: f"e{i}" for i, e in enumerate(els)}
     meet = [[name[src.meet(x, y)] for y in els] for x in els]
     join = [[name[src.join(x, y)] for y in els] for x in els]
@@ -84,9 +84,9 @@ def test_table_algebra_roundtrip_and_broken_table():
     assert len(alg.atoms()) == 2
     # the same operations, through the labels
     for x, y in itertools.product(els, repeat=2):
-        a, b = alg.masks[name[x]], alg.masks[name[y]]
-        assert alg.labels[alg.meet(a, b)] == name[src.meet(x, y)]
-        assert alg.labels[alg.comp(a)] == name[src.comp(x)]
+        a, b = alg.element(name[x]), alg.element(name[y])
+        assert alg.label(alg.meet(a, b)) == name[src.meet(x, y)]
+        assert alg.label(alg.comp(a)) == name[src.comp(x)]
 
     comp_bad = list(comp)
     comp_bad[0], comp_bad[-1] = comp_bad[-1], comp_bad[0]
@@ -100,7 +100,7 @@ def test_table_algebra_roundtrip_and_broken_table():
 
 def test_filters():
     alg = powerset_algebra(["a", "b"])
-    a = alg.masks[frozenset({"a"})]
+    a = alg.element(frozenset({"a"}))
     up_a = principal_filter(alg, a)
     assert is_filter(alg, up_a) and is_ultrafilter(alg, up_a)
     assert up_a == frozenset({a, alg.one})
@@ -120,7 +120,7 @@ def test_ultrafilters_are_principal_at_atoms(n):
 def test_dense_and_antichain_predicates():
     alg = powerset_algebra(["a", "b"])
     assert is_dense_subset(alg, alg.atoms())
-    assert not is_dense_subset(alg, [alg.masks[frozenset({"a"})]])
+    assert not is_dense_subset(alg, [alg.element(frozenset({"a"}))])
 
 
 # --- regular-open completion ----------------------------------------------------
@@ -132,7 +132,7 @@ def brute_match(poset: FinPoset) -> dict:
     brute = regular_open_sets_bruteforce(poset)
     out = {
         "sizes": len(alg.elements) == len(brute),
-        "sets": set(alg.labels) == brute,
+        "sets": set(map(alg.label, alg.elements)) == brute,
         "laws": check_algebra(alg)["ok"],
     }
     order = incompat = True
@@ -172,14 +172,15 @@ def test_ro_join_is_regularized_union():
     poset = FinPoset(["l", "r", "top"], [("l", "top"), ("r", "top")])
     alg, emb = ro_completion(poset)
     # Reg(A) = int(cl(A)): cl is the up-closure, int(B) = {q : N_q <= B}
-    lab = alg.labels
+    lab = alg.label
     downs = down_sets(poset)
     closure = frozenset(q for q in poset.elements
-                        if downs[q] & (lab[emb["l"]] | lab[emb["r"]]))
+                        if downs[q] & (lab(emb["l"]) | lab(emb["r"])))
     j = frozenset(q for q in poset.elements if downs[q] <= closure)
-    assert j == lab[alg.join(emb["l"], emb["r"])]
+    assert j == lab(alg.join(emb["l"], emb["r"]))
     # the plain union {l, r} is not regular open: top joins its closure
-    assert j != lab[emb["l"]] | lab[emb["r"]]
+    assert j != lab(emb["l"]) | lab(emb["r"])
+    assert alg.element(lab(emb["l"]) | lab(emb["r"])) is None
 
 
 # --- law checker under hypothesis mutations --------------------------------------

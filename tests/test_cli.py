@@ -10,12 +10,13 @@ import pytest
 
 import infkit
 from infkit import cli
+from infkit.boolalg import FinBooleanAlgebra
 from infkit.calculus import SAMPLE_CAP
 from infkit.cli import main
 from infkit.consprop import ConsistencyProperty
 from infkit.iojson import dumps
 from infkit.syntax import Atom, Const, Eq, Not, Signature
-from inputs import cp_text
+from inputs import cp_text, star_family, two_member_family
 from test_golden import _table_powerset
 
 
@@ -405,6 +406,56 @@ def test_cap_overruns_are_input_errors(capsys, monkeypatch, corpus_dir,
     code, out, err = run(capsys, *(a.format(corpus=corpus_dir,
                                             no_pool=no_pool) for a in argv))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_an_emitted_algebra_over_the_table_cap_is_an_input_error(
+        capsys, tmp_path):
+    """The star family on 12 constants has a 4,096-element condition
+    algebra: its table would hold 16.8 million names per operation, and the
+    2,048-element one took 2-3.6 s, about 620 MB and a 137 MB file (Python
+    3.11, 2 CPUs). Over the cap the command stops before any table or label
+    is built, and writes no report and no file."""
+    family = tmp_path / "star_12.json"
+    family.write_text(cp_text(star_family(12)))
+    emitted = tmp_path / "emitted.json"
+    start = time.perf_counter()
+    got = run(capsys, "mansfield", "--cp", str(family), "--root", "0",
+              "--emit-model", str(emitted))
+    assert time.perf_counter() - start < 2
+    assert got == (2, "", "error: the algebra has 4096 elements, over the "
+                          "table cap of 2048\n")
+    assert not emitted.exists()
+
+
+def test_labels_are_computed_only_where_they_are_read(capsys, monkeypatch,
+                                                      tmp_path):
+    """mansfield on 4,096 conditions below one atom that mixes, and ro of a
+    16-element antichain at the default --brute-max, print no label: they
+    decode no condition and read no label. The counters do count where a
+    label is printed or compared."""
+    decodes, labels = [], []
+    decode, label = ConsistencyProperty.decode, FinBooleanAlgebra.label
+    monkeypatch.setattr(ConsistencyProperty, "decode",
+                        lambda cp, m: decodes.append(m) or decode(cp, m))
+    monkeypatch.setattr(FinBooleanAlgebra, "label",
+                        lambda alg, x: labels.append(x) or label(alg, x))
+    family = tmp_path / "two_member_12.json"
+    family.write_text(cp_text(two_member_family(12)))
+    code, out, _ = run(capsys, "mansfield", "--cp", str(family), "--root",
+                       "0")
+    assert (code, json.loads(out)["mixing"]) == (0, {"mixing": True})
+    assert json.loads(out)["conditions"] == 4096 and decodes == []
+    poset = tmp_path / "antichain_16.json"
+    poset.write_text(dumps({"elements": [f"p{i}" for i in range(16)],
+                            "leq": []}))
+    code, out, _ = run(capsys, "ro", str(poset))
+    assert (code, json.loads(out)["size"], labels) == (0, 65536, [])
+    assert run(capsys, "ro", str(poset), "--brute-max", "16")[0] == 0
+    assert len(labels) == 65536
+    family.write_text(cp_text(star_family(3)))
+    assert run(capsys, "mansfield", "--cp", str(family), "--root", "0",
+               "--emit-model", str(tmp_path / "emitted.json"))[0] == 0
+    assert decodes
 
 
 _X_POOL = {"formulas": [{"eq": [{"const": "d"}, {"const": "d"}]},

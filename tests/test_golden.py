@@ -13,7 +13,9 @@ two-member family at 4,096 conditions: while the condition algebra was
 still the completion of the forcing poset; the `cp-from-model` pins:
 while an emitted family was still one dict and one string; the strong
 `sat` pins at 9 and 10 elements: while strong mode still scanned every
-structure of every domain size). Also that
+structure of every domain size; the `ro` pin on a 16-element antichain:
+while the completion still built a label for each of its 65,536
+elements). Also that
 `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import importlib.util
@@ -67,6 +69,7 @@ GOLDEN = {
     "ro_poset14": ("ro", "poset14.json", "--brute-max", "14"),
     # pinned while each still scanned its 512-element algebra for the laws
     "ro_antichain_9": ("ro", "antichain_9.json"),
+    "ro_antichain_16": ("ro", "antichain_16.json"),
     "check_model_point_9": ("check-model", "point_model_9.json"),
     "eval": ("eval", "--model", "four_element_model.json", "--formula",
              "disjunction.json"),
@@ -181,6 +184,8 @@ EXPECTED = {
         "bd099d00e10e68d92ff364d9df96cfabe1b31929fe18ff2023b66a24e6bfc444",
     "quotient_los":
         "20dfbdb0492ee3837c7039deb0ae70829536e27c9eb578c7735ac89d4bebe61a",
+    "ro_antichain_16":
+        "6c9901ceba76ca6c81794e2e83b80124c2c905d63bcb6d8ee2235e377a9407af",
     "ro_antichain_9":
         "48f3732e45319c1e6d17319e2d71550d145c7291be561a51c12d7feba69dde95",
     "ro_poset14":
@@ -237,8 +242,9 @@ def workdir(tmp_path_factory):
         shutil.copyfile(f, d / f.name)
     (d / "b16_table.json").write_text(dumps(_table_powerset(4, 0)))
     (d / "poset14.json").write_text(dumps(_two_level_poset(7, 7, 0)))
-    (d / "antichain_9.json").write_text(dumps(
-        {"elements": [f"p{i}" for i in range(9)], "leq": []}))
+    for n in (9, 16):
+        (d / f"antichain_{n}.json").write_text(dumps(
+            {"elements": [f"p{i}" for i in range(n)], "leq": []}))
     (d / "point_model_9.json").write_text(dumps({
         "algebra": {"type": "powerset", "atoms": [f"a{i}" for i in range(9)]},
         "domain": ["x"], "relations": {},

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infkit.boolalg import powerset_algebra
-from infkit.bvmodel import check_model
+from infkit.bvmodel import CapExceeded, check_model
 from infkit.cli import main
 from infkit.consprop import cp_from_model
 from infkit.iojson import (
-    ParseError, as_table_algebra, dumps, emit_algebra, emit_cp, emit_element,
-    emit_formula, emit_model, emit_poset, emit_pool, emit_proof,
-    emit_signature, emit_theory, emit_ultrafilter, load_json, parse_algebra,
-    parse_cp, parse_element, parse_formula, parse_model, parse_poset,
-    parse_pool, parse_proof, parse_signature, parse_theory, parse_ultrafilter,
-    save_json,
+    TABLE_CAP, ParseError, as_table_algebra, dumps, emit_algebra, emit_cp,
+    emit_element, emit_formula, emit_model, emit_poset, emit_pool,
+    emit_proof, emit_signature, emit_theory, emit_ultrafilter, load_json,
+    parse_algebra, parse_cp, parse_element, parse_formula, parse_model,
+    parse_poset, parse_pool, parse_proof, parse_signature, parse_theory,
+    parse_ultrafilter, save_json,
 )
 from infkit.mansfield import mansfield_build
 from infkit.syntax import And, Atom, Const, Eq, Exists, Forall, Not, Or, Var
@@ -105,12 +105,21 @@ def test_element_aliases():
 def test_table_conversion_is_deterministic_and_lawful():
     alg = powerset_algebra(("a0", "a1", "a2"))
     t1, t2 = as_table_algebra(alg), as_table_algebra(alg)
-    assert t1.labels == t2.labels
-    assert t1.labels[alg.zero] == "b0"
-    assert t1.labels[alg.one] == f"b{len(alg.elements) - 1}"
+    assert list(map(t1.label, t1.elements)) == list(map(t2.label,
+                                                        t2.elements))
+    assert t1.label(alg.zero) == "b0"
+    assert t1.label(alg.one) == f"b{len(alg.elements) - 1}"
     from test_reference_paths import check_algebra
     assert check_algebra(t1)["ok"]
     assert dumps(emit_algebra(t1)) == dumps(emit_algebra(t2))
+
+
+def test_table_conversion_stops_at_the_table_cap():
+    assert len(as_table_algebra(powerset_algebra(
+        [f"a{i}" for i in range(11)])).elements) == TABLE_CAP == 2048
+    with pytest.raises(CapExceeded, match="the algebra has 4096 elements, "
+                                          "over the table cap of 2048"):
+        as_table_algebra(powerset_algebra([f"a{i}" for i in range(12)]))
 
 
 def test_ro_algebra_over_string_poset_roundtrips():
@@ -152,7 +161,7 @@ def test_model_with_ro_algebra_is_emitted_through_tables(eq4):
 def test_ultrafilter_requires_atom_generator():
     alg = powerset_algebra(("a0", "a1"))
     uf = parse_ultrafilter({"generator": ["a0"]}, alg)
-    assert alg.masks[frozenset({"a0"})] in uf and alg.one in uf
+    assert alg.element(frozenset({"a0"})) in uf and alg.one in uf
     assert emit_ultrafilter(alg, uf) == {"generator": ["a0"]}
     with pytest.raises(ParseError):
         parse_ultrafilter({"generator": "1"}, alg)

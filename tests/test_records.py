@@ -64,7 +64,8 @@ def _family():
 IDENTITIES = {
     BValuedModel: (("signature", "algebra", "domain", "eq", "relations",
                     "constants"), _model),
-    FinBooleanAlgebra: (("kind", "elements", "labels", "meta", "one"),
+    FinBooleanAlgebra: (("kind", "elements", "names", "points", "meta",
+                         "one"),
                         lambda: FinBooleanAlgebra("table", (0, 1), "zo")),
     ConsistencyProperty: (("signature", "fresh_constants", "pool", "family",
                            "model", "sentences"), _family),

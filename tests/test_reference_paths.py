@@ -21,7 +21,8 @@ members as ints over the interned sentences (the walk, maximality, the
 clause checks, emission, and on the forcing side the conditions, generic
 filters and claim 1) against the same path on sets of sentences, and the
 condition algebra read off the maximal members against the completion of
-the forcing poset."""
+the forcing poset. Also the labels every algebra once built eagerly, one
+per element, against the labels computed when read."""
 import functools
 import itertools
 import json
@@ -310,27 +311,64 @@ def reference_table(elements, meet_rows, join_rows, comp_row):
 def raw_tables(alg):
     """The table view of a mask algebra: every operation tabulated over the
     labels, in element order."""
-    lab, els = alg.labels, alg.elements
-    return ([lab[x] for x in els],
-            [[lab[alg.meet(a, b)] for b in els] for a in els],
-            [[lab[alg.join(a, b)] for b in els] for a in els],
-            [lab[alg.comp(a)] for a in els])
+    lab, els = alg.label, alg.elements
+    return ([lab(x) for x in els],
+            [[lab(alg.meet(a, b)) for b in els] for a in els],
+            [[lab(alg.join(a, b)) for b in els] for a in els],
+            [lab(alg.comp(a)) for a in els])
 
 
 def assert_same_algebra(alg, ref):
     """The mask algebra and the table algebra agree through the labels."""
-    lab = alg.labels
-    assert [lab[x] for x in alg.elements] == list(ref.elements)
-    assert (lab[alg.zero], lab[alg.one]) == (ref.zero, ref.one)
-    assert [lab[a] for a in alg.atoms()] == list(ref.atoms())
+    lab = alg.label
+    assert [lab(x) for x in alg.elements] == list(ref.elements)
+    assert (lab(alg.zero), lab(alg.one)) == (ref.zero, ref.one)
+    assert [lab(a) for a in alg.atoms()] == list(ref.atoms())
     for x in alg.elements:
-        assert lab[alg.comp(x)] == ref.comp(lab[x])
+        assert lab(alg.comp(x)) == ref.comp(lab(x))
         for y in alg.elements:
-            assert lab[alg.meet(x, y)] == ref.meet(lab[x], lab[y])
-            assert lab[alg.join(x, y)] == ref.join(lab[x], lab[y])
-            assert alg.leq(x, y) == ref.leq(lab[x], lab[y])
+            assert lab(alg.meet(x, y)) == ref.meet(lab(x), lab(y))
+            assert lab(alg.join(x, y)) == ref.join(lab(x), lab(y))
+            assert alg.leq(x, y) == ref.leq(lab(x), lab(y))
     assert alg.inf(alg.elements) == alg.zero
     assert alg.sup(alg.atoms()) == alg.one
+
+
+def reference_labels(alg):
+    """Every element's label, by mask, built eagerly as the constructors
+    built them before labels were computed on read: a table's names, a
+    powerset's sets of atoms, a completion's regular-open sets through the
+    embedding of its poset, and a condition algebra's sets of decoded
+    conditions."""
+    if alg.kind == "table":
+        return alg.names
+    masks = range(alg.one + 1)
+    if alg.kind == "powerset":
+        atoms = [a for a, _ in sorted(alg.points, key=lambda p: p[1])]
+        return tuple(frozenset(a for i, a in enumerate(atoms) if x >> i & 1)
+                     for x in masks)
+    if alg.kind == "ro":
+        poset, downs = alg.meta["poset"], down_sets(alg.meta["poset"])
+        mins = sorted(poset.minimals(), key=repr)
+        embedding = {q: sum(1 << i for i, m in enumerate(mins)
+                            if m in downs[q]) for q in poset.elements}
+        return tuple(frozenset(q for q, s in embedding.items()
+                               if not s & ~x) for x in masks)
+    sets = {t: alg.decode(t) for t, _ in alg.points}
+    return tuple(frozenset(sets[t] for t, x in alg.points if not x & ~e)
+                 for e in masks)
+
+
+def assert_labels_match(alg):
+    """label() agrees with the eager labels on every element and element()
+    inverts it; returns the old label -> element map."""
+    labels = reference_labels(alg)
+    assert list(map(alg.label, range(alg.one + 1))) == list(labels)
+    masks = {lab: x for x, lab in enumerate(labels)}
+    assert len(masks) == len(labels)
+    for lab, x in masks.items():
+        assert alg.element(lab) == x
+    return masks
 
 
 def check_algebra(alg):
@@ -442,7 +480,7 @@ def check_mixing_by_antichains(model):
         for targets in itertools.product(model.domain, repeat=len(chain)):
             if mixes_over(model, list(chain), list(targets)) is None:
                 return {"mixing": False,
-                        "antichain": [alg.labels[a] for a in chain],
+                        "antichain": [alg.label(a) for a in chain],
                         "targets": list(targets)}
     return {"mixing": True}
 
@@ -614,6 +652,7 @@ def assert_table_paths_agree(tables):
     if not violations:
         alg = table_algebra(*tables)
         assert_same_algebra(alg, ref)
+        assert_labels_match(alg)
         assert check_algebra(alg)["ok"]
     else:
         law, args = violations[0]["law"], violations[0]["args"]
@@ -635,6 +674,7 @@ def test_check_algebra_matches_reference_on_corpus_algebras(corpus_dir):
         poset = parse_poset(load_json(str(corpus_dir / name)))
         algebras.append(ro_completion(poset)[0])
     for alg in algebras:
+        assert_labels_match(alg)
         tables = raw_tables(alg)
         report = check_algebra(alg)
         assert report == reference_check_algebra(reference_table(*tables))
@@ -719,8 +759,27 @@ def test_mask_algebras_match_the_table_algebras():
             alg, emb = ro_completion(poset)
             ref, ref_emb = reference_ro_completion(poset)
             assert_same_algebra(alg, ref)
-            assert {p: alg.labels[e] for p, e in emb.items()} == ref_emb
+            assert {p: alg.label(e) for p, e in emb.items()} == ref_emb
             assert check_algebra(alg)["ok"]
+
+
+def test_labels_on_read_match_the_eager_labels_on_the_sweep():
+    """On the completion of every poset of the n <= 5 sweep, label() and
+    element() agree with the eager labels, and element() refuses every
+    subset of the poset that is not regular open, exactly where the old
+    label -> element map had no entry."""
+    refused = 0
+    for n in range(1, 6):
+        for poset in small_posets(n):
+            alg = ro_completion(poset)[0]
+            masks = assert_labels_match(alg)
+            els = poset.elements
+            for s in range(1 << n):
+                subset = frozenset(e for i, e in enumerate(els) if s >> i & 1)
+                assert alg.element(subset) == masks.get(subset)
+                refused += subset not in masks
+            assert alg.element(els[0]) is None
+    assert refused == 119_000
 
 
 def _completed_posets(corpus_dir):
@@ -1096,7 +1155,7 @@ def reference_verify_claim1(cp, root=frozenset()):
                 skipped += 1
     claim = {"ok": not failures, "checked": checked, "skipped": skipped,
              "failures": failures}
-    return claim, {f: alg.labels[v] for f, v in lvals.items()}
+    return claim, {f: alg.label(v) for f, v in lvals.items()}
 
 
 def shared_sentence_family():
@@ -1153,8 +1212,8 @@ def reference_condition_algebra(cp, root=0):
     conds = forcing_poset_conditions(maximal_members(cp, root), root)
     algebra, emb = ro_completion(forcing_poset(conds))
     sets = {t: cp.decode(t) for t in conds}
-    labels = tuple(frozenset(map(sets.__getitem__, lab))
-                   for lab in algebra.labels)
+    labels = tuple(frozenset(map(sets.__getitem__, algebra.label(x)))
+                   for x in range(algebra.one + 1))
     lv = [algebra.zero] * len(cp.sentences)
     for t in conds:
         for b in _bits(t):
@@ -1176,8 +1235,9 @@ def test_condition_algebra_matches_the_completion(corpus_dir):
             assert ca.minimal == tuple(sorted(maximal_members(cp, root),
                                               key=repr))
             assert (ca.conditions, ca.embedding, ca.algebra.elements,
-                    ca.algebra.labels, ca.l_values) == \
+                    reference_labels(ca.algebra), ca.l_values) == \
                 reference_condition_algebra(cp, root)
+            assert_labels_match(ca.algebra)
             roots += 1
     assert roots == 310 + 2 + 3 + 2 * 8
 
@@ -1195,7 +1255,7 @@ def test_claim1_matches_the_sentence_set_path(corpus_dir, name):
             ca = built["conditions"]
             claim, labels = reference_verify_claim1(cp, cp.decode(root))
             assert verify_claim1(cp, built) == claim
-            assert {f: ca.algebra.labels[ca.l_value(f)] for f in cp.pool} \
+            assert {f: ca.algebra.label(ca.l_value(f)) for f in cp.pool} \
                 == labels
     if name == "two_member":
         assert len(condition_algebra(cp, cp.family[0]).conditions) == 256
