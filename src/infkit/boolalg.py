@@ -1,4 +1,4 @@
-"""Finite posets, finite Boolean algebras, filters, regular-open completions.
+"""Finite posets and Boolean algebras, ultrafilters, regular-open completions.
 
 A finite Boolean algebra is the powerset of its atoms (the finite case of
 Stone representation), so every element is an int mask over the atoms: meet
@@ -26,7 +26,7 @@ class TrivialAlgebra(Exception):
 
 
 class ImproperFilter(Exception):
-    """A filter argument is not a proper filter of the algebra."""
+    """A model's equality is not an equivalence under an ultrafilter."""
 
 
 # ---------------------------------------------------------------------------
@@ -345,29 +345,9 @@ def check_tables(elements: Iterable[str], meet_rows: list[list[str]],
 
 
 # ---------------------------------------------------------------------------
-# filters
+# ultrafilters
 
-def is_filter(alg: FinBooleanAlgebra, members: frozenset) -> bool:
-    return bool(members) and all(map(alg.is_element, members)) \
-        and alg.zero not in members and all(
-            alg.meet(a, b) in members for a in members for b in members) \
-        and all(b in members for a in members for b in alg.elements
-                if alg.leq(a, b))
-
-
-def is_ultrafilter(alg: FinBooleanAlgebra, members: frozenset) -> bool:
-    return is_filter(alg, members) and all(
-        b in members or alg.comp(b) in members for b in alg.elements)
-
-
-def principal_filter(alg: FinBooleanAlgebra, generator: int) -> frozenset:
-    if generator == alg.zero:
-        raise ImproperFilter("the zero element generates no proper filter")
-    return frozenset(b for b in alg.elements if alg.leq(generator, b))
-
-
-def enumerate_ultrafilters(alg: FinBooleanAlgebra) -> list[frozenset]:
-    """On a finite algebra every ultrafilter is principal at an atom."""
-    return [principal_filter(alg, a)
-            for a in sorted(alg.atoms(), key=lambda a: repr(alg.label(a)))]
-
+def enumerate_ultrafilters(alg: FinBooleanAlgebra) -> list[int]:
+    """On a finite algebra every ultrafilter is principal at an atom, so
+    each is carried as its atom: b lies in the ultrafilter at a iff b & a."""
+    return sorted(alg.atoms(), key=lambda a: repr(alg.label(a)))

@@ -124,21 +124,21 @@ class TwoValuedStructure(Value):
         self.__dict__.update(signature=signature, classes=classes, reps=reps,
                              relations=relations, constants=constants)
 
-    def rep_of(self, m: str) -> str:
-        for cls, rep in zip(self.classes, self.reps):
-            if m in cls:
-                return rep
-        raise KeyError(m)
-
-    def to_two_valued_model(self) -> BValuedModel:
-        """The one-atom model (atom `t`) whose domain is the reps."""
+    def truth_args(self) -> tuple[int, tuple, tuple]:
+        """`(n, tables, named)`, the arguments of `quotient_truth`: class k
+        is the k-th rep."""
         index = {rep: k for k, rep in enumerate(self.reps)}
         tables = tuple(frozenset(tuple(index[a] for a in args)
                                  for args in self.relations[rel])
                        for rel, _ in self.signature.relations)
+        return len(self.reps), tables, tuple(
+            index[self.constants[c]] for c in self.signature.constants)
+
+    def to_two_valued_model(self) -> BValuedModel:
+        """The one-atom model (atom `t`) whose domain is the reps."""
+        n, tables, _ = self.truth_args()
         return assemble_model(self.signature, ("t",), self.reps,
-                              ((tuple(range(len(self.reps))), tables),),
-                              self.constants)
+                              ((tuple(range(n)), tables),), self.constants)
 
 
 def term_value(model: BValuedModel, t: Term, assignment: dict[str, str]) -> str:
@@ -399,9 +399,10 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
 
     A one-atom witness on n elements has a quotient on at most n classes
     that is a strong witness, and smaller sizes tried those on fewer, so
-    each size first tries the quotients on exactly n classes. If none is
-    one, strong mode and one-atom weak mode list no structure, and weak
-    mode goes to covers.
+    the first one-atom witness of a size is the identity partition with
+    its first witness quotient on exactly n classes. If there is none,
+    strong mode and one-atom weak mode list no structure, and weak mode
+    goes to covers.
 
     Weak mode goes on to k atoms only when no constant choice has a cover
     by fewer, so a k-atom cover has k distinct masks, and putting the first
@@ -433,36 +434,29 @@ def bounded_boolean_sat(signature: Signature, sentences: list[Formula],
                 f"domain size {n_dom} has {count or f'over 2^{bits}'} "
                 f"per-atom structures, over the cap of {STRUCTURE_CAP}; "
                 f"lower --max-domain")
-        witness = any(truth(n_dom, tables, named) == every
-                      for tables, named in quotients(signature, n_dom))
-        if not witness and (mode == "strong" or max_atoms == 1):
-            continue
-        structures = [(rgs, tables) for rgs in _partitions(n_dom)
-                      for tables in _tables(signature, max(rgs) + 1)]
-        choices = list(itertools.product(range(n_dom),
-                                         repeat=len(signature.constants)))
-
-        def mask(s: int, c: int) -> int:
-            rgs, tables = structures[s]
-            return truth(max(rgs) + 1, tables,
-                         tuple(rgs[i] for i in choices[c]))
-
-        hit = next((((s,), c) for s in range(len(structures))
-                    for c in range(len(choices)) if mask(s, c) == every),
-                   None) if witness else None
-        if hit is None and mode == "weak":
-            hit = _first_cover([[mask(s, c) for s in range(len(structures))]
-                                for c in range(len(choices))],
-                               every, max_atoms)
+        hit = next(((((tuple(range(n_dom)), tables),), named)
+                    for tables, named in quotients(signature, n_dom)
+                    if truth(n_dom, tables, named) == every), None)
+        if hit is None and mode == "weak" and max_atoms > 1:
+            structures = [(rgs, tables) for rgs in _partitions(n_dom)
+                          for tables in _tables(signature, max(rgs) + 1)]
+            choices = list(itertools.product(
+                range(n_dom), repeat=len(signature.constants)))
+            cover = _first_cover(
+                [[truth(max(rgs) + 1, tables, tuple(rgs[i] for i in choice))
+                  for rgs, tables in structures] for choice in choices],
+                every, max_atoms)
+            if cover:
+                combo, c = cover
+                hit = tuple(structures[s] for s in combo), choices[c]
         if hit:
-            combo, c = hit
+            per_atom, choice = hit
             domain = tuple(f"m{i}" for i in range(n_dom))
             model = assemble_model(
-                signature, tuple(f"a{i}" for i in range(len(combo))), domain,
-                tuple(structures[s] for s in combo),
-                {k: domain[i] for k, i in zip(signature.constants,
-                                              choices[c])})
-            return {"found": True, "model": model, "atoms": len(combo),
+                signature, tuple(f"a{i}" for i in range(len(per_atom))),
+                domain, per_atom,
+                {k: domain[i] for k, i in zip(signature.constants, choice)})
+            return {"found": True, "model": model, "atoms": len(per_atom),
                     "domain_size": n_dom}
     return {"exhausted": True, "max_atoms": max_atoms,
             "max_domain": max_domain, "mode": mode}

@@ -126,9 +126,9 @@ def cmd_sat(args) -> int:
 
 def cmd_quotient(args) -> int:
     model = parse_model(load_json(args.model))
-    ultra = parse_ultrafilter(load_json(args.ultrafilter), model.algebra)
+    atom = parse_ultrafilter(load_json(args.ultrafilter), model.algebra)
     try:
-        q = quotient(model, ultra)
+        q = quotient(model, atom)
     except (ImproperFilter, ValueError) as exc:
         return _input_error(f"no quotient of an invalid model: {exc}")
     report: dict = {
@@ -141,7 +141,7 @@ def cmd_quotient(args) -> int:
     }
     if args.los_pool:
         pool = parse_pool(load_json(args.los_pool), sig=model.signature)
-        los = los_check(model, ultra, list(pool))
+        los = los_check(model, atom, list(pool))
         report["los"] = los
         report["ok"] = los["ok"]
     _print(report)

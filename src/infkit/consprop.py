@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 from .boolalg import FinPoset
 from .bvmodel import BValuedModel, CapExceeded, TwoValuedStructure, \
-    eval_formula
+    eval_formula, quotient_truth
 from .record import Record, Value
 from .syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature,
@@ -122,6 +122,15 @@ def _bits(m: int) -> list[int]:
     return out
 
 
+_FLIP = str.maketrans("01", "10")
+
+
+def _bit_order(m: int) -> str:
+    """The sort key of the `_bits` lists, with no list built: m's bits
+    lowest first, a set bit as "0", so it sorts before an unset one."""
+    return bin(m)[:1:-1].translate(_FLIP) if m else ""
+
+
 def enumerate_members(cp: ConsistencyProperty) -> list[int]:
     """Family members: the explicit list, or a positivity family's members
     in the order of member_meets."""
@@ -158,7 +167,7 @@ def maximal_members(cp: ConsistencyProperty, root: int = 0) -> list[int]:
     conditions of the forcing poset below the root, in bit order."""
     members = dict.fromkeys(cp.family) if cp.explicit else member_meets(cp)
     above = {m: v for m, v in members.items() if m & root == root}
-    return sorted(maximal_among(cp, above), key=_bits)
+    return sorted(maximal_among(cp, above), key=_bit_order)
 
 
 def maximal_among(cp: ConsistencyProperty, members) -> list[int]:
@@ -469,7 +478,7 @@ def forcing_poset_conditions(maxes: list[int], root: int) -> list[int]:
             if not sub:
                 break
             sub = sub - 1 & rest
-    return sorted(out, key=_bits)
+    return sorted(out, key=_bit_order)
 
 
 def forcing_poset(conditions: list[int]) -> FinPoset:
@@ -611,9 +620,9 @@ def build_af(cp: ConsistencyProperty, sigma: int) -> TwoValuedStructure:
 def verify_realizes(cp: ConsistencyProperty, term_model: TwoValuedStructure,
                     sigma: int) -> dict:
     """Two-valued satisfaction of every sigma sentence in the term structure."""
-    model = term_model.to_two_valued_model()
-    one = model.algebra.one
+    truth = quotient_truth(term_model.signature)
+    args = term_model.truth_args()
     sentences = list(map(cp.sentences.__getitem__, _bits(sigma)))
-    failures = [f.key() for f in sentences if eval_formula(model, f) != one]
+    failures = [f.key() for f in sentences if not truth(f, *args, {})]
     return {"ok": not failures, "failures": failures,
             "checked": len(sentences)}

@@ -409,19 +409,19 @@ def emit_model(model: BValuedModel) -> dict:
 # ---------------------------------------------------------------------------
 # ultrafilters
 
-def parse_ultrafilter(x: Any, alg: FinBooleanAlgebra,
-                      path: str = "$") -> frozenset:
+def parse_ultrafilter(x: Any, alg: FinBooleanAlgebra, path: str = "$") -> int:
+    """The principal ultrafilter's generator, an atom: a mask with one bit."""
     d = _obj(x, path)
     _reject_extras(d, {"generator"}, path)
     gen = parse_element(alg, _get(d, "generator", path), f"{path}.generator")
-    if gen not in alg.atoms():
+    if not gen or gen & (gen - 1):
         _fail(f"{path}.generator",
               "the generator of a principal ultrafilter must be an atom")
-    return frozenset(b for b in alg.elements if alg.leq(gen, b))
+    return gen
 
 
-def emit_ultrafilter(alg: FinBooleanAlgebra, uf: frozenset) -> dict:
-    return {"generator": emit_element(alg, alg.inf(uf))}
+def emit_ultrafilter(alg: FinBooleanAlgebra, atom: int) -> dict:
+    return {"generator": emit_element(alg, atom)}
 
 
 # ---------------------------------------------------------------------------

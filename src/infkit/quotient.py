@@ -1,34 +1,31 @@
-"""Quotients of Boolean-valued models by filters, and the finite-scale
+"""Quotients of Boolean-valued models by ultrafilters, and the finite-scale
 quotient theorem check (Los): for an ultrafilter U, the Tarski quotient
 satisfies a formula at classes exactly when the formula's Boolean value lies
-in U.
+in U. On a finite algebra U is principal at an atom and carried as that
+atom, so a value lies in U iff it meets the atom.
 """
 from __future__ import annotations
 
 import itertools
 
-from .boolalg import ImproperFilter, is_filter, is_ultrafilter
+from .boolalg import ImproperFilter
 from .bvmodel import (
     BValuedModel, TwoValuedStructure, check_full_everywhere, eval_formula,
+    quotient_truth,
 )
 from .syntax import Formula
 
 
-def quotient(model: BValuedModel,
-             filter_members: frozenset) -> TwoValuedStructure:
-    """Quotient of the model by a proper filter: elements are identified when
-    their equality value lies in the filter; a relation holds on classes when
-    some representative tuple's value lies in the filter. Verifies that the
+def quotient(model: BValuedModel, atom: int) -> TwoValuedStructure:
+    """Quotient of the model by the ultrafilter at the atom: elements are
+    identified when their equality value meets the atom; a relation holds on
+    classes when some representative tuple's value does. Verifies that the
     identification is an equivalence and that relation membership is
     class-independent."""
-    alg = model.algebra
-    if not is_filter(alg, filter_members):
-        raise ImproperFilter("argument is not a proper filter of the algebra")
-
     def same(m: str, n: str) -> bool:
-        return model.eq_value(m, n) in filter_members
+        return bool(model.eq_value(m, n) & atom)
 
-    # equivalence sanity (guaranteed by the validity axioms + filter closure)
+    # equivalence sanity (guaranteed by the validity axioms)
     for m in model.domain:
         if not same(m, m):
             raise ImproperFilter(f"reflexivity fails at {m} under the filter")
@@ -39,50 +36,41 @@ def quotient(model: BValuedModel,
                 if same(m, n) and same(n, p) and not same(m, p):
                     raise ImproperFilter(f"transitivity fails at ({m},{n},{p})")
 
-    classes: list[frozenset] = []
-    seen: set[str] = set()
-    for m in model.domain:
-        if m in seen:
-            continue
-        cls = frozenset(n for n in model.domain if same(m, n))
-        seen |= cls
-        classes.append(cls)
-    classes.sort(key=lambda c: min(c))
+    classes = sorted({frozenset(n for n in model.domain if same(m, n))
+                      for m in model.domain}, key=min)
     reps = tuple(min(c) for c in classes)
-    rep_of = {m: rep for cls, rep in zip(classes, reps) for m in cls}
+    rep = {m: r for cls, r in zip(classes, reps) for m in cls}
 
     relations = {}
     for rel, arity in model.signature.relations:
         holds = set()
         for args in itertools.product(model.domain, repeat=arity):
-            if model.rel_value(rel, args) in filter_members:
-                holds.add(tuple(rep_of[a] for a in args))
-        # class independence (follows from the substitution axiom plus filter
-        # closure; a disagreement means the source model is invalid)
+            if model.rel_value(rel, args) & atom:
+                holds.add(tuple(rep[a] for a in args))
+        # class independence (follows from the substitution axiom; a
+        # disagreement means the source model is invalid)
         for args in itertools.product(model.domain, repeat=arity):
-            reptup = tuple(rep_of[a] for a in args)
-            if reptup in holds and \
-                    model.rel_value(rel, args) not in filter_members:
+            reptup = tuple(rep[a] for a in args)
+            if reptup in holds and not model.rel_value(rel, args) & atom:
                 raise ValueError(
                     f"relation {rel} not class-independent at {args}; "
                     f"the source model violates the substitution axiom")
         relations[rel] = frozenset(holds)
-    constants = {c: rep_of[m] for c, m in model.constants.items()}
+    constants = {c: rep[m] for c, m in model.constants.items()}
     return TwoValuedStructure(model.signature, tuple(classes), reps,
                               relations, constants)
 
 
-def los_check(model: BValuedModel, ultra: frozenset,
-              pool: list[Formula]) -> dict:
+def los_check(model: BValuedModel, atom: int, pool: list[Formula]) -> dict:
     """Check the quotient-theorem biconditional on every pool formula and
-    every assignment tuple: quotient satisfaction at classes iff the Boolean
-    value lies in the ultrafilter. Formulas whose existential subformulas are
-    not everywhere full are filtered out (precondition) and reported."""
-    alg = model.algebra
-    if not is_ultrafilter(alg, ultra):
-        raise ImproperFilter("quotient theorem check needs an ultrafilter")
-    q = quotient(model, ultra)
-    two = q.to_two_valued_model()
+    every assignment tuple: truth in the quotient at the classes, decided by
+    `quotient_truth`, iff the Boolean value meets the atom. Formulas whose
+    existential subformulas are not everywhere full are filtered out
+    (precondition) and reported."""
+    q = quotient(model, atom)
+    n, tables, named = q.truth_args()
+    index = {m: k for k, cls in enumerate(q.classes) for m in cls}
+    truth = quotient_truth(model.signature)
     skipped = []
     violations = []
     checked = 0
@@ -95,10 +83,9 @@ def los_check(model: BValuedModel, ultra: frozenset,
         fv = sorted(f.free_vars())
         for tup in itertools.product(model.domain, repeat=len(fv)):
             env = dict(zip(fv, tup))
-            left = eval_formula(
-                two, f, {v: q.rep_of(m) for v, m in env.items()}
-            ) == two.algebra.one
-            right = eval_formula(model, f, env) in ultra
+            left = truth(f, n, tables, named,
+                         {v: index[m] for v, m in env.items()})
+            right = bool(eval_formula(model, f, env) & atom)
             checked += 1
             if left != right:
                 violations.append({"formula": f.key(), "assignment": list(tup),

@@ -11,6 +11,7 @@ import pytest
 import infkit
 from infkit import cli
 from infkit.boolalg import FinBooleanAlgebra
+from infkit.bvmodel import TwoValuedStructure
 from infkit.calculus import SAMPLE_CAP
 from infkit.cli import main
 from infkit.consprop import ConsistencyProperty
@@ -91,6 +92,28 @@ def test_quotient_and_los(capsys, corpus_dir):
     assert code == 0
     rep = json.loads(out)
     assert rep["los"]["ok"] and rep["classes"]
+
+
+def test_only_an_emitted_model_is_built_from_a_two_valued_structure(
+        capsys, corpus_dir, tmp_path, monkeypatch):
+    """The Los check and realization are decided on the structure's own
+    classes; only `generic --emit-model` builds its one-atom model."""
+    calls = []
+    build = TwoValuedStructure.to_two_valued_model
+    monkeypatch.setattr(TwoValuedStructure, "to_two_valued_model",
+                        lambda self: calls.append(1) or build(self))
+    generic = ("generic", "--cp", corpus("eq4_family.json", corpus_dir),
+               "--root", "5")
+    for argv in (("quotient", "--model",
+                  corpus("four_element_model.json", corpus_dir),
+                  "--ultrafilter", corpus("uf_a0.json", corpus_dir),
+                  "--los-pool", corpus("los_pool.json", corpus_dir)),
+                 generic):
+        assert run(capsys, *argv)[0] == 0
+    assert calls == []
+    assert run(capsys, *generic, "--emit-model",
+               str(tmp_path / "model.json"))[0] == 0
+    assert calls == [1]
 
 
 def test_check_cp_pass_and_fail(capsys, corpus_dir):

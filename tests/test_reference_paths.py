@@ -22,7 +22,11 @@ clause checks, emission, and on the forcing side the conditions, generic
 filters and claim 1) against the same path on sets of sentences, and the
 condition algebra read off the maximal members against the completion of
 the forcing poset. Also the labels every algebra once built eagerly, one
-per element, against the labels computed when read."""
+per element, against the labels computed when read. Also the ultrafilters
+as the frozensets of their members, proved filters by scanning the algebra,
+with the quotient and the Los check that judged the quotient's one-atom
+model by `eval_formula`, against the ultrafilter carried as its atom and
+the quotient judged by `quotient_truth`."""
 import functools
 import itertools
 import json
@@ -33,12 +37,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from infkit.boolalg import (
-    FinPoset, TrivialAlgebra, check_tables, powerset_algebra,
-    regular_open_sets_bruteforce, ro_completion, table_algebra,
+    FinPoset, ImproperFilter, TrivialAlgebra, check_tables,
+    enumerate_ultrafilters, powerset_algebra, regular_open_sets_bruteforce,
+    ro_completion, table_algebra,
 )
 from infkit.bvmodel import (
-    _by_label, _growth_counts, _partitions, _unrank_partition, assemble_model,
-    eval_formula, mixes_over, quotient_count, quotient_truth, quotients,
+    TwoValuedStructure, _by_label, _growth_counts, _partitions,
+    _unrank_partition, assemble_model, check_full_everywhere, eval_formula,
+    mixes_over, quotient_count, quotient_truth, quotients,
 )
 from infkit.calculus import Sequent, in_calculus_fragment, soundness_sample
 from infkit.consprop import (
@@ -46,7 +52,7 @@ from infkit.consprop import (
     cp_from_model, default_pool, dense_sets, enumerate_members,
     forcing_poset, forcing_poset_conditions, generic_filter, instances,
     maximal_among, maximal_members, member_meets, occurrence_variants,
-    _bits,
+    _bit_order, _bits,
 )
 from infkit.iojson import (
     dump, dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
@@ -60,13 +66,18 @@ from infkit.modelgen import (
     four_element_model, infer_signature, random_quotients,
     random_structures, split_constant_theory,
 )
+from infkit.quotient import los_check, quotient
 from infkit.record import Record
 from infkit.syntax import (
     And, Atom, CaptureError, Const, Eq, Exists, Forall, Formula, Not, Or,
     Signature, Var, constants_of, is_sentence, move_neg_inside, replace_const,
     subformulas, substitute, validate_formula,
 )
-from inputs import all_labeled_posets, cp_text, down_sets, two_member_family
+from inputs import (
+    all_labeled_posets, cp_text, down_sets, formula_pool, model_pool,
+    two_member_family,
+)
+from test_cli import _m4_without_eq_row, _two_point_identified
 from test_golden import _table_powerset, _two_level_poset
 from test_syntax import formulas
 
@@ -546,6 +557,95 @@ def reference_soundness_sample(goal, samples=200, seed=0, max_atoms=2,
             break
     return {"ok": not violations, "samples": samples,
             "violations": violations}
+
+
+def is_filter(alg, members):
+    return bool(members) and all(map(alg.is_element, members)) \
+        and alg.zero not in members and all(
+            alg.meet(a, b) in members for a in members for b in members) \
+        and all(b in members for a in members for b in alg.elements
+                if alg.leq(a, b))
+
+
+def is_ultrafilter(alg, members):
+    return is_filter(alg, members) and all(
+        b in members or alg.comp(b) in members for b in alg.elements)
+
+
+def principal_filter(alg, generator):
+    if generator == alg.zero:
+        raise ImproperFilter("the zero element generates no proper filter")
+    return frozenset(b for b in alg.elements if alg.leq(generator, b))
+
+
+def reference_quotient(model, filter_members):
+    """quotient as it was, on the filter's members as a frozenset, proved a
+    filter first by scanning the algebra."""
+    if not is_filter(model.algebra, filter_members):
+        raise ImproperFilter("argument is not a proper filter of the algebra")
+
+    def same(m, n):
+        return model.eq_value(m, n) in filter_members
+
+    for m in model.domain:
+        if not same(m, m):
+            raise ImproperFilter(f"reflexivity fails at {m} under the filter")
+        for n in model.domain:
+            if same(m, n) != same(n, m):
+                raise ImproperFilter(f"symmetry fails at ({m}, {n})")
+            for p in model.domain:
+                if same(m, n) and same(n, p) and not same(m, p):
+                    raise ImproperFilter(f"transitivity fails at ({m},{n},{p})")
+    classes = sorted({frozenset(n for n in model.domain if same(m, n))
+                      for m in model.domain}, key=min)
+    reps = tuple(min(c) for c in classes)
+    rep_of = {m: rep for cls, rep in zip(classes, reps) for m in cls}
+    relations = {}
+    for rel, arity in model.signature.relations:
+        holds = {tuple(rep_of[a] for a in args)
+                 for args in itertools.product(model.domain, repeat=arity)
+                 if model.rel_value(rel, args) in filter_members}
+        for args in itertools.product(model.domain, repeat=arity):
+            if tuple(rep_of[a] for a in args) in holds and \
+                    model.rel_value(rel, args) not in filter_members:
+                raise ValueError(
+                    f"relation {rel} not class-independent at {args}; "
+                    f"the source model violates the substitution axiom")
+        relations[rel] = frozenset(holds)
+    return TwoValuedStructure(
+        model.signature, tuple(classes), reps, relations,
+        {c: rep_of[m] for c, m in model.constants.items()})
+
+
+def reference_los_check(model, ultra, pool):
+    """los_check as it was: the quotient's one-atom model and the model
+    itself both judged by eval_formula, membership in the ultrafilter's
+    frozenset on the right."""
+    if not is_ultrafilter(model.algebra, ultra):
+        raise ImproperFilter("quotient theorem check needs an ultrafilter")
+    q = reference_quotient(model, ultra)
+    rep_of = {m: rep for cls, rep in zip(q.classes, q.reps) for m in cls}
+    two = q.to_two_valued_model()
+    skipped, violations, checked = [], [], 0
+    for f in pool:
+        fullness = check_full_everywhere(model, f)
+        if not fullness["ok"]:
+            skipped.append({"formula": f.key(),
+                            "failures": fullness["failures"]})
+            continue
+        fv = sorted(f.free_vars())
+        for tup in itertools.product(model.domain, repeat=len(fv)):
+            env = dict(zip(fv, tup))
+            left = eval_formula(
+                two, f, {v: rep_of[m] for v, m in env.items()}
+            ) == two.algebra.one
+            right = eval_formula(model, f, env) in ultra
+            checked += 1
+            if left != right:
+                violations.append({"formula": f.key(), "assignment": list(tup),
+                                   "quotient": left, "value_in_filter": right})
+    return {"ok": not violations, "checked": checked,
+            "violations": violations, "skipped": skipped}
 
 
 # --- clause checking ----------------------------------------------------------
@@ -1169,6 +1269,16 @@ def shared_sentence_family():
                                        frozenset({a, c})))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 200) - 1),
+                max_size=40))
+@example(list(range(1 << 12)))
+def test_the_bit_order_key_sorts_as_the_bit_lists(masks):
+    """`_bit_order`, which builds no list, orders masks as their `_bits`
+    lists do: every mask below 2^12, and drawn ones up to 200 bits."""
+    assert sorted(masks, key=_bit_order) == sorted(masks, key=_bits)
+
+
 def _forcing_families(corpus_dir):
     fams = {name: parse_cp(load_json(str(corpus_dir / f"{name}.json")))
             for name in _CORPUS_FAMILIES}
@@ -1462,6 +1572,62 @@ def test_soundness_sample_matches_reference_on_late_countermodels(name,
                                     seed=seed, **bounds)
               for seed in range(4)]
     assert None not in firsts and max(firsts) > 0, firsts
+
+
+# --- ultrafilter quotients ---------------------------------------------------
+
+def _quotient_cases(corpus_dir):
+    """Every corpus model with a corpus pool (the two-point model with its
+    domain elements named, as `max_pool` needs), and the model pool with
+    the formula pool."""
+    for name, pool, named in (("four_element_model", "los_pool", False),
+                              ("two_point_model", "max_pool", True)):
+        model = parse_model(load_json(str(corpus_dir / f"{name}.json")))
+        if named:
+            model = model.with_self_named_constants(model.domain)
+        yield model, list(parse_pool(load_json(str(
+            corpus_dir / f"{pool}.json")), sig=model.signature))
+    for model in model_pool():
+        yield model, formula_pool()
+
+
+def test_quotients_by_atoms_match_the_filter_paths(corpus_dir):
+    """At every atom the principal filter is an ultrafilter, and the
+    quotient and the Los check by the atom are those by its filter."""
+    cases = 0
+    for model, pool in _quotient_cases(corpus_dir):
+        alg = model.algebra
+        assert enumerate_ultrafilters(alg) == sorted(
+            alg.atoms(), key=lambda a: repr(alg.label(a)))
+        for atom in alg.atoms():
+            ultra = principal_filter(alg, atom)
+            assert is_ultrafilter(alg, ultra)
+            assert quotient(model, atom) == reference_quotient(model, ultra)
+            assert los_check(model, atom, pool) == \
+                reference_los_check(model, ultra, pool)
+            cases += 1
+    assert cases == 3 + 2 * (1 + 2 + 3) * 3
+
+
+@pytest.mark.parametrize("invalid", [_m4_without_eq_row,
+                                     _two_point_identified])
+def test_an_invalid_quotient_is_refused_as_by_the_filter_path(corpus_dir,
+                                                              invalid):
+    """The same quotient or the same error, with its text, at every atom."""
+    model = parse_model(invalid(corpus_dir))
+    outcomes = []
+    for atom in model.algebra.atoms():
+        ultra = principal_filter(model.algebra, atom)
+        outcomes.append(_refusal(quotient, model, atom))
+        assert outcomes[-1] == _refusal(reference_quotient, model, ultra)
+    assert any(isinstance(o, tuple) for o in outcomes)
+
+
+def _refusal(fn, *args):
+    try:
+        return fn(*args)
+    except (ImproperFilter, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 # --- serialization ------------------------------------------------------------

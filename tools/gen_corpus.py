@@ -114,9 +114,9 @@ def main() -> None:
 
     # --- ultrafilters of the four-element algebra --------------------------
     b4 = powerset_algebra(("a0", "a1"))
-    for uf in enumerate_ultrafilters(b4):
-        (name,) = b4.label(b4.inf(uf))
-        ship(f"uf_{name}.json", "ultrafilter", emit_ultrafilter(b4, uf),
+    for atom in enumerate_ultrafilters(b4):
+        (name,) = b4.label(atom)
+        ship(f"uf_{name}.json", "ultrafilter", emit_ultrafilter(b4, atom),
              algebra="b4.json")
 
     # --- posets with known regular-open completions ------------------------
