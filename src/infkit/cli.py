@@ -141,7 +141,7 @@ def cmd_quotient(args) -> int:
     }
     if args.los_pool:
         pool = parse_pool(load_json(args.los_pool), sig=model.signature)
-        los = los_check(model, atom, list(pool))
+        los = los_check(model, q, atom, list(pool))
         report["los"] = los
         report["ok"] = los["ok"]
     _print(report)
@@ -298,13 +298,8 @@ def cmd_check_proof(args) -> int:
 
 def cmd_corpus(args) -> int:
     from pathlib import Path
-    if args.manifest:
-        manifest_path = Path(args.manifest)
-    else:
-        from importlib import resources
-        manifest_path = Path(str(resources.files("infkit").joinpath(
-            "corpus/manifest.json")))
-    report = run_corpus(manifest_path)
+    shipped = Path(__file__).parent / "corpus" / "manifest.json"
+    report = run_corpus(Path(args.manifest or shipped))
     for warning in report["warnings"]:
         sys.stderr.write(f"warning: {warning}\n")
     _print(report)
@@ -340,7 +335,7 @@ def _check_entry(base: Path, entry: dict, position: int) -> dict:
     try:
         raw = path.read_text(encoding="utf-8")
         obj = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         add("readable", False, str(exc))
         return out
 
@@ -469,7 +464,63 @@ def run_corpus(manifest_path: Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one row per subcommand, in help order, of its name,
+# help, function and arguments, each a flag and its add_argument options
+
+_SAMPLE_BOUNDS = (("--max-atoms", {"type": int, "default": 2}),
+                  ("--max-domain", {"type": int, "default": 3}))
+
+COMMANDS = (
+    ("eval", "evaluate a formula in a model", cmd_eval,
+     ("--model", {"required": True}), ("--formula", {"required": True}),
+     ("--assign", {"default": "",
+                   "help": "free-variable assignment, e.g. v0=m0,v1=m1"})),
+    ("check-model", "algebra laws plus the equality axioms", cmd_check_model,
+     ("model", {})),
+    ("sat", "bounded exhaustive satisfiability search", cmd_sat,
+     ("--theory", {"required": True}),
+     ("--mode", {"choices": ("weak", "strong"), "required": True}),
+     *_SAMPLE_BOUNDS),
+    ("quotient", "ultrafilter quotient, optionally with the truth-transfer "
+                 "check over a pool", cmd_quotient,
+     ("--model", {"required": True}), ("--ultrafilter", {"required": True}),
+     ("--los-pool", {"default": None})),
+    ("check-cp", "check every consistency-property clause", cmd_check_cp,
+     ("cp", {}), ("--smax", {"action": "store_true",
+                             "help": "also check maximality over the pool"})),
+    ("generic", "generic filter, term structure, realization", cmd_generic,
+     ("--cp", {"required": True}),
+     ("--root", {"type": int, "required": True,
+                 "help": "index into the family list"}),
+     ("--emit-model", {"default": None})),
+    ("cp-from-model", "positivity family of a valid model", cmd_cp_from_model,
+     ("--model", {"required": True}), ("--pool", {"required": True})),
+    ("mansfield", "condition-algebra model from a consistency property",
+     cmd_mansfield,
+     ("--cp", {"required": True}), ("--root", {"type": int, "required": True}),
+     ("--pool", {"default": None}), ("--emit-model", {"default": None})),
+    ("cp-from-algebra", "the canonical family of a finite algebra",
+     cmd_cp_from_algebra,
+     ("algebra", {}), ("--emit", {"action": "store_true",
+                                  "help": "print the explicit family as a "
+                                          "cp file"})),
+    ("roundtrip", "algebra -> family -> forcing completion isomorphism check",
+     cmd_roundtrip, ("algebra", {})),
+    ("ro", "regular-open completion of a poset", cmd_ro,
+     ("poset", {}),
+     ("--brute-max", {"type": int, "default": 6,
+                      "help": "cross-check against subset enumeration up to "
+                              "this many poset elements"})),
+    ("check-proof", "sequent-calculus proof checking", cmd_check_proof,
+     ("proof", {}),
+     ("--soundness-samples", {"type": int, "default": 0,
+                              "help": "sample this many models against the "
+                                      "goal"}),
+     ("--seed", {"type": int, "default": DEFAULT_SEED}), *_SAMPLE_BOUNDS),
+    ("corpus", "run the shipped or a custom corpus", cmd_corpus,
+     ("manifest", {"nargs": "?", "default": None})),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -478,97 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras: evaluation, model search, consistency "
                     "properties, forcing constructions, proof checking.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a formula in a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--assign", default="",
-                   help="free-variable assignment, e.g. v0=m0,v1=m1")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("check-model",
-                       help="algebra laws plus the equality axioms")
-    p.add_argument("model")
-    p.set_defaults(func=cmd_check_model)
-
-    p = sub.add_parser("sat", help="bounded exhaustive satisfiability search")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--mode", choices=("weak", "strong"), required=True)
-    p.add_argument("--max-atoms", type=int, default=2)
-    p.add_argument("--max-domain", type=int, default=3)
-    p.set_defaults(func=cmd_sat)
-
-    p = sub.add_parser("quotient",
-                       help="ultrafilter quotient, optionally with the "
-                            "truth-transfer check over a pool")
-    p.add_argument("--model", required=True)
-    p.add_argument("--ultrafilter", required=True)
-    p.add_argument("--los-pool", default=None)
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("check-cp",
-                       help="check every consistency-property clause")
-    p.add_argument("cp")
-    p.add_argument("--smax", action="store_true",
-                   help="also check maximality over the pool")
-    p.set_defaults(func=cmd_check_cp)
-
-    p = sub.add_parser("generic",
-                       help="generic filter, term structure, realization")
-    p.add_argument("--cp", required=True)
-    p.add_argument("--root", type=int, required=True,
-                   help="index into the family list")
-    p.add_argument("--emit-model", default=None)
-    p.set_defaults(func=cmd_generic)
-
-    p = sub.add_parser("cp-from-model",
-                       help="positivity family of a valid model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--pool", required=True)
-    p.set_defaults(func=cmd_cp_from_model)
-
-    p = sub.add_parser("mansfield",
-                       help="condition-algebra model from a consistency "
-                            "property")
-    p.add_argument("--cp", required=True)
-    p.add_argument("--root", type=int, required=True)
-    p.add_argument("--pool", default=None)
-    p.add_argument("--emit-model", default=None)
-    p.set_defaults(func=cmd_mansfield)
-
-    p = sub.add_parser("cp-from-algebra",
-                       help="the canonical family of a finite algebra")
-    p.add_argument("algebra")
-    p.add_argument("--emit", action="store_true",
-                   help="print the explicit family as a cp file")
-    p.set_defaults(func=cmd_cp_from_algebra)
-
-    p = sub.add_parser("roundtrip",
-                       help="algebra -> family -> forcing completion "
-                            "isomorphism check")
-    p.add_argument("algebra")
-    p.set_defaults(func=cmd_roundtrip)
-
-    p = sub.add_parser("ro", help="regular-open completion of a poset")
-    p.add_argument("poset")
-    p.add_argument("--brute-max", type=int, default=6,
-                   help="cross-check against subset enumeration up to "
-                        "this many poset elements")
-    p.set_defaults(func=cmd_ro)
-
-    p = sub.add_parser("check-proof", help="sequent-calculus proof checking")
-    p.add_argument("proof")
-    p.add_argument("--soundness-samples", type=int, default=0,
-                   help="sample this many models against the goal")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-atoms", type=int, default=2)
-    p.add_argument("--max-domain", type=int, default=3)
-    p.set_defaults(func=cmd_check_proof)
-
-    p = sub.add_parser("corpus", help="run the shipped or a custom corpus")
-    p.add_argument("manifest", nargs="?", default=None)
-    p.set_defaults(func=cmd_corpus)
-
+    for name, summary, func, *arguments in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return top
 
 

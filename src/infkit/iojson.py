@@ -706,7 +706,7 @@ def load_json(path_on_disk: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"$: cannot read {path_on_disk}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or depth
         raise ParseError(f"$: {path_on_disk} is not valid JSON: {exc}") from exc
 
 

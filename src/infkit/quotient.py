@@ -61,13 +61,13 @@ def quotient(model: BValuedModel, atom: int) -> TwoValuedStructure:
                               relations, constants)
 
 
-def los_check(model: BValuedModel, atom: int, pool: list[Formula]) -> dict:
+def los_check(model: BValuedModel, q: TwoValuedStructure, atom: int,
+              pool: list[Formula]) -> dict:
     """Check the quotient-theorem biconditional on every pool formula and
-    every assignment tuple: truth in the quotient at the classes, decided by
-    `quotient_truth`, iff the Boolean value meets the atom. Formulas whose
-    existential subformulas are not everywhere full are filtered out
-    (precondition) and reported."""
-    q = quotient(model, atom)
+    every assignment tuple: truth at the classes in q, the model's quotient
+    at the atom as `quotient` built it, decided by `quotient_truth`, iff the
+    Boolean value meets the atom. Formulas whose existential subformulas
+    are not everywhere full are filtered out (precondition) and reported."""
     n, tables, named = q.truth_args()
     index = {m: k for k, cls in enumerate(q.classes) for m in cls}
     truth = quotient_truth(model.signature)

@@ -1,7 +1,8 @@
 """Test inputs: the three-element model without mixing and the sentence
 whose sup no witness attains, a deterministic pool of models and formulas,
 every small labeled poset and its down-sets, the two-member and star
-families of the forcing side, and the file text of an explicit family."""
+families of the forcing side, the file text of an explicit family, and file
+bytes that no JSON reader decodes."""
 import itertools
 
 from infkit.boolalg import FinPoset
@@ -183,3 +184,7 @@ def cp_text(cp: ConsistencyProperty) -> str:
     parts: list[str] = []
     emit_cp(cp, parts.append)
     return "".join(parts)
+
+
+# bytes that are not UTF-8, and arrays nested past the recursion limit
+UNDECODABLE = {"not UTF-8": b"\xff\xfe\x00bad", "over-nested": b"[" * 200_000}

@@ -30,7 +30,7 @@ from infkit.iojson import (dumps, emit_algebra, emit_formula,
 from infkit.mansfield import (cp_from_algebra, mansfield_build,
                               roundtrip_check, verify_claim1, verify_claim2)
 from infkit.modelgen import split_constant_theory, split_signature
-from infkit.quotient import los_check
+from infkit.quotient import los_check, quotient
 from infkit.syntax import Const, Eq, Formula, Not, Or
 from inputs import (
     all_labeled_posets, cp_text, down_sets, formula_pool, model_pool,
@@ -98,7 +98,7 @@ def test_quotient_biconditional_holds_everywhere():
     total = 0
     for model in model_pool():
         for ultra in enumerate_ultrafilters(model.algebra):
-            rep = los_check(model, ultra, pool)
+            rep = los_check(model, quotient(model, ultra), ultra, pool)
             assert rep["ok"], rep["violations"][:1]
             total += rep["checked"]
     # pins the sweep breadth: models x ultrafilters x full formulas x tuples

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import infkit
+import infkit.quotient as quotient_module
 from infkit import cli
 from infkit.boolalg import FinBooleanAlgebra
 from infkit.bvmodel import TwoValuedStructure
@@ -16,8 +17,9 @@ from infkit.calculus import SAMPLE_CAP
 from infkit.cli import main
 from infkit.consprop import ConsistencyProperty
 from infkit.iojson import dumps
+from infkit.quotient import quotient
 from infkit.syntax import Atom, Const, Eq, Not, Signature
-from inputs import cp_text, star_family, two_member_family
+from inputs import UNDECODABLE, cp_text, star_family, two_member_family
 from test_golden import _table_powerset
 
 
@@ -116,6 +118,22 @@ def test_only_an_emitted_model_is_built_from_a_two_valued_structure(
     assert calls == [1]
 
 
+def test_quotient_with_a_los_pool_builds_the_quotient_once(
+        capsys, corpus_dir, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return quotient(*args)
+    monkeypatch.setattr(cli, "quotient", counting)
+    monkeypatch.setattr(quotient_module, "quotient", counting)
+    assert run(capsys, "quotient",
+               "--model", corpus("four_element_model.json", corpus_dir),
+               "--ultrafilter", corpus("uf_a0.json", corpus_dir),
+               "--los-pool", corpus("los_pool.json", corpus_dir))[0] == 0
+    assert calls == [1]
+
+
 def test_check_cp_pass_and_fail(capsys, corpus_dir):
     code, out, _ = run(capsys, "check-cp",
                        corpus("eq2_family.json", corpus_dir), "--smax")
@@ -210,6 +228,18 @@ def test_corpus_empty_manifest_warns(capsys, tmp_path):
     code, out, err = run(capsys, "corpus", str(p))
     assert code == 0
     assert json.loads(out)["warnings"]
+
+
+@pytest.mark.parametrize("bad", sorted(UNDECODABLE))
+def test_an_undecodable_corpus_entry_is_unreadable(capsys, tmp_path, bad):
+    (tmp_path / "bad.json").write_bytes(UNDECODABLE[bad])
+    p = tmp_path / "manifest.json"
+    p.write_text(dumps({"entries": [{"file": "bad.json", "kind": "model"}]}))
+    code, out, _ = run(capsys, "corpus", str(p))
+    assert code == 1
+    [entry] = json.loads(out)["entries"]
+    assert [(c["name"], c["ok"]) for c in entry["checks"]] == \
+        [("readable", False)]
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

@@ -16,6 +16,7 @@ import pytest
 from infkit.cli import main
 from infkit.iojson import dumps
 
+from inputs import UNDECODABLE
 from test_cli import run_subprocess
 
 # one command per shape; each {name} is a corpus file, and each mutant
@@ -155,3 +156,18 @@ def test_mutated_inputs_in_a_fresh_interpreter(shape, corpus_dir, tmp_path):
         assert "Traceback" not in proc.stderr, how
         assert not _contract_break(proc.returncode, proc.stdout,
                                    proc.stderr), how
+
+
+@pytest.mark.parametrize("bad", sorted(UNDECODABLE))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_undecodable_input_is_an_input_error(shape, bad, corpus_dir,
+                                             tmp_path):
+    """Each command's first file as bytes no JSON reader decodes."""
+    names = [a[1:-1] for a in SHAPES[shape] if a.startswith("{")]
+    paths = {name: str(corpus_dir / f"{name}.json") for name in names}
+    paths[names[0]] = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_bytes(UNDECODABLE[bad])
+    code, out, err = _run_in_process([a.format(**paths)
+                                      for a in SHAPES[shape]])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err

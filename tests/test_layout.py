@@ -1,9 +1,13 @@
 """Library code that only tests reach does not stay in the library: every
 public top-level name of `src/infkit/*.py` must be used by the program
 (`src/infkit` and `tools`) outside its own definition. Test oracles live in
-`tests/test_reference_paths.py` and test inputs in `tests/inputs.py`."""
+`tests/test_reference_paths.py` and test inputs in `tests/inputs.py`. Also
+README's list of commands follows the command table."""
 import ast
+import re
 from pathlib import Path
+
+from infkit.cli import COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "infkit").glob("*.py"))
@@ -50,3 +54,11 @@ def test_library_names_are_used_by_the_program():
     assert not unused, (
         f"not used by the program: {unused}; delete them with the tests "
         f"that exist only for them, or move a test input to tests/inputs.py")
+
+
+def test_the_readme_lists_the_command_table():
+    """README's command bullets name the table's subcommands in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `([\w-]+)", section, re.M) == \
+        [name for name, *_ in COMMANDS]

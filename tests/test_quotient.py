@@ -51,7 +51,7 @@ def test_los_on_reference_model(m4):
         Eq(Const("c0"), Const("d")),
     ]
     for uf in enumerate_ultrafilters(m4.algebra):
-        rep = los_check(m4, uf, pool)
+        rep = los_check(m4, quotient(m4, uf), uf, pool)
         assert rep["ok"], rep
         assert rep["checked"] > 0
         assert not rep["violations"]
@@ -62,7 +62,7 @@ def test_los_skips_formulas_without_fullness():
     f = unattained_sup_formula()
     assert not check_full_everywhere(m3, f)["ok"]
     for uf in enumerate_ultrafilters(m3.algebra):
-        rep = los_check(m3, uf, [f])
+        rep = los_check(m3, quotient(m3, uf), uf, [f])
         assert rep["ok"]
         assert rep["checked"] == 0
         assert any(entry["formula"] == f.key() for entry in rep["skipped"])
@@ -72,5 +72,5 @@ def test_los_suite_over_generated_pool():
     pool = formula_pool()
     for m in model_pool()[:6]:
         for uf in enumerate_ultrafilters(m.algebra):
-            rep = los_check(m, uf, pool)
+            rep = los_check(m, quotient(m, uf), uf, pool)
             assert rep["ok"], rep

@@ -26,8 +26,13 @@ per element, against the labels computed when read. Also the ultrafilters
 as the frozensets of their members, proved filters by scanning the algebra,
 with the quotient and the Los check that judged the quotient's one-atom
 model by `eval_formula`, against the ultrafilter carried as its atom and
-the quotient judged by `quotient_truth`."""
+the quotient judged by `quotient_truth`. Also the argument parser as it
+was, one hand-written block per subcommand, against the one built from
+the command table."""
+import argparse
+import contextlib
 import functools
+import io
 import itertools
 import json
 import random
@@ -36,6 +41,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from infkit import cli
 from infkit.boolalg import (
     FinPoset, ImproperFilter, TrivialAlgebra, check_tables,
     enumerate_ultrafilters, powerset_algebra, regular_open_sets_bruteforce,
@@ -47,6 +53,11 @@ from infkit.bvmodel import (
     mixes_over, quotient_count, quotient_truth, quotients,
 )
 from infkit.calculus import Sequent, in_calculus_fragment, soundness_sample
+from infkit.cli import (
+    DEFAULT_SEED, cmd_check_cp, cmd_check_model, cmd_check_proof,
+    cmd_corpus, cmd_cp_from_algebra, cmd_cp_from_model, cmd_eval,
+    cmd_generic, cmd_mansfield, cmd_quotient, cmd_ro, cmd_roundtrip, cmd_sat,
+)
 from infkit.consprop import (
     ConsistencyProperty, check_cp, check_smax, convert_to_explicit,
     cp_from_model, default_pool, dense_sets, enumerate_members,
@@ -1603,7 +1614,7 @@ def test_quotients_by_atoms_match_the_filter_paths(corpus_dir):
             ultra = principal_filter(alg, atom)
             assert is_ultrafilter(alg, ultra)
             assert quotient(model, atom) == reference_quotient(model, ultra)
-            assert los_check(model, atom, pool) == \
+            assert los_check(model, quotient(model, atom), atom, pool) == \
                 reference_los_check(model, ultra, pool)
             cases += 1
     assert cases == 3 + 2 * (1 + 2 + 3) * 3
@@ -1973,3 +1984,150 @@ def test_formula_walkers_match_their_reference_paths(f, mapping):
     for formulas_ in ([f], clash):
         assert _outcome(infer_signature, formulas_) == \
             _outcome(reference_infer_signature, formulas_)
+
+
+# --- the argument parser ------------------------------------------------------
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    """build_parser as it was: each subcommand written out as its own
+    add_parser, add_argument and set_defaults block."""
+    top = argparse.ArgumentParser(
+        prog="infkit",
+        description="Finite-width infinitary logic over finite Boolean "
+                    "algebras: evaluation, model search, consistency "
+                    "properties, forcing constructions, proof checking.")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("eval", help="evaluate a formula in a model")
+    p.add_argument("--model", required=True)
+    p.add_argument("--formula", required=True)
+    p.add_argument("--assign", default="",
+                   help="free-variable assignment, e.g. v0=m0,v1=m1")
+    p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("check-model",
+                       help="algebra laws plus the equality axioms")
+    p.add_argument("model")
+    p.set_defaults(func=cmd_check_model)
+
+    p = sub.add_parser("sat", help="bounded exhaustive satisfiability search")
+    p.add_argument("--theory", required=True)
+    p.add_argument("--mode", choices=("weak", "strong"), required=True)
+    p.add_argument("--max-atoms", type=int, default=2)
+    p.add_argument("--max-domain", type=int, default=3)
+    p.set_defaults(func=cmd_sat)
+
+    p = sub.add_parser("quotient",
+                       help="ultrafilter quotient, optionally with the "
+                            "truth-transfer check over a pool")
+    p.add_argument("--model", required=True)
+    p.add_argument("--ultrafilter", required=True)
+    p.add_argument("--los-pool", default=None)
+    p.set_defaults(func=cmd_quotient)
+
+    p = sub.add_parser("check-cp",
+                       help="check every consistency-property clause")
+    p.add_argument("cp")
+    p.add_argument("--smax", action="store_true",
+                   help="also check maximality over the pool")
+    p.set_defaults(func=cmd_check_cp)
+
+    p = sub.add_parser("generic",
+                       help="generic filter, term structure, realization")
+    p.add_argument("--cp", required=True)
+    p.add_argument("--root", type=int, required=True,
+                   help="index into the family list")
+    p.add_argument("--emit-model", default=None)
+    p.set_defaults(func=cmd_generic)
+
+    p = sub.add_parser("cp-from-model",
+                       help="positivity family of a valid model")
+    p.add_argument("--model", required=True)
+    p.add_argument("--pool", required=True)
+    p.set_defaults(func=cmd_cp_from_model)
+
+    p = sub.add_parser("mansfield",
+                       help="condition-algebra model from a consistency "
+                            "property")
+    p.add_argument("--cp", required=True)
+    p.add_argument("--root", type=int, required=True)
+    p.add_argument("--pool", default=None)
+    p.add_argument("--emit-model", default=None)
+    p.set_defaults(func=cmd_mansfield)
+
+    p = sub.add_parser("cp-from-algebra",
+                       help="the canonical family of a finite algebra")
+    p.add_argument("algebra")
+    p.add_argument("--emit", action="store_true",
+                   help="print the explicit family as a cp file")
+    p.set_defaults(func=cmd_cp_from_algebra)
+
+    p = sub.add_parser("roundtrip",
+                       help="algebra -> family -> forcing completion "
+                            "isomorphism check")
+    p.add_argument("algebra")
+    p.set_defaults(func=cmd_roundtrip)
+
+    p = sub.add_parser("ro", help="regular-open completion of a poset")
+    p.add_argument("poset")
+    p.add_argument("--brute-max", type=int, default=6,
+                   help="cross-check against subset enumeration up to "
+                        "this many poset elements")
+    p.set_defaults(func=cmd_ro)
+
+    p = sub.add_parser("check-proof", help="sequent-calculus proof checking")
+    p.add_argument("proof")
+    p.add_argument("--soundness-samples", type=int, default=0,
+                   help="sample this many models against the goal")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--max-atoms", type=int, default=2)
+    p.add_argument("--max-domain", type=int, default=3)
+    p.set_defaults(func=cmd_check_proof)
+
+    p = sub.add_parser("corpus", help="run the shipped or a custom corpus")
+    p.add_argument("manifest", nargs="?", default=None)
+    p.set_defaults(func=cmd_corpus)
+
+    return top
+
+
+_SUBCOMMANDS = ("eval", "check-model", "sat", "quotient", "check-cp",
+                "generic", "cp-from-model", "mansfield", "cp-from-algebra",
+                "roundtrip", "ro", "check-proof", "corpus")
+
+
+def _argv_cases():
+    """Help, argparse errors, and the one argv that runs (bare `corpus`)."""
+    yield from (["--help"], ["-h"], [], ["no-such-command"], ["--version"])
+    for name in _SUBCOMMANDS:
+        yield from ([name, "--help"], [name], [name, "--no-such-flag"],
+                    [name, "a.json", "b.json"])
+    yield from (["sat", "--max-atoms", "x"], ["sat", "--max-domain", "2.5"],
+                ["check-proof", "p.json", "--max-atoms", "x"],
+                ["check-proof", "p.json", "--seed", "x"],
+                ["check-proof", "p.json", "--soundness-samples", "x"],
+                ["generic", "--cp", "c.json", "--root", "x"],
+                ["mansfield", "--cp", "c.json", "--root", "x"],
+                ["ro", "v.json", "--brute-max", "x"],
+                ["sat", "--theory", "t.json", "--mode", "medium"],
+                ["mansfield", "--cp", "c.json"])
+
+
+def _surface(argv):
+    """The exit code, stdout and stderr of `main`, a SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", list(_argv_cases()),
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_the_command_table_builds_the_reference_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _surface(argv)
+    monkeypatch.setattr(cli, "build_parser", reference_build_parser)
+    assert got == _surface(argv)
