@@ -89,6 +89,8 @@ class BValuedModel(Record):
             if c not in consts:
                 raise ValueError(f"constant {c!r} has no interpretation")
         for c, m in consts.items():
+            if c not in self.signature.constants:
+                raise ValueError(f"undeclared constant {c!r}")
             if m not in self.domain:
                 raise ValueError(f"constant {c!r} interpreted outside the domain")
         self.__dict__["constants"] = consts

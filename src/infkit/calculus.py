@@ -16,7 +16,7 @@ import random
 from .bvmodel import (
     assemble_model, eval_formula, quotient_count, quotient_truth, quotients,
 )
-from .modelgen import infer_signature, random_quotients, random_structures
+from .modelgen import infer_signature, random_quotients
 from .record import Value
 from .syntax import (
     And, CaptureError, Eq, Exists, Forall, Formula, Not, Or, Term, Var,
@@ -288,7 +288,7 @@ def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
     each distinct quotient once per call, with no model built. A drawn atom
     can be any quotient on 1 to max_domain classes; when those are at most
     `samples` and all hold, none is drawn. Only a failing sample is
-    assembled, replayed from the seed by `random_structures`."""
+    assembled: domain m0..., atoms a0..., constants by their drawn index."""
     if max_atoms < 1 or max_domain < 1:
         raise ValueError("bounds must be at least 1")
     formulas = list(goal.ante) + list(goal.succ)
@@ -314,15 +314,15 @@ def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
         return {"ok": True, "samples": samples, "violations": []}
     rng = random.Random(seed)
     for i in range(samples):
-        _, per_atom, consts = random_quotients(rng, sig, max_atoms,
-                                               max_domain)
+        n_dom, per_atom, consts = random_quotients(rng, sig, max_atoms,
+                                                   max_domain)
         if all(holds(max(rgs) + 1, tables, tuple(rgs[k] for k in consts))
                for rgs, tables in per_atom):
             continue
-        replay = random.Random(seed)
-        for _ in range(i + 1):
-            drawn = random_structures(replay, sig, max_atoms, max_domain)
-        model = assemble_model(sig, *drawn)
+        dom = tuple(f"m{k}" for k in range(n_dom))
+        model = assemble_model(
+            sig, tuple(f"a{k}" for k in range(len(per_atom))), dom, per_atom,
+            {c: dom[k] for c, k in zip(sig.constants, consts)})
         violations = [{"sample": i, "assignment": assign, "model": model}
                       for assign in _failing_assignments(goal, model, free)]
         return {"ok": False, "samples": samples, "violations": violations}

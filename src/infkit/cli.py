@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Any
 
@@ -170,7 +171,7 @@ def cmd_generic(args) -> int:
     try:
         gf = generic_filter(cp, root)
         term_model = build_af(cp, gf.minimum)
-    except (AssertionError, ValueError, IllDefined) as exc:
+    except (ValueError, IllDefined) as exc:
         _print({"ok": False, "reason": str(exc)})
         return 1
     realizes = verify_realizes(cp, term_model, gf.minimum)
@@ -547,9 +548,17 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> int:
     """Process entry: the import-time heap lives until exit, so it goes to
-    the permanent generation and interpreter shutdown does not collect it."""
+    the permanent generation and interpreter shutdown does not collect it.
+    A reader that closes stdout early ends the run with exit 1; stdout then
+    points at the null device, so the final flush at exit cannot fail."""
     gc.freeze()
-    return main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ import itertools
 import operator
 from typing import Callable, Iterable
 
-from .boolalg import FinPoset
 from .bvmodel import BValuedModel, CapExceeded, TwoValuedStructure, \
     eval_formula, quotient_truth
 from .record import Record, Value
@@ -481,13 +480,6 @@ def forcing_poset_conditions(maxes: list[int], root: int) -> list[int]:
     return sorted(out, key=_bit_order)
 
 
-def forcing_poset(conditions: list[int]) -> FinPoset:
-    """The forcing order on conditions: reverse inclusion, so p is below q
-    exactly when p & q == q."""
-    return FinPoset(conditions, [(p, q) for p in conditions
-                                 for q in conditions if p & q == q])
-
-
 _DENSE_KIND = {"Ind.4": "disjunction", "Ind.5": "existential",
                "Str.3": "constant"}
 
@@ -527,8 +519,11 @@ class GenericFilter(Value):
 def generic_filter(cp: ConsistencyProperty, root: int = 0) -> GenericFilter:
     """The up-set of the lexicographically least minimal condition below the
     root (any condition of the forcing poset), whose members are the subsets
-    of that condition, so its union sigma is the minimum itself. Verified to
-    meet every emitted dense set that is dense below the root."""
+    of that condition, so its union sigma is the minimum itself. Reports,
+    for every emitted dense set, whether it is dense below the root and
+    whether the minimum meets it; a dense set whose guard the minimum holds
+    is met, as the minimum is one of the maximal members density ranges
+    over."""
     maxes = maximal_members(cp, root)
     if not maxes:
         raise ValueError("the root is not a condition of the forcing poset")
@@ -542,9 +537,6 @@ def generic_filter(cp: ConsistencyProperty, root: int = 0) -> GenericFilter:
         met = bool(minimum & triggers)
         report.append({"kind": entry["kind"], "name": name,
                        "dense_below_root": dense_below_root, "met": met})
-        if dense_below_root and not met:
-            raise AssertionError(
-                f"minimal condition misses a dense set: {name}")
     return GenericFilter(root=root, minimum=minimum,
                          dense_report=tuple(report))
 

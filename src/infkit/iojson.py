@@ -711,5 +711,8 @@ def load_json(path_on_disk: str) -> Any:
 
 
 def save_json(path_on_disk: str, obj: Any) -> None:
-    with open(path_on_disk, "w", encoding="utf-8") as fh:
-        dump(obj, fh.write)
+    try:
+        with open(path_on_disk, "w", encoding="utf-8") as fh:
+            dump(obj, fh.write)
+    except OSError as exc:
+        raise ParseError(f"$: cannot write {path_on_disk}: {exc}") from exc

@@ -65,17 +65,6 @@ def random_quotients(rng: random.Random, sig: Signature, max_atoms: int,
                                     for _ in sig.constants]
 
 
-def random_structures(rng: random.Random, sig: Signature,
-                      max_atoms: int = 3, max_domain: int = 3) -> tuple:
-    """`random_quotients` named as the arguments of `assemble_model` after
-    the signature: `(atom names, domain, per-atom structures, constants)`."""
-    n_dom, per_atom, consts = random_quotients(rng, sig, max_atoms,
-                                               max_domain)
-    dom = tuple(f"m{i}" for i in range(n_dom))
-    return (tuple(f"a{i}" for i in range(len(per_atom))), dom, per_atom,
-            {c: dom[k] for c, k in zip(sig.constants, consts)})
-
-
 def infer_signature(formulas: list[Formula]) -> Signature:
     """Smallest signature declaring every relation (with its observed arity)
     and constant occurring in the formulas."""

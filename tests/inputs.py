@@ -1,9 +1,11 @@
 """Test inputs: the three-element model without mixing and the sentence
 whose sup no witness attains, a deterministic pool of models and formulas,
-every small labeled poset and its down-sets, the two-member and star
-families of the forcing side, the file text of an explicit family, and file
-bytes that no JSON reader decodes."""
+every small labeled poset and its down-sets, the forcing order on a list
+of conditions, the two-member and star families of the forcing side, the
+file text of an explicit family, seeded random models named for
+`assemble_model`, and file bytes that no JSON reader decodes."""
 import itertools
+import random
 
 from infkit.boolalg import FinPoset
 from infkit.bvmodel import (
@@ -11,7 +13,7 @@ from infkit.bvmodel import (
 )
 from infkit.consprop import ConsistencyProperty
 from infkit.iojson import emit_cp
-from infkit.modelgen import split_signature
+from infkit.modelgen import random_quotients, split_signature
 from infkit.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
 )
@@ -153,6 +155,13 @@ def down_sets(poset: FinPoset) -> dict:
     return {e: frozenset(s) for e, s in downs.items()}
 
 
+def forcing_poset(conditions: list[int]) -> FinPoset:
+    """The forcing order on conditions: reverse inclusion, so p is below q
+    exactly when p & q == q."""
+    return FinPoset(conditions, [(p, q) for p in conditions
+                                 for q in conditions if p & q == q])
+
+
 def two_member_family(k: int = 6) -> ConsistencyProperty:
     """Fresh c0..c(k-1), one unary P, the family [E, A u E] over the pool
     A u E, where E holds every ci=ci and A every P(ci): root 0 has 2^k
@@ -184,6 +193,17 @@ def cp_text(cp: ConsistencyProperty) -> str:
     parts: list[str] = []
     emit_cp(cp, parts.append)
     return "".join(parts)
+
+
+def random_structures(rng: random.Random, sig: Signature,
+                      max_atoms: int = 3, max_domain: int = 3) -> tuple:
+    """`random_quotients` named as the arguments of `assemble_model` after
+    the signature: `(atom names, domain, per-atom structures, constants)`."""
+    n_dom, per_atom, consts = random_quotients(rng, sig, max_atoms,
+                                               max_domain)
+    dom = tuple(f"m{i}" for i in range(n_dom))
+    return (tuple(f"a{i}" for i in range(len(per_atom))), dom, per_atom,
+            {c: dom[k] for c, k in zip(sig.constants, consts)})
 
 
 # bytes that are not UTF-8, and arrays nested past the recursion limit

