@@ -7,47 +7,40 @@ invocations print identical reports.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from .boolalg import ImproperFilter, TrivialAlgebra, \
     regular_open_sets_bruteforce, ro_completion
 from .bvmodel import CapExceeded, UnboundVariable, bounded_boolean_sat, \
     check_mixing, check_model, eval_formula
-from .calculus import SAMPLE_CAP, Sequent, check_proof, soundness_sample
-from .consprop import ConsistencyProperty, IllDefined, build_af, check_cp, \
-    check_smax, convert_to_explicit, cp_from_model, generic_filter, \
-    verify_realizes
 from .iojson import ParseError, dump, dumps, emit_algebra, emit_cp, \
     emit_element, emit_formula, emit_model, emit_pool, emit_poset, \
     emit_proof, emit_signature, emit_theory, emit_ultrafilter, load_json, \
     parse_algebra, parse_cp, parse_formula, parse_model, parse_pool, \
     parse_poset, parse_proof, parse_signature, parse_theory, \
     parse_ultrafilter, save_json
-from .mansfield import cp_from_algebra, mansfield_build, roundtrip_check, \
-    verify_claim1, verify_claim2
-from .quotient import los_check, quotient
 from .syntax import Formula, validate_formula
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:   # the other kernel modules load in the commands that run
+    import argparse
     from pathlib import Path
+
+    from .consprop import ConsistencyProperty
 
 DEFAULT_SEED = 0
 
 
 def _plain(x: Any) -> Any:
     """Reduce report values to JSON-friendly data; formulas print as their
-    canonical form, sets as sorted lists. Only the reports that hold a
-    sequent (check-proof) or element labels (the mixing report) need it."""
+    canonical form, sets as sorted lists. Only the element labels of the
+    mixing report need it."""
     if isinstance(x, Formula):
         return x.key()
-    if isinstance(x, Sequent):
-        return {"ante": sorted(f.key() for f in x.ante),
-                "succ": sorted(f.key() for f in x.succ)}
     if isinstance(x, dict):
         return {str(_plain(k)): _plain(v) for k, v in x.items()}
     if isinstance(x, (frozenset, set)):
@@ -89,6 +82,8 @@ def cmd_eval(args) -> int:
             if not sep or not var or not member:
                 return _input_error(f"bad --assign entry {piece!r}; "
                                     "expected var=member")
+            if var in assignment:
+                return _input_error(f"--assign names variable {var!r} twice")
             if member not in model.domain:
                 return _input_error(f"--assign names {member!r}, "
                                     "not a domain member")
@@ -126,6 +121,7 @@ def cmd_sat(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from .quotient import los_check, quotient
     model = parse_model(load_json(args.model))
     atom = parse_ultrafilter(load_json(args.ultrafilter), model.algebra)
     try:
@@ -150,6 +146,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_check_cp(args) -> int:
+    from .consprop import check_cp, check_smax
     cp = parse_cp(load_json(args.cp))
     report = check_cp(cp)
     if args.smax:
@@ -166,6 +163,8 @@ def _family_root(cp: ConsistencyProperty, index: int) -> int:
 
 
 def cmd_generic(args) -> int:
+    from .consprop import IllDefined, build_af, generic_filter, \
+        verify_realizes
     cp = parse_cp(load_json(args.cp))
     root = _family_root(cp, args.root)
     try:
@@ -193,6 +192,7 @@ def cmd_generic(args) -> int:
 
 
 def cmd_cp_from_model(args) -> int:
+    from .consprop import convert_to_explicit, cp_from_model
     model = parse_model(load_json(args.model))
     try:
         named = model.signature.with_constants(model.domain)
@@ -206,6 +206,7 @@ def cmd_cp_from_model(args) -> int:
 
 
 def cmd_mansfield(args) -> int:
+    from .mansfield import mansfield_build, verify_claim1, verify_claim2
     cp = parse_cp(load_json(args.cp))
     root = _family_root(cp, args.root)
     try:
@@ -235,6 +236,8 @@ def cmd_mansfield(args) -> int:
 
 
 def cmd_cp_from_algebra(args) -> int:
+    from .consprop import convert_to_explicit
+    from .mansfield import cp_from_algebra
     alg = parse_algebra(load_json(args.algebra))
     cp, pi, report = cp_from_algebra(alg)
     if args.emit:
@@ -246,12 +249,15 @@ def cmd_cp_from_algebra(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .mansfield import roundtrip_check
     report = roundtrip_check(parse_algebra(load_json(args.algebra)))
     _print(report)
     return 0 if report["ok"] else 1
 
 
 def cmd_ro(args) -> int:
+    if args.brute_max < 0:
+        return _input_error("--brute-max must be at least 0")
     poset = parse_poset(load_json(args.poset))
     # the completion is a powerset on masks, and its embedding preserves
     # order and incompatibility and has a dense image on every finite poset
@@ -277,8 +283,11 @@ def cmd_ro(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
+    from .calculus import SAMPLE_CAP, check_proof, soundness_sample
     if args.max_atoms < 1 or args.max_domain < 1:
         return _input_error("--max-atoms and --max-domain must be at least 1")
+    if args.soundness_samples < 0:
+        return _input_error("--soundness-samples must be at least 0")
     for flag, bound in (("--max-atoms", args.max_atoms),
                         ("--max-domain", args.max_domain)):
         if bound > SAMPLE_CAP:
@@ -287,13 +296,17 @@ def cmd_check_proof(args) -> int:
     proof = parse_proof(load_json(args.proof))
     report = check_proof(proof)
     ok = report["accepted"]
+    if ok:
+        goal = report["goal"]
+        report["goal"] = {"ante": sorted(f.key() for f in goal.ante),
+                          "succ": sorted(f.key() for f in goal.succ)}
     if ok and args.soundness_samples > 0:
         sampled = soundness_sample(proof.goal, samples=args.soundness_samples,
                                    seed=args.seed, max_atoms=args.max_atoms,
                                    max_domain=args.max_domain)
         report = dict(report, soundness=sampled)
         ok = sampled["ok"]
-    _print(_plain(report))
+    _print(report)
     return 0 if ok else 1
 
 
@@ -375,6 +388,8 @@ def _check_entry(base: Path, entry: dict, position: int) -> dict:
 
 
 def _kind_expectations(kind: str, value, expect: dict, add) -> None:
+    from .calculus import check_proof, soundness_sample
+    from .consprop import check_cp, check_smax
     if kind == "model":
         if "valid" in expect:
             rep = check_model(value)
@@ -524,6 +539,7 @@ COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     top = argparse.ArgumentParser(
         prog="infkit",
         description="Finite-width infinitary logic over finite Boolean "
@@ -538,8 +554,57 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` gives a plain command line,
+    read from COMMANDS. None for anything else (an inexact or unknown flag,
+    a value that starts with '-' or fails its type or choices, a missing
+    required flag, too few or too many positionals): argparse reads it."""
+    row = next((r for r in COMMANDS if argv and r[0] == argv[0]), None)
+    if row is None:
+        return None
+    name, _, func, *arguments = row
+    values = {"command": name, "func": func}
+    for flag, options in arguments:
+        values[flag.lstrip("-").replace("-", "_")] = (
+            False if options.get("action") == "store_true"
+            else options.get("default"))
+    flags = {f: options for f, options in arguments if f.startswith("-")}
+    positionals = [(f, options) for f, options in arguments
+                   if not f.startswith("-")]
+    missing = {f for f, options in flags.items() if options.get("required")}
+    words, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        if token not in flags:
+            return None
+        options, dest = flags[token], token.lstrip("-").replace("-", "_")
+        missing.discard(token)
+        if options.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        values[dest] = value
+    least = sum(options.get("nargs") != "?" for _, options in positionals)
+    if missing or not least <= len(words) <= len(positionals):
+        return None
+    values.update(zip((f for f, _ in positionals), words))
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, CapExceeded) as exc:

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Any, Callable, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 from .boolalg import FinBooleanAlgebra, FinPoset, powerset_algebra, \
     ro_completion, table_algebra
 from .bvmodel import BValuedModel, CapExceeded
-from .calculus import Proof, Sequent, Step, RULES
-from .consprop import ConsistencyProperty, _bits, default_pool
 from .syntax import And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, \
     Signature, Term, Var, validate_formula
+
+if TYPE_CHECKING:   # imported where families and proofs are read or written
+    from .calculus import Proof, Sequent
+    from .consprop import ConsistencyProperty
 
 
 class ParseError(Exception):
@@ -465,6 +467,7 @@ def emit_pool(pool: tuple[Formula, ...]) -> dict:
 # consistency properties
 
 def parse_cp(x: Any, path: str = "$") -> ConsistencyProperty:
+    from .consprop import ConsistencyProperty, default_pool
     d = _obj(x, path)
     _reject_extras(d, {"signature", "fresh_constants", "family", "pool"}, path)
     sig = parse_signature(_get(d, "signature", path), f"{path}.signature")
@@ -497,6 +500,7 @@ def parse_cp(x: Any, path: str = "$") -> ConsistencyProperty:
 def emit_cp(cp: ConsistencyProperty, write: Callable[[str], Any]) -> None:
     """Write the file form of an explicit family through `write`, 256
     members at a time: by size, then by their sentences' canonical forms."""
+    from .consprop import _bits
     if cp.family is None:
         raise ValueError("only explicit families have a file form; "
                          "use convert_to_explicit first")
@@ -536,6 +540,7 @@ _RULE_PARAM_KEYS = {
 
 
 def _parse_sequent(x: Any, path: str) -> Sequent:
+    from .calculus import Sequent
     d = _obj(x, path)
     _reject_extras(d, {"ante", "succ"}, path)
     ante = _each(_get(d, "ante", path), f"{path}.ante", parse_formula)
@@ -547,6 +552,7 @@ def _parse_sequent(x: Any, path: str) -> Sequent:
 
 
 def parse_proof(x: Any, path: str = "$") -> Proof:
+    from .calculus import RULES, Proof, Step
     d = _obj(x, path)
     _reject_extras(d, {"steps"}, path)
     steps = []

@@ -71,6 +71,7 @@ def test_eval_free_variable_is_input_error(capsys, corpus_dir, tmp_path):
 @pytest.mark.parametrize("assign, message", [
     ("v0", "bad --assign entry 'v0'; expected var=member"),
     ("v0=zz", "--assign names 'zz', not a domain member"),
+    ("v0=m00,v0=m01", "--assign names variable 'v0' twice"),
 ])
 def test_eval_bad_assignments_are_input_errors(capsys, corpus_dir, tmp_path,
                                                assign, message):
@@ -140,7 +141,6 @@ def test_quotient_with_a_los_pool_builds_the_quotient_once(
     def counting(*args):
         calls.append(1)
         return quotient(*args)
-    monkeypatch.setattr(cli, "quotient", counting)
     monkeypatch.setattr(quotient_module, "quotient", counting)
     assert run(capsys, "quotient",
                "--model", corpus("four_element_model.json", corpus_dir),
@@ -316,6 +316,8 @@ def run_subprocess(*argv, hash_seed="0"):
      "--max-atoms", "0"),
     ("check-proof", "proof_axiom.json", "--soundness-samples", "5",
      "--max-domain", "0"),
+    ("check-proof", "proof_cut.json", "--soundness-samples", "-5"),
+    ("ro", "vee_3.json", "--brute-max", "-3"),
 ])
 def test_search_bounds_below_one_are_input_errors(corpus_dir, argv):
     argv = tuple(corpus(a, corpus_dir) if a.endswith(".json") else a

@@ -2,7 +2,9 @@
 compare and hash as their field tuples within one class, identity types
 compare as objects, reprs read `Name(field=value, ...)` over the fields shown,
 and no attribute can be assigned or deleted. Importing the CLI loads neither
-`dataclasses` nor `inspect`."""
+`dataclasses` nor `inspect`; a valid command loads neither argparse nor the
+kernel modules it does not run, and a traced run still sees its layers."""
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from infkit.syntax import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CORPUS = SRC / "infkit" / "corpus"
 
 SIG = Signature((("R", 1),), ("c",))
 ATOM = Atom("R", (Const("c"),))
@@ -158,3 +161,67 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_resources():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_WATCHED = {"argparse", "gettext", "locale", "infkit.calculus",
+            "infkit.mansfield", "infkit.quotient", "infkit.consprop"}
+
+
+def _modules_loaded_by(*argv):
+    """Which watched modules a fresh `python -m infkit.cli` run loads, and
+    its exit code."""
+    code = ("import runpy, sys\n"
+            "sys.argv = ['infkit', *sys.argv[1:]]\n"
+            "try:\n"
+            "    runpy.run_module('infkit.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    sys.stdout.flush()\n"
+            f"    print(exc.code, sorted({frozenset(_WATCHED)!r} & "
+            "set(sys.modules)), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                         capture_output=True, text=True, cwd=CORPUS)
+    code, modules = out.stderr.splitlines()[-1].split(" ", 1)
+    return int(code), modules
+
+
+def test_a_valid_command_loads_only_the_modules_it_runs(tmp_path):
+    """A plain command line is read without argparse, and each command
+    imports its own kernel modules; help and usage errors still load
+    argparse."""
+    formula = tmp_path / "f.json"
+    formula.write_text('{"eq": [{"const": "d"}, {"const": "c0"}]}')
+    assert _modules_loaded_by("check-cp", "eq4_family.json") \
+        == (0, "['infkit.consprop']")
+    assert _modules_loaded_by(
+        "eval", "--model", "four_element_model.json", "--formula",
+        str(formula)) == (0, "[]")
+    assert _modules_loaded_by("check-proof", "proof_cut.json") \
+        == (0, "['infkit.calculus']")
+    assert _modules_loaded_by("--help") \
+        == (0, "['argparse', 'gettext', 'locale']")
+    assert _modules_loaded_by("check-cp") \
+        == (2, "['argparse', 'gettext', 'locale']")
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (("check-cp", "eq4_family.json"), ("consprop.check_cp", "iojson.parse")),
+    (("check-proof", "proof_cut.json", "--soundness-samples", "5"),
+     ("calculus.check_proof", "calculus.soundness_sample", "iojson.parse")),
+])
+def test_a_traced_run_sees_the_layers_of_the_command(tmp_path, argv, layers):
+    """perfbench's tracer wraps every module before `main` runs, so the
+    functions a command imports when it runs are the wrapped ones. The
+    tracer is only run, never changed."""
+    tracer = SRC.parent / "perfbench" / "tracer.py"
+    summary = tmp_path / "summary.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(tracer), str(summary), "--",
+                           *argv], env=env, capture_output=True, text=True,
+                          cwd=CORPUS)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(summary.read_text())["layers"]
+    for layer in ("cli.main", *layers):
+        assert seen.get(layer, {}).get("calls", 0) >= 1, layer

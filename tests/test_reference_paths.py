@@ -28,17 +28,22 @@ with the quotient and the Los check that judged the quotient's one-atom
 model by `eval_formula`, against the ultrafilter carried as its atom and
 the quotient judged by `quotient_truth`. Also the argument parser as it
 was, one hand-written block per subcommand, against the one built from
-the command table. Also the dense-embedding and roundtrip reports as they
+the command table, and the plain command-line reader against the
+parser. Also the dense-embedding and roundtrip reports as they
 were checked, pair by pair and through an explicit completion, against
 the reports built from the member and atom counts."""
 import argparse
 import contextlib
 import functools
+import importlib.util
 import io
 import itertools
 import json
 import random
+import shlex
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -2280,3 +2285,142 @@ def test_the_command_table_builds_the_reference_parser(argv, monkeypatch):
     got = _surface(argv)
     monkeypatch.setattr(cli, "build_parser", reference_build_parser)
     assert got == _surface(argv)
+
+
+# --- the plain command-line reader -------------------------------------------
+
+def _good_values(options):
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is int:
+        return st.integers(0, 20).map(str)
+    return st.sampled_from(["a.json", "v0=m0,v1=m1", "b c.json", ""])
+
+
+_BAD_VALUES = st.sampled_from(["x", "2.5", " 7", "-5", "-1", "--", "-", "-h",
+                               "medium", "--smax"])
+
+
+@st.composite
+def _command_lines(draw):
+    """argv built from cli.COMMANDS: a valid line (every required flag, the
+    positionals, some optional flags, in any order), often with a few
+    pieces added or dropped: abbreviations, --flag=value, --, help,
+    negative numbers and bad values, repeated and bare flags, extra
+    positionals, and an unknown command name."""
+    name, _, _, *arguments = draw(st.sampled_from(cli.COMMANDS))
+    pieces, extra = [], [st.sampled_from(
+        [["p.json"], ["--"], ["-h"], ["--help"], ["-5"], ["-"], [""]])]
+    for flag, options in arguments:
+        if not flag.startswith("-"):
+            if options.get("nargs") != "?" or draw(st.booleans()):
+                pieces.append(["p.json"])
+            continue
+        if options.get("action") == "store_true":
+            good = st.just([flag])
+            extra.append(good)
+        else:
+            good = _good_values(options).map(lambda v, f=flag: [f, v])
+            values = st.one_of(_good_values(options), _BAD_VALUES)
+            extra += [good, st.just([flag]),
+                      values.map(lambda v, f=flag: [f, v]),
+                      values.map(lambda v, f=flag: [f"{f}={v}"])]
+        extra.append(st.integers(3, len(flag) - 1).map(lambda k, f=flag:
+                                                       [f[:k]]))
+        if options.get("required") or draw(st.booleans()):
+            pieces.append(draw(good))
+    if pieces and draw(st.booleans()):
+        i = draw(st.integers(0, len(pieces) - 1))
+        if len(pieces[i]) == 2 and draw(st.booleans()):
+            pieces[i] = [pieces[i][0], draw(_BAD_VALUES)]
+        else:
+            del pieces[i]
+    pieces += draw(st.lists(st.one_of(extra), max_size=2))
+    head = draw(st.sampled_from([name] * 8 + ["Eval", "check", "", "-h"]))
+    return [head, *itertools.chain.from_iterable(
+        draw(st.permutations(pieces)))]
+
+
+def _parsed(argv):
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+@example(["sat", "--theory", "t.json", "--mode", "medium"])
+@example(["eval", "--model", "-x", "--formula", "f.json"])
+@example(["eval", "--model", "m.json", "--formula", "-h"])
+@example(["eval", "--model", "m.json"])
+@example(["mansfield", "--cp", "c.json"])
+@example(["check-cp"])
+@example(["check-cp", "a.json", "b.json"])
+@example(["ro", "p.json", "--brute-max", "x"])
+@example(["ro", "p.json", "--brute-max"])
+@example(["ro", "p.json", "--brute", "3"])
+@example(["ro", "p.json", "--brute-max=3"])
+@example(["corpus", "--", "m.json"])
+@example(["corpus", "m.json", "n.json"])
+def test_the_plain_reader_reads_as_argparse(argv):
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert vars(args) == _parsed(argv)
+
+
+def _workload_commands(tmp_path, monkeypatch):
+    """The argv of every benchmark command at two seeds. perfbench is only
+    read: its workload module writes the inputs under tmp_path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    corpus_dir = Path(cli.__file__).parent / "corpus"
+    return [list(cmd.argv) for name in workloads.WORKLOADS for seed in (1, 2)
+            for cmd in workloads.generate(name, seed, corpus_dir,
+                                          tmp_path / f"{name}{seed}")]
+
+
+def _manifest_commands(corpus_dir, manifest):
+    """A command line that reads each shipped manifest entry's file."""
+    m4 = str(corpus_dir / "four_element_model.json")
+    kinds = {
+        "model": lambda f, e: ["check-model", f],
+        "poset": lambda f, e: ["ro", f],
+        "algebra": lambda f, e: ["roundtrip", f],
+        "cp": lambda f, e: ["check-cp", f] + ["--smax"] * ("smax" in e),
+        "proof": lambda f, e: ["check-proof", f, "--soundness-samples",
+                               str(e.get("sound_samples", 0))],
+        "theory": lambda f, e: ["sat", "--theory", f, "--mode", "weak",
+                                "--max-atoms", "2", "--max-domain", "3"],
+        "ultrafilter": lambda f, e: ["quotient", "--model", m4,
+                                     "--ultrafilter", f],
+        "pool": lambda f, e: ["cp-from-model", "--model", m4, "--pool", f],
+        "formula": lambda f, e: ["eval", "--model", m4, "--formula", f],
+    }
+    return [kinds[e["kind"]](str(corpus_dir / e["file"]), e.get("expect", {}))
+            for e in manifest["entries"] if e["kind"] in kinds] \
+        + [["corpus"], ["corpus", str(corpus_dir / "manifest.json")]]
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("infkit ")]
+
+
+def test_the_plain_reader_answers_every_shipped_command_line(
+        tmp_path, monkeypatch, corpus_dir, manifest):
+    """The command lines of the benchmark, the manifest and README never
+    build a parser."""
+    readme = _readme_commands()
+    assert len(readme) >= 3
+    lines = _workload_commands(tmp_path, monkeypatch) \
+        + _manifest_commands(corpus_dir, manifest) + readme
+    for argv in lines:
+        args = cli._plain_args(argv)
+        assert args is not None, argv
+        assert vars(args) == _parsed(argv)
