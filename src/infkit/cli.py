@@ -18,12 +18,12 @@ from .boolalg import ImproperFilter, TrivialAlgebra, \
     regular_open_sets_bruteforce, ro_completion
 from .bvmodel import CapExceeded, UnboundVariable, bounded_boolean_sat, \
     check_mixing, check_model, eval_formula
-from .iojson import ParseError, dump, dumps, emit_algebra, emit_cp, \
-    emit_element, emit_formula, emit_model, emit_pool, emit_poset, \
+from .iojson import ParseError, canonical_cp, dump, dumps, emit_algebra, \
+    emit_cp, emit_element, emit_formula, emit_model, emit_pool, emit_poset, \
     emit_proof, emit_signature, emit_theory, emit_ultrafilter, load_json, \
     parse_algebra, parse_cp, parse_formula, parse_model, parse_pool, \
     parse_poset, parse_proof, parse_signature, parse_theory, \
-    parse_ultrafilter, save_json
+    parse_ultrafilter, read_cp, save_json
 from .syntax import Formula, validate_formula
 
 if TYPE_CHECKING:   # the other kernel modules load in the commands that run
@@ -146,12 +146,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_check_cp(args) -> int:
-    from .consprop import check_cp, check_smax
-    cp = parse_cp(load_json(args.cp))
-    report = check_cp(cp)
-    if args.smax:
-        report["smax"] = check_smax(cp)
-        report["ok"] = report["ok"] and report["smax"]["ok"]
+    from .consprop import check_cp
+    report = check_cp(read_cp(args.cp), args.smax)
     _print(report)
     return 0 if report["ok"] else 1
 
@@ -165,7 +161,7 @@ def _family_root(cp: ConsistencyProperty, index: int) -> int:
 def cmd_generic(args) -> int:
     from .consprop import IllDefined, build_af, generic_filter, \
         verify_realizes
-    cp = parse_cp(load_json(args.cp))
+    cp = read_cp(args.cp)
     root = _family_root(cp, args.root)
     try:
         gf = generic_filter(cp, root)
@@ -192,7 +188,7 @@ def cmd_generic(args) -> int:
 
 
 def cmd_cp_from_model(args) -> int:
-    from .consprop import convert_to_explicit, cp_from_model
+    from .consprop import cp_from_model
     model = parse_model(load_json(args.model))
     try:
         named = model.signature.with_constants(model.domain)
@@ -201,13 +197,13 @@ def cmd_cp_from_model(args) -> int:
                             f"element names the family adds: {exc}")
     pool = parse_pool(load_json(args.pool), sig=named, need_sentence=True)
     cp = cp_from_model(model, pool=pool)
-    emit_cp(convert_to_explicit(cp), sys.stdout.write)
+    emit_cp(cp, sys.stdout.write)
     return 0
 
 
 def cmd_mansfield(args) -> int:
     from .mansfield import mansfield_build, verify_claim1, verify_claim2
-    cp = parse_cp(load_json(args.cp))
+    cp = read_cp(args.cp)
     root = _family_root(cp, args.root)
     try:
         built = mansfield_build(cp, root)
@@ -236,13 +232,11 @@ def cmd_mansfield(args) -> int:
 
 
 def cmd_cp_from_algebra(args) -> int:
-    from .consprop import convert_to_explicit
     from .mansfield import cp_from_algebra
-    alg = parse_algebra(load_json(args.algebra))
-    cp, pi, report = cp_from_algebra(alg)
+    cp, report = cp_from_algebra(parse_algebra(load_json(args.algebra)))
     if args.emit:
         dump(report, sys.stderr.write)
-        emit_cp(convert_to_explicit(cp, pi), sys.stdout.write)
+        emit_cp(cp, sys.stdout.write)
     else:
         _print(report)
     return 0 if report["ok"] else 1
@@ -359,7 +353,7 @@ def _check_entry(base: Path, entry: dict, position: int) -> dict:
             value = parse_ultrafilter(obj, alg)
             text = dumps(emit_ultrafilter(alg, value))
         elif kind == "cp":
-            value, parts = parse_cp(obj), []
+            value, parts = canonical_cp(raw) or parse_cp(obj), []
             emit_cp(value, parts.append)
             text = "".join(parts)
         elif kind in _PARSERS:

@@ -5,10 +5,11 @@ generic filters, and the term structure realized by a generic filter.
 A family is either an explicit finite list of finite sentence sets or the
 positivity family of a model, accepting a set exactly when the meet of its
 sentences' values is nonzero. Positivity families are closed under subsets;
-they are enumerated as the accepted pool-subsets, depth-first with antitone
-pruning and a hard cap. Sentences that a clause adds are looked up in
-explicit families (a miss outside the pool is a PoolIncomplete finding) and
-simply evaluated in the model otherwise. A member is an int over the
+they are counted per walk state, and listed as the accepted pool-subsets,
+depth-first or level by level, with antitone pruning under a hard cap.
+Sentences that a clause adds are looked up in explicit families (a miss
+outside the pool is a PoolIncomplete finding) and simply evaluated in the
+model otherwise. A member is an int over the
 family's interned sentences, bit i the i-th in canonical key order, and so
 are the roots, conditions and filters of the forcing side: a condition is a
 submask of a member, and p lies below q when p & q == q.
@@ -136,28 +137,61 @@ def enumerate_members(cp: ConsistencyProperty) -> list[int]:
     return list(member_meets(cp) if cp.family is None else cp.family)
 
 
+def _steps(cp: ConsistencyProperty) -> Callable[[int, int], list]:
+    """The steps of a state of the walk over a positivity family's pool, its
+    running meet and next pool position, computed once: (next position, bit,
+    meet) for each later pool sentence whose value meets the meet. The
+    pruning is exact because the family is closed under subsets."""
+    rows = [(i + 1, b, cp.masks[b]) for i, b in enumerate(_bits(cp.pool_mask))]
+    return functools.cache(lambda meet, start: [
+        (i, b, meet & v) for i, b, v in rows[start:] if meet & v])
+
+
+def member_count(cp: ConsistencyProperty) -> int:
+    """The number of members of a positivity family, none listed: those
+    below a state of the walk depend only on the state, so each state is
+    counted once. Raises CapExceeded once a count passes MEMBER_CAP."""
+    steps = _steps(cp)
+
+    @functools.cache
+    def below(meet: int, start: int) -> int:
+        n = 1
+        for i, _, nxt in steps(meet, start):   # one frame a level, as dfs
+            n += below(nxt, i)
+        if n > MEMBER_CAP:
+            raise CapExceeded(f"oracle family exceeds the member cap "
+                              f"({MEMBER_CAP}); shrink the pool")
+        return n
+    return below(cp.model.algebra.one, 0)
+
+
 def member_meets(cp: ConsistencyProperty) -> dict[int, int]:
-    """The members of a positivity family, each mapped to the meet of its
-    sentences' values. The walk is depth-first over the pool in canonical
-    order and carries the running meet, so a candidate costs one AND with
-    the next sentence's value mask; the pruning is exact because the family
-    is closed under subsets."""
-    steps = [(1 << b, cp.masks[b]) for b in _bits(cp.pool_mask)]
-    out: dict[int, int] = {}
+    """The members of a positivity family under the member cap, each mapped
+    to the meet of its sentences' values, walked depth-first."""
+    member_count(cp)   # raises over the cap before any member is listed
+    steps, out = _steps(cp), {}
 
     def dfs(current: int, meet: int, start: int) -> None:
         out[current] = meet
-        if len(out) > MEMBER_CAP:
-            raise CapExceeded(
-                f"oracle family exceeds the member cap ({MEMBER_CAP}); "
-                f"shrink the pool")
-        for i in range(start, len(steps)):
-            b, mask = steps[i]
-            nxt = meet & mask
-            if nxt:
-                dfs(current | b, nxt, i + 1)
+        for i, b, nxt in steps(meet, start):
+            dfs(current | 1 << b, nxt, i)
 
     dfs(0, cp.model.algebra.one, 0)
+    return out
+
+
+def members_by_level(cp: ConsistencyProperty) -> list[tuple[int, ...]]:
+    """The members of a positivity family under the member cap as their bit
+    tuples, by size and then as tuples, the order emit_cp writes: a member
+    of size k extends one of size k-1 by a later pool sentence, so extending
+    level k-1 in order, by the pool in order, lists level k in order."""
+    member_count(cp)
+    steps = _steps(cp)
+    level, out = [((), cp.model.algebra.one, 0)], []
+    while level:
+        out += [bits for bits, _, _ in level]
+        level = [(bits + (b,), nxt, i) for bits, meet, start in level
+                 for i, b, nxt in steps(meet, start)]
     return out
 
 
@@ -366,12 +400,13 @@ def _check_row(row: tuple, reach: int, violations: list, key: tuple) -> None:
         violations.append({"clause": clause, "member": key, **extra, **found})
 
 
-def check_cp(cp: ConsistencyProperty) -> dict:
+def check_cp(cp: ConsistencyProperty, smax: bool = False) -> dict:
     """Check every consistency-property clause on every family member.
     Returns {"ok", "family_size", "violations": [...]}; violation entries
     carry the clause tag, the offending member, and what was required.
     The clause table is compiled once per family, and each member's
-    sentences are read in canonical order."""
+    sentences are read in canonical order. With `smax`, the report holds
+    check_smax's under "smax", over the same walk, and "ok" needs both."""
     members = _reaches(cp)
     rows, namings = _clauses(cp)
     compile_row = _compiler(cp)
@@ -413,18 +448,22 @@ def check_cp(cp: ConsistencyProperty) -> dict:
         for r in namings:
             _check_row(r, reach, violations, key)
 
-    return {"ok": not violations, "family_size": len(members),
-            "violations": violations}
+    report = {"ok": not violations, "family_size": len(members),
+              "violations": violations}
+    if smax:
+        report["smax"] = check_smax(cp, (members, compile_row))
+        report["ok"] = report["ok"] and report["smax"]["ok"]
+    return report
 
 
-def check_smax(cp: ConsistencyProperty) -> dict:
+def check_smax(cp: ConsistencyProperty, walk: tuple | None = None) -> dict:
     """Maximality: every member extends by each pool sentence or by its
-    literal negation, a SOME row per pool sentence."""
+    literal negation, a SOME row per pool sentence. `walk` is the family's
+    `_reaches` and `_compiler`, when the caller has them."""
     violations: list[dict] = []
-    compile_row = _compiler(cp)
+    members, compile_row = walk or (_reaches(cp), _compiler(cp))
     rows = [compile_row(("S-Max", SOME, [f, Not(f)], {"sentence": f.key()}))
             for f in cp.pool]
-    members = _reaches(cp)
     for m, reach in members:
         key = cp.key(m)
         for r in rows:
@@ -448,14 +487,11 @@ def cp_from_model(model: BValuedModel, pool: Iterable[Formula] | None = None,
         model=model.with_self_named_constants(model.domain))
 
 
-def convert_to_explicit(cp: ConsistencyProperty,
-                        members: Iterable[int] | None = None
-                        ) -> ConsistencyProperty:
-    """The family as an explicit list of `members`, by default all."""
+def convert_to_explicit(cp: ConsistencyProperty) -> ConsistencyProperty:
+    """The family as the explicit list of its members."""
     return ConsistencyProperty(
-        cp.signature, cp.fresh_constants, cp.pool, family=tuple(
-            enumerate_members(cp) if members is None else members),
-        sentences=cp.sentences)
+        cp.signature, cp.fresh_constants, cp.pool,
+        family=tuple(enumerate_members(cp)), sentences=cp.sentences)
 
 
 # ---------------------------------------------------------------------------

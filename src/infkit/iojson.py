@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 from .boolalg import FinBooleanAlgebra, FinPoset, powerset_algebra, \
@@ -497,17 +498,70 @@ def parse_cp(x: Any, path: str = "$") -> ConsistencyProperty:
         _fail(path, str(exc))
 
 
+def read_cp(path_on_disk: str) -> ConsistencyProperty:
+    """parse_cp(load_json(path_on_disk)), read by canonical_cp when the
+    file holds canonical text."""
+    try:
+        with open(path_on_disk, encoding="utf-8") as fh:
+            cp = canonical_cp(fh.read())
+    except (OSError, ValueError):   # the general path reports these
+        cp = None
+    return parse_cp(load_json(path_on_disk)) if cp is None else cp
+
+
+def canonical_cp(text: str) -> ConsistencyProperty | None:
+    """The family emit_cp writes as `text`, or None: the text is split into
+    member texts at indent 4 and sentence texts at indent 6 (JSON text holds
+    no raw newline), each distinct sentence text is parsed once, and the
+    family is kept only if emit_cp writes the text back."""
+    from .consprop import ConsistencyProperty
+    head, seen = '{\n  "family": [', 0
+    if not text.startswith(head):
+        return None
+
+    def same(chunk: str) -> None:
+        nonlocal seen
+        if not text.startswith(chunk, seen):
+            raise ValueError("not the canonical text")
+        seen += len(chunk)
+
+    try:
+        body, tail = ("", text[len(head) + 2:]) if text.startswith(
+            "],", len(head)) else text[len(head):].split("\n  ],", 1)
+        rest = json.loads("{" + tail)
+        if "pool" not in rest:   # parse_cp would derive the default pool
+            return None
+        base = parse_cp(dict(rest, family=[]))
+        wide = base.extended_signature()
+        texts: dict[str, int] = {}   # sentence text past its "{" -> index
+        members = [[texts.setdefault(t, len(texts)) for t in (
+            "," + m[:-6]).split(",\n      {")[1:]]
+            for m in ("," + body).split(",\n    [")[1:]]
+        parsed = [_validated(json.loads("{" + t), "$", wide) for t in texts]
+        sentences = tuple(sorted(set(base.pool).union(parsed),
+                                 key=Formula.key))
+        masks = [1 << sentences.index(f) for f in parsed]
+        cp = ConsistencyProperty(
+            base.signature, base.fresh_constants, base.pool, family=tuple(
+                functools.reduce(operator.or_, map(masks.__getitem__, m), 0)
+                for m in members), sentences=sentences)
+        emit_cp(cp, same)
+    except (ValueError, RecursionError, ParseError):
+        return None
+    return cp if seen == len(text) else None
+
+
 def emit_cp(cp: ConsistencyProperty, write: Callable[[str], Any]) -> None:
-    """Write the file form of an explicit family through `write`, 256
-    members at a time: by size, then by their sentences' canonical forms."""
-    from .consprop import _bits
-    if cp.family is None:
-        raise ValueError("only explicit families have a file form; "
-                         "use convert_to_explicit first")
+    """Write the file form of a family through `write`, 256 members at a
+    time: by size, then by their sentences' canonical forms. A positivity
+    family is listed in that order by members_by_level, so an over-cap one
+    writes nothing."""
+    from .consprop import _bits, members_by_level
     # JSON text holds no raw newline, so indenting is one replace
     texts = [dumps(emit_formula(f))[:-1].replace("\n", "\n      ")
              for f in cp.sentences]
-    members = sorted(sorted(map(_bits, cp.family)), key=len)
+    members = members_by_level(cp) if cp.family is None \
+        else sorted(sorted(map(_bits, cp.family)), key=len)
     head = '{\n  "family": ['
     for i in range(0, len(members), 256):
         write(head + "\n    " + ",\n    ".join([

@@ -16,7 +16,7 @@ from .boolalg import FinBooleanAlgebra, TrivialAlgebra, _by_size
 from .bvmodel import BValuedModel, check_model, eval_formula
 from .consprop import (
     ConsistencyProperty, cp_from_model, check_cp, forcing_poset_conditions,
-    maximal_members, member_meets, _bits,
+    maximal_members, member_count, _bits,
 )
 from .record import Value
 from .syntax import (
@@ -203,21 +203,21 @@ MATERIALIZE_LIMIT = 200
 
 
 def cp_from_algebra(
-        alg: FinBooleanAlgebra) -> tuple[ConsistencyProperty, dict, dict]:
-    """The positivity family of the membership model, the valuation map on
-    its members (in enumeration order), and the dense-embedding report,
-    whose facts hold by construction. Order: a member's value is the AND of
-    its sentences' masks, so a superset has a smaller value.
-    Incompatibility: p | q is a member exactly when pi[p] & pi[q] is
-    nonzero. Surjectivity: the pool holds inG(e), of mask e, for every
-    element e."""
+        alg: FinBooleanAlgebra) -> tuple[ConsistencyProperty, dict]:
+    """The positivity family of the membership model and the dense-embedding
+    report, whose facts hold by construction, of the valuation pi sending a
+    member to the meet of its sentences' values (member_meets). Order: a
+    member's value is the AND of its sentences' masks, so a superset has a
+    smaller value. Incompatibility: p | q is a member exactly when
+    pi[p] & pi[q] is nonzero. Surjectivity: the pool holds inG(e), of mask
+    e, for every element e. The members are counted, not listed."""
     model, names = algebra_model(alg)
     cp = cp_from_model(model, sb_pool(alg, names))
-    pi = member_meets(cp)
-    mode = "exhaustive" if len(pi) <= SAMPLE_LIMIT else "sampled"
-    return cp, pi, {"ok": True, "members": len(pi), "pair_mode": mode,
-                    "order_failures": [], "incompatibility_failures": [],
-                    "surjectivity_failures": []}
+    members = member_count(cp)
+    mode = "exhaustive" if members <= SAMPLE_LIMIT else "sampled"
+    return cp, {"ok": True, "members": members, "pair_mode": mode,
+                "order_failures": [], "incompatibility_failures": [],
+                "surjectivity_failures": []}
 
 
 def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
@@ -230,9 +230,9 @@ def roundtrip_check(alg: FinBooleanAlgebra) -> dict:
     member's value is the join of the atoms below it. Posets of at most
     MATERIALIZE_LIMIT members are reported as materialized, with the size
     of their completion."""
-    _, pi, _ = cp_from_algebra(alg)
-    materialized = len(pi) <= MATERIALIZE_LIMIT
-    return {"ok": True, "atoms": len(alg.atoms()), "members": len(pi),
+    members = cp_from_algebra(alg)[1]["members"]
+    materialized = members <= MATERIALIZE_LIMIT
+    return {"ok": True, "atoms": len(alg.atoms()), "members": members,
             "maximal_members_match": True, "h_bijective": True,
             "h_homomorphism": True, "reg_matches_pi": True,
             "materialized": materialized,

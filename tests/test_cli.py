@@ -19,6 +19,7 @@ from infkit.consprop import ConsistencyProperty
 from infkit.iojson import dumps
 from infkit.quotient import quotient
 from infkit.syntax import Atom, Const, Eq, Not, Signature
+from conftest import load_family
 from inputs import UNDECODABLE, cp_text, star_family, two_member_family
 from test_golden import _table_powerset
 
@@ -508,6 +509,65 @@ def test_cap_overruns_are_input_errors(capsys, monkeypatch, corpus_dir,
     code, out, err = run(capsys, *(a.format(corpus=corpus_dir,
                                             no_pool=no_pool) for a in argv))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+OVER_THE_MEMBER_CAP = \
+    "error: oracle family exceeds the member cap (300000); shrink the pool\n"
+
+
+@pytest.mark.parametrize("atoms", [5, 6])
+@pytest.mark.parametrize("argv", [("roundtrip",), ("cp-from-algebra",),
+                                  ("cp-from-algebra", "--emit")], ids=" ".join)
+def test_an_algebra_over_the_member_cap_is_refused_from_its_count(
+        capsys, tmp_path, atoms, argv):
+    """The families of the 32- and 64-element powersets pass the member cap;
+    listing 300,000 members before refusing took 0.2-0.4 s in-process
+    (Python 3.11, 2 CPUs). They are counted instead, and nothing is
+    written but the error line."""
+    path = tmp_path / f"b{2 ** atoms}.json"
+    path.write_text(dumps({"type": "powerset",
+                           "atoms": [f"a{i}" for i in range(atoms)]}))
+    start = time.perf_counter()
+    got = run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - start < 0.1
+    assert got == (2, "", OVER_THE_MEMBER_CAP)
+
+
+def test_a_model_pool_over_the_member_cap_is_refused_from_its_count(
+        capsys, tmp_path, corpus_dir, m4):
+    """Every equality over the four-element model's constants and domain
+    elements: a family over the member cap writes no byte."""
+    from infkit.consprop import default_pool
+    from infkit.iojson import emit_pool
+    pool = tmp_path / "equalities.json"
+    pool.write_text(dumps(emit_pool(default_pool(m4.signature,
+                                                 tuple(m4.domain), ()))))
+    start = time.perf_counter()
+    got = run(capsys, "cp-from-model",
+              "--model", corpus("four_element_model.json", corpus_dir),
+              "--pool", str(pool))
+    assert time.perf_counter() - start < 0.1
+    assert got == (2, "", OVER_THE_MEMBER_CAP)
+
+
+@pytest.mark.parametrize("name", ["eq2_family", "max_family", "ind4_family"])
+def test_check_cp_smax_walks_the_family_once(capsys, monkeypatch, corpus_dir,
+                                             name):
+    """`check-cp --smax` prints the clause report with check_smax's under
+    "smax", from one walk of the family."""
+    from infkit import consprop
+    cp = load_family(corpus_dir, name)
+    want = consprop.check_cp(cp)
+    want["smax"] = consprop.check_smax(cp)
+    want["ok"] = want["ok"] and want["smax"]["ok"]
+    calls = []
+    reaches = consprop._reaches
+    monkeypatch.setattr(consprop, "_reaches",
+                        lambda cp: calls.append(cp) or reaches(cp))
+    code, out, _ = run(capsys, "check-cp", corpus(f"{name}.json", corpus_dir),
+                       "--smax")
+    assert (code, out) == (0 if want["ok"] else 1, dumps(want))
+    assert len(calls) == 1
 
 
 def test_an_emitted_algebra_over_the_table_cap_is_an_input_error(

@@ -259,7 +259,7 @@ def test_check_cp_asks_a_positivity_family_no_oracle_question(corpus_dir):
     """Each candidate is one AND of the member's meet with the candidate's
     value, so check_cp on the b16 positivity family calls the membership
     oracle not once (the per-candidate check called it 364,160 times)."""
-    cp, _, _ = cp_from_algebra(
+    cp, _ = cp_from_algebra(
         parse_algebra(load_json(str(corpus_dir / "b16.json"))))
     calls = []
     oracle = cp.oracle

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from infkit.boolalg import powerset_algebra
 from infkit.bvmodel import CapExceeded, check_model
 from infkit.cli import main
-from infkit.consprop import cp_from_model
+from infkit.consprop import convert_to_explicit, cp_from_model
 from infkit.iojson import (
     TABLE_CAP, ParseError, as_table_algebra, dumps, emit_algebra, emit_cp,
     emit_element, emit_formula, emit_model, emit_poset, emit_pool,
@@ -16,6 +16,7 @@ from infkit.iojson import (
     parse_ultrafilter, save_json,
 )
 from infkit.mansfield import mansfield_build
+from infkit.modelgen import split_constant_theory
 from infkit.syntax import And, Atom, Const, Eq, Exists, Forall, Not, Or, Var
 from inputs import cp_text
 
@@ -223,10 +224,16 @@ def test_cp_parses_each_distinct_sentence_once(capsys, tmp_path):
     assert err.startswith("error: $.family[0][0]: undeclared relation")
 
 
-def test_cp_emit_requires_explicit_family(m4):
-    cp = cp_from_model(m4)
-    with pytest.raises(ValueError):
-        emit_cp(cp, [].append)
+def test_cp_emit_writes_a_positivity_family_as_its_explicit_form(m4):
+    """A positivity family is written as the explicit family of its
+    members; one over the member cap writes nothing."""
+    cp = cp_from_model(m4, split_constant_theory())
+    assert cp.family is None
+    assert cp_text(cp) == cp_text(convert_to_explicit(cp))
+    over, parts = cp_from_model(m4), []
+    with pytest.raises(CapExceeded, match="member cap"):
+        emit_cp(over, parts.append)
+    assert parts == []
 
 
 def test_proof_roundtrip_and_rejects(corpus_dir):

@@ -31,7 +31,10 @@ was, one hand-written block per subcommand, against the one built from
 the command table, and the plain command-line reader against the
 parser. Also the dense-embedding and roundtrip reports as they
 were checked, pair by pair and through an explicit completion, against
-the reports built from the member and atom counts."""
+the reports built from the member and atom counts. Also the walk's
+member dict against the member count and the level walk that emission
+reads, and parse_cp(load_json()) against read_cp, which reads canonical
+family text without its parse tree."""
 import argparse
 import contextlib
 import functools
@@ -48,7 +51,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from infkit import cli
+from infkit import cli, iojson
 from infkit.boolalg import (
     FinBooleanAlgebra, FinPoset, ImproperFilter, TrivialAlgebra, check_tables,
     enumerate_ultrafilters, powerset_algebra, regular_open_sets_bruteforce,
@@ -69,13 +72,13 @@ from infkit.consprop import (
     ConsistencyProperty, check_cp, check_smax, convert_to_explicit,
     cp_from_model, default_pool, dense_sets, enumerate_members,
     forcing_poset_conditions, generic_filter, instances,
-    maximal_among, maximal_members, member_meets, occurrence_variants,
-    _bit_order, _bits,
+    maximal_among, maximal_members, member_count, member_meets,
+    members_by_level, occurrence_variants, _bit_order, _bits,
 )
 from infkit.iojson import (
     as_table_algebra, dump, dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
-    parse_algebra, parse_cp, parse_model, parse_pool, parse_poset,
-    parse_proof,
+    ParseError, parse_algebra, parse_cp, parse_model, parse_pool,
+    parse_poset, parse_proof, read_cp,
 )
 from infkit.mansfield import (
     MATERIALIZE_LIMIT, SAMPLE_LIMIT, algebra_model, condition_algebra,
@@ -718,7 +721,7 @@ def test_check_cp_matches_reference_when_a_constant_has_two_names():
 def test_check_cp_matches_reference_on_emitted_algebra_families(
         corpus_dir, size):
     alg = parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
-    oracle_cp, _, _ = cp_from_algebra(alg)
+    oracle_cp, _ = cp_from_algebra(alg)
     explicit = convert_to_explicit(oracle_cp)
     families = [oracle_cp, explicit] if size == 8 \
         else [oracle_cp, *_variants(explicit)]
@@ -1025,8 +1028,8 @@ def test_regular_open_sets_match_on_random_posets(poset):
 def test_cp_from_algebra_valuation_is_per_member_evaluation(corpus_dir,
                                                             size):
     alg = parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
-    cp, pi, _ = cp_from_algebra(alg)
-    named = cp.model
+    cp, _ = cp_from_algebra(alg)
+    pi, named = member_meets(cp), cp.model
     assert set(pi) == set(enumerate_members(cp))
     for s, value in pi.items():
         assert value == alg.inf(eval_formula(named, f) for f in cp.decode(s))
@@ -1169,9 +1172,9 @@ def test_the_reverse_reports_equal_their_reference_checks(corpus_dir):
     algs = reverse_algebras(corpus_dir)
     modes = set()
     for alg in algs:
-        cp, pi, report = cp_from_algebra(alg)
+        cp, report = cp_from_algebra(alg)
         ref_cp, ref_pi, ref_report = reference_cp_from_algebra(alg)
-        assert (cp.sentences, pi, report) \
+        assert (cp.sentences, member_meets(cp), report) \
             == (ref_cp.sentences, ref_pi, ref_report)
         rt = roundtrip_check(alg)
         assert rt == reference_roundtrip_check(alg)
@@ -1240,10 +1243,10 @@ def _algebra(corpus_dir, size):
 @pytest.mark.parametrize("size", [2, 4, 8, 16, "16_table"])
 def test_positivity_walk_matches_the_oracle_walk_on_algebras(corpus_dir,
                                                               size):
-    cp, pi, _ = cp_from_algebra(_algebra(corpus_dir, size))
-    assert assert_walks_agree(cp) == pi
-    assert convert_to_explicit(cp, pi).family \
-        == convert_to_explicit(cp).family
+    cp, report = cp_from_algebra(_algebra(corpus_dir, size))
+    pi = assert_walks_agree(cp)
+    assert report["members"] == len(pi)
+    assert convert_to_explicit(cp).family == tuple(pi)
 
 
 def test_positivity_walk_matches_the_oracle_walk_on_corpus_families(
@@ -1337,6 +1340,89 @@ def test_emission_writes_no_chunk_over_a_mebibyte(corpus_dir):
     sizes = []
     emit_cp(cp, lambda text: sizes.append(len(text)))
     assert sum(sizes) > 16 << 20 and max(sizes) <= 1 << 20
+
+
+# --- counting, levels and canonical reading -----------------------------------
+
+def assert_count_and_levels_agree(cp):
+    """member_count counts the walk's members, and the level walk lists
+    them in the order emission once sorted them into."""
+    members = list(member_meets(cp))
+    assert member_count(cp) == len(members)
+    assert members_by_level(cp) == [
+        tuple(m) for m in sorted(sorted(map(_bits, members)), key=len)]
+
+
+def test_counts_and_level_walks_match_the_walk_on_algebras(corpus_dir):
+    for alg in reverse_algebras(corpus_dir):
+        assert_count_and_levels_agree(cp_from_algebra(alg)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(model_pool()),
+       st.lists(st.sampled_from([f for f in formula_pool() if is_sentence(f)]),
+                max_size=8))
+def test_counts_and_level_walks_match_the_walk_on_drawn_pools(model, pool):
+    assert_count_and_levels_agree(cp_from_model(model, pool))
+
+
+def _read_outcome(read, path):
+    """The fields of the family read from the path, or its error line."""
+    try:
+        cp = read(str(path))
+    except ParseError as exc:
+        return str(exc)
+    return cp.signature, cp.fresh_constants, cp.pool, cp.family, cp.sentences
+
+
+def assert_reads_as_parse_cp(monkeypatch, path, canonical):
+    """read_cp reads the file as parse_cp(load_json()) does, and takes
+    that path exactly when the text is not canonical."""
+    want = _read_outcome(lambda p: parse_cp(load_json(p)), path)
+    general = []
+    monkeypatch.setattr(iojson, "load_json",
+                        lambda p: general.append(p) or load_json(p))
+    assert _read_outcome(read_cp, path) == want
+    monkeypatch.undo()
+    assert len(general) == (0 if canonical else 1)
+    return want
+
+
+def test_read_cp_reads_canonical_families_without_parse_cp(
+        corpus_dir, tmp_path, monkeypatch):
+    paths = [corpus_dir / f"{name}.json" for name in _CORPUS_FAMILIES]
+    for size in (2, 4, 8, 16):
+        paths.append(tmp_path / f"b{size}_family.json")
+        paths[-1].write_text(cp_text(cp_from_algebra(
+            _algebra(corpus_dir, size))[0]))
+    for path in paths:
+        assert_reads_as_parse_cp(monkeypatch, path, canonical=True)
+
+
+def test_read_cp_reads_other_text_as_parse_cp(corpus_dir, tmp_path,
+                                              monkeypatch):
+    text = cp_text(cp_from_algebra(_algebra(corpus_dir, 4))[0])
+    obj = json.loads(text)
+    head, pool, tail = text.partition('\n  "pool": [')
+    variants = {
+        "shuffled members": dict(obj, family=obj["family"][::-1]),
+        "re-indented": json.dumps(obj, sort_keys=True, indent=4),
+        "no pool": {k: v for k, v in obj.items() if k != "pool"},
+        "duplicate key": head + '\n  "pool": [],' + pool + tail,
+        "trailing space": text + " ",
+        "trailing text": text + "x",
+        "undeclared relation": text.replace('"inG"', '"inH"', 1),
+    }
+    errors = []
+    for name, variant in variants.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(variant if isinstance(variant, str)
+                        else json.dumps(variant, sort_keys=True, indent=2)
+                        + "\n")
+        got = assert_reads_as_parse_cp(monkeypatch, path, canonical=False)
+        if isinstance(got, str):
+            errors.append(name)
+    assert errors == ["trailing text", "undeclared relation"]
 
 
 # --- the forcing side ---------------------------------------------------------

@@ -1,7 +1,14 @@
 """Summarize perfbench pairs of a parent and a change into a BENCH file.
 
+    PYTHONPYCACHEPREFIX=CHECKOUT/.perfbench/pycache \
+        python -m compileall -q CHECKOUT/src     # in both checkouts
     python tools/bench.py --parent PARENT/.perfbench/results \
         --change CHANGE/.perfbench/results --out BENCH_<n>.json
+
+Compile both checkouts' bytecode into perfbench's cache before the runs:
+perfbench warms only what `infkit --help` imports, so otherwise a measured
+command of the first cycle compiles the modules it loads, and its wall time
+and max-RSS count the compile.
 
 Each directory holds the untraced result files `perfbench/run.py` wrote,
 one per workload and seed (`<workload>-seed<N>-trace0.json`). A pair is a
