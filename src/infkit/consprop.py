@@ -5,8 +5,8 @@ generic filters, and the term structure realized by a generic filter.
 A family is either an explicit finite list of finite sentence sets or the
 positivity family of a model, accepting a set exactly when the meet of its
 sentences' values is nonzero. Positivity families are closed under subsets;
-they are counted per walk state, and listed as the accepted pool-subsets,
-depth-first or level by level, with antitone pruning under a hard cap.
+they are counted per walk state, and listed as the accepted pool-subsets
+level by level, in file order, with antitone pruning under a hard cap.
 Sentences that a clause adds are looked up in explicit families (a miss
 outside the pool is a PoolIncomplete finding) and simply evaluated in the
 model otherwise. A member is an int over the
@@ -84,10 +84,6 @@ class ConsistencyProperty(Record):
             operator.and_, map(self.masks.__getitem__, _bits(m)),
             self.model.algebra.one) != 0)
 
-    @property
-    def explicit(self) -> bool:
-        return self.family is not None
-
     def all_constants(self) -> tuple[str, ...]:
         return tuple(self.signature.constants) + tuple(self.fresh_constants)
 
@@ -133,8 +129,9 @@ def _bit_order(m: int) -> str:
 
 def enumerate_members(cp: ConsistencyProperty) -> list[int]:
     """Family members: the explicit list, or a positivity family's members
-    in the order of member_meets."""
-    return list(member_meets(cp) if cp.family is None else cp.family)
+    in file order."""
+    return [m for m, _ in _reaches(cp)] if cp.family is None \
+        else list(cp.family)
 
 
 def _steps(cp: ConsistencyProperty) -> Callable[[int, int], list]:
@@ -156,7 +153,7 @@ def member_count(cp: ConsistencyProperty) -> int:
     @functools.cache
     def below(meet: int, start: int) -> int:
         n = 1
-        for i, _, nxt in steps(meet, start):   # one frame a level, as dfs
+        for i, _, nxt in steps(meet, start):
             n += below(nxt, i)
         if n > MEMBER_CAP:
             raise CapExceeded(f"oracle family exceeds the member cap "
@@ -165,59 +162,35 @@ def member_count(cp: ConsistencyProperty) -> int:
     return below(cp.model.algebra.one, 0)
 
 
-def member_meets(cp: ConsistencyProperty) -> dict[int, int]:
-    """The members of a positivity family under the member cap, each mapped
-    to the meet of its sentences' values, walked depth-first."""
+def members_by_level(cp: ConsistencyProperty):
+    """The members of a positivity family under the member cap as (bit
+    tuple, meet, next pool position) rows, by size and then as tuples, the
+    order emit_cp writes: a member of size k extends one of size k-1 by a
+    later pool sentence, so extending level k-1 in order, by the pool in
+    order, lists level k in order. Only two levels are held at a time."""
     member_count(cp)   # raises over the cap before any member is listed
-    steps, out = _steps(cp), {}
-
-    def dfs(current: int, meet: int, start: int) -> None:
-        out[current] = meet
-        for i, b, nxt in steps(meet, start):
-            dfs(current | 1 << b, nxt, i)
-
-    dfs(0, cp.model.algebra.one, 0)
-    return out
-
-
-def members_by_level(cp: ConsistencyProperty) -> list[tuple[int, ...]]:
-    """The members of a positivity family under the member cap as their bit
-    tuples, by size and then as tuples, the order emit_cp writes: a member
-    of size k extends one of size k-1 by a later pool sentence, so extending
-    level k-1 in order, by the pool in order, lists level k in order."""
-    member_count(cp)
     steps = _steps(cp)
-    level, out = [((), cp.model.algebra.one, 0)], []
+    level = [((), cp.model.algebra.one, 0)]
     while level:
-        out += [bits for bits, _, _ in level]
+        yield from level
         level = [(bits + (b,), nxt, i) for bits, meet, start in level
                  for i, b, nxt in steps(meet, start)]
-    return out
 
 
 def maximal_members(cp: ConsistencyProperty, root: int = 0) -> list[int]:
     """Inclusion-maximal members extending the root; these are the minimal
-    conditions of the forcing poset below the root, in bit order."""
-    members = dict.fromkeys(cp.family) if cp.explicit else member_meets(cp)
-    above = {m: v for m, v in members.items() if m & root == root}
-    return sorted(maximal_among(cp, above), key=_bit_order)
-
-
-def maximal_among(cp: ConsistencyProperty, members) -> list[int]:
-    """The inclusion-maximal sets among `members` (every family member above
-    each of them included), for a positivity family a dict from member to
-    meet: a member is then maximal when it holds every pool sentence whose
+    conditions of the forcing poset below the root, in bit order. A
+    positivity member is maximal when it holds every pool sentence whose
     value meets its meet."""
     if cp.family is not None:
-        return [m for m in members
-                if not any(m & o == m != o for o in members)]
+        above = [m for m in dict.fromkeys(cp.family) if m & root == root]
+        maxes = [m for m in above if not any(m & o == m != o for o in above)]
+        return sorted(maxes, key=_bit_order)
     pool = [(1 << b, cp.masks[b]) for b in _bits(cp.pool_mask)]
-
-    @functools.cache
-    def meeting(meet: int) -> int:
-        return sum(b for b, v in pool if v & meet)
-
-    return [m for m, meet in members.items() if not meeting(meet) & ~m]
+    meeting = functools.cache(lambda meet: sum(b for b, v in pool if v & meet))
+    return sorted((m for m, meet in _reaches(cp)
+                   if m & root == root and not meeting(meet) & ~m),
+                  key=_bit_order)
 
 
 def instances(f: Formula, names: Iterable[str]) -> list[Formula]:
@@ -365,11 +338,12 @@ def _compiler(cp: ConsistencyProperty) -> Callable[[tuple], tuple]:
 
 
 def _reaches(cp: ConsistencyProperty) -> list[tuple[int, int]]:
-    """(member, reach) pairs. A positivity member's reach is its meet; an
-    explicit member's is the member with every pool sentence whose addition
-    is again a member."""
+    """(member, reach) pairs in family order. A positivity member's reach is
+    its meet; an explicit member's is the member with every pool sentence
+    whose addition is again a member."""
     if cp.family is None:
-        return list(member_meets(cp).items())
+        return [(sum(1 << b for b in bits), meet)
+                for bits, meet, _ in members_by_level(cp)]
     members = enumerate_members(cp)
     reach = {m: m for m in members}
     for m in reach:
@@ -405,12 +379,17 @@ def check_cp(cp: ConsistencyProperty, smax: bool = False) -> dict:
     Returns {"ok", "family_size", "violations": [...]}; violation entries
     carry the clause tag, the offending member, and what was required.
     The clause table is compiled once per family, and each member's
-    sentences are read in canonical order. With `smax`, the report holds
-    check_smax's under "smax", over the same walk, and "ok" needs both."""
+    sentences are read in canonical order. With `smax`, the report also
+    holds the maximality check under "smax", in the same form: every member
+    extends by each pool sentence or by its literal negation, a SOME row per
+    pool sentence. "ok" then needs both."""
     members = _reaches(cp)
     rows, namings = _clauses(cp)
     compile_row = _compiler(cp)
     namings = [compile_row(r) for r in namings]
+    maximality = [compile_row(("S-Max", SOME, [f, Not(f)],
+                               {"sentence": f.key()}))
+                  for f in cp.pool] if smax else []
     sentences, keys = cp.sentences, [f.key() for f in cp.sentences]
 
     @functools.cache
@@ -430,6 +409,7 @@ def check_cp(cp: ConsistencyProperty, smax: bool = False) -> dict:
 
     violations = [_violation("pool", cp.key(m), keys[b], True)
                   for m in cp.family or () for b in _bits(m & ~cp.pool_mask)]
+    unmaximal: list[dict] = []
 
     for m, reach in members:
         idx = _bits(m)
@@ -447,29 +427,15 @@ def check_cp(cp: ConsistencyProperty, smax: bool = False) -> dict:
                     _check_row(substituted(p, *swap), reach, violations, key)
         for r in namings:
             _check_row(r, reach, violations, key)
+        for r in maximality:
+            _check_row(r, reach, unmaximal, key)
 
-    report = {"ok": not violations, "family_size": len(members),
-              "violations": violations}
+    report = {"ok": not (violations or unmaximal),
+              "family_size": len(members), "violations": violations}
     if smax:
-        report["smax"] = check_smax(cp, (members, compile_row))
-        report["ok"] = report["ok"] and report["smax"]["ok"]
+        report["smax"] = {"ok": not unmaximal, "family_size": len(members),
+                          "violations": unmaximal}
     return report
-
-
-def check_smax(cp: ConsistencyProperty, walk: tuple | None = None) -> dict:
-    """Maximality: every member extends by each pool sentence or by its
-    literal negation, a SOME row per pool sentence. `walk` is the family's
-    `_reaches` and `_compiler`, when the caller has them."""
-    violations: list[dict] = []
-    members, compile_row = walk or (_reaches(cp), _compiler(cp))
-    rows = [compile_row(("S-Max", SOME, [f, Not(f)], {"sentence": f.key()}))
-            for f in cp.pool]
-    for m, reach in members:
-        key = cp.key(m)
-        for r in rows:
-            _check_row(r, reach, violations, key)
-    return {"ok": not violations, "family_size": len(members),
-            "violations": violations}
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +445,18 @@ def cp_from_model(model: BValuedModel, pool: Iterable[Formula] | None = None,
                   seeds: Iterable[Formula] = ()) -> ConsistencyProperty:
     """The positivity family of a valid model: the fresh constants are the
     domain elements naming themselves, and a finite sentence set is a member
-    exactly when its conjunction has nonzero value."""
+    exactly when its conjunction has nonzero value. The pool is kept in
+    canonical order, the order a family file lists it in."""
     if pool is None:
         pool = default_pool(model.signature, tuple(model.domain), list(seeds))
     return ConsistencyProperty(
-        model.signature, tuple(model.domain), tuple(pool),
+        model.signature, tuple(model.domain),
+        tuple(sorted(pool, key=Formula.key)),
         model=model.with_self_named_constants(model.domain))
 
 
 def convert_to_explicit(cp: ConsistencyProperty) -> ConsistencyProperty:
-    """The family as the explicit list of its members."""
+    """The family as the explicit list of its members, in file order."""
     return ConsistencyProperty(
         cp.signature, cp.fresh_constants, cp.pool,
         family=tuple(enumerate_members(cp)), sentences=cp.sentences)

@@ -499,56 +499,53 @@ def parse_cp(x: Any, path: str = "$") -> ConsistencyProperty:
 
 
 def read_cp(path_on_disk: str) -> ConsistencyProperty:
-    """parse_cp(load_json(path_on_disk)), read by canonical_cp when the
-    file holds canonical text."""
-    try:
-        with open(path_on_disk, encoding="utf-8") as fh:
-            cp = canonical_cp(fh.read())
-    except (OSError, ValueError):   # the general path reports these
-        cp = None
-    return parse_cp(load_json(path_on_disk)) if cp is None else cp
-
-
-def canonical_cp(text: str) -> ConsistencyProperty | None:
-    """The family emit_cp writes as `text`, or None: the text is split into
-    member texts at indent 4 and sentence texts at indent 6 (JSON text holds
-    no raw newline), each distinct sentence text is parsed once, and the
-    family is kept only if emit_cp writes the text back."""
+    """parse_cp(load_json(path_on_disk)), read directly when the file holds
+    the ASCII text emit_cp writes: members start at indent 4 and sentences
+    at indent 6 (JSON text holds no raw newline), so the bytes are scanned
+    for them in place, each distinct sentence is parsed once, and the family
+    is kept only if emit_cp writes the bytes back."""
     from .consprop import ConsistencyProperty
-    head, seen = '{\n  "family": [', 0
-    if not text.startswith(head):
-        return None
+    head, seen = b'{\n  "family": [', 0
 
     def same(chunk: str) -> None:
         nonlocal seen
-        if not text.startswith(chunk, seen):
+        if not text.startswith(chunk.encode(), seen):
             raise ValueError("not the canonical text")
         seen += len(chunk)
 
     try:
-        body, tail = ("", text[len(head) + 2:]) if text.startswith(
-            "],", len(head)) else text[len(head):].split("\n  ],", 1)
-        rest = json.loads("{" + tail)
-        if "pool" not in rest:   # parse_cp would derive the default pool
-            return None
-        base = parse_cp(dict(rest, family=[]))
-        wide = base.extended_signature()
-        texts: dict[str, int] = {}   # sentence text past its "{" -> index
-        members = [[texts.setdefault(t, len(texts)) for t in (
-            "," + m[:-6]).split(",\n      {")[1:]]
-            for m in ("," + body).split(",\n    [")[1:]]
-        parsed = [_validated(json.loads("{" + t), "$", wide) for t in texts]
+        with open(path_on_disk, "rb") as fh:
+            text = fh.read()
+        if not text.startswith(head):
+            raise ValueError("not the canonical text")
+        end = len(head) if text.startswith(b"],", len(head)) \
+            else text.index(b"\n  ],", len(head)) + 3
+        base = parse_cp(dict(json.loads(b"{" + text[end + 2:]), family=[]))
+        texts: dict[bytes, int] = {}   # sentence text -> index
+        members, at = [], text.find(b"\n    [", 0, end)
+        while at >= 0:   # one member's text at a time, split at its sentences
+            nxt = text.find(b"\n    [", at + 6, end)
+            members.append([texts.setdefault(t.rstrip(b"\n ],"), len(texts))
+                            for t in text[at + 6:end if nxt < 0 else nxt]
+                            .split(b"\n      {")[1:]])
+            at = nxt
+        parsed = [_validated(json.loads(b"{" + t), "$",
+                             base.extended_signature()) for t in texts]
         sentences = tuple(sorted(set(base.pool).union(parsed),
                                  key=Formula.key))
-        masks = [1 << sentences.index(f) for f in parsed]
+        bit = {f: i for i, f in enumerate(sentences)}
+        masks = [1 << bit[f] for f in parsed]
         cp = ConsistencyProperty(
             base.signature, base.fresh_constants, base.pool, family=tuple(
                 functools.reduce(operator.or_, map(masks.__getitem__, m), 0)
                 for m in members), sentences=sentences)
         emit_cp(cp, same)
-    except (ValueError, RecursionError, ParseError):
-        return None
-    return cp if seen == len(text) else None
+        if seen != len(text):
+            raise ValueError("not the canonical text")
+    except (OSError, ValueError, RecursionError, ParseError, CapExceeded):
+        text = None   # the general path reads the file again; drop this copy
+        return parse_cp(load_json(path_on_disk))
+    return cp
 
 
 def emit_cp(cp: ConsistencyProperty, write: Callable[[str], Any]) -> None:
@@ -560,8 +557,9 @@ def emit_cp(cp: ConsistencyProperty, write: Callable[[str], Any]) -> None:
     # JSON text holds no raw newline, so indenting is one replace
     texts = [dumps(emit_formula(f))[:-1].replace("\n", "\n      ")
              for f in cp.sentences]
-    members = members_by_level(cp) if cp.family is None \
-        else sorted(sorted(map(_bits, cp.family)), key=len)
+    members = [bits for bits, _, _ in members_by_level(cp)] \
+        if cp.family is None else sorted(sorted(map(_bits, cp.family)),
+                                         key=len)
     head = '{\n  "family": ['
     for i in range(0, len(members), 256):
         write(head + "\n    " + ",\n    ".join([

@@ -68,20 +68,26 @@ def condition_algebra(cp: ConsistencyProperty,
                                  for b, f in enumerate(cp.sentences)})
 
 
-def mansfield_build(cp: ConsistencyProperty, root: int = 0,
-                    verify: bool = True) -> dict:
+class NoConstants(Exception):
+    """The family names no constant, so its condition model has no domain."""
+
+
+def mansfield_build(cp: ConsistencyProperty, root: int = 0) -> dict:
     """Model over the restricted regular-open algebra in which every root
     sentence holds with value one. Verifies the family first (the clauses are
     exactly what the equality-axiom and root-validity checks consume) and
-    fails loudly on a family that is not a consistency property."""
-    if verify:
-        rep = check_cp(cp)
-        if not rep["ok"]:
-            raise ValueError(
-                f"the family is not a consistency property; first violation: "
-                f"{rep['violations'][0]}")
-    ca = condition_algebra(cp, root)
+    fails loudly on a family that is not a consistency property, and on one
+    that names no constant."""
+    rep = check_cp(cp)
+    if not rep["ok"]:
+        raise ValueError(
+            f"the family is not a consistency property; first violation: "
+            f"{rep['violations'][0]}")
     consts = cp.all_constants()
+    if not consts:
+        raise NoConstants("the condition model's domain is the family's "
+                          "constants, and the family names none")
+    ca = condition_algebra(cp, root)
     sig = cp.extended_signature()
     eq = {(x, y): ca.l_value(Eq(Const(x), Const(y)))
           for x in consts for y in consts}
@@ -93,15 +99,13 @@ def mansfield_build(cp: ConsistencyProperty, root: int = 0,
                          constants={c: c for c in consts})
     root_values = {f.key(): eval_formula(model, f)
                    for f in map(cp.sentences.__getitem__, _bits(root))}
-    out = {
+    return {
         "model": model,
         "conditions": ca,
         "root_values": root_values,
         "root_ok": all(v == ca.algebra.one for v in root_values.values()),
+        "model_report": check_model(model),
     }
-    if verify:
-        out["model_report"] = check_model(model)
-    return out
 
 
 def verify_claim1(cp: ConsistencyProperty, built: dict) -> dict:
@@ -206,7 +210,8 @@ def cp_from_algebra(
         alg: FinBooleanAlgebra) -> tuple[ConsistencyProperty, dict]:
     """The positivity family of the membership model and the dense-embedding
     report, whose facts hold by construction, of the valuation pi sending a
-    member to the meet of its sentences' values (member_meets). Order: a
+    member to the meet of its sentences' values (the meet members_by_level
+    carries). Order: a
     member's value is the AND of its sentences' masks, so a superset has a
     smaller value. Incompatibility: p | q is a member exactly when
     pi[p] & pi[q] is nonzero. Surjectivity: the pool holds inG(e), of mask

@@ -188,7 +188,7 @@ def test_generic_filter_pipeline_realizes_every_root(good_families,
 def test_condition_model_and_claims_at_every_root(good_families, corpus_dir):
     for name, cp in good_families.items():
         for root in cp.family:
-            built = mansfield_build(cp, root, verify=False)
+            built = mansfield_build(cp, root)
             assert built["root_ok"], (name, cp.key(root))
             assert check_model(built["model"])["ok"]
             assert verify_claim1(cp, built)["ok"]

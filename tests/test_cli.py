@@ -224,12 +224,21 @@ def test_mansfield_report(capsys, corpus_dir):
     assert not rep["mixing"]["mixing"]
 
 
-def test_mansfield_rejects_bad_family(capsys, corpus_dir):
-    code, out, err = run(capsys, "mansfield",
-                         "--cp", corpus("con_family.json", corpus_dir),
-                         "--root", "0")
-    assert code == 2
-    assert "consistency property" in err
+def test_mansfield_rejects_bad_family(capsys, corpus_dir, tmp_path):
+    """A family that is not a consistency property, and one that is but
+    names no constant: the condition model's domain would be empty."""
+    no_constants = _write_json(tmp_path / "no_constants.json", {
+        "family": [[]], "fresh_constants": [], "pool": [],
+        "signature": {"constants": [], "relations": []}})
+    for path, message in [
+            (corpus("con_family.json", corpus_dir),
+             "error: not a consistency property: the family is not a "
+             "consistency property; first violation: "),
+            (no_constants, "error: the condition model's domain is the "
+             "family's constants, and the family names none\n")]:
+        code, out, err = run(capsys, "mansfield", "--cp", path, "--root", "0")
+        assert (code, out) == (2, "") and err.startswith(message), err
+    assert run(capsys, "check-cp", no_constants, "--smax")[0] == 0
 
 
 def test_cp_from_algebra_and_roundtrip(capsys, corpus_dir):
@@ -553,13 +562,12 @@ def test_a_model_pool_over_the_member_cap_is_refused_from_its_count(
 @pytest.mark.parametrize("name", ["eq2_family", "max_family", "ind4_family"])
 def test_check_cp_smax_walks_the_family_once(capsys, monkeypatch, corpus_dir,
                                              name):
-    """`check-cp --smax` prints the clause report with check_smax's under
-    "smax", from one walk of the family."""
+    """`check-cp --smax` prints the clause report with the maximality
+    report under "smax", from one walk of the family."""
     from infkit import consprop
     cp = load_family(corpus_dir, name)
-    want = consprop.check_cp(cp)
-    want["smax"] = consprop.check_smax(cp)
-    want["ok"] = want["ok"] and want["smax"]["ok"]
+    want = consprop.check_cp(cp, smax=True)
+    assert want["ok"] == (not want["violations"] and want["smax"]["ok"])
     calls = []
     reaches = consprop._reaches
     monkeypatch.setattr(consprop, "_reaches",

@@ -4,7 +4,7 @@ import pytest
 from infkit.boolalg import two_valued_algebra
 from infkit.bvmodel import BValuedModel, eval_formula
 from infkit.consprop import (
-    ConsistencyProperty, build_af, check_cp, check_smax, convert_to_explicit,
+    ConsistencyProperty, build_af, check_cp, convert_to_explicit,
     cp_from_model, default_pool, dense_sets, enumerate_members,
     forcing_poset_conditions, generic_filter, maximal_members,
     occurrence_variants, verify_realizes,
@@ -182,8 +182,8 @@ def test_pool_gap_reported_as_pool_incomplete():
 
 
 def test_smax_explicit_vs_oracle(eq2, max_family):
-    assert check_smax(eq2)["ok"]
-    rep = check_smax(max_family)
+    assert check_cp(eq2, smax=True)["smax"]["ok"]
+    rep = check_cp(max_family, smax=True)["smax"]
     assert not rep["ok"]
     assert {v["kind"] for v in rep["violations"]} == {"PoolIncomplete"}
 
@@ -213,7 +213,7 @@ def test_oracle_family_membership_is_positivity(m4):
                            Eq(Const("d"), Const("c1")),
                            Eq(Const("c0"), Const("c1"))]
     cp = cp_from_model(m4, pool)
-    assert not cp.explicit
+    assert cp.family is None
     assert cp.is_member(cp.encode(()))
     disj, neq01, neqd0, neqd1 = theory
     assert cp.is_member(cp.encode({disj, neqd0}))
@@ -227,14 +227,13 @@ def test_oracle_family_membership_is_positivity(m4):
 def test_oracle_family_passes_checks_and_smax():
     cp = cp_from_model(two_point_model(), two_point_pool())
     assert len(enumerate_members(cp)) == 64
-    assert check_cp(cp)["ok"]
-    assert check_smax(cp)["ok"]
+    assert check_cp(cp, smax=True)["ok"]
 
 
 def test_convert_to_explicit_preserves_membership():
     cp = cp_from_model(two_point_model(), two_point_pool())
     exp = convert_to_explicit(cp)
-    assert exp.explicit
+    assert exp.family is not None
     assert set(exp.family) == set(enumerate_members(cp))
     assert check_cp(exp)["ok"]
 

@@ -158,7 +158,7 @@ def test_model_sparse_defaults(m4):
 
 
 def test_model_with_ro_algebra_is_emitted_through_tables(eq4):
-    built = mansfield_build(eq4, verify=False)
+    built = mansfield_build(eq4)
     obj = emit_model(built["model"])
     assert obj["algebra"]["type"] == "table"
     back = parse_model(obj)

@@ -60,7 +60,7 @@ def test_root_sentences_valid_at_nonempty_root(eq4):
 
 def test_claims_on_corpus_families(good_families):
     for name, cp in good_families.items():
-        built = mansfield_build(cp, verify=False)
+        built = mansfield_build(cp)
         assert verify_claim1(cp, built)["ok"], name
         assert verify_claim2(cp, built)["ok"], name
 
@@ -78,7 +78,7 @@ def test_meet_identity_on_pool_pairs(eq4):
 
 
 def test_equality_family_model_does_not_mix(eq4):
-    built = mansfield_build(eq4, verify=False)
+    built = mansfield_build(eq4)
     rep = check_mixing(built["model"])
     assert not rep["mixing"]
     assert len(rep["antichain"]) == 2

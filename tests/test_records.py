@@ -209,6 +209,14 @@ def test_a_valid_command_loads_only_the_modules_it_runs(tmp_path):
     (("check-cp", "eq4_family.json"), ("consprop.check_cp", "iojson.parse")),
     (("check-proof", "proof_cut.json", "--soundness-samples", "5"),
      ("calculus.check_proof", "calculus.soundness_sample", "iojson.parse")),
+    (("cp-from-algebra", "b4.json", "--emit"),
+     ("mansfield.cp_from_algebra", "consprop.cp_from_model",
+      "consprop.members_by_level", "iojson.emit", "bvmodel.models",
+      "boolalg.ops")),
+    (("mansfield", "--cp", "eq4_family.json", "--root", "0"),
+     ("iojson.read_cp", "mansfield.mansfield_build", "consprop.check_cp",
+      "consprop.maximal_members", "consprop.membership", "bvmodel.models",
+      "boolalg.ops", "mansfield.verify_claims")),
 ])
 def test_a_traced_run_sees_the_layers_of_the_command(tmp_path, argv, layers):
     """perfbench's tracer wraps every module before `main` runs, so the

@@ -69,11 +69,11 @@ from infkit.cli import (
     cmd_generic, cmd_mansfield, cmd_quotient, cmd_ro, cmd_roundtrip, cmd_sat,
 )
 from infkit.consprop import (
-    ConsistencyProperty, check_cp, check_smax, convert_to_explicit,
+    ConsistencyProperty, check_cp, convert_to_explicit,
     cp_from_model, default_pool, dense_sets, enumerate_members,
     forcing_poset_conditions, generic_filter, instances,
-    maximal_among, maximal_members, member_count, member_meets,
-    members_by_level, occurrence_variants, _bit_order, _bits,
+    maximal_members, member_count, members_by_level, occurrence_variants,
+    _bit_order, _bits, _reaches,
 )
 from infkit.iojson import (
     as_table_algebra, dump, dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
@@ -118,7 +118,7 @@ def _sentence_sets(cp):
 def reference_is_member(cp, s):
     """Membership of a sentence set as it was decided: a lookup among the
     explicit members, or the meet of the sentences' values being nonzero."""
-    if cp.explicit:
+    if cp.family is not None:
         return s in _sentence_sets(cp)
     alg = cp.model.algebra
     return alg.inf(eval_formula(cp.model, f) for f in s) != alg.zero
@@ -138,7 +138,7 @@ def _try_extension(cp, s, add, clause, violations, require):
     """s union {add} checked for membership as it was, on sentence sets: for
     explicit families a sentence outside the pool is a PoolIncomplete
     finding when `require` is set, and otherwise just fails."""
-    gap = cp.explicit and not cp.in_pool(add) and add not in s
+    gap = cp.family is not None and not cp.in_pool(add) and add not in s
     ok = not gap and reference_is_member(cp, s | {add})
     if require and not ok:
         violations.append({
@@ -151,7 +151,7 @@ def _miss(cp, s, clause, candidates, violations, **extra):
     """A failed some-candidate clause as it was recorded: the undecidable
     candidates found again after every extension was tried."""
     gaps = [c.key() for c in candidates
-            if cp.explicit and not cp.in_pool(c) and c not in s]
+            if cp.family is not None and not cp.in_pool(c) and c not in s]
     entry = {"clause": clause, "member": member_key(s), **extra}
     if gaps:
         entry.update(kind="PoolIncomplete", missing=sorted(gaps))
@@ -168,7 +168,7 @@ def reference_check_cp(cp):
     consts = cp.all_constants()
     fresh = cp.fresh_constants
     pool_set = set(cp.pool)
-    if cp.explicit:
+    if cp.family is not None:
         for m in members:
             for f in sorted(m, key=Formula.key):
                 if f not in pool_set:
@@ -681,7 +681,7 @@ def _variants(cp):
         out.append(ConsistencyProperty(
             cp.signature, cp.fresh_constants, cp.pool, cp.family[1:],
             cp.model, cp.sentences))
-    if cp.explicit and len(cp.pool) > 1:
+    if cp.family is not None and len(cp.pool) > 1:
         dropped = cp.pool[len(cp.pool) // 2]
         out.append(ConsistencyProperty(
             cp.signature, cp.fresh_constants,
@@ -699,7 +699,8 @@ def test_check_cp_matches_reference_on_corpus_families(corpus_dir, name):
     cp = parse_cp(load_json(str(corpus_dir / f"{name}.json")))
     for variant in _variants(cp):
         assert check_cp(variant) == reference_check_cp(variant)
-        assert check_smax(variant) == reference_check_smax(variant)
+        assert check_cp(variant, True)["smax"] \
+            == reference_check_smax(variant)
 
 
 def test_check_cp_matches_reference_when_a_constant_has_two_names():
@@ -728,7 +729,7 @@ def test_check_cp_matches_reference_on_emitted_algebra_families(
     for cp in families:
         got = check_cp(cp)
         assert got == reference_check_cp(cp)
-        assert check_smax(cp) == reference_check_smax(cp)
+        assert check_cp(cp, True)["smax"] == reference_check_smax(cp)
     # the emitted b8 family has pool gaps, so the comparison is not vacuous
     assert got["violations"]
 
@@ -1029,8 +1030,8 @@ def test_cp_from_algebra_valuation_is_per_member_evaluation(corpus_dir,
                                                             size):
     alg = parse_algebra(load_json(str(corpus_dir / f"b{size}.json")))
     cp, _ = cp_from_algebra(alg)
-    pi, named = member_meets(cp), cp.model
-    assert set(pi) == set(enumerate_members(cp))
+    pi, named = dict(_reaches(cp)), cp.model
+    assert list(pi) == enumerate_members(cp)
     for s, value in pi.items():
         assert value == alg.inf(eval_formula(named, f) for f in cp.decode(s))
 
@@ -1053,7 +1054,7 @@ def reference_cp_from_algebra(
     through the singleton conditions."""
     model, names = algebra_model(alg)
     cp = cp_from_model(model, sb_pool(alg, names))
-    pi = member_meets(cp)
+    pi = dict(_reaches(cp))
     members = list(pi)
 
     order_failures = []
@@ -1106,7 +1107,7 @@ def reference_roundtrip_check(alg: FinBooleanAlgebra) -> dict:
     # the member of the pool sentences whose value holds the atom
     by_atom = {a: sum(1 << b for b, v in enumerate(cp.masks)
                       if alg.leq(a, v)) for a in atoms}
-    maxes = set(maximal_among(cp, pi))
+    maxes = set(maximal_members(cp))
     max_match = (
         set(by_atom.values()) == maxes
         and len(by_atom) == len(set(by_atom.values()))
@@ -1174,7 +1175,7 @@ def test_the_reverse_reports_equal_their_reference_checks(corpus_dir):
     for alg in algs:
         cp, report = cp_from_algebra(alg)
         ref_cp, ref_pi, ref_report = reference_cp_from_algebra(alg)
-        assert (cp.sentences, member_meets(cp), report) \
+        assert (cp.sentences, dict(_reaches(cp)), report) \
             == (ref_cp.sentences, ref_pi, ref_report)
         rt = roundtrip_check(alg)
         assert rt == reference_roundtrip_check(alg)
@@ -1204,25 +1205,31 @@ def reference_members(cp):
 
 
 def reference_maximal_among(cp, members):
+    """maximal_among as it was: the members that no pool sentence extends."""
     pool = set(cp.pool)
     return [m for m in members
             if not any(reference_is_member(cp, m | {f}) for f in pool - m)]
 
 
+def file_order(s):
+    """The order emit_cp writes sentence sets in: by size, then by their
+    sentences' canonical forms."""
+    return len(s), member_key(s)
+
+
 def assert_walks_agree(cp):
-    """The walk carrying the running meet over int members gives the oracle
-    walk's members in its order, each with the per-set meet, and the same
+    """The level walk carrying the running meet gives the oracle walk's
+    members in file order, each with the per-set meet, and the same
     maximal members."""
     members = reference_members(cp)
     named = cp.model
     value = {f: eval_formula(named, f) for f in cp.pool}
-    meets = member_meets(cp)
-    assert list(map(cp.decode, meets)) == members
+    meets = dict(_reaches(cp))
+    assert list(map(cp.decode, meets)) == sorted(members, key=file_order)
     assert enumerate_members(cp) == list(meets)
     assert {cp.decode(m): v for m, v in meets.items()} == {
         s: named.algebra.inf(value[f] for f in s) for s in members}
     maxes = reference_maximal_among(cp, members)
-    assert list(map(cp.decode, maximal_among(cp, meets))) == maxes
     assert list(map(cp.decode, maximal_members(cp))) == sorted(
         maxes, key=member_key)
     root = members[len(members) // 2]
@@ -1269,8 +1276,8 @@ def test_positivity_walk_matches_the_oracle_walk_on_corpus_families(
     for name in _CORPUS_FAMILIES:
         cp = load(f"{name}.json", parse_cp)
         sets = reference_members_of(cp)
-        assert list(map(cp.decode, maximal_among(cp, list(cp.family)))) == [
-            m for m in sets if not any(m < o for o in sets)]
+        assert list(map(cp.decode, maximal_members(cp))) == sorted(
+            (m for m in sets if not any(m < o for o in sets)), key=member_key)
 
 
 # --- emission -----------------------------------------------------------------
@@ -1345,12 +1352,23 @@ def test_emission_writes_no_chunk_over_a_mebibyte(corpus_dir):
 # --- counting, levels and canonical reading -----------------------------------
 
 def assert_count_and_levels_agree(cp):
-    """member_count counts the walk's members, and the level walk lists
-    them in the order emission once sorted them into."""
-    members = list(member_meets(cp))
-    assert member_count(cp) == len(members)
-    assert members_by_level(cp) == [
-        tuple(m) for m in sorted(sorted(map(_bits, members)), key=len)]
+    """member_count counts the level walk's rows, and the rows are the
+    family in the order emission once sorted it into: distinct, each with
+    the nonzero meet of its sentences' values, and closed under adding a
+    pool sentence whose value meets that meet."""
+    rows = list(members_by_level(cp))
+    assert member_count(cp) == len(rows)
+    bits = [b for b, _, _ in rows]
+    assert bits == sorted(sorted(set(bits)), key=len)
+    meets = {}
+    for b, meet, _ in rows:
+        assert meet == functools.reduce(
+            int.__and__, map(cp.masks.__getitem__, b), cp.model.algebra.one)
+        meets[sum(1 << i for i in b)] = meet
+    assert all(meets.values())
+    for m, meet in meets.items():
+        for i in _bits(cp.pool_mask & ~m):
+            assert bool(meet & cp.masks[i]) == (m | 1 << i in meets)
 
 
 def test_counts_and_level_walks_match_the_walk_on_algebras(corpus_dir):
@@ -1364,6 +1382,39 @@ def test_counts_and_level_walks_match_the_walk_on_algebras(corpus_dir):
                 max_size=8))
 def test_counts_and_level_walks_match_the_walk_on_drawn_pools(model, pool):
     assert_count_and_levels_agree(cp_from_model(model, pool))
+
+
+def assert_reads_back_in_file_order(cp, path):
+    """A positivity family and the file emit_cp writes for it hold the same
+    members in the same order, and check_cp reports the same on both."""
+    path.write_text(cp_text(cp))
+    explicit, back = convert_to_explicit(cp), read_cp(str(path))
+    assert explicit.family == back.family
+    reports = check_cp(explicit, True), check_cp(back, True)
+    # Str.2 findings follow the iteration order of a set of formulas, which
+    # depends on the string-hash seed and on the order of a formula's
+    # children; the file holds them in canonical order, a drawn pool not
+    for report in reports:
+        report["violations"].sort(key=repr)
+    assert reports[0] == reports[1]
+
+
+def test_positivity_families_read_back_from_their_files_in_order(
+        corpus_dir, tmp_path):
+    for alg in reverse_algebras(corpus_dir):
+        assert_reads_back_in_file_order(cp_from_algebra(alg)[0],
+                                        tmp_path / "family.json")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(model_pool()),
+       st.lists(st.sampled_from([f for f in formula_pool() if is_sentence(f)]),
+                max_size=8))
+def test_drawn_positivity_families_read_back_from_their_files_in_order(
+        tmp_path_factory, model, pool):
+    assert_reads_back_in_file_order(cp_from_model(model, pool),
+                                    tmp_path_factory.mktemp("drawn")
+                                    / "family.json")
 
 
 def _read_outcome(read, path):
@@ -1431,7 +1482,7 @@ def reference_maximal_members(cp, root=frozenset()):
     """maximal_members as it was: the inclusion-maximal sentence sets among
     the members holding the root, sorted by their sentences' keys."""
     above = [m for m in reference_members_of(cp) if root <= m]
-    if cp.explicit:
+    if cp.family is not None:
         maxes = [m for m in above if not any(m < o for o in above)]
     else:
         maxes = reference_maximal_among(cp, above)
@@ -1612,7 +1663,7 @@ def test_claim1_matches_the_sentence_set_path(corpus_dir, name):
         if name == "two_member" else [_forcing_families(corpus_dir)[name]]
     for cp in families:
         for root in cp.family:
-            built = mansfield_build(cp, root, verify=False)
+            built = {"conditions": condition_algebra(cp, root)}
             ca = built["conditions"]
             claim, labels = reference_verify_claim1(cp, cp.decode(root))
             assert verify_claim1(cp, built) == claim

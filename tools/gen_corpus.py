@@ -17,7 +17,7 @@ from infkit.boolalg import (
 from infkit.bvmodel import BValuedModel, bounded_boolean_sat, check_model
 from infkit.calculus import Proof, Sequent, Step, check_proof, soundness_sample
 from infkit.consprop import (
-    ConsistencyProperty, check_cp, check_smax, convert_to_explicit,
+    ConsistencyProperty, check_cp, convert_to_explicit,
     cp_from_model, forcing_poset_conditions, maximal_members,
 )
 from infkit.iojson import (
@@ -163,7 +163,7 @@ def main() -> None:
                               pool=tuple(sorted(eqs2, key=fkey)),
                               family=tuple(fam16))
     assert len(EQ2.family) == 16
-    assert check_cp(EQ2)["ok"] and check_smax(EQ2)["ok"]
+    assert check_cp(EQ2, smax=True)["ok"]
     ship("eq2_family.json", "cp", cp_text(EQ2),
          {"check_cp": True, "members": 16, "smax": True})
 
@@ -182,8 +182,9 @@ def main() -> None:
     # decide every candidate; it reports pool gaps rather than violations.
     S2 = convert_to_explicit(cp_from_model(M2, pool12))
     assert len(S2.family) == 64
-    assert check_cp(S2)["ok"]
-    smax_rep = check_smax(S2)
+    rep = check_cp(S2, smax=True)
+    assert not rep["violations"]
+    smax_rep = rep["smax"]
     assert not smax_rep["ok"]
     assert {v["kind"] for v in smax_rep["violations"]} == {"PoolIncomplete"}
     ship("max_family.json", "cp", cp_text(S2),
