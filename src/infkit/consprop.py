@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .bvmodel import BValuedModel, CapExceeded, TwoValuedStructure, \
     eval_formula, quotient_truth
@@ -162,7 +162,7 @@ def member_count(cp: ConsistencyProperty) -> int:
     return below(cp.model.algebra.one, 0)
 
 
-def members_by_level(cp: ConsistencyProperty):
+def members_by_level(cp: ConsistencyProperty) -> Iterator[tuple]:
     """The members of a positivity family under the member cap as (bit
     tuple, meet, next pool position) rows, by size and then as tuples, the
     order emit_cp writes: a member of size k extends one of size k-1 by a
