@@ -133,9 +133,11 @@ def _check_step(step: Step, prems: list[Sequent]) -> None:
         mapping = step.param("map") or {}
         _need(bool(mapping), "substitution needs a nonempty map")
         p = prems[0]
-        try:
-            ante = frozenset(substitute(f, mapping) for f in p.ante)
-            succ = frozenset(substitute(f, mapping) for f in p.succ)
+        try:   # in key order, so a capture is named as on every run
+            ante = frozenset(substitute(f, mapping)
+                             for f in sorted(p.ante, key=Formula.key))
+            succ = frozenset(substitute(f, mapping)
+                             for f in sorted(p.succ, key=Formula.key))
         except CaptureError as e:
             raise _Reject(f"substitution is captured: {e}")
         _need(s.ante == ante and s.succ == succ,
@@ -291,8 +293,8 @@ def soundness_sample(goal: Sequent, samples: int = 200, seed: int = 0,
     assembled: domain m0..., atoms a0..., constants by their drawn index."""
     if max_atoms < 1 or max_domain < 1:
         raise ValueError("bounds must be at least 1")
-    formulas = list(goal.ante) + list(goal.succ)
-    sig = infer_signature(formulas)
+    formulas = sorted(goal.ante | goal.succ, key=Formula.key)
+    sig = infer_signature(formulas)   # a clash is named as on every run
     free = sorted(set().union(*(f.free_vars() for f in formulas))
                   if formulas else set())
     truth = quotient_truth(sig)

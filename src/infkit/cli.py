@@ -8,17 +8,18 @@ invocations print identical reports.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from .boolalg import ImproperFilter, TrivialAlgebra, \
     regular_open_sets_bruteforce, ro_completion
 from .bvmodel import CapExceeded, UnboundVariable, bounded_boolean_sat, \
     check_mixing, check_model, eval_formula
-from .iojson import ParseError, dump, dumps, emit_algebra, emit_cp, \
+from .iojson import Findings, ParseError, dump, dumps, emit_algebra, emit_cp, \
     emit_element, emit_formula, emit_model, emit_pool, emit_poset, \
     emit_proof, emit_signature, emit_theory, emit_ultrafilter, load_json, \
     parse_algebra, parse_cp, parse_formula, parse_model, parse_pool, \
@@ -145,11 +146,28 @@ def cmd_quotient(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _peeked(walk: Iterator) -> tuple[bool, Iterator]:
+    """Whether the walk yields nothing, and the walk from its start."""
+    first = next(walk, None)
+    return first is None, walk if first is None \
+        else itertools.chain((first,), walk)
+
+
 def cmd_check_cp(args) -> int:
-    from .consprop import check_cp
-    report = check_cp(read_cp(args.cp), args.smax)
+    """check_cp's report, written as its walks find it: "ok" sorts before
+    the findings, so it is read off the first finding of each walk."""
+    from .consprop import findings
+    size, found, unmaximal = findings(read_cp(args.cp), args.smax)
+    ok, found = _peeked(found)
+    report = {"family_size": size, "violations": Findings(found)}
+    if args.smax:
+        maximal, unmaximal = _peeked(unmaximal)
+        report["smax"] = {"family_size": size, "ok": maximal,
+                          "violations": Findings(unmaximal)}
+        ok = ok and maximal
+    report["ok"] = ok
     _print(report)
-    return 0 if report["ok"] else 1
+    return 0 if ok else 1
 
 
 def _family_root(cp: ConsistencyProperty, index: int) -> int:
@@ -298,9 +316,12 @@ def cmd_check_proof(args) -> int:
         report["goal"] = {"ante": sorted(f.key() for f in goal.ante),
                           "succ": sorted(f.key() for f in goal.succ)}
     if ok and args.soundness_samples > 0:
-        sampled = soundness_sample(proof.goal, samples=args.soundness_samples,
-                                   seed=args.seed, max_atoms=args.max_atoms,
-                                   max_domain=args.max_domain)
+        try:
+            sampled = soundness_sample(
+                proof.goal, samples=args.soundness_samples, seed=args.seed,
+                max_atoms=args.max_atoms, max_domain=args.max_domain)
+        except ValueError as exc:   # a relation used at two arities
+            return _input_error(f"the goal has no signature: {exc}")
         report = dict(report, soundness=sampled)
         ok = sampled["ok"]
     _print(report)

@@ -249,9 +249,10 @@ def default_pool(signature: Signature, fresh_constants: tuple[str, ...],
     return tuple(sorted(pool, key=Formula.key))
 
 
-def occurrence_variants(f: Formula, old: str, new: str) -> set[Formula]:
+def occurrence_variants(f: Formula, old: str, new: str) -> list[Formula]:
     """Every formula obtained by replacing a nonempty subset of occurrences
-    of the constant `old` by the constant `new`."""
+    of the constant `old` by the constant `new`, once each, in the product
+    order of the walk: an order no string-hash seed moves."""
     def term_alts(t):
         if isinstance(t, Const) and t.name == old:
             return [t, Const(new)]
@@ -265,7 +266,7 @@ def occurrence_variants(f: Formula, old: str, new: str) -> set[Formula]:
         return [g.with_terms(ts)
                 for ts in itertools.product(*map(term_alts, g.terms()))]
 
-    return set(walk(f)) - {f}
+    return [g for g in dict.fromkeys(walk(f)) if g != f]
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +314,23 @@ def _clauses(cp: ConsistencyProperty):
     return rows, namings
 
 
-def _compiler(cp: ConsistencyProperty) -> Callable[[tuple], tuple]:
-    """Rows compiled against the family: a candidate extends a member when
-    it meets the member's reach (`_reaches`). A positivity candidate is its
-    value mask, evaluated only outside the pool; an explicit one is its bit
-    (0 when not interned), undecidable outside the pool. A SOME row becomes
-    the join of its candidates and the sorted keys of the undecidable ones."""
+def _fields(clause: str, need: str | list, gap: bool = False,
+            **extra) -> dict:
+    """The fields of a finding other than its member."""
+    return {"clause": clause, **extra,
+            "kind": "PoolIncomplete" if gap else "violation",
+            "missing" if gap else "needed": need}
+
+
+def _compiler(cp: ConsistencyProperty) -> Callable[[tuple], list]:
+    """Rows compiled against the family into tests (mask, fields): a member
+    fails a test, a finding with those fields, when its reach (`_reaches`)
+    misses the mask. A positivity candidate is its value mask, evaluated
+    only outside the pool; an explicit one is its bit (0 when not
+    interned), undecidable outside the pool. An EVERY row tests each
+    candidate; a SOME row is one test of the join of its candidates, a
+    PoolIncomplete finding naming the sorted keys of the undecidable ones
+    when there are any."""
     def candidate(f: Formula) -> tuple:
         b = cp.bit.get(f)
         if cp.family is None:
@@ -326,14 +338,16 @@ def _compiler(cp: ConsistencyProperty) -> Callable[[tuple], tuple]:
                     else cp.masks[b], False)
         return f.key(), 0 if b is None else 1 << b, not cp.in_pool(f)
 
-    def compile_row(row: tuple) -> tuple:
+    def compile_row(row: tuple) -> list:
         clause, mode, candidates, extra = row
         cands = list(map(candidate, candidates))
-        if mode == SOME:
-            ints = [c for _, c, _ in cands]
-            cands = (functools.reduce(operator.or_, ints, 0),
-                     sorted(k for k, _, gap in cands if gap))
-        return clause, mode, cands, extra
+        if mode == EVERY:
+            return [(c, _fields(clause, k, gap)) for k, c, gap in cands]
+        gaps = sorted(k for k, _, gap in cands if gap)
+        fields = _fields(clause, gaps, True, **extra) if gaps \
+            else {"clause": clause, **extra, "kind": "violation"}
+        return [(functools.reduce(operator.or_, [c for _, c, _ in cands], 0),
+                 fields)]
     return compile_row
 
 
@@ -353,87 +367,102 @@ def _reaches(cp: ConsistencyProperty) -> list[tuple[int, int]]:
     return [(m, reach[m]) for m in members]
 
 
-def _violation(clause: str, key: tuple, need: str, gap: bool = False) -> dict:
-    return {"clause": clause, "kind": "PoolIncomplete" if gap else "violation",
-            "member": key, "missing" if gap else "needed": need}
+Finding = tuple[dict, tuple]   # (fields, member key)
 
 
-def _check_row(row: tuple, reach: int, violations: list, key: tuple) -> None:
-    """Run a compiled row on a member with the given reach; a failed SOME
-    row is a PoolIncomplete finding when it has undecidable candidates."""
-    clause, mode, cands, extra = row
-    if mode == EVERY:
-        for k, c, gap in cands:
-            if not reach & c:
-                violations.append(_violation(clause, key, k, gap))
-        return
-    union, gaps = cands
-    if not reach & union:
-        found = {"kind": "PoolIncomplete", "missing": gaps} if gaps \
-            else {"kind": "violation"}
-        violations.append({"clause": clause, "member": key, **extra, **found})
+def findings(cp: ConsistencyProperty, smax: bool = False) \
+        -> tuple[int, Iterator[Finding], Iterator[Finding]]:
+    """The family size and two walks of its members in family order, each
+    yielding its findings as they are found: the clause findings, and with
+    `smax` the maximality findings (none without it). A finding is
+    (fields, member key), the entry dict(fields, member=key) of check_cp;
+    a walk yields one key object per member, and each fields object lives
+    as long as the walk. The clause table is compiled once per family, and
+    each member's sentences are read in canonical order. The explicit pool
+    findings of every member come first."""
+    members = _reaches(cp)
+    rows, namings = _clauses(cp)
+    compile_row = _compiler(cp)
+    namings = [t for r in namings for t in compile_row(r)]
+    sentences, keys = cp.sentences, [f.key() for f in cp.sentences]
+
+    def key_of(m: int) -> tuple:
+        return tuple(map(keys.__getitem__, _bits(m)))
+
+    @functools.cache
+    def plan(b: int) -> tuple:
+        """Sentence b's Con partner and its finding, compiled tests and
+        Str.2 constants."""
+        f = sentences[b]
+        con = cp.bit.get(f.body) if isinstance(f, Not) else None
+        swap = (f.right.name, f.left.name) \
+            if _const_eq(f) and f.left != f.right else None
+        return (0 if con is None else 1 << con,
+                None if con is None else _fields("Con", keys[con]),
+                [t for r in rows(f) for t in compile_row(r)], swap)
+
+    @functools.cache
+    def substituted(b: int, old: str, new: str) -> list:
+        return compile_row(("Str.2", EVERY, occurrence_variants(
+            sentences[b], old, new), {}))
+
+    def clauses() -> Iterator[Finding]:
+        gap = [_fields("pool", k, True) for k in keys]
+        for m in cp.family or ():
+            if m & ~cp.pool_mask:
+                key = key_of(m)
+                for b in _bits(m & ~cp.pool_mask):
+                    yield gap[b], key
+        for m, reach in members:
+            idx = _bits(m)
+            key = tuple(map(keys.__getitem__, idx))
+            plans = list(map(plan, idx))
+            # (Con): no sentence together with its negation
+            for con, fields, _, _ in plans:
+                if m & con:
+                    yield fields, key
+            for _, _, own, swap in plans:
+                for mask, fields in own:
+                    if not reach & mask:
+                        yield fields, key
+                # (Str.2): substitution into any co-member, any occurrences
+                if swap:
+                    for p in idx:
+                        for mask, fields in substituted(p, *swap):
+                            if not reach & mask:
+                                yield fields, key
+            for mask, fields in namings:
+                if not reach & mask:
+                    yield fields, key
+
+    def maximality() -> Iterator[Finding]:
+        """Every member extends by each pool sentence or by its literal
+        negation, a SOME row per pool sentence."""
+        tests = [t for f in cp.pool for t in compile_row(
+            ("S-Max", SOME, [f, Not(f)], {"sentence": f.key()}))]
+        for m, reach in members:
+            key = key_of(m)
+            for mask, fields in tests:
+                if not reach & mask:
+                    yield fields, key
+
+    return len(members), clauses(), maximality() if smax else iter(())
 
 
 def check_cp(cp: ConsistencyProperty, smax: bool = False) -> dict:
     """Check every consistency-property clause on every family member.
     Returns {"ok", "family_size", "violations": [...]}; violation entries
-    carry the clause tag, the offending member, and what was required.
-    The clause table is compiled once per family, and each member's
-    sentences are read in canonical order. With `smax`, the report also
-    holds the maximality check under "smax", in the same form: every member
-    extends by each pool sentence or by its literal negation, a SOME row per
-    pool sentence. "ok" then needs both."""
-    members = _reaches(cp)
-    rows, namings = _clauses(cp)
-    compile_row = _compiler(cp)
-    namings = [compile_row(r) for r in namings]
-    maximality = [compile_row(("S-Max", SOME, [f, Not(f)],
-                               {"sentence": f.key()}))
-                  for f in cp.pool] if smax else []
-    sentences, keys = cp.sentences, [f.key() for f in cp.sentences]
-
-    @functools.cache
-    def plan(b: int) -> tuple:
-        """Sentence b's Con partner, compiled rows and Str.2 constants."""
-        f = sentences[b]
-        con = 1 << cp.bit[f.body] \
-            if isinstance(f, Not) and f.body in cp.bit else 0
-        swap = (f.right.name, f.left.name) \
-            if _const_eq(f) and f.left != f.right else None
-        return con, [compile_row(r) for r in rows(f)], swap
-
-    @functools.cache
-    def substituted(b: int, old: str, new: str) -> tuple:
-        return compile_row(("Str.2", EVERY, occurrence_variants(
-            sentences[b], old, new), {}))
-
-    violations = [_violation("pool", cp.key(m), keys[b], True)
-                  for m in cp.family or () for b in _bits(m & ~cp.pool_mask)]
-    unmaximal: list[dict] = []
-
-    for m, reach in members:
-        idx = _bits(m)
-        key = tuple(map(keys.__getitem__, idx))
-        plans = list(map(plan, idx))
-        # (Con): no sentence together with its negation
-        violations += [_violation("Con", key, keys[con.bit_length() - 1])
-                       for con, _, _ in plans if m & con]
-        for con, own, swap in plans:
-            for r in own:
-                _check_row(r, reach, violations, key)
-            # (Str.2): substitution into any co-member, any occurrences
-            if swap:
-                for p in idx:
-                    _check_row(substituted(p, *swap), reach, violations, key)
-        for r in namings:
-            _check_row(r, reach, violations, key)
-        for r in maximality:
-            _check_row(r, reach, unmaximal, key)
-
-    report = {"ok": not (violations or unmaximal),
-              "family_size": len(members), "violations": violations}
+    carry the clause tag, the offending member, and what was required. With
+    `smax`, the report also holds the maximality check under "smax", in the
+    same form. "ok" then needs both. The entries are those of `findings`."""
+    size, found, unmaximal = findings(cp, smax)
+    violations = [dict(fields, member=key) for fields, key in found]
+    report = {"ok": not violations, "family_size": size,
+              "violations": violations}
     if smax:
-        report["smax"] = {"ok": not unmaximal, "family_size": len(members),
+        unmaximal = [dict(fields, member=key) for fields, key in unmaximal]
+        report["ok"] = not (violations or unmaximal)
+        report["smax"] = {"ok": not unmaximal, "family_size": size,
                           "violations": unmaximal}
     return report
 

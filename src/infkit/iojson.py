@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from typing import TYPE_CHECKING, Any, Callable, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn
 
 from .boolalg import FinBooleanAlgebra, FinPoset, powerset_algebra, \
     ro_completion, table_algebra
@@ -552,19 +552,30 @@ def emit_cp(cp: ConsistencyProperty, write: Callable[[str], Any]) -> None:
     """Write the file form of a family through `write`, 256 members at a
     time: by size, then by their sentences' canonical forms. A positivity
     family is listed in that order by members_by_level, so an over-cap one
-    writes nothing."""
+    writes nothing. Each chunk is one join of the texts of its members'
+    sentences, each text led by its separator: in a member's first, the
+    member's own."""
     from .consprop import _bits, members_by_level
     # JSON text holds no raw newline, so indenting is one replace
-    texts = [dumps(emit_formula(f))[:-1].replace("\n", "\n      ")
+    texts = [",\n      "
+             + dumps(emit_formula(f))[:-1].replace("\n", "\n      ")
              for f in cp.sentences]
+    firsts = [",\n    [" + t[1:] for t in texts]
     members = [bits for bits, _, _ in members_by_level(cp)] \
         if cp.family is None else sorted(sorted(map(_bits, cp.family)),
                                          key=len)
     head = '{\n  "family": ['
     for i in range(0, len(members), 256):
-        write(head + "\n    " + ",\n    ".join([
-            "[\n      " + ",\n      ".join(map(texts.__getitem__, m))
-            + "\n    ]" if m else "[]" for m in members[i:i + 256]]))
+        pieces = []
+        for m in members[i:i + 256]:
+            if m:
+                pieces.append(firsts[m[0]])
+                pieces += map(texts.__getitem__, m[1:])
+                pieces.append("\n    ]")
+            else:
+                pieces.append(",\n    []")
+        pieces[0] = head + pieces[0][1:]
+        write("".join(pieces))
         head = ","
     rest = dumps({"fresh_constants": sorted(cp.fresh_constants),
                   "pool": emit_pool(cp.pool)["formulas"],
@@ -679,55 +690,80 @@ def emit_proof(proof: Proof) -> dict:
 # ---------------------------------------------------------------------------
 # files
 
+class Findings:
+    """A list that `dump` writes while `walk` yields it: (fields, key)
+    pairs, each the object dict(fields, member=key), such as the findings
+    of consprop.findings. Each fields object must live as long as the
+    walk, and each member's findings must share one key object."""
+    __slots__ = ("walk",)
+
+    def __init__(self, walk: Iterable[tuple[dict, tuple]]) -> None:
+        self.walk = walk
+
+
+_MEMBER = "\0"   # a placeholder member: no key or name holds a NUL
+
+
+def _render(x: Any, depth: int, rendered: dict) -> str:
+    """The text of x at the given depth; a list or tuple is rendered once
+    per depth, its text kept in `rendered` by (depth, id)."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, (dict, list, tuple)):
+        text = rendered.get((depth, id(x)))
+        if text is None:
+            inner = "\n" + "  " * (depth + 1)
+            sep = "," + inner
+            if isinstance(x, dict):
+                pieces = []
+                for k in sorted(x):
+                    v = x[k]
+                    pieces += sep, f"{_encode_str(k)}: ", _encode_str(v) \
+                        if type(v) is str else _render(v, depth + 1, rendered)
+            else:
+                parts = [_encode_str(v) if type(v) is str
+                         else _render(v, depth + 1, rendered) for v in x]
+                pieces = [sep] * (2 * len(parts))
+                pieces[1::2] = parts
+            opening, closing = "{}" if isinstance(x, dict) else "[]"
+            if pieces:
+                pieces[0] = opening + inner
+                closing = "\n" + "  " * depth + closing
+            else:
+                pieces = [opening]
+            pieces.append(closing)
+            text = "".join(pieces)
+            if not isinstance(x, dict):
+                rendered[depth, id(x)] = text
+        return text
+    if x is None or x is True or x is False:
+        return _CONSTANTS[x]
+    if isinstance(x, (int, float)):
+        text = (float if isinstance(x, float) else int).__repr__(x)
+        return _CONSTANTS.get(text, text)
+    raise TypeError(f"Object of type {type(x).__name__} "
+                    f"is not JSON serializable")
+
+
 def dump(obj: Any, write: Callable[[str], Any]) -> None:
     """Canonical serialization, written through `write`: the bytes of
-    json.dumps(obj, sort_keys=True, indent=2) plus a newline. Containers at
-    depth 0 and 1 are written as they are rendered, about 256 pieces per
-    write; deeper ones are rendered by one join each, a list or tuple that
-    occurs many times once per depth."""
+    json.dumps(obj, sort_keys=True, indent=2) plus a newline, with
+    Findings written as lists. Containers at depth 0 and 1, and Findings,
+    are written as they are rendered, about 256 pieces per write; deeper
+    ones are rendered by one join each, a list or tuple that occurs many
+    times once per depth. A finding is the text of its fields around a
+    placeholder member, rendered once per fields object, with the text of
+    its member, rendered once per member. Objects a walk frees may lend
+    their id to later ones, so what a walk yields is memoized only while
+    it is held: a template with its fields, a member until the next."""
     rendered = {}   # (depth, id(list or tuple)) -> text
 
-    def render(x: Any, depth: int) -> str:
-        if isinstance(x, str):
-            return _encode_str(x)
-        if isinstance(x, (dict, list, tuple)):
-            text = rendered.get((depth, id(x)))
-            if text is None:
-                inner = "\n" + "  " * (depth + 1)
-                sep = "," + inner
-                if isinstance(x, dict):
-                    pieces = []
-                    for k in sorted(x):
-                        v = x[k]
-                        pieces += sep, f"{_encode_str(k)}: ", _encode_str(v) \
-                            if type(v) is str else render(v, depth + 1)
-                else:
-                    parts = [_encode_str(v) if type(v) is str
-                             else render(v, depth + 1) for v in x]
-                    pieces = [sep] * (2 * len(parts))
-                    pieces[1::2] = parts
-                opening, closing = "{}" if isinstance(x, dict) else "[]"
-                if pieces:
-                    pieces[0] = opening + inner
-                    closing = "\n" + "  " * depth + closing
-                else:
-                    pieces = [opening]
-                pieces.append(closing)
-                text = "".join(pieces)
-                if not isinstance(x, dict):
-                    rendered[depth, id(x)] = text
-            return text
-        if x is None or x is True or x is False:
-            return _CONSTANTS[x]
-        if isinstance(x, (int, float)):
-            text = (float if isinstance(x, float) else int).__repr__(x)
-            return _CONSTANTS.get(text, text)
-        raise TypeError(f"Object of type {type(x).__name__} "
-                        f"is not JSON serializable")
-
     def stream(x: Any, depth: int) -> None:
+        if type(x) is Findings:
+            stream_findings(x.walk, depth)
+            return
         if depth > 1 or not x or not isinstance(x, (dict, list, tuple)):
-            out.append(render(x, depth))
+            out.append(_render(x, depth, rendered))
             return
         opening, closing = "{}" if isinstance(x, dict) else "[]"
         inner = "\n" + "  " * (depth + 1)
@@ -740,6 +776,26 @@ def dump(obj: Any, write: Callable[[str], Any]) -> None:
                 write("".join(out))
                 out.clear()
         out.append("\n" + "  " * depth + closing)
+
+    def stream_findings(walk: Iterable, depth: int) -> None:
+        inner = "\n" + "  " * (depth + 1)
+        placeholder = _encode_str(_MEMBER)
+        templates = {}   # id(fields) -> (fields, head, tail)
+        opening, closing, last = "[" + inner, "[]", None
+        for fields, key in walk:
+            template = templates.get(id(fields))
+            if template is None:
+                head, _, tail = _render(dict(fields, member=_MEMBER),
+                                        depth + 1, {}).partition(placeholder)
+                template = templates[id(fields)] = fields, head, tail
+            if key is not last:
+                last, member = key, _render(key, depth + 2, {})
+            out.extend((opening, template[1], member, template[2]))
+            opening, closing = "," + inner, "\n" + "  " * depth + "]"
+            if len(out) >= 256:
+                write("".join(out))
+                out.clear()
+        out.append(closing)
 
     out = []
     stream(obj, 0)

@@ -2,8 +2,10 @@
 whose sup no witness attains, a deterministic pool of models and formulas,
 every small labeled poset and its down-sets, the forcing order on a list
 of conditions, the two-member and star families of the forcing side, the
-file text of an explicit family, seeded random models named for
-`assemble_model`, and file bytes that no JSON reader decodes."""
+family whose Str.2 findings once followed the string-hash seed, the file
+text of an explicit family, seeded random models named for
+`assemble_model`, file bytes that no JSON reader decodes, and a command
+line for each shipped manifest entry."""
 import itertools
 import random
 
@@ -11,7 +13,7 @@ from infkit.boolalg import FinPoset
 from infkit.bvmodel import (
     BValuedModel, _class_tuples, _partitions, assemble_model,
 )
-from infkit.consprop import ConsistencyProperty
+from infkit.consprop import ConsistencyProperty, cp_from_model
 from infkit.iojson import emit_cp
 from infkit.modelgen import random_quotients, split_signature
 from infkit.syntax import (
@@ -188,6 +190,15 @@ def star_family(k: int) -> ConsistencyProperty:
         family=(e, *(e | {x} for x in a)))
 
 
+def str2_order_family() -> ConsistencyProperty:
+    """The positivity family of the one-element model of `model_pool()`
+    over {e0=e1, (all v0 R(v0)) & (Q(e0,e1) | ~Q(e0,e1))}: four members,
+    whose Str.2 findings came in the iteration order of a set of formulas,
+    and so in four orders under string-hash seeds 0-6."""
+    pool = formula_pool()
+    return cp_from_model(model_pool()[0], [pool[7], pool[29]])
+
+
 def cp_text(cp: ConsistencyProperty) -> str:
     """The text emit_cp writes for an explicit family, joined."""
     parts: list[str] = []
@@ -208,3 +219,25 @@ def random_structures(rng: random.Random, sig: Signature,
 
 # bytes that are not UTF-8, and arrays nested past the recursion limit
 UNDECODABLE = {"not UTF-8": b"\xff\xfe\x00bad", "over-nested": b"[" * 200_000}
+
+
+def manifest_commands(corpus_dir, manifest) -> list[list[str]]:
+    """A command line that reads each shipped manifest entry's file."""
+    m4 = str(corpus_dir / "four_element_model.json")
+    kinds = {
+        "model": lambda f, e: ["check-model", f],
+        "poset": lambda f, e: ["ro", f],
+        "algebra": lambda f, e: ["roundtrip", f],
+        "cp": lambda f, e: ["check-cp", f] + ["--smax"] * ("smax" in e),
+        "proof": lambda f, e: ["check-proof", f, "--soundness-samples",
+                               str(e.get("sound_samples", 0))],
+        "theory": lambda f, e: ["sat", "--theory", f, "--mode", "weak",
+                                "--max-atoms", "2", "--max-domain", "3"],
+        "ultrafilter": lambda f, e: ["quotient", "--model", m4,
+                                     "--ultrafilter", f],
+        "pool": lambda f, e: ["cp-from-model", "--model", m4, "--pool", f],
+        "formula": lambda f, e: ["eval", "--model", m4, "--formula", f],
+    }
+    return [kinds[e["kind"]](str(corpus_dir / e["file"]), e.get("expect", {}))
+            for e in manifest["entries"] if e["kind"] in kinds] \
+        + [["corpus"], ["corpus", str(corpus_dir / "manifest.json")]]

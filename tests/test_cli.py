@@ -20,7 +20,8 @@ from infkit.iojson import dumps
 from infkit.quotient import quotient
 from infkit.syntax import Atom, Const, Eq, Not, Signature
 from conftest import load_family
-from inputs import UNDECODABLE, cp_text, star_family, two_member_family
+from inputs import UNDECODABLE, cp_text, manifest_commands, star_family, \
+    str2_order_family, two_member_family
 from test_golden import _table_powerset
 
 
@@ -520,6 +521,112 @@ def test_cap_overruns_are_input_errors(capsys, monkeypatch, corpus_dir,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_every_input_error_of_check_cp_writes_no_report(
+        capsys, monkeypatch, corpus_dir, tmp_path):
+    """check-cp writes its report while it walks the family, so every input
+    error must come before the first byte: each exit-2 path, with and
+    without --smax, writes nothing on stdout and one error line, or a
+    usage message for a malformed command line."""
+    from infkit import consprop
+    monkeypatch.setattr(consprop, "POOL_CAP", 5)
+    eq4 = json.loads((corpus_dir / "eq4_family.json").read_text())
+    c0 = {"const": "c0"}
+    variants = {
+        "not JSON": "{",
+        "not an object": [],
+        "no family": {k: v for k, v in eq4.items() if k != "family"},
+        "free variable": dict(eq4, pool=eq4["pool"] + [
+            {"eq": [{"var": "v0"}, c0]}]),
+        "undeclared constant": dict(eq4, pool=eq4["pool"] + [
+            {"eq": [{"const": "zz"}, c0]}]),
+        "undeclared relation": dict(eq4, family=eq4["family"] + [
+            [{"atom": {"rel": "R", "args": [c0]}}]]),
+        "fresh constant declared": dict(eq4, signature=dict(
+            eq4["signature"], constants=["c0"])),
+    }
+    paths = [str(tmp_path / "missing.json"), _without_pool(corpus_dir,
+                                                           tmp_path)]
+    paths += [_write_text(tmp_path / f"{i}.json", v if isinstance(v, str)
+                          else dumps(v))
+              for i, v in enumerate(variants.values())]
+    for path in paths:
+        for smax in ((), ("--smax",)):
+            code, out, err = run(capsys, "check-cp", path, *smax)
+            assert (code, out, err[:7], err.count("\n")) \
+                == (2, "", "error: ", 1), (path, err)
+    for argv in (["check-cp"], ["check-cp", paths[1], "--bogus"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        out = capsys.readouterr()
+        assert (stop.value.code, out.out, out.err[:7]) == (2, "", "usage: ")
+
+
+def _quantified(free: str, bound: str) -> dict:
+    return {"forall": {"vars": [bound], "body": {"atom": {
+        "rel": "Q", "args": [{"var": free}, {"var": bound}]}}}}
+
+
+def _twice_captured_proof(path) -> str:
+    """An axiom and a substitution that both of its antecedents capture."""
+    sequent = {"ante": [_quantified("v0", "w"), _quantified("v1", "u")],
+               "succ": [_quantified("v0", "w")]}
+    return _write_json(path, {"steps": [
+        {"rule": {"name": "axiom"}, "sequent": sequent},
+        {"rule": {"name": "substitution", "premises": [0],
+                  "map": {"v0": {"var": "w"}, "v1": {"var": "u"}}},
+         "sequent": sequent}]})
+
+
+def _two_arity_clashes_proof(path) -> str:
+    """An axiom whose goal uses R and Q each at two arities."""
+    atoms = [{"atom": {"rel": rel, "args": [{"const": "c"}] * n}}
+             for rel in "RQ" for n in (1, 2)]
+    return _write_json(path, {"steps": [{"rule": {"name": "axiom"},
+                                         "sequent": {"ante": atoms,
+                                                     "succ": atoms[:1]}}]})
+
+
+def test_a_goal_with_a_relation_at_two_arities_is_an_input_error(
+        capsys, tmp_path):
+    """The sampler infers the goal's signature, which a relation at two
+    arities does not have. The first clash in key order is named; the
+    error once left main as a traceback naming the first clash in the
+    iteration order of a set of formulas."""
+    proof = _two_arity_clashes_proof(tmp_path / "clash.json")
+    assert run(capsys, "check-proof", proof, "--soundness-samples", "3") \
+        == (2, "", "error: the goal has no signature: relation Q used at "
+                   "two arities\n")
+
+
+def test_no_output_follows_the_string_hash_seed(corpus_dir, manifest,
+                                                tmp_path):
+    """Python salts the string hash of each process, so the iteration order
+    of a set of formulas changes from run to run. Every manifest command,
+    check-cp on the family whose Str.2 findings came in such an order
+    (four reports under seeds 0-6), and the other sets whose order reached
+    output (the formulas a substitution captures, the relations of a goal
+    at two arities), or could (the pool closure, a quotient's classes and
+    its Los check), print the same bytes and exit codes under three seeds
+    in fresh processes."""
+    family = _write_text(tmp_path / "str2.json", cp_text(str2_order_family()))
+    m4 = corpus("four_element_model.json", corpus_dir)
+    audited = [
+        ["check-cp", family], ["check-cp", family, "--smax"],
+        ["check-proof", _twice_captured_proof(tmp_path / "capture.json")],
+        ["check-proof", _two_arity_clashes_proof(tmp_path / "clash.json"),
+         "--soundness-samples", "3"],
+        ["check-cp", _without_pool(corpus_dir, tmp_path), "--smax"],
+        ["quotient", "--model", m4, "--ultrafilter",
+         corpus("uf_a1.json", corpus_dir), "--los-pool",
+         corpus("los_pool.json", corpus_dir)],
+    ]
+    for argv in manifest_commands(corpus_dir, manifest) + audited:
+        outcomes = {(proc.returncode, proc.stdout, proc.stderr)
+                    for proc in (run_subprocess(*argv, hash_seed=seed)
+                                 for seed in ("0", "3", "6"))}
+        assert len(outcomes) == 1, argv
+
+
 OVER_THE_MEMBER_CAP = \
     "error: oracle family exceeds the member cap (300000); shrink the pool\n"
 
@@ -782,14 +889,20 @@ def test_mansfield_builds_no_forcing_poset(capsys, monkeypatch, corpus_dir,
 # --- process entry -----------------------------------------------------------
 
 def test_a_closed_stdout_exits_without_a_traceback(corpus_dir, tmp_path):
-    """A reader that stops after 10 bytes: both streams, the emitted b8
-    family and check-cp's report on it, end with exit 1 and no traceback."""
+    """A reader that stops after 10 bytes: the emitted b8 family, and
+    check-cp's reports on the emitted b8 and b16 families, the latter
+    written while its 13,328 members are walked, end with exit 1 and no
+    traceback."""
     b8 = corpus("b8.json", corpus_dir)
-    family = tmp_path / "b8_family.json"
-    family.write_text(run_subprocess("cp-from-algebra", b8, "--emit").stdout)
+    argvs = [("cp-from-algebra", b8, "--emit")]
+    for size in (8, 16):
+        family = tmp_path / f"b{size}_family.json"
+        family.write_text(run_subprocess(
+            "cp-from-algebra", corpus(f"b{size}.json", corpus_dir),
+            "--emit").stdout)
+        argvs.append(("check-cp", str(family)))
     env = dict(os.environ, PYTHONPATH=str(Path(infkit.__file__).parents[1]))
-    for argv in (("cp-from-algebra", b8, "--emit"),
-                 ("check-cp", str(family))):
+    for argv in argvs:
         proc = subprocess.Popen([sys.executable, "-m", "infkit.cli", *argv],
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, env=env)

@@ -16,7 +16,9 @@ while an emitted family was still one dict and one string; the strong
 structure of every domain size; the `ro` pin on a 16-element antichain:
 while the completion still built a label for each of its 65,536
 elements; the `quotient` pin on 13 atoms: while the ultrafilter was
-still the frozenset of its members). Also that
+still the frozenset of its members; the `check-cp --smax` pin on the
+emitted b16 family: while every finding was built before the first was
+written). Also that
 `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import importlib.util
@@ -175,6 +177,8 @@ EXPECTED = {
         "72e9d838f7b19e8cca7d317a85176d14da4c885677d7d2f80f3da0ac2143735e",
     "check_cp_b16_emitted":
         "652f65cd6a17ee8448125514a71e0a27003b2fd6731942694b6496be31479d59",
+    "check_cp_b16_emitted_smax":
+        "ed7993e4a7aa439d572efceddc96420522b4cd2b028c7e7996b19d00836c1867",
     "check_cp_con":
         "de1a18cd8a4f09a719e6c682fe8fff0c35d0b84c47fd7cbc05bf646a46789e9a",
     "check_cp_ind4":
@@ -321,19 +325,33 @@ def run(argv, cwd: Path) -> subprocess.CompletedProcess:
                           env=ENV)
 
 
+# On Linux a child's max-RSS starts at the RSS of the process that forked
+# it, and the test process may hold hundreds of MB: a command is forked from
+# this small launcher, which writes the command's max-RSS (KiB) to the file
+# named first and exits with its exit code.
+LAUNCHER = """import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.argv[2], sys.argv[2:])
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def streamed(argv, cwd: Path) -> tuple[str, float]:
     """The pinned digest of a command and its own max-RSS in MB. Stdout and
     stderr go to files, hashed in chunks, so a report of hundreds of MB is
     never held here."""
     emitted = cwd / "emitted.json"
     emitted.unlink(missing_ok=True)
-    out, err = cwd / "stdout.bin", cwd / "stderr.bin"
+    out, err, rss = cwd / "stdout.bin", cwd / "stderr.bin", cwd / "rss.txt"
     with open(out, "wb") as fo, open(err, "wb") as fe:
-        proc = subprocess.Popen(command(argv), cwd=cwd, stdout=fo, stderr=fe,
-                                env=ENV)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    h = hashlib.sha256(f"exit {proc.returncode}\n".encode())
+        code = subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER,
+                               str(rss), *command(argv)], cwd=cwd,
+                              stdout=fo, stderr=fe, env=ENV).returncode
+    h = hashlib.sha256(f"exit {code}\n".encode())
     for path in (out, err, emitted):
         size = path.stat().st_size if path.exists() else 0
         h.update(b"\0%d\0" % size)
@@ -341,9 +359,10 @@ def streamed(argv, cwd: Path) -> tuple[str, float]:
             with open(path, "rb") as fh:
                 while chunk := fh.read(1 << 20):
                     h.update(chunk)
-    out.unlink()
-    err.unlink()
-    return h.hexdigest(), usage.ru_maxrss / 1024
+    max_rss_kib = int(rss.read_text())
+    for path in (out, err, rss):
+        path.unlink()
+    return h.hexdigest(), max_rss_kib / 1024
 
 
 def digest(argv, cwd: Path) -> str:
@@ -387,17 +406,35 @@ def test_quotient_by_an_atom_scans_no_filter(workdir):
     assert time.perf_counter() - start < 2
 
 
-def test_check_cp_streams_the_report_of_the_emitted_b16_family(workdir):
-    """The 13,328-member family has 198 MB of violations, written as they
-    are rendered: while the report was still one string, check-cp peaked at
-    905 MB (Python 3.11, Linux)."""
+@pytest.fixture(scope="module")
+def b16_family(workdir):
+    """The file emit_b16_table writes: 13,328 members, 22 MB."""
     with open(workdir / "b16_family.json", "wb") as fh:
         subprocess.run(command(GOLDEN["emit_b16_table"]), cwd=workdir,
                        stdout=fh, env=ENV, check=True)
-    got, max_rss_mb = streamed(("check-cp", "b16_family.json"), workdir)
+    yield "b16_family.json"
     (workdir / "b16_family.json").unlink()
+
+
+def test_check_cp_streams_the_report_of_the_emitted_b16_family(
+        workdir, b16_family):
+    """The family has 198 MB of violations, written as they are found:
+    while the report was still one string, check-cp peaked at 905 MB, and
+    while every finding was built before the first was written, at 83 MB
+    (Python 3.11, Linux)."""
+    got, max_rss_mb = streamed(("check-cp", b16_family), workdir)
     assert got == EXPECTED["check_cp_b16_emitted"]
-    assert max_rss_mb < 250
+    assert max_rss_mb < 50
+
+
+def test_check_cp_smax_streams_the_report_of_the_emitted_b16_family(
+        workdir, b16_family):
+    """With --smax, 38 MB of S-Max findings come before the violations,
+    from a walk of their own: with every finding built first, check-cp
+    peaked at 253 MB (Python 3.11, Linux)."""
+    got, max_rss_mb = streamed(("check-cp", b16_family, "--smax"), workdir)
+    assert got == EXPECTED["check_cp_b16_emitted_smax"]
+    assert max_rss_mb < 60
 
 
 def test_gen_corpus_writes_the_shipped_corpus(tmp_path, capsys):

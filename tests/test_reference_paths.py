@@ -70,15 +70,16 @@ from infkit.cli import (
 )
 from infkit.consprop import (
     ConsistencyProperty, check_cp, convert_to_explicit,
-    cp_from_model, default_pool, dense_sets, enumerate_members,
+    cp_from_model, default_pool, dense_sets, enumerate_members, findings,
     forcing_poset_conditions, generic_filter, instances,
     maximal_members, member_count, members_by_level, occurrence_variants,
     _bit_order, _bits, _reaches,
 )
 from infkit.iojson import (
-    as_table_algebra, dump, dumps, emit_cp, emit_formula, emit_model, emit_signature, load_json,
-    ParseError, parse_algebra, parse_cp, parse_model, parse_pool,
-    parse_poset, parse_proof, read_cp,
+    Findings, as_table_algebra, dump, dumps, emit_cp, emit_formula,
+    emit_model, emit_signature, load_json,
+    ParseError, parse_algebra, parse_cp, parse_formula, parse_model,
+    parse_pool, parse_poset, parse_proof, read_cp,
 )
 from infkit.mansfield import (
     MATERIALIZE_LIMIT, SAMPLE_LIMIT, algebra_model, condition_algebra,
@@ -98,7 +99,8 @@ from infkit.syntax import (
 )
 from inputs import (
     all_labeled_posets, cp_text, down_sets, forcing_poset, formula_pool,
-    model_pool, random_structures, two_member_family,
+    manifest_commands, model_pool, random_structures, str2_order_family,
+    two_member_family,
 )
 from test_cli import _m4_without_eq_row, _two_point_identified
 from test_golden import _table_powerset, _two_level_poset
@@ -732,6 +734,127 @@ def test_check_cp_matches_reference_on_emitted_algebra_families(
         assert check_cp(cp, True)["smax"] == reference_check_smax(cp)
     # the emitted b8 family has pool gaps, so the comparison is not vacuous
     assert got["violations"]
+
+
+# --- the streamed check-cp report ---------------------------------------------
+
+def streamed_report(path, smax):
+    """check-cp's exit code and stdout on the family file at path."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cmd_check_cp(argparse.Namespace(cp=str(path), smax=smax))
+    return code, out.getvalue()
+
+
+def finding_shape(finding):
+    """A finding's clause and its other fields besides kind and member,
+    with the type of each: needed, missing as a string or a list, and the
+    sentence or constant a SOME row names."""
+    return finding["clause"], tuple(
+        f"{k}: {type(v).__name__}" for k, v in sorted(finding.items())
+        if k not in ("clause", "kind", "member"))
+
+
+def assert_streams_as_the_dict_report(path):
+    """check-cp's report on the family file, with and without --smax, is
+    check_cp's dict report written by dump, the oracle, byte for byte.
+    Returns the shapes of its findings and whether it had no finding."""
+    cp = read_cp(str(path))
+    shapes, clean = set(), False
+    for smax in (False, True):
+        want = check_cp(cp, smax)
+        code, out = streamed_report(path, smax)
+        assert code == (0 if want["ok"] else 1)
+        assert out.split("\n") == dumps(want).split("\n")   # a short diff
+        found = want["violations"] + (want["smax"]["violations"] if smax
+                                      else [])
+        shapes |= set(map(finding_shape, found))
+        clean |= not found
+    return shapes, clean
+
+
+def every_clause_family():
+    """Singleton members over the default pool, which holds every sentence
+    a clause adds, so that each clause fails with a violation: Ind.1-Ind.5,
+    Str.1-Str.3 and S-Max."""
+    d, c0, x = Const("d"), Const("c0"), Var("x")
+    r_d, r_c0, r_x = Atom("R", (d,)), Atom("R", (c0,)), Atom("R", (x,))
+    members = [[Not(And((r_d, r_c0)))], [And((r_d, r_c0))],
+               [Forall(("x",), r_x)], [Exists(("x",), r_x)],
+               [Eq(d, c0), r_d], []]
+    return {"signature": {"constants": ["d"],
+                          "relations": [{"arity": 1, "name": "R"}]},
+            "fresh_constants": ["c0"],
+            "family": [[emit_formula(f) for f in m] for m in members]}
+
+
+def test_streamed_reports_match_the_dict_reports(corpus_dir, tmp_path):
+    """On the corpus families, each also with a member and with a pool
+    sentence dropped (`_variants`), the emitted b4 and b8 families, the
+    family whose Str.2 findings followed the hash seed, and a family that
+    fails every clause. Together they hold reports with no finding and
+    every finding shape."""
+    families = [cp for name in _CORPUS_FAMILIES for cp in _variants(
+        parse_cp(load_json(str(corpus_dir / f"{name}.json"))))]
+    families += [cp_from_algebra(_algebra(corpus_dir, size))[0]
+                 for size in (4, 8)]
+    families.append(str2_order_family())
+    paths = [tmp_path / f"{i}.json" for i in range(len(families) + 1)]
+    for path, cp in zip(paths, families):
+        path.write_text(cp_text(cp))
+    paths[-1].write_text(dumps(every_clause_family()))
+    shapes, clean = set(), []
+    for path in paths:
+        found, no_finding = assert_streams_as_the_dict_report(path)
+        shapes |= found
+        clean.append(no_finding)
+    assert any(clean)
+    assert {clause for clause, _ in shapes} == {
+        "Con", "pool", "S-Max",
+        *(f"Ind.{i}" for i in range(1, 6)), *(f"Str.{i}" for i in (1, 2, 3))}
+    assert {field for _, fields in shapes for field in fields} == {
+        "needed: str", "missing: str", "missing: list", "sentence: str",
+        "constant: str"}
+
+
+def test_dump_renders_a_key_that_reuses_a_freed_id_afresh(corpus_dir):
+    """A walk frees each member's key once the next member's findings
+    come, so a later key can take the id of an earlier one: on the
+    emitted b16 family, 2,684 of the 13,328 keys of the clause walk did
+    (Python 3.11). A text kept by a key's id would be stale there. Here
+    each key of the b8 findings is rebuilt as it is yielded, from a list,
+    so that it takes the id of a key freed just before."""
+    cp = convert_to_explicit(cp_from_algebra(_algebra(corpus_dir, 8))[0])
+    found, last = [], None
+    for fields, key in findings(cp)[1]:
+        if key is not last:
+            last, members = key, list(key)
+        found.append((fields, members))
+    ids = set()
+
+    def walk():
+        last = key = None
+        for fields, members in found:
+            if members is not last:
+                last, key = members, tuple(members)
+                ids.add(id(key))
+            yield fields, key
+
+    assert dumps({"violations": Findings(walk())}).split("\n") == dumps(
+        {"violations": [dict(f, member=tuple(k)) for f, k in found]}
+    ).split("\n")
+    assert len(ids) < len({id(k) for _, k in found}) == len(cp.family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(model_pool()),
+       st.lists(st.sampled_from([f for f in formula_pool() if is_sentence(f)]),
+                max_size=8))
+def test_streamed_reports_match_on_drawn_families(tmp_path_factory, model,
+                                                  pool):
+    path = tmp_path_factory.mktemp("drawn") / "family.json"
+    path.write_text(cp_text(cp_from_model(model, pool)))
+    assert_streams_as_the_dict_report(path)
 
 
 # --- law checking -------------------------------------------------------------
@@ -1390,13 +1513,7 @@ def assert_reads_back_in_file_order(cp, path):
     path.write_text(cp_text(cp))
     explicit, back = convert_to_explicit(cp), read_cp(str(path))
     assert explicit.family == back.family
-    reports = check_cp(explicit, True), check_cp(back, True)
-    # Str.2 findings follow the iteration order of a set of formulas, which
-    # depends on the string-hash seed and on the order of a formula's
-    # children; the file holds them in canonical order, a drawn pool not
-    for report in reports:
-        report["violations"].sort(key=repr)
-    assert reports[0] == reports[1]
+    assert check_cp(explicit, True) == check_cp(back, True)
 
 
 def test_positivity_families_read_back_from_their_files_in_order(
@@ -1406,10 +1523,15 @@ def test_positivity_families_read_back_from_their_files_in_order(
                                         tmp_path / "family.json")
 
 
+# Ind.2 and Str.2 findings follow the order of a formula's And/Or children,
+# which a file holds in canonical order, so the drawn sentences are too
+_FILE_ORDER_SENTENCES = [parse_formula(emit_formula(f)) for f in formula_pool()
+                         if is_sentence(f)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(model_pool()),
-       st.lists(st.sampled_from([f for f in formula_pool() if is_sentence(f)]),
-                max_size=8))
+       st.lists(st.sampled_from(_FILE_ORDER_SENTENCES), max_size=8))
 def test_drawn_positivity_families_read_back_from_their_files_in_order(
         tmp_path_factory, model, pool):
     assert_reads_back_in_file_order(cp_from_model(model, pool),
@@ -2175,7 +2297,7 @@ def reference_occurrence_variants(f, old, new):
             return [type(g)(g.vars, b) for b in walk(g.body)]
         raise ValueError(f"not a formula node: {g!r}")
 
-    return set(walk(f)) - {f}
+    return [g for g in dict.fromkeys(walk(f)) if g != f]
 
 
 def reference_infer_signature(formulas):
@@ -2521,28 +2643,6 @@ def _workload_commands(tmp_path, monkeypatch):
                                           tmp_path / f"{name}{seed}")]
 
 
-def _manifest_commands(corpus_dir, manifest):
-    """A command line that reads each shipped manifest entry's file."""
-    m4 = str(corpus_dir / "four_element_model.json")
-    kinds = {
-        "model": lambda f, e: ["check-model", f],
-        "poset": lambda f, e: ["ro", f],
-        "algebra": lambda f, e: ["roundtrip", f],
-        "cp": lambda f, e: ["check-cp", f] + ["--smax"] * ("smax" in e),
-        "proof": lambda f, e: ["check-proof", f, "--soundness-samples",
-                               str(e.get("sound_samples", 0))],
-        "theory": lambda f, e: ["sat", "--theory", f, "--mode", "weak",
-                                "--max-atoms", "2", "--max-domain", "3"],
-        "ultrafilter": lambda f, e: ["quotient", "--model", m4,
-                                     "--ultrafilter", f],
-        "pool": lambda f, e: ["cp-from-model", "--model", m4, "--pool", f],
-        "formula": lambda f, e: ["eval", "--model", m4, "--formula", f],
-    }
-    return [kinds[e["kind"]](str(corpus_dir / e["file"]), e.get("expect", {}))
-            for e in manifest["entries"] if e["kind"] in kinds] \
-        + [["corpus"], ["corpus", str(corpus_dir / "manifest.json")]]
-
-
 def _readme_commands():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return [shlex.split(line)[1:] for line in text.splitlines()
@@ -2556,7 +2656,7 @@ def test_the_plain_reader_answers_every_shipped_command_line(
     readme = _readme_commands()
     assert len(readme) >= 3
     lines = _workload_commands(tmp_path, monkeypatch) \
-        + _manifest_commands(corpus_dir, manifest) + readme
+        + manifest_commands(corpus_dir, manifest) + readme
     for argv in lines:
         args = cli._plain_args(argv)
         assert args is not None, argv
