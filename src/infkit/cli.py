@@ -8,12 +8,11 @@ invocations print identical reports.
 from __future__ import annotations
 
 import gc
-import itertools
 import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 from .boolalg import ImproperFilter, TrivialAlgebra, \
     regular_open_sets_bruteforce, ro_completion
@@ -146,28 +145,12 @@ def cmd_quotient(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _peeked(walk: Iterator) -> tuple[bool, Iterator]:
-    """Whether the walk yields nothing, and the walk from its start."""
-    first = next(walk, None)
-    return first is None, walk if first is None \
-        else itertools.chain((first,), walk)
-
-
 def cmd_check_cp(args) -> int:
-    """check_cp's report, written as its walks find it: "ok" sorts before
-    the findings, so it is read off the first finding of each walk."""
-    from .consprop import findings
-    size, found, unmaximal = findings(read_cp(args.cp), args.smax)
-    ok, found = _peeked(found)
-    report = {"family_size": size, "violations": Findings(found)}
-    if args.smax:
-        maximal, unmaximal = _peeked(unmaximal)
-        report["smax"] = {"family_size": size, "ok": maximal,
-                          "violations": Findings(unmaximal)}
-        ok = ok and maximal
-    report["ok"] = ok
+    """check_cp's report, written as its walks find it."""
+    from .consprop import check_cp
+    report = check_cp(read_cp(args.cp), args.smax, Findings)
     _print(report)
-    return 0 if ok else 1
+    return 0 if report["ok"] else 1
 
 
 def _family_root(cp: ConsistencyProperty, index: int) -> int:
@@ -299,6 +282,7 @@ def cmd_ro(args) -> int:
 
 def cmd_check_proof(args) -> int:
     from .calculus import SAMPLE_CAP, check_proof, soundness_sample
+    from .modelgen import ArityClash
     if args.max_atoms < 1 or args.max_domain < 1:
         return _input_error("--max-atoms and --max-domain must be at least 1")
     if args.soundness_samples < 0:
@@ -320,7 +304,7 @@ def cmd_check_proof(args) -> int:
             sampled = soundness_sample(
                 proof.goal, samples=args.soundness_samples, seed=args.seed,
                 max_atoms=args.max_atoms, max_domain=args.max_domain)
-        except ValueError as exc:   # a relation used at two arities
+        except ArityClash as exc:
             return _input_error(f"the goal has no signature: {exc}")
         report = dict(report, soundness=sampled)
         ok = sampled["ok"]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .bvmodel import BValuedModel, CapExceeded, TwoValuedStructure, \
     eval_formula, quotient_truth
@@ -449,21 +449,35 @@ def findings(cp: ConsistencyProperty, smax: bool = False) \
     return len(members), clauses(), maximality() if smax else iter(())
 
 
-def check_cp(cp: ConsistencyProperty, smax: bool = False) -> dict:
+def _entries(walk: Iterator[Finding], field: str) -> list[dict]:
+    return [{**fields, field: key} for fields, key in walk]
+
+
+def check_cp(cp: ConsistencyProperty, smax: bool = False,
+             entries: Callable[[Iterator[Finding], str], Any] = _entries) \
+        -> dict:
     """Check every consistency-property clause on every family member.
     Returns {"ok", "family_size", "violations": [...]}; violation entries
     carry the clause tag, the offending member, and what was required. With
     `smax`, the report also holds the maximality check under "smax", in the
-    same form. "ok" then needs both. The entries are those of `findings`."""
+    same form. "ok" then needs both. The entries are the findings of
+    `findings`, each its fields with its key under "member"; `entries`
+    makes a walk's "violations" from the walk and that field name, by
+    default the list of entry dicts. "ok" is read off each walk's first
+    finding, so the walks may be taken as they are written."""
     size, found, unmaximal = findings(cp, smax)
-    violations = [dict(fields, member=key) for fields, key in found]
-    report = {"ok": not violations, "family_size": size,
-              "violations": violations}
+
+    def checked(walk: Iterator[Finding]) -> dict:
+        first = next(walk, None)
+        if first is not None:
+            walk = itertools.chain((first,), walk)
+        return {"ok": first is None, "family_size": size,
+                "violations": entries(walk, "member")}
+
+    report = checked(found)
     if smax:
-        unmaximal = [dict(fields, member=key) for fields, key in unmaximal]
-        report["ok"] = not (violations or unmaximal)
-        report["smax"] = {"ok": not unmaximal, "family_size": size,
-                          "violations": unmaximal}
+        report["smax"] = checked(unmaximal)
+        report["ok"] = report["ok"] and report["smax"]["ok"]
     return report
 
 

@@ -692,13 +692,13 @@ def emit_proof(proof: Proof) -> dict:
 
 class Findings:
     """A list that `dump` writes while `walk` yields it: (fields, key)
-    pairs, each the object dict(fields, member=key), such as the findings
-    of consprop.findings. Each fields object must live as long as the
-    walk, and each member's findings must share one key object."""
-    __slots__ = ("walk",)
+    pairs, each the object {**fields, field: key}, such as the walks of
+    consprop.findings. Each fields object must live as long as the walk,
+    and each member's findings must share one key object."""
+    __slots__ = ("walk", "field")
 
-    def __init__(self, walk: Iterable[tuple[dict, tuple]]) -> None:
-        self.walk = walk
+    def __init__(self, walk: Iterable[tuple[dict, Any]], field: str) -> None:
+        self.walk, self.field = walk, field
 
 
 _MEMBER = "\0"   # a placeholder member: no key or name holds a NUL
@@ -760,7 +760,7 @@ def dump(obj: Any, write: Callable[[str], Any]) -> None:
 
     def stream(x: Any, depth: int) -> None:
         if type(x) is Findings:
-            stream_findings(x.walk, depth)
+            stream_findings(x.walk, x.field, depth)
             return
         if depth > 1 or not x or not isinstance(x, (dict, list, tuple)):
             out.append(_render(x, depth, rendered))
@@ -777,7 +777,7 @@ def dump(obj: Any, write: Callable[[str], Any]) -> None:
                 out.clear()
         out.append("\n" + "  " * depth + closing)
 
-    def stream_findings(walk: Iterable, depth: int) -> None:
+    def stream_findings(walk: Iterable, field: str, depth: int) -> None:
         inner = "\n" + "  " * (depth + 1)
         placeholder = _encode_str(_MEMBER)
         templates = {}   # id(fields) -> (fields, head, tail)
@@ -785,7 +785,7 @@ def dump(obj: Any, write: Callable[[str], Any]) -> None:
         for fields, key in walk:
             template = templates.get(id(fields))
             if template is None:
-                head, _, tail = _render(dict(fields, member=_MEMBER),
+                head, _, tail = _render({**fields, field: _MEMBER},
                                         depth + 1, {}).partition(placeholder)
                 template = templates[id(fields)] = fields, head, tail
             if key is not last:

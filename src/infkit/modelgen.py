@@ -65,16 +65,22 @@ def random_quotients(rng: random.Random, sig: Signature, max_atoms: int,
                                     for _ in sig.constants]
 
 
+class ArityClash(ValueError):
+    """The formulas use a relation at two arities, so no signature has
+    them."""
+
+
 def infer_signature(formulas: list[Formula]) -> Signature:
     """Smallest signature declaring every relation (with its observed arity)
-    and constant occurring in the formulas."""
+    and constant occurring in the formulas; ArityClash names the first
+    relation used at a second arity."""
     rels: dict[str, int] = {}
     consts: set[str] = set()
     for f in formulas:
         for g in nodes(f):
             if isinstance(g, Atom):
                 if g.rel in rels and rels[g.rel] != len(g.args):
-                    raise ValueError(f"relation {g.rel} used at two arities")
+                    raise ArityClash(f"relation {g.rel} used at two arities")
                 rels[g.rel] = len(g.args)
             consts.update(t.name for t in g.terms() if isinstance(t, Const))
     return Signature(tuple(sorted(rels.items())), tuple(sorted(consts)))

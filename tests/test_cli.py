@@ -598,6 +598,22 @@ def test_a_goal_with_a_relation_at_two_arities_is_an_input_error(
                    "two arities\n")
 
 
+def test_only_an_arity_clash_of_the_sampler_is_an_input_error(
+        capsys, monkeypatch, corpus_dir):
+    """Another ValueError of the sampler is a fault of the program, not of
+    the goal: it leaves check-proof as it is raised."""
+    from infkit import calculus
+
+    def broken(*args, **kwargs):
+        raise ValueError("domain must be nonempty")
+
+    monkeypatch.setattr(calculus, "soundness_sample", broken)
+    with pytest.raises(ValueError, match="domain must be nonempty"):
+        main(["check-proof", corpus("proof_cut.json", corpus_dir),
+              "--soundness-samples", "3"])
+    assert capsys.readouterr().out == ""
+
+
 def test_no_output_follows_the_string_hash_seed(corpus_dir, manifest,
                                                 tmp_path):
     """Python salts the string hash of each process, so the iteration order

@@ -206,7 +206,7 @@ def test_a_valid_command_loads_only_the_modules_it_runs(tmp_path):
 
 
 @pytest.mark.parametrize("argv, layers", [
-    (("check-cp", "eq4_family.json"), ("consprop.findings", "iojson.parse")),
+    (("check-cp", "eq4_family.json"), ("consprop.check_cp", "iojson.parse")),
     (("check-proof", "proof_cut.json", "--soundness-samples", "5"),
      ("calculus.check_proof", "calculus.soundness_sample", "iojson.parse")),
     (("cp-from-algebra", "b4.json", "--emit"),
