@@ -4,7 +4,8 @@ Parsing is strict: every function takes the decoded JSON value plus a path
 string and raises ParseError naming the faulty location. Emission is
 canonical (sorted object keys, two-space indent, formula lists ordered by
 canonical form, trailing newline) so emit(parse(x)) is byte-stable and file
-diffs stay meaningful; a family is written as text in chunks, not built.
+diffs stay meaningful. One recursive writer renders a value at any depth
+and `dump` writes it in chunks; a family is written as text, not built.
 """
 from __future__ import annotations
 
@@ -556,10 +557,7 @@ def emit_cp(cp: ConsistencyProperty, write: Callable[[str], Any]) -> None:
     sentences, each text led by its separator: in a member's first, the
     member's own."""
     from .consprop import _bits, members_by_level
-    # JSON text holds no raw newline, so indenting is one replace
-    texts = [",\n      "
-             + dumps(emit_formula(f))[:-1].replace("\n", "\n      ")
-             for f in cp.sentences]
+    texts = [",\n      " + _text(emit_formula(f), 3) for f in cp.sentences]
     firsts = [",\n    [" + t[1:] for t in texts]
     members = [bits for bits, _, _ in members_by_level(cp)] \
         if cp.family is None else sorted(sorted(map(_bits, cp.family)),
@@ -704,109 +702,91 @@ class Findings:
 _MEMBER = "\0"   # a placeholder member: no key or name holds a NUL
 
 
-def _render(x: Any, depth: int, rendered: dict) -> str:
-    """The text of x at the given depth; a list or tuple is rendered once
-    per depth, its text kept in `rendered` by (depth, id)."""
-    if isinstance(x, str):
-        return _encode_str(x)
-    if isinstance(x, (dict, list, tuple)):
-        text = rendered.get((depth, id(x)))
-        if text is None:
-            inner = "\n" + "  " * (depth + 1)
-            sep = "," + inner
-            if isinstance(x, dict):
-                pieces = []
-                for k in sorted(x):
-                    v = x[k]
-                    pieces += sep, f"{_encode_str(k)}: ", _encode_str(v) \
-                        if type(v) is str else _render(v, depth + 1, rendered)
-            else:
-                parts = [_encode_str(v) if type(v) is str
-                         else _render(v, depth + 1, rendered) for v in x]
-                pieces = [sep] * (2 * len(parts))
-                pieces[1::2] = parts
-            opening, closing = "{}" if isinstance(x, dict) else "[]"
-            if pieces:
-                pieces[0] = opening + inner
-                closing = "\n" + "  " * depth + closing
-            else:
-                pieces = [opening]
-            pieces.append(closing)
-            text = "".join(pieces)
-            if not isinstance(x, dict):
-                rendered[depth, id(x)] = text
-        return text
-    if x is None or x is True or x is False:
-        return _CONSTANTS[x]
-    if isinstance(x, (int, float)):
+def _write(x: Any, depth: int, out: list, write) -> None:
+    """Append the text of x at the given depth to `out`, piece by piece,
+    and with a `write`, write the pieces joined once `out` holds 256 at the
+    end of a container or a finding. A list or tuple of strings is one
+    piece. A finding is its fields' text around a placeholder member, made
+    once per fields object, and its member's text, made once per member;
+    as a freed object may lend its id to a later one, a template is kept
+    with its fields, and a member text until the next."""
+    if type(x) is str:
+        out.append(_encode_str(x))
+    elif x is None or x is True or x is False:
+        out.append(_CONSTANTS[x])
+    elif isinstance(x, (int, float)):
         text = (float if isinstance(x, float) else int).__repr__(x)
-        return _CONSTANTS.get(text, text)
-    raise TypeError(f"Object of type {type(x).__name__} "
-                    f"is not JSON serializable")
+        out.append(_CONSTANTS.get(text, text))
+    elif type(x) is Findings:
+        inner = "\n" + "  " * (depth + 1)
+        placeholder = _encode_str(_MEMBER)
+        templates = {}   # id(fields) -> (fields, head, tail)
+        opening, closing, last = "[" + inner, "[]", None
+        for fields, key in x.walk:
+            template = templates.get(id(fields))
+            if template is None:
+                head, _, tail = _text({**fields, x.field: _MEMBER},
+                                      depth + 1).partition(placeholder)
+                template = templates[id(fields)] = fields, head, tail
+            if key is not last:
+                last, member = key, _text(key, depth + 2)
+            out.extend((opening, template[1], member, template[2]))
+            opening, closing = "," + inner, "\n" + "  " * depth + "]"
+            if write is not None and len(out) >= 256:
+                write("".join(out))
+                out.clear()
+        out.append(closing)
+    elif not isinstance(x, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(x).__name__} "
+                        f"is not JSON serializable")
+    elif not x:
+        out.append("{}" if isinstance(x, dict) else "[]")
+    else:
+        inner = "\n" + "  " * (depth + 1)
+        closing = "\n" + "  " * depth + ("}" if isinstance(x, dict) else "]")
+        if isinstance(x, dict):
+            opening = "{" + inner
+            for k in sorted(x):
+                out.append(opening + _encode_str(k) + ": ")
+                _write(x[k], depth + 1, out, write)
+                opening = "," + inner
+            out.append(closing)
+        else:
+            try:
+                out.append("[" + inner + ("," + inner).join(
+                    map(_encode_str, x)) + closing)
+            except TypeError:   # an item that is not a string
+                opening = "[" + inner
+                for v in x:
+                    out.append(opening)
+                    _write(v, depth + 1, out, write)
+                    opening = "," + inner
+                out.append(closing)
+        if write is not None and len(out) >= 256:
+            write("".join(out))
+            out.clear()
+
+
+def _text(x: Any, depth: int) -> str:
+    out = []
+    _write(x, depth, out, None)
+    return "".join(out)
 
 
 def dump(obj: Any, write: Callable[[str], Any]) -> None:
     """Canonical serialization, written through `write`: the bytes of
     json.dumps(obj, sort_keys=True, indent=2) plus a newline, with
-    Findings written as lists. Containers at depth 0 and 1, and Findings,
-    are written as they are rendered, about 256 pieces per write; deeper
-    ones are rendered by one join each, a list or tuple that occurs many
-    times once per depth. A finding is the text of its fields around a
-    placeholder member, rendered once per fields object, with the text of
-    its member, rendered once per member. Objects a walk frees may lend
-    their id to later ones, so what a walk yields is memoized only while
-    it is held: a template with its fields, a member until the next."""
-    rendered = {}   # (depth, id(list or tuple)) -> text
-
-    def stream(x: Any, depth: int) -> None:
-        if type(x) is Findings:
-            stream_findings(x.walk, x.field, depth)
-            return
-        if depth > 1 or not x or not isinstance(x, (dict, list, tuple)):
-            out.append(_render(x, depth, rendered))
-            return
-        opening, closing = "{}" if isinstance(x, dict) else "[]"
-        inner = "\n" + "  " * (depth + 1)
-        items = ((f"{_encode_str(k)}: ", x[k]) for k in sorted(x)) \
-            if opening == "{" else (("", v) for v in x)
-        for i, (key, v) in enumerate(items):
-            out.append(("," if i else opening) + inner + key)
-            stream(v, depth + 1)
-            if len(out) >= 256:
-                write("".join(out))
-                out.clear()
-        out.append("\n" + "  " * depth + closing)
-
-    def stream_findings(walk: Iterable, field: str, depth: int) -> None:
-        inner = "\n" + "  " * (depth + 1)
-        placeholder = _encode_str(_MEMBER)
-        templates = {}   # id(fields) -> (fields, head, tail)
-        opening, closing, last = "[" + inner, "[]", None
-        for fields, key in walk:
-            template = templates.get(id(fields))
-            if template is None:
-                head, _, tail = _render({**fields, field: _MEMBER},
-                                        depth + 1, {}).partition(placeholder)
-                template = templates[id(fields)] = fields, head, tail
-            if key is not last:
-                last, member = key, _render(key, depth + 2, {})
-            out.extend((opening, template[1], member, template[2]))
-            opening, closing = "," + inner, "\n" + "  " * depth + "]"
-            if len(out) >= 256:
-                write("".join(out))
-                out.clear()
-        out.append(closing)
-
+    Findings written as lists. Values at every depth are written as they
+    are rendered, about 256 pieces per write, so the largest text held at
+    once is a chunk or one list of strings, such as a table row."""
     out = []
-    stream(obj, 0)
+    _write(obj, 0, out, write)
     write("".join(out) + "\n")
 
 
 def dumps(obj: Any) -> str:
     """The text `dump` writes, as one string."""
-    parts = []
-    dump(obj, parts.append)
-    return "".join(parts)
+    return _text(obj, 0) + "\n"
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -18,7 +18,8 @@ while the completion still built a label for each of its 65,536
 elements; the `quotient` pin on 13 atoms: while the ultrafilter was
 still the frozenset of its members; the `check-cp --smax` pin on the
 emitted b16 family: while every finding was built before the first was
-written). Also that
+written; the `mansfield --emit-model` pin on the star family at 10
+constants: while each table was rendered as one string). Also that
 `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import importlib.util
@@ -34,7 +35,7 @@ import pytest
 
 import infkit
 from infkit.iojson import dumps
-from inputs import cp_text, two_member_family
+from inputs import cp_text, star_family, two_member_family
 
 CORPUS = Path(infkit.__file__).parent / "corpus"
 
@@ -219,6 +220,8 @@ EXPECTED = {
         "5c6cc03495f800f2aac75622e82bb0e349d856238e32a4d5ade128e4e29a541f",
     "mansfield_max_3_pool":
         "d6777e0e4a907ac42aeee3b04a10fbe8be5e682ca55ed74ce72edc03a9fdd3d3",
+    "mansfield_star_10_emitted":
+        "4962bbddaa41dc774c42dcd80c3dde1e8e5c86598304612f3c062b399fb0d60e",
     "mansfield_two_member_12":
         "bd099d00e10e68d92ff364d9df96cfabe1b31929fe18ff2023b66a24e6bfc444",
     "quotient_los":
@@ -435,6 +438,20 @@ def test_check_cp_smax_streams_the_report_of_the_emitted_b16_family(
     got, max_rss_mb = streamed(("check-cp", b16_family, "--smax"), workdir)
     assert got == EXPECTED["check_cp_b16_emitted_smax"]
     assert max_rss_mb < 60
+
+
+def test_mansfield_streams_the_emitted_model_of_the_star_family(workdir):
+    """Below root 0 the condition algebra has 1,024 elements, so the
+    emitted file holds two tables of a million names, 33 MB: while each
+    table was rendered as one string, mansfield peaked at 163 MB (Python
+    3.11, Linux)."""
+    (workdir / "star_10.json").write_text(cp_text(star_family(10)))
+    got, max_rss_mb = streamed(("mansfield", "--cp", "star_10.json",
+                                "--root", "0", "--emit-model",
+                                "emitted.json"), workdir)
+    (workdir / "emitted.json").unlink()
+    assert got == EXPECTED["mansfield_star_10_emitted"]
+    assert max_rss_mb < 80
 
 
 def test_gen_corpus_writes_the_shipped_corpus(tmp_path, capsys):

@@ -2108,12 +2108,20 @@ def test_dumps_matches_the_stdlib_encoder(value, shared):
 @pytest.mark.parametrize("n", [255, 256, 257, 513])
 def test_dump_writes_streamed_levels_in_chunks(n):
     items = [[i, str(i)] for i in range(n)]
-    # depth 1 is written in chunks, depth 2 is rendered whole
+    # every depth is written in chunks
     assert len(assert_dump_matches({"a": items})) > 1
     assert len(assert_dump_matches([items])) > 1
-    assert len(assert_dump_matches({"a": {"b": items}})) == 1
-    assert len(assert_dump_matches([[items]])) == 1
-    # one container at a streamed and at a rendered depth
+    assert len(assert_dump_matches({"a": {"b": items}})) > 1
+    assert len(assert_dump_matches([[items]])) > 1
+    # a list of strings at depth 3 is one join, so chunks end between rows
+    rows = [[str(i), str(-i)] for i in range(n)]
+    chunks = assert_dump_matches({"a": {"b": rows}})
+    assert len(chunks) > 1
+    assert all(c.endswith("\n      ]") for c in chunks[:-1])
+    # a list that mixes strings and containers, led by a string
+    assert_dump_matches({"a": [[str(i) if i % 3 else {"k": [str(i)]}
+                                for i in range(1, n)]]})
+    # one container at several depths
     shared = [{"k": i} for i in range(n)]
     assert_dump_matches({"a": shared, "b": [shared, {"c": shared}]})
     assert_dump_matches([shared, shared, [shared]])
