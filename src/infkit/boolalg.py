@@ -165,11 +165,6 @@ def _powerset_algebra(atoms: tuple[str, ...]) -> FinBooleanAlgebra:
         (a, 1 << i) for i, a in enumerate(atoms)))
 
 
-def two_valued_algebra() -> FinBooleanAlgebra:
-    """The two-element algebra used for crisp/Tarski readings."""
-    return powerset_algebra(("t",))
-
-
 def table_algebra(elements: Iterable[str], meet_rows: list[list[str]],
                   join_rows: list[list[str]],
                   comp_row: list[str]) -> FinBooleanAlgebra:
@@ -342,12 +337,3 @@ def check_tables(elements: Iterable[str], meet_rows: list[list[str]],
                     yield bad("distributes_meet_over_join", i, j, k)
                 if join[i][meet[j][k]] != meet[join[i][j]][join[i][k]]:
                     yield bad("distributes_join_over_meet", i, j, k)
-
-
-# ---------------------------------------------------------------------------
-# ultrafilters
-
-def enumerate_ultrafilters(alg: FinBooleanAlgebra) -> list[int]:
-    """On a finite algebra every ultrafilter is principal at an atom, so
-    each is carried as its atom: b lies in the ultrafilter at a iff b & a."""
-    return sorted(alg.atoms(), key=lambda a: repr(alg.label(a)))

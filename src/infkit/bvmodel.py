@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .boolalg import FinBooleanAlgebra, powerset_algebra
 from .record import Record, Value
@@ -19,6 +19,9 @@ from .syntax import (
     And, Atom, Eq, Exists, Forall, Formula, Not, Or, Signature, Term, Var,
     subformulas,
 )
+
+if TYPE_CHECKING:   # the seeded draws load random where they run
+    import random
 
 
 class UnboundVariable(Exception):
@@ -523,6 +526,26 @@ def quotient_count(signature: Signature, k: int) -> int:
     without listing them; 0 over 64 table bits, as for the structure cap."""
     bits = sum(k ** arity for _, arity in signature.relations)
     return k ** len(signature.constants) << bits if bits <= 64 else 0
+
+
+def random_quotients(rng: random.Random, signature: Signature,
+                     max_atoms: int, max_domain: int) -> tuple:
+    """Seeded `(domain size, per-atom structures, constant indices)`: a
+    random valid model drawn as its per-atom quotients."""
+    n_atoms = rng.randint(1, max_atoms)
+    n_dom = rng.randint(1, max_domain)
+    partitions = _growth_counts(n_dom)[n_dom][0]
+    coin = rng.random
+    per_atom = []
+    for _ in range(n_atoms):
+        rgs = _unrank_partition(n_dom, rng.randrange(partitions))
+        n_classes = max(rgs) + 1
+        per_atom.append((rgs, tuple(
+            frozenset(t for t in _class_tuples(n_classes, arity)
+                      if coin() < 0.5)
+            for _, arity in signature.relations)))
+    return n_dom, tuple(per_atom), [rng.randrange(n_dom)
+                                    for _ in signature.constants]
 
 
 def _tables(signature: Signature, k: int):

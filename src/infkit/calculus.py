@@ -15,12 +15,12 @@ import random
 
 from .bvmodel import (
     assemble_model, eval_formula, quotient_count, quotient_truth, quotients,
+    random_quotients,
 )
-from .modelgen import infer_signature, random_quotients
 from .record import Value
 from .syntax import (
-    And, CaptureError, Eq, Exists, Forall, Formula, Not, Or, Term, Var,
-    nodes, substitute,
+    And, Atom, CaptureError, Const, Eq, Exists, Forall, Formula, Not, Or,
+    Signature, Term, Var, nodes, substitute,
 )
 
 
@@ -259,6 +259,27 @@ def check_proof(proof: Proof) -> dict:
         except _Reject as e:
             return {"accepted": False, "step": i, "reason": str(e)}
     return {"accepted": True, "goal": proof.goal}
+
+
+class ArityClash(ValueError):
+    """The formulas use a relation at two arities, so no signature has
+    them."""
+
+
+def infer_signature(formulas: list[Formula]) -> Signature:
+    """Smallest signature declaring every relation (with its observed arity)
+    and constant occurring in the formulas; ArityClash names the first
+    relation used at a second arity."""
+    rels: dict[str, int] = {}
+    consts: set[str] = set()
+    for f in formulas:
+        for g in nodes(f):
+            if isinstance(g, Atom):
+                if g.rel in rels and rels[g.rel] != len(g.args):
+                    raise ArityClash(f"relation {g.rel} used at two arities")
+                rels[g.rel] = len(g.args)
+            consts.update(t.name for t in g.terms() if isinstance(t, Const))
+    return Signature(tuple(sorted(rels.items())), tuple(sorted(consts)))
 
 
 def _failing_assignments(goal: Sequent, model, free: list[str]):

@@ -281,8 +281,7 @@ def cmd_ro(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
-    from .calculus import SAMPLE_CAP, check_proof, soundness_sample
-    from .modelgen import ArityClash
+    from .calculus import SAMPLE_CAP, ArityClash, check_proof, soundness_sample
     if args.max_atoms < 1 or args.max_domain < 1:
         return _input_error("--max-atoms and --max-domain must be at least 1")
     if args.soundness_samples < 0:

@@ -181,10 +181,15 @@ def maximal_members(cp: ConsistencyProperty, root: int = 0) -> list[int]:
     """Inclusion-maximal members extending the root; these are the minimal
     conditions of the forcing poset below the root, in bit order. A
     positivity member is maximal when it holds every pool sentence whose
-    value meets its meet."""
+    value meets its meet. An explicit member is walked from most bits to
+    fewest, so every proper superset of it comes first: it is maximal when
+    no maximal member kept so far contains it."""
     if cp.family is not None:
-        above = [m for m in dict.fromkeys(cp.family) if m & root == root]
-        maxes = [m for m in above if not any(m & o == m != o for o in above)]
+        maxes: list[int] = []
+        for m in sorted({m for m in cp.family if m & root == root},
+                        key=int.bit_count, reverse=True):
+            if not any(m & o == m for o in maxes):
+                maxes.append(m)
         return sorted(maxes, key=_bit_order)
     pool = [(1 << b, cp.masks[b]) for b in _bits(cp.pool_mask)]
     meeting = functools.cache(lambda meet: sum(b for b, v in pool if v & meet))
@@ -484,25 +489,17 @@ def check_cp(cp: ConsistencyProperty, smax: bool = False,
 # ---------------------------------------------------------------------------
 # families from models
 
-def cp_from_model(model: BValuedModel, pool: Iterable[Formula] | None = None,
-                  seeds: Iterable[Formula] = ()) -> ConsistencyProperty:
-    """The positivity family of a valid model: the fresh constants are the
-    domain elements naming themselves, and a finite sentence set is a member
-    exactly when its conjunction has nonzero value. The pool is kept in
-    canonical order, the order a family file lists it in."""
-    if pool is None:
-        pool = default_pool(model.signature, tuple(model.domain), list(seeds))
+def cp_from_model(model: BValuedModel,
+                  pool: Iterable[Formula]) -> ConsistencyProperty:
+    """The positivity family of a valid model over the pool: the fresh
+    constants are the domain elements naming themselves, and a finite
+    sentence set is a member exactly when its conjunction has nonzero
+    value. The pool is kept in canonical order, the order a family file
+    lists it in."""
     return ConsistencyProperty(
         model.signature, tuple(model.domain),
         tuple(sorted(pool, key=Formula.key)),
         model=model.with_self_named_constants(model.domain))
-
-
-def convert_to_explicit(cp: ConsistencyProperty) -> ConsistencyProperty:
-    """The family as the explicit list of its members, in file order."""
-    return ConsistencyProperty(
-        cp.signature, cp.fresh_constants, cp.pool,
-        family=tuple(enumerate_members(cp)), sentences=cp.sentences)
 
 
 # ---------------------------------------------------------------------------

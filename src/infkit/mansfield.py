@@ -16,7 +16,7 @@ from .boolalg import FinBooleanAlgebra, TrivialAlgebra, _by_size
 from .bvmodel import BValuedModel, check_model, eval_formula
 from .consprop import (
     ConsistencyProperty, cp_from_model, check_cp, forcing_poset_conditions,
-    maximal_members, member_count, _bits,
+    maximal_members, member_count, _bits, _entries,
 )
 from .record import Value
 from .syntax import (
@@ -78,7 +78,8 @@ def mansfield_build(cp: ConsistencyProperty, root: int = 0) -> dict:
     exactly what the equality-axiom and root-validity checks consume) and
     fails loudly on a family that is not a consistency property, and on one
     that names no constant."""
-    rep = check_cp(cp)
+    rep = check_cp(cp, entries=lambda walk, field: _entries(
+        itertools.islice(walk, 1), field))   # only the first is reported
     if not rep["ok"]:
         raise ValueError(
             f"the family is not a consistency property; first violation: "

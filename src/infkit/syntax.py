@@ -279,11 +279,10 @@ class Signature(Value):
         return Signature(self.relations, self.constants + tuple(extra))
 
 
-def validate_formula(f: Formula, sig: Signature,
-                     extra_constants: frozenset[str] = frozenset()) -> None:
+def validate_formula(f: Formula, sig: Signature) -> None:
     """Raise ValueError if f uses undeclared relations/constants or an atom
     argument count differs from the declared arity."""
-    consts = set(sig.constants) | extra_constants
+    consts = set(sig.constants)
     for g in nodes(f):
         if isinstance(g, Atom):
             if not sig.has_relation(g.rel):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from infkit.iojson import load_json, parse_cp
-from infkit.modelgen import four_element_model
+from inputs import four_element_model
 
 
 @pytest.fixture(scope="session")

@@ -1,24 +1,43 @@
-"""Test inputs: the three-element model without mixing and the sentence
-whose sup no witness attains, a deterministic pool of models and formulas,
-every small labeled poset and its down-sets, the forcing order on a list
-of conditions, the two-member and star families of the forcing side, the
-family whose Str.2 findings once followed the string-hash seed, the file
-text of an explicit family, seeded random models named for
-`assemble_model`, file bytes that no JSON reader decodes, and a command
-line for each shipped manifest entry."""
+"""Test inputs: the corpus tool's example model and theory, its explicit
+form of a family and the file text of an explicit family, the three-element
+model without mixing and the sentence whose sup no witness attains, a
+deterministic pool of models and formulas, every small labeled poset and
+its down-sets, the forcing order on a list of conditions, the ultrafilters
+of an algebra, the two-member and star families of the forcing side, the
+family whose Str.2 findings once followed the string-hash seed, seeded
+random models named for `assemble_model`, file bytes that no JSON reader
+decodes, and a command line for each shipped manifest entry."""
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
-from infkit.boolalg import FinPoset
+from infkit.boolalg import FinBooleanAlgebra, FinPoset
 from infkit.bvmodel import (
     BValuedModel, _class_tuples, _partitions, assemble_model,
+    random_quotients,
 )
 from infkit.consprop import ConsistencyProperty, cp_from_model
-from infkit.iojson import emit_cp
-from infkit.modelgen import random_quotients, split_signature
 from infkit.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
 )
+
+
+def load_gen_corpus():
+    """A fresh module of `tools/gen_corpus.py`, which builds the corpus."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "gen_corpus.py"
+    spec = importlib.util.spec_from_file_location("gen_corpus", tool)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+_gen_corpus = load_gen_corpus()
+split_signature = _gen_corpus.split_signature
+four_element_model = _gen_corpus.four_element_model
+split_constant_theory = _gen_corpus.split_constant_theory
+convert_to_explicit = _gen_corpus.convert_to_explicit
+cp_text = _gen_corpus.cp_text
 
 
 def three_element_nonmixing_model() -> BValuedModel:
@@ -111,6 +130,12 @@ def formula_pool() -> list[Formula]:
     return depth1 + depth2 + depth3
 
 
+def ultrafilters(alg: FinBooleanAlgebra) -> list[int]:
+    """Every ultrafilter of a finite algebra as the atom it is principal
+    at, by the repr of the atom's label."""
+    return sorted(alg.atoms(), key=lambda a: repr(alg.label(a)))
+
+
 # ---------------------------------------------------------------------------
 # poset enumeration
 
@@ -197,13 +222,6 @@ def str2_order_family() -> ConsistencyProperty:
     and so in four orders under string-hash seeds 0-6."""
     pool = formula_pool()
     return cp_from_model(model_pool()[0], [pool[7], pool[29]])
-
-
-def cp_text(cp: ConsistencyProperty) -> str:
-    """The text emit_cp writes for an explicit family, joined."""
-    parts: list[str] = []
-    emit_cp(cp, parts.append)
-    return "".join(parts)
 
 
 def random_structures(rng: random.Random, sig: Signature,

@@ -13,8 +13,7 @@ import random
 
 import pytest
 
-from infkit.boolalg import (enumerate_ultrafilters,
-                            regular_open_sets_bruteforce, ro_completion)
+from infkit.boolalg import regular_open_sets_bruteforce, ro_completion
 from infkit.bvmodel import (ShapeError, bounded_boolean_sat,
                             check_full_everywhere, check_mixing, check_model,
                             eval_formula)
@@ -28,12 +27,12 @@ from infkit.iojson import (dumps, emit_algebra, emit_formula,
                            parse_model, parse_pool, parse_poset, parse_proof,
                            parse_signature, parse_theory, parse_ultrafilter)
 from infkit.mansfield import mansfield_build, verify_claim1, verify_claim2
-from infkit.modelgen import split_constant_theory, split_signature
 from infkit.quotient import los_check, quotient
 from infkit.syntax import Const, Eq, Formula, Not, Or
 from inputs import (
     all_labeled_posets, cp_text, down_sets, formula_pool, model_pool,
-    three_element_nonmixing_model,
+    split_constant_theory, split_signature, three_element_nonmixing_model,
+    ultrafilters,
 )
 from test_reference_paths import (check_algebra, check_mixing_by_antichains,
                                   is_dense_subset, reference_cp_from_algebra,
@@ -97,7 +96,7 @@ def test_quotient_biconditional_holds_everywhere():
     pool = formula_pool()
     total = 0
     for model in model_pool():
-        for ultra in enumerate_ultrafilters(model.algebra):
+        for ultra in ultrafilters(model.algebra):
             rep = los_check(model, quotient(model, ultra), ultra, pool)
             assert rep["ok"], rep["violations"][:1]
             total += rep["checked"]

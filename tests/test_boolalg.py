@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from infkit.boolalg import (
-    FinPoset, check_tables, enumerate_ultrafilters, powerset_algebra,
-    regular_open_sets_bruteforce, ro_completion, table_algebra,
-    two_valued_algebra,
+    FinPoset, check_tables, powerset_algebra, regular_open_sets_bruteforce,
+    ro_completion, table_algebra,
 )
-from inputs import all_labeled_posets, down_sets
+from inputs import all_labeled_posets, down_sets, ultrafilters
 from test_reference_paths import (
     check_algebra, is_dense_subset, is_filter, is_ultrafilter,
     principal_filter,
@@ -55,7 +54,7 @@ def test_powerset_algebra_laws(n):
 
 
 def test_two_valued_algebra():
-    alg = two_valued_algebra()
+    alg = powerset_algebra(("t",))
     assert len(alg.elements) == 2
     assert alg.comp(alg.one) == alg.zero
 
@@ -114,7 +113,7 @@ def test_filters():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ultrafilters_are_principal_at_atoms(n):
     alg = powerset_algebra([f"a{i}" for i in range(n)])
-    ufs = enumerate_ultrafilters(alg)
+    ufs = ultrafilters(alg)
     assert len(ufs) == n
     assert set(ufs) == set(alg.atoms())
 

@@ -9,14 +9,12 @@ from infkit.bvmodel import (
     bounded_boolean_sat, check_full, check_full_everywhere, check_mixing,
     check_model, eval_formula, mixes_over, term_value,
 )
-from infkit.modelgen import (
-    split_signature, split_constant_theory, four_element_model,
-)
 from infkit.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
 )
 from inputs import (
-    model_pool, three_element_nonmixing_model, unattained_sup_formula,
+    four_element_model, model_pool, split_constant_theory, split_signature,
+    three_element_nonmixing_model, unattained_sup_formula,
 )
 from test_acceptance import check_subst_inequality
 from test_reference_paths import check_mixing_by_antichains

@@ -1,21 +1,22 @@
 
 import pytest
 
-from infkit.boolalg import two_valued_algebra
+from infkit.boolalg import powerset_algebra
 from infkit.bvmodel import BValuedModel, eval_formula
 from infkit.consprop import (
-    ConsistencyProperty, build_af, check_cp, convert_to_explicit,
-    cp_from_model, default_pool, dense_sets, enumerate_members,
-    forcing_poset_conditions, generic_filter, maximal_members,
-    occurrence_variants, verify_realizes,
+    ConsistencyProperty, build_af, check_cp, cp_from_model, default_pool,
+    dense_sets, enumerate_members, forcing_poset_conditions, generic_filter,
+    maximal_members, occurrence_variants, verify_realizes,
 )
 from infkit.iojson import load_json, parse_algebra
 from infkit.mansfield import cp_from_algebra
-from infkit.modelgen import split_constant_theory, four_element_model
 from infkit.syntax import (
     Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
 )
-from inputs import down_sets, forcing_poset
+from inputs import (
+    convert_to_explicit, down_sets, forcing_poset, four_element_model,
+    split_constant_theory,
+)
 from test_acceptance import check_kappa_omega_iff
 
 SIG0 = Signature(relations=(), constants=())
@@ -191,7 +192,7 @@ def test_smax_explicit_vs_oracle(eq2, max_family):
 # --- oracle-backed families ----------------------------------------------------
 
 def two_point_model():
-    alg = two_valued_algebra()
+    alg = powerset_algebra(("t",))
     return BValuedModel(
         signature=Signature(relations=(("R", 1),), constants=()),
         algebra=alg, domain=("x", "y"), eq={},

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from infkit.boolalg import powerset_algebra
 from infkit.bvmodel import CapExceeded, check_model
 from infkit.cli import main
-from infkit.consprop import convert_to_explicit, cp_from_model
+from infkit.consprop import cp_from_model, default_pool
 from infkit.iojson import (
     TABLE_CAP, ParseError, as_table_algebra, dumps, emit_algebra, emit_cp,
     emit_element, emit_formula, emit_model, emit_poset, emit_pool,
@@ -16,9 +16,8 @@ from infkit.iojson import (
     parse_ultrafilter, save_json,
 )
 from infkit.mansfield import mansfield_build
-from infkit.modelgen import split_constant_theory
 from infkit.syntax import And, Atom, Const, Eq, Exists, Forall, Not, Or, Var
-from inputs import cp_text
+from inputs import convert_to_explicit, cp_text, split_constant_theory
 
 
 def rt_formula(f):
@@ -230,7 +229,8 @@ def test_cp_emit_writes_a_positivity_family_as_its_explicit_form(m4):
     cp = cp_from_model(m4, split_constant_theory())
     assert cp.family is None
     assert cp_text(cp) == cp_text(convert_to_explicit(cp))
-    over, parts = cp_from_model(m4), []
+    over = cp_from_model(m4, default_pool(m4.signature, m4.domain, []))
+    parts = []
     with pytest.raises(CapExceeded, match="member cap"):
         emit_cp(over, parts.append)
     assert parts == []

@@ -1,8 +1,9 @@
-"""Library code that only tests reach does not stay in the library: every
-public top-level name of `src/infkit/*.py` must be used by the program
-(`src/infkit` and `tools`) outside its own definition. Test oracles live in
-`tests/test_reference_paths.py` and test inputs in `tests/inputs.py`. Also
-README's list of commands follows the command table."""
+"""Library code that no command runs does not stay in the library: every
+public top-level name of `src/infkit/*.py` must be read by `src/infkit`
+itself outside its own definition. Test oracles live in
+`tests/test_reference_paths.py`, test inputs in `tests/inputs.py`, and what
+only the corpus tool builds in `tools/gen_corpus.py`. Also README's list of
+commands follows the command table."""
 import ast
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ from infkit.cli import COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "infkit").glob("*.py"))
-PROGRAM = LIBRARY + sorted((ROOT / "tools").glob("*.py"))
+PROGRAM = LIBRARY
 
 def _public_definitions(tree: ast.Module):
     """(name, statement) for each public name a top-level statement binds."""

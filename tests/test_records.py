@@ -164,7 +164,8 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_resources():
 
 
 _WATCHED = {"argparse", "gettext", "locale", "infkit.calculus",
-            "infkit.mansfield", "infkit.quotient", "infkit.consprop"}
+            "infkit.mansfield", "infkit.quotient", "infkit.consprop",
+            "infkit.modelgen"}
 
 
 def _modules_loaded_by(*argv):

@@ -17,11 +17,12 @@ from infkit.bvmodel import (
 )
 from infkit.cli import main
 from infkit.iojson import dumps, emit_model
-from infkit.modelgen import split_constant_theory, split_signature
 from infkit.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
 )
-from inputs import model_pool, random_structures
+from inputs import (
+    model_pool, random_structures, split_constant_theory, split_signature,
+)
 
 
 # --- the oracle ---------------------------------------------------------------

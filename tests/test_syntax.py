@@ -84,8 +84,6 @@ def test_validate_formula():
         validate_formula(Atom("R", (c, d)), SIG)        # arity
     with pytest.raises(ValueError):
         validate_formula(Eq(Const("nope"), c), SIG)     # unknown constant
-    validate_formula(Eq(Const("nope"), c), SIG,
-                     extra_constants=frozenset({"nope"}))
 
 
 # --- substitution -----------------------------------------------------------

@@ -3,7 +3,9 @@
 Every file is produced by the iojson emitters, so the shipped bytes are the
 canonical serialization by construction. Every expectation written into
 manifest.json is computed and asserted here first; the script fails loudly
-rather than freeze a value it did not check.
+rather than freeze a value it did not check. The example model and theory,
+and the explicit form of a family, are built here; the tests load this
+file for them.
 """
 from __future__ import annotations
 
@@ -11,23 +13,23 @@ import itertools
 from pathlib import Path
 
 from infkit.boolalg import (
-    FinPoset, check_tables, enumerate_ultrafilters, powerset_algebra,
-    ro_completion, two_valued_algebra,
+    FinPoset, check_tables, powerset_algebra, ro_completion,
 )
-from infkit.bvmodel import BValuedModel, bounded_boolean_sat, check_model
+from infkit.bvmodel import (
+    BValuedModel, assemble_model, bounded_boolean_sat, check_model,
+)
 from infkit.calculus import Proof, Sequent, Step, check_proof, soundness_sample
 from infkit.consprop import (
-    ConsistencyProperty, check_cp, convert_to_explicit,
-    cp_from_model, forcing_poset_conditions, maximal_members,
+    ConsistencyProperty, check_cp, cp_from_model, enumerate_members,
+    forcing_poset_conditions, maximal_members,
 )
 from infkit.iojson import (
     as_table_algebra, dumps, emit_algebra, emit_cp, emit_formula, emit_model,
     emit_poset, emit_pool, emit_proof, emit_signature, emit_theory,
     emit_ultrafilter,
 )
-from infkit.modelgen import split_signature, split_constant_theory, four_element_model
 from infkit.syntax import (
-    And, Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
+    And, Atom, Const, Eq, Exists, Forall, Formula, Not, Or, Signature, Var,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "infkit" / "corpus"
@@ -57,6 +59,39 @@ def fkey(f):
     return f.key()
 
 
+def split_signature() -> Signature:
+    return Signature(relations=(), constants=("d", "c0", "c1"))
+
+
+def four_element_model() -> BValuedModel:
+    """Four-element algebra {0, a, comp(a), 1}; the domain is the four
+    functions from the two atoms to {0,1}, named mxy for (a0 -> x, a1 -> y);
+    each atom identifies the functions that agree at it, so equality of two
+    functions is the join of the atoms where they agree. d is m01, c0 the
+    constantly-0 and c1 the constantly-1 function."""
+    return assemble_model(split_signature(), ("a0", "a1"),
+                          ("m00", "m01", "m10", "m11"),
+                          (((0, 0, 1, 1), ()), ((0, 1, 0, 1), ())),
+                          {"d": "m01", "c0": "m00", "c1": "m11"})
+
+
+def split_constant_theory() -> list[Formula]:
+    d, c0, c1 = Const("d"), Const("c0"), Const("c1")
+    return [
+        Or((Eq(d, c0), Eq(d, c1))),
+        Not(Eq(c0, c1)),
+        Not(Eq(d, c0)),
+        Not(Eq(d, c1)),
+    ]
+
+
+def convert_to_explicit(cp: ConsistencyProperty) -> ConsistencyProperty:
+    """The family as the explicit list of its members, in file order."""
+    return ConsistencyProperty(
+        cp.signature, cp.fresh_constants, cp.pool,
+        family=tuple(enumerate_members(cp)), sentences=cp.sentences)
+
+
 def main() -> None:
     CORPUS.mkdir(parents=True, exist_ok=True)
     for old in CORPUS.glob("*.json"):
@@ -67,7 +102,7 @@ def main() -> None:
     assert check_model(M)["ok"]
     ship("four_element_model.json", "model", emit_model(M), {"valid": True})
 
-    alg2 = two_valued_algebra()
+    alg2 = powerset_algebra(("t",))
     M2 = BValuedModel(
         signature=Signature(relations=(("R", 1),), constants=()),
         algebra=alg2, domain=("x", "y"), eq={},
@@ -114,7 +149,7 @@ def main() -> None:
 
     # --- ultrafilters of the four-element algebra --------------------------
     b4 = powerset_algebra(("a0", "a1"))
-    for atom in enumerate_ultrafilters(b4):
+    for atom in sorted(b4.atoms(), key=lambda a: repr(b4.label(a))):
         (name,) = b4.label(atom)
         ship(f"uf_{name}.json", "ultrafilter", emit_ultrafilter(b4, atom),
              algebra="b4.json")
