@@ -98,12 +98,6 @@ class BValuedModel(Record):
                 raise ValueError(f"constant {c!r} interpreted outside the domain")
         self.__dict__["constants"] = consts
 
-    def eq_value(self, m: str, n: str):
-        return self.eq[(m, n)]
-
-    def rel_value(self, rel: str, args: tuple):
-        return self.relations[rel][args]
-
     def with_self_named_constants(self, names: Iterable[str]) -> BValuedModel:
         """Extend the signature with constants that name domain elements
         (each name must be a domain element and not already a constant)."""
@@ -165,10 +159,10 @@ def eval_formula(model: BValuedModel, f: Formula,
     def ev(g: Formula, env: dict[str, str]):
         if isinstance(g, Atom):
             args = tuple(term_value(model, t, env) for t in g.args)
-            return model.rel_value(g.rel, args)
+            return model.relations[g.rel][args]
         if isinstance(g, Eq):
-            return model.eq_value(term_value(model, g.left, env),
-                                  term_value(model, g.right, env))
+            return model.eq[term_value(model, g.left, env),
+                            term_value(model, g.right, env)]
         if isinstance(g, Not):
             return alg.comp(ev(g.body, env))
         if isinstance(g, And):
@@ -229,33 +223,36 @@ def quotient_truth(signature: Signature):
 # validity
 
 def check_model(model: BValuedModel) -> dict:
-    """Equality axioms and the substitution inequality, checked exhaustively.
-    Returns {"ok": bool, "violations": [...]}."""
-    alg = model.algebra
-    dom = model.domain
+    """Equality axioms and the substitution inequality, in the order of the
+    exhaustive loops but skipping each case whose left side is 0: no
+    triangle after [m = n] = 0, and each new tuple grows in domain order
+    carrying R(old) & [old = new so far], dropped once that is 0. Returns
+    {"ok": bool, "violations": [...]}."""
+    dom, eq = model.domain, model.eq
     violations: list[dict] = []
 
     for m in dom:
-        if model.eq_value(m, m) != alg.one:
+        if eq[m, m] != model.algebra.one:
             violations.append({"axiom": "reflexivity", "args": [m]})
         for n in dom:
-            if model.eq_value(m, n) != model.eq_value(n, m):
+            mn = eq[m, n]
+            if mn != eq[n, m]:
                 violations.append({"axiom": "symmetry", "args": [m, n]})
-            for p in dom:
-                lhs = alg.meet(model.eq_value(m, n), model.eq_value(n, p))
-                if not alg.leq(lhs, model.eq_value(m, p)):
-                    violations.append({"axiom": "triangle", "args": [m, n, p]})
+            if mn:
+                violations.extend({"axiom": "triangle", "args": [m, n, p]}
+                                  for p in dom if mn & eq[n, p] & ~eq[m, p])
 
+    rows = {a: [(x, eq[a, x]) for x in dom] for a in dom}
     for rel, arity in model.signature.relations:
+        table = model.relations[rel]
         for told in itertools.product(dom, repeat=arity):
-            for tnew in itertools.product(dom, repeat=arity):
-                agree = alg.inf(model.eq_value(a, b)
-                                for a, b in zip(told, tnew))
-                lhs = alg.meet(agree, model.rel_value(rel, told))
-                if not alg.leq(lhs, model.rel_value(rel, tnew)):
-                    violations.append({
-                        "axiom": "substitution", "relation": rel,
-                        "args": [list(told), list(tnew)]})
+            grown = [((), table[told])]
+            for a in told:
+                grown = [(new + (x,), both) for new, mask in grown
+                         for x, agree in rows[a] if (both := mask & agree)]
+            violations.extend({"axiom": "substitution", "relation": rel,
+                               "args": [list(told), list(tnew)]}
+                              for tnew, mask in grown if mask & ~table[tnew])
     return {"ok": not violations, "violations": violations}
 
 
@@ -281,25 +278,27 @@ def check_mixing(model: BValuedModel) -> dict:
     """Decide the mixing property through atom refinement: the model mixes
     iff for every function g from atoms to the domain some element tau has
     atom <= [tau = g(atom)] for every atom. On failure the atoms form the
-    reported antichain (as labels) with targets g."""
-    alg = model.algebra
+    reported antichain (as labels) with the first such g in product order:
+    `gap(k, alive)` is the first targets for atoms k... that no tau in the
+    bit set `alive` mixes; a valid model has at most |domain| + 1 per k."""
+    alg, dom, eq = model.algebra, model.domain, model.eq
     atoms = _by_label(alg, alg.atoms())
-    for targets in itertools.product(model.domain, repeat=len(atoms)):
-        if mixes_over(model, atoms, targets) is None:
-            return {"mixing": False,
-                    "antichain": [alg.label(a) for a in atoms],
-                    "targets": list(targets)}
-    return {"mixing": True}
+    near = [[sum(1 << i for i, tau in enumerate(dom) if atom & eq[tau, t])
+             for t in dom] for atom in atoms]     # near[k][t]: tau bits
 
+    @functools.cache
+    def gap(k: int, alive: int) -> tuple | None:
+        if k == len(atoms):
+            return None if alive else ()
+        for t, mixed in zip(dom, near[k]):
+            if (rest := gap(k + 1, alive & mixed)) is not None:
+                return (t,) + rest
+        return None
 
-def mixes_over(model: BValuedModel, antichain: list, targets: list) -> str | None:
-    """First domain element mixing the given antichain/targets, or None."""
-    alg = model.algebra
-    for tau in model.domain:
-        if all(alg.leq(a, model.eq_value(tau, t))
-               for a, t in zip(antichain, targets)):
-            return tau
-    return None
+    if (targets := gap(0, (1 << len(dom)) - 1)) is None:
+        return {"mixing": True}
+    return {"mixing": False, "antichain": [alg.label(a) for a in atoms],
+            "targets": list(targets)}
 
 
 def check_full(model: BValuedModel, f: Formula,

@@ -23,7 +23,7 @@ def quotient(model: BValuedModel, atom: int) -> TwoValuedStructure:
     identification is an equivalence and that relation membership is
     class-independent."""
     def same(m: str, n: str) -> bool:
-        return bool(model.eq_value(m, n) & atom)
+        return bool(model.eq[m, n] & atom)
 
     # equivalence sanity (guaranteed by the validity axioms)
     for m in model.domain:
@@ -45,13 +45,13 @@ def quotient(model: BValuedModel, atom: int) -> TwoValuedStructure:
     for rel, arity in model.signature.relations:
         holds = set()
         for args in itertools.product(model.domain, repeat=arity):
-            if model.rel_value(rel, args) & atom:
+            if model.relations[rel][args] & atom:
                 holds.add(tuple(rep[a] for a in args))
         # class independence (follows from the substitution axiom; a
         # disagreement means the source model is invalid)
         for args in itertools.product(model.domain, repeat=arity):
             reptup = tuple(rep[a] for a in args)
-            if reptup in holds and not model.rel_value(rel, args) & atom:
+            if reptup in holds and not model.relations[rel][args] & atom:
                 raise ValueError(
                     f"relation {rel} not class-independent at {args}; "
                     f"the source model violates the substitution axiom")

@@ -111,7 +111,7 @@ def check_subst_inequality(model, f, taus, sigmas) -> dict:
     vs = tuple(sorted(f.free_vars()))
     if len(vs) != len(taus) or len(vs) != len(sigmas):
         raise ShapeError("tuple lengths do not match the variable list")
-    agree = alg.inf(model.eq_value(a, b) for a, b in zip(taus, sigmas))
+    agree = alg.inf(model.eq[a, b] for a, b in zip(taus, sigmas))
     lhs = alg.meet(agree, eval_formula(model, f, dict(zip(vs, taus))))
     rhs = eval_formula(model, f, dict(zip(vs, sigmas)))
     return {"ok": alg.leq(lhs, rhs), "lhs": lhs, "rhs": rhs}

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -7,7 +8,7 @@ from infkit.boolalg import powerset_algebra
 from infkit.bvmodel import (
     BValuedModel, ShapeError, UnboundVariable, assemble_model,
     bounded_boolean_sat, check_full, check_full_everywhere, check_mixing,
-    check_model, eval_formula, mixes_over, term_value,
+    check_model, eval_formula, term_value,
 )
 from infkit.syntax import (
     And, Atom, Const, Eq, Exists, Forall, Not, Or, Signature, Var,
@@ -17,7 +18,7 @@ from inputs import (
     three_element_nonmixing_model, unattained_sup_formula,
 )
 from test_acceptance import check_subst_inequality
-from test_reference_paths import check_mixing_by_antichains
+from test_reference_paths import check_mixing_by_antichains, mixes_over
 
 d, c0, c1 = Const("d"), Const("c0"), Const("c1")
 
@@ -115,6 +116,32 @@ def test_one_atom_is_ordered_without_a_key(monkeypatch, m4):
     assert check_mixing(model) == {"mixing": True}
     assert calls == []
     assert check_mixing(m4)["mixing"] and calls
+
+
+def test_mixing_one_class_per_atom_tries_each_target_once():
+    """Every element mixes every target map, so the loop over all 4^10 maps
+    took 4.4 s (Python 3.11, 2 CPUs); the walk settles each atom once."""
+    model = assemble_model(Signature((), ()),
+                           tuple(f"a{i}" for i in range(10)),
+                           ("m0", "m1", "m2", "m3"),
+                           (((0, 0, 0, 0), ()),) * 10, {})
+    start = time.perf_counter()
+    assert check_mixing(model) == {"mixing": True}
+    assert time.perf_counter() - start < 0.5
+
+
+def test_check_model_skips_pairs_that_fine_classes_keep_apart():
+    """With every class a singleton, [old = new] is zero off the diagonal:
+    the loop over all 40^4 tuple pairs took 4.4 s (Python 3.11, 2 CPUs)."""
+    n = 40
+    table = frozenset((i, j) for i in range(n) for j in range(n)
+                      if (i + 2 * j) % 3 == 0)
+    model = assemble_model(Signature((("R", 2),), ()), ("a0", "a1"),
+                           tuple(f"m{i:02d}" for i in range(n)),
+                           ((tuple(range(n)), (table,)),) * 2, {})
+    start = time.perf_counter()
+    assert check_model(model) == {"ok": True, "violations": []}
+    assert time.perf_counter() - start < 1
 
 
 def test_unattained_sup():

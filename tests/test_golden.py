@@ -22,8 +22,10 @@ written; the `mansfield --emit-model` pin on the star family at 10
 constants: while each table was rendered as one string; the `mansfield`
 and `generic` pins on the emitted b16 family: while `mansfield` built every
 finding of the clause check to report the first, and the maximal members
-of an explicit family were found by comparing every pair). Also that
-`tools/gen_corpus.py` writes the shipped corpus byte for byte."""
+of an explicit family were found by comparing every pair; the
+`check-model` pin on a model that breaks every axiom: while validity was
+still checked on every triple of elements and every pair of tuples). Also
+that `tools/gen_corpus.py` writes the shipped corpus byte for byte."""
 import hashlib
 import os
 import random
@@ -94,6 +96,31 @@ def _wide_quotient(n_atoms: int) -> tuple[dict, dict]:
     return model, pool
 
 
+def _broken_model(seed: int) -> dict:
+    """Four elements over three atoms with seeded eq and relation values,
+    the diagonal included: it breaks reflexivity, symmetry, the triangle
+    inequality and the substitution inequality of `P/1` and `R/2`, so
+    `check-model` lists violations of all four axioms in its own order."""
+    rng = random.Random(seed)
+    atoms = ["a0", "a1", "a2"]
+    dom = ["w", "x", "y", "z"]
+
+    def value() -> list[str]:
+        return [a for a in atoms if rng.random() < 0.7]
+
+    return {
+        "algebra": {"type": "powerset", "atoms": atoms},
+        "domain": dom,
+        "eq": [{"pair": [m, n], "value": value()} for m in dom for n in dom],
+        "relations": {
+            "P": [{"args": [m], "value": value()} for m in dom],
+            "R": [{"args": [m, n], "value": value()}
+                  for m in dom for n in dom]},
+        "signature": {"relations": [{"name": "P", "arity": 1},
+                                    {"name": "R", "arity": 2}],
+                      "constants": []}}
+
+
 GOLDEN = {
     "roundtrip_b4": ("roundtrip", "b4.json"),
     "emit_b4": ("cp-from-algebra", "b4.json", "--emit"),
@@ -110,6 +137,8 @@ GOLDEN = {
     "eval": ("eval", "--model", "four_element_model.json", "--formula",
              "disjunction.json"),
     "check_model": ("check-model", "four_element_model.json"),
+    # pinned while both checks still ran every triple and tuple pair
+    "check_model_broken": ("check-model", "broken_model.json"),
     "quotient_los": ("quotient", "--model", "four_element_model.json",
                      "--ultrafilter", "uf_a0.json", "--los-pool",
                      "los_pool.json"),
@@ -190,6 +219,8 @@ EXPECTED = {
         "17ab8c427e86e17945b70a43d4d9349c0a5615db52e1d616545991694a465d01",
     "check_model":
         "bc7fc38b8c4283f2ecfbf90b99af5ba5b087fe5fe3d20142ec700d616333118a",
+    "check_model_broken":
+        "9d274d0edea97331bf64f61d3e344e49b58ecb72ab2ec29d89082bac5a18e06d",
     "check_model_point_9":
         "bc7fc38b8c4283f2ecfbf90b99af5ba5b087fe5fe3d20142ec700d616333118a",
     "corpus":
@@ -299,6 +330,7 @@ def workdir(tmp_path_factory):
         "algebra": {"type": "powerset", "atoms": [f"a{i}" for i in range(9)]},
         "domain": ["x"], "relations": {},
         "signature": {"constants": [], "relations": []}}))
+    (d / "broken_model.json").write_text(dumps(_broken_model(0)))
     (d / "disjunction.json").write_text(dumps({"or": [
         {"eq": [{"const": "d"}, {"const": "c0"}]},
         {"eq": [{"const": "d"}, {"const": "c1"}]}]}))

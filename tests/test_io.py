@@ -150,10 +150,10 @@ def test_model_sparse_defaults(m4):
         assert m != n and row["value"] != []
     back = parse_model(obj)
     assert check_model(back)["ok"]
-    assert back.eq_value("m00", "m00") == back.algebra.one
+    assert back.eq["m00", "m00"] == back.algebra.one
     for m in m4.domain:
         for n in m4.domain:
-            assert back.eq_value(m, n) == m4.eq_value(m, n)
+            assert back.eq[m, n] == m4.eq[m, n]
 
 
 def test_model_with_ro_algebra_is_emitted_through_tables(eq4):

@@ -29,7 +29,7 @@ def test_quotient_classes_follow_equality_filter(m4):
         q = quotient(m4, uf)
         for m, n in itertools.product(m4.domain, repeat=2):
             same = any(m in cl and n in cl for cl in q.classes)
-            assert same == bool(m4.eq_value(m, n) & uf)
+            assert same == bool(m4.eq[m, n] & uf)
 
 
 def test_atomic_tarski_matches_filter_membership(m4):

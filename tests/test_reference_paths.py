@@ -16,7 +16,9 @@ sample against the one that decides each atom's quotient, truth in a
 quotient's one-atom model (`quotient_model`) against truth decided on the
 quotient's own data, the partitions of a domain as they were listed against
 the unranked ones, and the density
-and mixing checks by their definitions. Also every path that reads family
+and mixing checks by their definitions. Also the validity and mixing loops
+as they were, every triple, tuple pair and target map, against the walks
+that skip the cases whose mask is already zero. Also every path that reads family
 members as ints over the interned sentences (the walk, maximality, the
 clause checks, emission, and on the forcing side the conditions, generic
 filters and claim 1) against the same path on sets of sentences, and the
@@ -58,9 +60,10 @@ from infkit.boolalg import (
     table_algebra,
 )
 from infkit.bvmodel import (
-    TwoValuedStructure, _by_label, _growth_counts, _partitions,
-    _unrank_partition, assemble_model, check_full_everywhere, eval_formula,
-    mixes_over, quotient_count, quotient_truth, quotients, random_quotients,
+    BValuedModel, TwoValuedStructure, _by_label, _growth_counts, _partitions,
+    _unrank_partition, assemble_model, check_full_everywhere, check_mixing,
+    check_model, eval_formula, quotient_count, quotient_truth, quotients,
+    random_quotients,
 )
 from infkit.calculus import (
     ArityClash, Sequent, in_calculus_fragment, infer_signature,
@@ -520,6 +523,60 @@ def check_mixing_by_antichains(model):
     return {"mixing": True}
 
 
+def mixes_over(model, antichain, targets):
+    """First domain element mixing the given antichain/targets, or None."""
+    alg = model.algebra
+    for tau in model.domain:
+        if all(alg.leq(a, model.eq[tau, t])
+               for a, t in zip(antichain, targets)):
+            return tau
+    return None
+
+
+def reference_check_mixing(model):
+    """check_mixing as it was: every map from the atoms to the domain, in
+    product order, until one that no element mixes."""
+    alg = model.algebra
+    atoms = _by_label(alg, alg.atoms())
+    for targets in itertools.product(model.domain, repeat=len(atoms)):
+        if mixes_over(model, atoms, targets) is None:
+            return {"mixing": False,
+                    "antichain": [alg.label(a) for a in atoms],
+                    "targets": list(targets)}
+    return {"mixing": True}
+
+
+def reference_check_model(model):
+    """check_model as it was: every triple of elements for the equality
+    axioms, and every pair of tuples of each relation for the substitution
+    inequality."""
+    alg = model.algebra
+    dom = model.domain
+    eq = model.eq
+    violations = []
+    for m in dom:
+        if eq[m, m] != alg.one:
+            violations.append({"axiom": "reflexivity", "args": [m]})
+        for n in dom:
+            if eq[m, n] != eq[n, m]:
+                violations.append({"axiom": "symmetry", "args": [m, n]})
+            for p in dom:
+                lhs = alg.meet(eq[m, n], eq[n, p])
+                if not alg.leq(lhs, eq[m, p]):
+                    violations.append({"axiom": "triangle", "args": [m, n, p]})
+    for rel, arity in model.signature.relations:
+        table = model.relations[rel]
+        for told in itertools.product(dom, repeat=arity):
+            for tnew in itertools.product(dom, repeat=arity):
+                agree = alg.inf(eq[a, b] for a, b in zip(told, tnew))
+                lhs = alg.meet(agree, table[told])
+                if not alg.leq(lhs, table[tnew]):
+                    violations.append({
+                        "axiom": "substitution", "relation": rel,
+                        "args": [list(told), list(tnew)]})
+    return {"ok": not violations, "violations": violations}
+
+
 def reference_partitions(n):
     """The restricted-growth strings of n items as they were listed, by a
     depth-first walk in lexicographic order."""
@@ -609,7 +666,7 @@ def reference_quotient(model, filter_members):
         raise ImproperFilter("argument is not a proper filter of the algebra")
 
     def same(m, n):
-        return model.eq_value(m, n) in filter_members
+        return model.eq[m, n] in filter_members
 
     for m in model.domain:
         if not same(m, m):
@@ -628,10 +685,10 @@ def reference_quotient(model, filter_members):
     for rel, arity in model.signature.relations:
         holds = {tuple(rep_of[a] for a in args)
                  for args in itertools.product(model.domain, repeat=arity)
-                 if model.rel_value(rel, args) in filter_members}
+                 if model.relations[rel][args] in filter_members}
         for args in itertools.product(model.domain, repeat=arity):
             if tuple(rep_of[a] for a in args) in holds and \
-                    model.rel_value(rel, args) not in filter_members:
+                    model.relations[rel][args] not in filter_members:
                 raise ValueError(
                     f"relation {rel} not class-independent at {args}; "
                     f"the source model violates the substitution axiom")
@@ -1619,8 +1676,9 @@ def test_read_cp_reads_other_text_as_parse_cp(corpus_dir, tmp_path,
 
 def reference_maximal_members(cp, root=frozenset()):
     """maximal_members as it was: the inclusion-maximal sentence sets among
-    the members holding the root, sorted by their sentences' keys."""
-    above = [m for m in reference_members_of(cp) if root <= m]
+    the members holding the root, each once, sorted by their sentences'
+    keys."""
+    above = [m for m in dict.fromkeys(reference_members_of(cp)) if root <= m]
     if cp.family is not None:
         maxes = [m for m in above if not any(m < o for o in above)]
     else:
@@ -1720,6 +1778,13 @@ def test_the_bit_order_key_sorts_as_the_bit_lists(masks):
     assert sorted(masks, key=_bit_order) == sorted(masks, key=_bits)
 
 
+def repeated_member_family():
+    """The shared-sentence family with every member listed twice."""
+    cp = shared_sentence_family()
+    return ConsistencyProperty(cp.signature, cp.fresh_constants, cp.pool,
+                               family=tuple(map(cp.decode, cp.family * 2)))
+
+
 def _forcing_families(corpus_dir):
     fams = {name: parse_cp(load_json(str(corpus_dir / f"{name}.json")))
             for name in _CORPUS_FAMILIES}
@@ -1728,12 +1793,15 @@ def _forcing_families(corpus_dir):
 
 
 def test_forcing_side_matches_the_sentence_set_paths(corpus_dir):
-    """At every root of every corpus family and of the two made-up ones:
-    maximal members, conditions and the generic filter on ints, decoded,
-    equal the sentence-set paths, and so do the dense-set roster and the
-    decoded labels of the condition algebra."""
+    """At every root of every corpus family, of the two made-up ones and of
+    one that repeats its members: maximal members, conditions and the
+    generic filter on ints, decoded, equal the sentence-set paths, and so
+    do the dense-set roster and the decoded labels of the condition
+    algebra."""
     roots = 0
-    for name, cp in _forcing_families(corpus_dir).items():
+    families = {**_forcing_families(corpus_dir),
+                "repeated_member": repeated_member_family()}
+    for name, cp in families.items():
         interned = set(cp.sentences)
         assert [(e["kind"], e["name"], cp.decode(e["guard"]),
                  cp.decode(e["triggers"])) for e in dense_sets(cp)] == [
@@ -1751,7 +1819,7 @@ def test_forcing_side_matches_the_sentence_set_paths(corpus_dir):
             assert (cp.decode(gf.minimum), gf.dense_report) == \
                 reference_generic_filter(cp, ref_root), name
             roots += 1
-    assert roots == 310 + 2 + 3   # the corpus families, then the others
+    assert roots == 310 + 2 + 3 + 6   # the corpus families, then the others
 
 
 @settings(max_examples=200, deadline=None)
@@ -1763,7 +1831,7 @@ def test_explicit_maximal_members_match_the_pairwise_scan(cp, data):
     root = data.draw(st.lists(st.sampled_from(cp.sentences), max_size=2)
                      .map(frozenset)) if cp.sentences else frozenset()
     assert list(map(cp.decode, maximal_members(cp, cp.encode(root)))) == \
-        list(dict.fromkeys(reference_maximal_members(cp, root)))
+        reference_maximal_members(cp, root)
 
 
 def reference_condition_algebra(cp, root=0):
@@ -2025,6 +2093,74 @@ def test_soundness_sample_matches_reference_on_late_countermodels(name,
                                     seed=seed, **bounds)
               for seed in range(4)]
     assert None not in firsts and max(firsts) > 0, firsts
+
+
+# --- validity and mixing -----------------------------------------------------
+
+def _small_signature(draw) -> Signature:
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    return Signature(tuple((f"R{i}", a) for i, a in enumerate(arities)), ())
+
+
+@st.composite
+def valid_models(draw):
+    """A model assembled from drawn per-atom structures: 1-4 atoms over 1-4
+    elements, each a drawn partition and one drawn table per relation."""
+    sig = _small_signature(draw)
+    n = draw(st.integers(1, 4))
+    per_atom = []
+    for _ in range(draw(st.integers(1, 4))):
+        rgs = _unrank_partition(
+            n, draw(st.integers(0, _growth_counts(n)[n][0] - 1)))
+        k = max(rgs) + 1
+        per_atom.append((rgs, tuple(
+            frozenset(t for t in itertools.product(range(k), repeat=arity)
+                      if draw(st.booleans()))
+            for _, arity in sig.relations)))
+    return assemble_model(sig, tuple(f"a{i}" for i in range(len(per_atom))),
+                          tuple(f"m{i}" for i in range(n)), tuple(per_atom),
+                          {})
+
+
+@st.composite
+def invalid_models(draw):
+    """A model with drawn eq and relation masks, the diagonal included, so
+    that each axiom can fail anywhere."""
+    sig = _small_signature(draw)
+    alg = powerset_algebra([f"a{i}" for i in range(draw(st.integers(1, 4)))])
+    dom = tuple(f"m{i}" for i in range(draw(st.integers(1, 4))))
+    mask = st.integers(0, alg.one)
+    eq = {pair: draw(mask) for pair in itertools.product(dom, repeat=2)}
+    relations = {rel: {args: draw(mask)
+                       for args in itertools.product(dom, repeat=arity)}
+                 for rel, arity in sig.relations}
+    return BValuedModel(sig, alg, dom, eq, relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(valid_models(), invalid_models()))
+def test_validity_and_mixing_walks_match_the_loops(model):
+    """The pruned walks report what the exhaustive loops report, in the
+    same order, on valid models and on models that break every axiom."""
+    assert check_model(model) == reference_check_model(model)
+    assert check_mixing(model) == reference_check_mixing(model)
+
+
+def test_validity_and_mixing_walks_match_the_loops_on_condition_models(
+        corpus_dir):
+    """At every root of every shipped family that is a consistency
+    property, on the model that `mansfield` builds."""
+    roots = 0
+    for name in _CORPUS_FAMILIES:
+        cp = parse_cp(load_json(str(corpus_dir / f"{name}.json")))
+        if not check_cp(cp)["ok"]:
+            continue
+        for root in cp.family:
+            model = mansfield_build(cp, root)["model"]
+            assert check_model(model) == reference_check_model(model), name
+            assert check_mixing(model) == reference_check_mixing(model), name
+            roots += 1
+    assert roots == 304
 
 
 # --- ultrafilter quotients ---------------------------------------------------
